@@ -8,7 +8,7 @@ share one autodiff core, a k-d tree discretizer, and a sweep harness.
 """
 
 from .autodiff import Tensor, backward
-from .data import DatasetBundle, SyntheticConfig, generate_synthetic, load_dataset, save_dataset, subsample_labels
+from .data import DatasetBundle, Partition, SyntheticConfig, generate_synthetic, load_dataset, save_dataset, subsample_labels
 from .errors import (
     ArgumentError,
     DataFormatError,
@@ -21,7 +21,6 @@ from .geo import EvalReport, GeoPoint, RegionTree, evaluate, haversine_km
 from .models import (
     DccaConfig,
     GcnConfig,
-    Partition,
     TrainConfig,
     TrainedModel,
     predict_classes,

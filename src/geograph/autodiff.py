@@ -243,11 +243,13 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = Tensor(_stable_sigmoid(x.data), _parents=(x,))
+    s = _stable_sigmoid(x.data)
+    out = Tensor(s, _parents=(x,))
 
+    # The closure holds the output array, not ``out``: a tensor reachable from
+    # its own vjp would be a reference cycle keeping the whole tape alive.
     def vjp(g: np.ndarray) -> None:
         if x._needs_grad():
-            s = out.data
             x._accumulate(g * s * (1.0 - s))
 
     out._vjp = vjp
@@ -272,11 +274,11 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def softmax_rows(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"softmax_rows expects a matrix, got shape {x.data.shape}")
-    out = Tensor(_softmax(x.data), _parents=(x,))
+    y = _softmax(x.data)
+    out = Tensor(y, _parents=(x,))
 
     def vjp(g: np.ndarray) -> None:
         if x._needs_grad():
-            y = out.data
             dot = (g * y).sum(axis=1, keepdims=True)
             x._accumulate((g - dot) * y)
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .models import TrainedModel
+from .models import KINDS, TrainedModel
 from .optim import ParamSet
 
 MAGIC = b"GEOCKPT1"
@@ -97,6 +97,12 @@ def load_checkpoint(path) -> tuple[TrainedModel, dict]:
             header = json.loads(raw_header.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"bad checkpoint header: {exc}") from exc
+        if not isinstance(header, dict) or not isinstance(header.get("meta"), dict):
+            raise DataFormatError(f"{path}: checkpoint header needs a 'kind' and a 'meta' object")
+        if not isinstance(header.get("kind"), str) or header["kind"] not in KINDS:
+            raise DataFormatError(
+                f"{path}: unknown model kind {header.get('kind')!r}; valid: {sorted(KINDS)}"
+            )
         params = ParamSet()
         state: dict[str, np.ndarray] = {}
         for _ in range(_read_u64(fh)):

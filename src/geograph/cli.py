@@ -15,27 +15,14 @@ import time
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import checkpoint as ckpt
-from .data import DatasetBundle, SyntheticConfig, generate_synthetic, load_dataset, save_dataset, subsample_labels
+from .data import DatasetBundle, SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import ArgumentError, DataFormatError, GeographError
 from .geo import RegionTree, evaluate, export_per_class_csv
-from .models import TrainConfig, predict_classes
-from .sweep import (
-    build_region_tree,
-    evaluate_model,
-    fit_model,
-    labels_for_training,
-    load_sweep_file,
-    prepare_views,
-    run_sweep,
-    emit_report,
-    scaled_bucket,
-)
+from .models import KINDS, predict_classes
+from .sweep import MODEL_NAMES, SweepSpec, emit_report, load_sweep_file, run_cell, run_sweep, spec_views
 from .views import ViewMatrices, Vocabulary, build_mention_graph, build_text_view, normalize_adjacency
-
-CLI_MODELS = ("gcn", "gcn-lp", "mlp", "dcca")
 
 
 @click.group()
@@ -46,7 +33,7 @@ def cli():
 @cli.command()
 @click.option("--users", "users_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--edges", "edges_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--model", "model_name", type=click.Choice(CLI_MODELS), default="gcn", show_default=True)
+@click.option("--model", "model_name", type=click.Choice([m for m in MODEL_NAMES if m in KINDS]), default="gcn", show_default=True)
 @click.option("--hidden", default=300, show_default=True, help="Hidden layer width.")
 @click.option("--layers", default=1, show_default=True,
               help="Hidden graph-conv layers; the softmax layer adds one more hop.")
@@ -76,30 +63,12 @@ def train(users_path, edges_path, model_name, hidden, layers, no_highway, bucket
     """Train one model and write checkpoint, report, and predictions."""
     start = time.perf_counter()
     bundle = load_dataset(users_path, edges_path)
-    views = prepare_views(bundle)
-    a_hat = normalize_adjacency(views.adjacency, lam)
-    partition = subsample_labels(bundle, labeled_fraction, seed)
-    bucket_eff = (bucket if tree_from == "all-train"
-                  else scaled_bucket(bucket, labeled_fraction, not no_bucket_scale))
-    tree = build_region_tree(
-        bundle, partition, bucket, labeled_fraction, not no_bucket_scale, tree_from
-    )
-    labels = labels_for_training(bundle, tree, partition.train_idx)
-    train_cfg = TrainConfig(lr=lr, epochs=epochs, dropout=dropout, seed=seed,
-                            early_stop=early_stop)
-
-    dev_score = None
-    if early_stop and partition.dev_idx.size:
-        dev_points = [bundle.points[i] for i in partition.dev_idx]
-
-        def dev_score(preds: np.ndarray) -> float:
-            return evaluate(preds[partition.dev_idx], dev_points, tree).median_km
-
-    model, history = fit_model(
-        model_name, layers, views, a_hat, labels, tree.num_classes, partition,
-        hidden, train_cfg, dev_score=dev_score, highway=not no_highway,
-    )
-    scores = evaluate_model(model, views, a_hat, tree, bundle, partition)
+    spec = SweepSpec(hidden=hidden, epochs=epochs, lr=lr, dropout=dropout, bucket=bucket,
+                     bucket_scale=not no_bucket_scale, tree_from=tree_from, lam=lam)
+    views, a_hat = spec_views(bundle, spec)
+    run = run_cell(bundle, views, a_hat, spec, model_name, labeled_fraction, layers, seed,
+                   highway=not no_highway, early_stop=early_stop)
+    tree, scores = run.tree, run.scores
     seconds = time.perf_counter() - start
 
     out = Path(out_dir)
@@ -108,25 +77,25 @@ def train(users_path, edges_path, model_name, hidden, layers, no_highway, bucket
         "vocabulary": views.vocabulary.to_dict(),
         "tree": tree.to_dict(),
         "lam": lam,
-        "max_comention_degree": 1000,
+        "max_comention_degree": spec.max_comention_degree,
         "dataset": {"users": str(users_path), "edges": str(edges_path)},
     }
-    ckpt.save_checkpoint(out / "model.ckpt", model, context)
-    _write_predictions(out / "predictions.csv", bundle, model, views, a_hat, tree)
+    ckpt.save_checkpoint(out / "model.ckpt", run.model, context)
+    _write_predictions(out / "predictions.csv", bundle, run.preds, tree)
 
     report = {
         "model": model_name,
         "config": {
             "hidden": hidden, "layers": layers, "highway": not no_highway,
-            "bucket": bucket_eff, "tree_from": tree_from,
+            "bucket": run.bucket, "tree_from": tree_from,
             "labeled_fraction": labeled_fraction,
             "lambda": lam, "dropout": dropout, "lr": lr, "epochs": epochs,
             "seed": seed, "early_stop": early_stop,
         },
         "num_classes": tree.num_classes,
-        "labeled_users": int(partition.train_idx.size),
-        "epochs_run": len(history),
-        "final_train_loss": history[-1].loss,
+        "labeled_users": int(run.partition.train_idx.size),
+        "epochs_run": len(run.history),
+        "final_train_loss": run.history[-1].loss,
         "metrics": {k: dataclasses.asdict(_strip_per_class(v)) for k, v in scores.items()},
         "seconds": seconds,
     }
@@ -150,8 +119,7 @@ def _strip_per_class(report):
     return dataclasses.replace(report, per_class=[])
 
 
-def _write_predictions(path, bundle: DatasetBundle, model, views, a_hat, tree) -> None:
-    preds = predict_classes(model, a_hat, views.text, views.adjacency)
+def _write_predictions(path, bundle: DatasetBundle, preds, tree) -> None:
     reps = tree.representatives
     lines = ["id,split,class_id,pred_lat,pred_lon"]
     for i, uid in enumerate(bundle.ids):

@@ -20,11 +20,30 @@ import numpy as np
 
 from .errors import ArgumentError, DataFormatError
 from .geo import GeoPoint
-from .models import Partition
 
 SPLITS = ("train", "dev", "test")
 
 log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Index sets for labeled, development, and test users (disjoint)."""
+
+    train_idx: np.ndarray
+    dev_idx: np.ndarray
+    test_idx: np.ndarray
+
+    def __post_init__(self):
+        for name in ("train_idx", "dev_idx", "test_idx"):
+            arr = np.asarray(getattr(self, name), dtype=np.intp)
+            object.__setattr__(self, name, arr)
+        if self.train_idx.size == 0:
+            raise ArgumentError("partition has no labeled users")
+        pools = [set(self.train_idx), set(self.dev_idx), set(self.test_idx)]
+        total = len(pools[0]) + len(pools[1]) + len(pools[2])
+        if len(pools[0] | pools[1] | pools[2]) != total:
+            raise ArgumentError("partition index sets overlap")
 
 
 @dataclass

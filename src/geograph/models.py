@@ -31,6 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import Partition
 from .errors import ArgumentError, ShapeError, StateError
 from .optim import ParamSet, glorot_uniform
 from .sparse import SparseMatrix, hstack as sparse_hstack
@@ -38,26 +39,6 @@ from .sparse import SparseMatrix, hstack as sparse_hstack
 
 # --------------------------------------------------------------------------
 # configuration
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Index sets for labeled, development, and test users (disjoint)."""
-
-    train_idx: np.ndarray
-    dev_idx: np.ndarray
-    test_idx: np.ndarray
-
-    def __post_init__(self):
-        for name in ("train_idx", "dev_idx", "test_idx"):
-            arr = np.asarray(getattr(self, name), dtype=np.intp)
-            object.__setattr__(self, name, arr)
-        if self.train_idx.size == 0:
-            raise ArgumentError("partition has no labeled users")
-        pools = [set(self.train_idx), set(self.dev_idx), set(self.test_idx)]
-        total = len(pools[0]) + len(pools[1]) + len(pools[2])
-        if len(pools[0] | pools[1] | pools[2]) != total:
-            raise ArgumentError("partition index sets overlap")
 
 
 @dataclass(frozen=True)
@@ -207,23 +188,23 @@ def gcn_forward(
 
 
 def init_mlp_params(
-    rng: np.random.Generator, in_dim: int, hidden: int, num_classes: int
+    rng: np.random.Generator, in_dim: int, hidden: int, num_classes: int, prefix: str = ""
 ) -> ParamSet:
     params = ParamSet()
-    params.add("hid/W", glorot_uniform(rng, in_dim, hidden))
-    params.add("hid/b", np.zeros(hidden))
-    params.add("out/W", glorot_uniform(rng, hidden, num_classes))
-    params.add("out/b", np.zeros(num_classes))
+    params.add(f"{prefix}hid/W", glorot_uniform(rng, in_dim, hidden))
+    params.add(f"{prefix}hid/b", np.zeros(hidden))
+    params.add(f"{prefix}out/W", glorot_uniform(rng, hidden, num_classes))
+    params.add(f"{prefix}out/b", np.zeros(num_classes))
     return params
 
 
 def mlp_forward(
-    x: SparseMatrix, params: ParamSet, dropout_mask: np.ndarray | None = None
+    x: SparseMatrix, params: ParamSet, dropout_mask: np.ndarray | None = None, prefix: str = ""
 ) -> Tensor:
-    h = ad.relu(ad.sparse_affine(x, params["hid/W"], params["hid/b"]))
+    h = ad.relu(ad.sparse_affine(x, params[f"{prefix}hid/W"], params[f"{prefix}hid/b"]))
     if dropout_mask is not None:
         h = ad.dropout(h, dropout_mask)
-    return ad.affine(h, params["out/W"], params["out/b"])
+    return ad.affine(h, params[f"{prefix}out/W"], params[f"{prefix}out/b"])
 
 
 def init_projection_params(
@@ -261,101 +242,166 @@ def lp_input(adjacency: SparseMatrix, label_block: np.ndarray) -> SparseMatrix:
 
 
 # --------------------------------------------------------------------------
+# one wiring per model kind, shared by training and prediction
+#
+# Each kind has an input builder ``inputs(model, a_hat, x, adjacency)`` and a
+# forward path ``forward(params, cfg, a_hat, inputs, masks)``. They look up the
+# public forward functions by module-global name at call time, so replacing a
+# module attribute (to time it, say) reaches every call.
+
+# The config fields a model's meta records, per config class; the rest of the
+# meta is input and output widths. Prediction rebuilds the config from them.
+_META_FIELDS = {
+    GcnConfig: ("hidden", "layers", "highway", "gate_bias"),
+    DccaConfig: ("proj_hidden", "proj_out", "reg", "clf_hidden"),
+}
+
+
+def _meta(cfg, **fields) -> dict:
+    return {**fields, **{name: getattr(cfg, name) for name in _META_FIELDS.get(type(cfg), ())}}
+
+
+def _model_config(model: TrainedModel) -> GcnConfig | DccaConfig | None:
+    """The config ``model`` was trained with, rebuilt from its meta (None for mlp)."""
+    cls = KINDS[model.kind].config
+    return cls(**{name: model.meta[name] for name in _META_FIELDS[cls]}) if cls else None
+
+
+def _gcn_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
+    # Input features are constants, so their propagation is hoisted off the tape.
+    return SparseMatrix(a_hat.csr @ x.csr)
+
+
+def _gcn_lp_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
+    label_block = model.state.get("label_block")
+    if label_block is None:
+        raise StateError("gcn-lp model is missing its label block")
+    if model.meta.get("include_adjacency_block", True):
+        return _gcn_inputs(model, a_hat, lp_input(adjacency, label_block), adjacency)
+    return _gcn_inputs(model, a_hat, SparseMatrix.from_dense(label_block), adjacency)
+
+
+def _mlp_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
+    return sparse_hstack([x, a_hat])
+
+
+def _dcca_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
+    """Both views' projections side by side: the classifier's fixed input."""
+    cfg = _model_config(model)
+    h1 = projection_forward(x, model.params, "f1", cfg).data
+    h2 = projection_forward(a_hat, model.params, "f2", cfg).data
+    return SparseMatrix.from_dense(np.hstack([h1, h2]))
+
+
+def _gcn_logits(params: ParamSet, cfg, a_hat, inputs, masks) -> Tensor:
+    return gcn_forward(a_hat, inputs, params, cfg, masks)
+
+
+def _mlp_logits(params: ParamSet, cfg, a_hat, inputs, masks) -> Tensor:
+    return mlp_forward(inputs, params, masks[0] if masks else None)
+
+
+def _dcca_logits(params: ParamSet, cfg, a_hat, inputs, masks) -> Tensor:
+    return mlp_forward(inputs, params, masks[0] if masks else None, prefix="clf/")
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    config: type | None  # None for mlp, whose meta holds only widths
+    inputs: Callable
+    forward: Callable
+
+
+KINDS = {
+    "gcn": ModelKind(GcnConfig, _gcn_inputs, _gcn_logits),
+    "gcn-lp": ModelKind(GcnConfig, _gcn_lp_inputs, _gcn_logits),
+    "mlp": ModelKind(None, _mlp_inputs, _mlp_logits),
+    "dcca": ModelKind(DccaConfig, _dcca_inputs, _dcca_logits),
+}
+
+
+# --------------------------------------------------------------------------
 # training scaffold
 
 DevScoreFn = Callable[[np.ndarray], float]
 
 
-def _masks(rng: np.random.Generator, count: int, shape: tuple, p: float):
-    if p == 0.0:
-        return None
-    return [ad.make_dropout_mask(rng, shape, p) for _ in range(count)]
-
-
-class _EarlyStopper:
-    """Keeps the best-scoring parameter snapshot; signals when patience runs out."""
-
-    def __init__(self, params: ParamSet, patience: int):
-        self.params = params
-        self.patience = patience
-        self.best_score = math.inf
-        self.best_values = params.copy_values()
-        self.stale = 0
-
-    def update(self, score: float) -> bool:
-        if score < self.best_score:
-            self.best_score = score
-            self.best_values = self.params.copy_values()
-            self.stale = 0
-        else:
-            self.stale += 1
-        return self.stale >= self.patience
-
-    def restore(self) -> None:
-        self.params.load_values(self.best_values)
-
-
 def _train_classifier(
+    model: TrainedModel,
     params: ParamSet,
-    forward: Callable[[list[np.ndarray] | None], Tensor],
+    inputs: SparseMatrix,
+    a_hat: SparseMatrix,
     labels: np.ndarray,
-    num_classes: int,
     train_idx: np.ndarray,
     cfg: TrainConfig,
     dropout_rng: np.random.Generator,
     mask_count: int,
-    mask_shape: tuple,
+    mask_width: int,
     dev_score: DevScoreFn | None = None,
-    after_epoch: Callable[[np.ndarray, float, int], None] | None = None,
+    after_epoch: Callable[[np.ndarray, float], SparseMatrix | None] | None = None,
 ) -> list[EpochLog]:
-    """Shared full-batch loop: forward, cross-entropy on train rows, Adam.
+    """Shared full-batch loop: the kind's forward, cross-entropy on train rows, Adam.
 
-    ``forward(masks)`` must produce logits for all users; ``after_epoch``
-    (used by gcn-lp) receives eval-mode probabilities, training accuracy, and
-    the epoch index after each update.
+    ``params`` are the weights updated (``model.params`` except for dcca's
+    stage-2 classifier). ``after_epoch`` (used by gcn-lp) receives eval-mode
+    probabilities and training accuracy after each update and may return new
+    inputs for the next epoch.
     """
+    kind, wiring = KINDS[model.kind], _model_config(model)
+    num_classes = model.meta["num_classes"]
     train_idx = np.asarray(train_idx, dtype=np.intp)
     targets = one_hot(labels[train_idx], num_classes)
     history: list[EpochLog] = []
-    stopper = _EarlyStopper(params, cfg.patience) if (cfg.early_stop and dev_score) else None
+    # Early stopping keeps the best-scoring parameter snapshot.
+    stopping = cfg.early_stop and dev_score is not None
+    best_score, stale = math.inf, 0
+    best_values = params.copy_values() if stopping else None
 
     for epoch in range(cfg.epochs):
-        masks = _masks(dropout_rng, mask_count, mask_shape, cfg.dropout)
-        logits = forward(masks)
+        masks = None
+        if cfg.dropout > 0.0:
+            shape = (a_hat.shape[0], mask_width)
+            masks = [ad.make_dropout_mask(dropout_rng, shape, cfg.dropout) for _ in range(mask_count)]
+        logits = kind.forward(params, wiring, a_hat, inputs, masks)
         loss = ad.softmax_cross_entropy(logits, targets, train_idx)
         params.zero_grads()
         ad.backward(loss)
         params.adam_step(cfg.lr)
 
-        need_eval = (after_epoch is not None) or (dev_score is not None)
         train_acc = float("nan")
         score = None
-        if need_eval:
-            eval_logits = forward(None)
-            probs = _softmax_rows(eval_logits.data)
+        if after_epoch is not None or dev_score is not None:
+            probs = ad._softmax(kind.forward(params, wiring, a_hat, inputs, None).data)
             preds = probs.argmax(axis=1)
             train_acc = float(np.mean(preds[train_idx] == labels[train_idx]))
             if after_epoch is not None:
-                after_epoch(probs, train_acc, epoch)
+                fresh = after_epoch(probs, train_acc)
+                inputs = inputs if fresh is None else fresh
             if dev_score is not None:
                 score = dev_score(preds)
         history.append(EpochLog(epoch, float(loss.data), train_acc, score))
-        if stopper is not None and stopper.update(score):
-            break
-    if stopper is not None:
-        stopper.restore()
+        if stopping:
+            if score < best_score:
+                best_score, best_values, stale = score, params.copy_values(), 0
+            else:
+                stale += 1
+            if stale >= cfg.patience:
+                break
+    if stopping:
+        params.load_values(best_values)
     return history
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _split_rng(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     init_seq, drop_seq = np.random.SeedSequence(seed).spawn(2)
     return np.random.default_rng(init_seq), np.random.default_rng(drop_seq)
+
+
+def _check_rows(a_hat: SparseMatrix, x: SparseMatrix) -> int:
+    n = a_hat.shape[0]
+    if x.shape[0] != n:
+        raise ShapeError(f"features have {x.shape[0]} rows for {n} nodes")
+    return n
 
 
 # --------------------------------------------------------------------------
@@ -372,29 +418,15 @@ def train_gcn(
     train_cfg: TrainConfig,
     dev_score: DevScoreFn | None = None,
 ) -> tuple[TrainedModel, list[EpochLog]]:
-    n = a_hat.shape[0]
-    if x.shape[0] != n:
-        raise ShapeError(f"features have {x.shape[0]} rows for {n} nodes")
+    _check_rows(a_hat, x)
     init_rng, drop_rng = _split_rng(train_cfg.seed)
     params = init_gcn_params(init_rng, x.shape[1], num_classes, gcn_cfg)
-    propagated = SparseMatrix(a_hat.csr @ x.csr)
-
-    def forward(masks):
-        return gcn_forward(a_hat, propagated, params, gcn_cfg, masks)
-
+    model = TrainedModel("gcn", params, _meta(gcn_cfg, in_dim=x.shape[1], num_classes=num_classes))
     history = _train_classifier(
-        params, forward, labels, num_classes, partition.train_idx, train_cfg,
-        drop_rng, gcn_cfg.layers, (n, gcn_cfg.hidden), dev_score,
+        model, params, _gcn_inputs(model, a_hat, x, None), a_hat, labels, partition.train_idx,
+        train_cfg, drop_rng, gcn_cfg.layers, gcn_cfg.hidden, dev_score,
     )
-    meta = {
-        "in_dim": x.shape[1],
-        "num_classes": num_classes,
-        "hidden": gcn_cfg.hidden,
-        "layers": gcn_cfg.layers,
-        "highway": gcn_cfg.highway,
-        "gate_bias": gcn_cfg.gate_bias,
-    }
-    return TrainedModel("gcn", params, meta), history
+    return model, history
 
 
 def train_gcn_lp(
@@ -422,50 +454,31 @@ def train_gcn_lp(
     init_rng, drop_rng = _split_rng(train_cfg.seed)
     in_dim = (n if include_adjacency_block else 0) + num_classes
     params = init_gcn_params(init_rng, in_dim, num_classes, gcn_cfg)
-
     label_block = np.zeros((n, num_classes), dtype=np.float64)
     train_idx = partition.train_idx
     label_block[train_idx] = one_hot(labels[train_idx], num_classes)
+    model = TrainedModel(
+        "gcn-lp", params,
+        _meta(gcn_cfg, in_dim=in_dim, num_classes=num_classes,
+              include_adjacency_block=include_adjacency_block, trigger_accuracy=trigger_accuracy),
+        {"label_block": label_block},
+    )
     held_out = np.setdiff1d(np.arange(n), train_idx)
     latched = False
 
-    def build_input() -> SparseMatrix:
-        if include_adjacency_block:
-            x = lp_input(adjacency, label_block)
-        else:
-            x = SparseMatrix.from_dense(label_block)
-        return SparseMatrix(a_hat.csr @ x.csr)
-
-    propagated = build_input()
-
-    def forward(masks):
-        return gcn_forward(a_hat, propagated, params, gcn_cfg, masks)
-
-    def after_epoch(probs: np.ndarray, train_acc: float, epoch: int) -> None:
-        nonlocal latched, propagated
-        if not latched and train_acc >= trigger_accuracy:
-            latched = True
-        if latched:
-            label_block[held_out] = probs[held_out]
-            propagated = build_input()
+    def after_epoch(probs: np.ndarray, train_acc: float) -> SparseMatrix | None:
+        nonlocal latched
+        latched = latched or train_acc >= trigger_accuracy
+        if not latched:
+            return None
+        label_block[held_out] = probs[held_out]
+        return _gcn_lp_inputs(model, a_hat, None, adjacency)
 
     history = _train_classifier(
-        params, forward, labels, num_classes, train_idx, train_cfg,
-        drop_rng, gcn_cfg.layers, (n, gcn_cfg.hidden), dev_score,
-        after_epoch=after_epoch,
+        model, params, _gcn_lp_inputs(model, a_hat, None, adjacency), a_hat, labels, train_idx,
+        train_cfg, drop_rng, gcn_cfg.layers, gcn_cfg.hidden, dev_score, after_epoch,
     )
-    meta = {
-        "in_dim": in_dim,
-        "num_classes": num_classes,
-        "hidden": gcn_cfg.hidden,
-        "layers": gcn_cfg.layers,
-        "highway": gcn_cfg.highway,
-        "gate_bias": gcn_cfg.gate_bias,
-        "include_adjacency_block": include_adjacency_block,
-        "trigger_accuracy": trigger_accuracy,
-    }
-    state = {"label_block": label_block.copy()}
-    return TrainedModel("gcn-lp", params, meta, state), history
+    return model, history
 
 
 def train_mlp(
@@ -479,22 +492,17 @@ def train_mlp(
     dev_score: DevScoreFn | None = None,
 ) -> tuple[TrainedModel, list[EpochLog]]:
     """One hidden layer over the concatenated text and normalized-graph rows."""
-    n = a_hat.shape[0]
-    if x.shape[0] != n:
-        raise ShapeError(f"features have {x.shape[0]} rows for {n} nodes")
+    _check_rows(a_hat, x)
     init_rng, drop_rng = _split_rng(train_cfg.seed)
-    xcat = sparse_hstack([x, a_hat])
-    params = init_mlp_params(init_rng, xcat.shape[1], hidden, num_classes)
-
-    def forward(masks):
-        return mlp_forward(xcat, params, masks[0] if masks else None)
-
+    in_dim = x.shape[1] + a_hat.shape[1]
+    params = init_mlp_params(init_rng, in_dim, hidden, num_classes)
+    model = TrainedModel("mlp", params, _meta(None, in_dim=in_dim, num_classes=num_classes,
+                                               hidden=hidden))
     history = _train_classifier(
-        params, forward, labels, num_classes, partition.train_idx, train_cfg,
-        drop_rng, 1, (n, hidden), dev_score,
+        model, params, _mlp_inputs(model, a_hat, x, None), a_hat, labels, partition.train_idx,
+        train_cfg, drop_rng, 1, hidden, dev_score,
     )
-    meta = {"in_dim": xcat.shape[1], "num_classes": num_classes, "hidden": hidden}
-    return TrainedModel("mlp", params, meta), history
+    return model, history
 
 
 def train_dcca(
@@ -510,15 +518,15 @@ def train_dcca(
     """Stage 1 maximizes view correlation on all users (no labels involved);
     stage 2 trains a softmax classifier on the frozen, concatenated
     projections of the labeled users."""
-    n = a_hat.shape[0]
-    if x.shape[0] != n:
-        raise ShapeError(f"features have {x.shape[0]} rows for {n} nodes")
+    n = _check_rows(a_hat, x)
     if n - 1 <= dcca_cfg.proj_out:
         raise ArgumentError("need more than proj_out + 1 users to correlate views")
     init_rng, drop_rng = _split_rng(train_cfg.seed)
     params = ParamSet()
     init_projection_params(init_rng, "f1", x.shape[1], dcca_cfg, params)
     init_projection_params(init_rng, "f2", a_hat.shape[1], dcca_cfg, params)
+    meta = _meta(dcca_cfg, in_dim=x.shape[1], graph_dim=a_hat.shape[1], num_classes=num_classes)
+    model = TrainedModel("dcca", params, meta)
 
     for _ in range(dcca_cfg.stage1_epochs):
         h1 = projection_forward(x, params, "f1", dcca_cfg)
@@ -528,54 +536,17 @@ def train_dcca(
         ad.backward(loss)
         params.adam_step(dcca_cfg.stage1_lr)
 
-    z = np.hstack(
-        [
-            projection_forward(x, params, "f1", dcca_cfg).data,
-            projection_forward(a_hat, params, "f2", dcca_cfg).data,
-        ]
-    )
     # Stage 2 optimizes the classifier only; projection weights are frozen by
-    # training a separate parameter set against the fixed matrix z.
-    clf = ParamSet()
-    clf.add("clf/hid/W", glorot_uniform(init_rng, z.shape[1], dcca_cfg.clf_hidden))
-    clf.add("clf/hid/b", np.zeros(dcca_cfg.clf_hidden))
-    clf.add("clf/out/W", glorot_uniform(init_rng, dcca_cfg.clf_hidden, num_classes))
-    clf.add("clf/out/b", np.zeros(num_classes))
-    z_sparse = SparseMatrix.from_dense(z)
-
-    def forward(masks):
-        return mlp_forward(
-            z_sparse,
-            _aliased(clf),
-            masks[0] if masks else None,
-        )
-
+    # training a separate parameter set against the fixed projections z.
+    z = _dcca_inputs(model, a_hat, x, None)
+    clf = init_mlp_params(init_rng, z.shape[1], dcca_cfg.clf_hidden, num_classes, prefix="clf/")
     history = _train_classifier(
-        clf, forward, labels, num_classes, partition.train_idx, train_cfg,
-        drop_rng, 1, (n, dcca_cfg.clf_hidden), dev_score,
+        model, clf, z, a_hat, labels, partition.train_idx,
+        train_cfg, drop_rng, 1, dcca_cfg.clf_hidden, dev_score,
     )
     for name, tensor in clf.items():
         params.add(name, tensor.data)
-    meta = {
-        "in_dim": x.shape[1],
-        "graph_dim": a_hat.shape[1],
-        "num_classes": num_classes,
-        "proj_hidden": dcca_cfg.proj_hidden,
-        "proj_out": dcca_cfg.proj_out,
-        "reg": dcca_cfg.reg,
-        "clf_hidden": dcca_cfg.clf_hidden,
-    }
-    return TrainedModel("dcca", params, meta), history
-
-
-class _aliased:
-    """Adapter letting mlp_forward read clf/* names through hid/* and out/*."""
-
-    def __init__(self, params: ParamSet):
-        self._params = params
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[f"clf/{name}"]
+    return model, history
 
 
 # --------------------------------------------------------------------------
@@ -586,60 +557,21 @@ def stage1_correlation(
     a_hat: SparseMatrix, x: SparseMatrix, model: TrainedModel
 ) -> float:
     """Current sum of canonical correlations between the two projections."""
-    cfg = _dcca_cfg(model.meta)
+    cfg = _model_config(model)
     h1 = projection_forward(x, model.params, "f1", cfg)
     h2 = projection_forward(a_hat, model.params, "f2", cfg)
     return float(ad.cca_correlation(h1, h2, cfg.reg).data)
 
 
-def _gcn_cfg(meta: dict) -> GcnConfig:
-    return GcnConfig(
-        hidden=meta["hidden"],
-        layers=meta["layers"],
-        highway=meta["highway"],
-        gate_bias=meta.get("gate_bias", -1.0),
-    )
-
-
-def _dcca_cfg(meta: dict) -> DccaConfig:
-    return DccaConfig(
-        proj_hidden=meta["proj_hidden"],
-        proj_out=meta["proj_out"],
-        reg=meta["reg"],
-        clf_hidden=meta["clf_hidden"],
-    )
-
-
 def predict_logits(
     model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix, adjacency: SparseMatrix
 ) -> np.ndarray:
-    """Eval-mode logits for every user, reproducing the training wiring."""
-    if model.kind == "gcn":
-        propagated = SparseMatrix(a_hat.csr @ x.csr)
-        return gcn_forward(a_hat, propagated, model.params, _gcn_cfg(model.meta)).data
-    if model.kind == "gcn-lp":
-        label_block = model.state.get("label_block")
-        if label_block is None:
-            raise StateError("gcn-lp model is missing its label block")
-        if model.meta.get("include_adjacency_block", True):
-            xin = lp_input(adjacency, label_block)
-        else:
-            xin = SparseMatrix.from_dense(label_block)
-        propagated = SparseMatrix(a_hat.csr @ xin.csr)
-        return gcn_forward(a_hat, propagated, model.params, _gcn_cfg(model.meta)).data
-    if model.kind == "mlp":
-        xcat = sparse_hstack([x, a_hat])
-        return mlp_forward(xcat, model.params).data
-    if model.kind == "dcca":
-        cfg = _dcca_cfg(model.meta)
-        z = np.hstack(
-            [
-                projection_forward(x, model.params, "f1", cfg).data,
-                projection_forward(a_hat, model.params, "f2", cfg).data,
-            ]
-        )
-        return mlp_forward(SparseMatrix.from_dense(z), _aliased(model.params)).data
-    raise ArgumentError(f"unknown model kind {model.kind!r}")
+    """Eval-mode logits for every user, through the wiring training used."""
+    kind = KINDS.get(model.kind)
+    if kind is None:
+        raise ArgumentError(f"unknown model kind {model.kind!r}")
+    inputs = kind.inputs(model, a_hat, x, adjacency)
+    return kind.forward(model.params, _model_config(model), a_hat, inputs, None).data
 
 
 def predict_classes(

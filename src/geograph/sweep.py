@@ -16,18 +16,19 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .data import DatasetBundle, subsample_labels
+from .data import DatasetBundle, Partition, subsample_labels
 from .errors import ArgumentError
 from .geo import EvalReport, RegionTree, evaluate
 from .models import (
     DccaConfig,
+    EpochLog,
     GcnConfig,
-    Partition,
     TrainConfig,
     TrainedModel,
     train_dcca,
@@ -39,8 +40,39 @@ from .models import (
 from .sparse import SparseMatrix
 from .views import ViewMatrices, build_mention_graph, build_text_view, normalize_adjacency
 
-MODEL_NAMES = ("gcn", "gcn-nohighway", "gcn-lp", "mlp", "dcca")
-DEPTH_AWARE = ("gcn", "gcn-nohighway", "gcn-lp")
+
+def _gcn_config(hidden, depth, highway, dcca, n) -> GcnConfig:
+    return GcnConfig(hidden=hidden, layers=depth, highway=highway)
+
+
+def _dcca_config(hidden, depth, highway, dcca, n) -> DccaConfig:
+    cfg = DccaConfig(**{"clf_hidden": hidden, **(dcca or {})})
+    # The default projection width exceeds small corpora; cap it to keep the
+    # correlation well-defined (needs more samples than projected dims).
+    if cfg.proj_out >= n - 1:
+        cfg = replace(cfg, proj_out=max(1, (n - 1) // 2))
+    return cfg
+
+
+@dataclass(frozen=True)
+class ModelEntry:
+    train: Callable  # train_gcn, train_gcn_lp, train_mlp or train_dcca
+    view: str  # the ViewMatrices field passed beside a_hat
+    # (hidden, depth, highway, dcca overrides, user count) -> the trainer's config
+    config: Callable
+    depth_aware: bool
+    highway: bool = True
+
+
+MODELS = {
+    "gcn": ModelEntry(train_gcn, "text", _gcn_config, depth_aware=True),
+    "gcn-nohighway": ModelEntry(train_gcn, "text", _gcn_config, depth_aware=True, highway=False),
+    "gcn-lp": ModelEntry(train_gcn_lp, "adjacency", _gcn_config, depth_aware=True),
+    "mlp": ModelEntry(train_mlp, "text", lambda hidden, *_: hidden, depth_aware=False),
+    "dcca": ModelEntry(train_dcca, "text", _dcca_config, depth_aware=False),
+}
+MODEL_NAMES = tuple(MODELS)
+DEPTH_AWARE = tuple(name for name, entry in MODELS.items() if entry.depth_aware)
 
 CSV_HEADER = "model,fraction,depth,seed,acc161,mean_km,median_km,seconds"
 
@@ -144,6 +176,12 @@ def prepare_views(
     return ViewMatrices(text=text, adjacency=adjacency, vocabulary=vocab)
 
 
+def spec_views(bundle: DatasetBundle, spec: SweepSpec) -> tuple[ViewMatrices, SparseMatrix]:
+    """The views and normalized adjacency under a spec's vocabulary and graph knobs."""
+    views = prepare_views(bundle, spec.min_df, spec.max_df_ratio, spec.max_comention_degree)
+    return views, normalize_adjacency(views.adjacency, spec.lam)
+
+
 def scaled_bucket(bucket: int, fraction: float, scale: bool) -> int:
     """Shrink the leaf-size target with the labeled fraction, floored at 1.
 
@@ -151,6 +189,15 @@ def scaled_bucket(bucket: int, fraction: float, scale: bool) -> int:
     class, so by default the bucket scales as round(bucket * fraction).
     """
     return max(1, int(round(bucket * fraction))) if scale else bucket
+
+
+def tree_bucket(bucket: int, fraction: float, bucket_scale: bool, tree_from: str) -> int:
+    """The leaf-size target a region tree is built with."""
+    if tree_from == "labeled":
+        return scaled_bucket(bucket, fraction, bucket_scale)
+    if tree_from == "all-train":
+        return bucket
+    raise ArgumentError("tree_from must be 'labeled' or 'all-train'")
 
 
 def build_region_tree(
@@ -167,14 +214,8 @@ def build_region_tree(
     tree then ignores the labeled fraction, and the bucket is never scaled).
     Dev and test coordinates are excluded either way.
     """
-    if tree_from == "labeled":
-        idx = partition.train_idx
-        size = scaled_bucket(bucket, fraction, bucket_scale)
-    elif tree_from == "all-train":
-        idx = bundle.split_indices("train")
-        size = bucket
-    else:
-        raise ArgumentError("tree_from must be 'labeled' or 'all-train'")
+    size = tree_bucket(bucket, fraction, bucket_scale, tree_from)
+    idx = partition.train_idx if tree_from == "labeled" else bundle.split_indices("train")
     return RegionTree.build([bundle.points[i] for i in idx], size)
 
 
@@ -205,36 +246,14 @@ def fit_model(
     dev_score=None,
     highway: bool = True,
 ):
-    """Dispatch one training run by model name; returns (model, history)."""
-    if model_name == "gcn-nohighway":
-        model_name, highway = "gcn", False
-    if model_name == "gcn":
-        cfg = GcnConfig(hidden=hidden, layers=depth, highway=highway)
-        return train_gcn(
-            a_hat, views.text, labels, num_classes, partition, cfg, train_cfg, dev_score
-        )
-    if model_name == "gcn-lp":
-        cfg = GcnConfig(hidden=hidden, layers=depth, highway=highway)
-        return train_gcn_lp(
-            a_hat, views.adjacency, labels, num_classes, partition, cfg, train_cfg, dev_score
-        )
-    if model_name == "mlp":
-        return train_mlp(
-            a_hat, views.text, labels, num_classes, partition, hidden, train_cfg, dev_score
-        )
-    if model_name == "dcca":
-        kwargs = dict(dcca_overrides or {})
-        kwargs.setdefault("clf_hidden", hidden)
-        n = a_hat.shape[0]
-        # The default projection width exceeds small corpora; cap to keep the
-        # correlation well-defined (needs more samples than projected dims).
-        cfg = DccaConfig(**kwargs)
-        if cfg.proj_out >= n - 1:
-            cfg = DccaConfig(**{**kwargs, "proj_out": max(1, (n - 1) // 2)})
-        return train_dcca(
-            a_hat, views.text, labels, num_classes, partition, cfg, train_cfg, dev_score
-        )
-    raise ArgumentError(f"unknown model {model_name!r}; valid: {list(MODEL_NAMES)}")
+    """Train one model by name; returns (model, history)."""
+    entry = MODELS.get(model_name)
+    if entry is None:
+        raise ArgumentError(f"unknown model {model_name!r}; valid: {list(MODEL_NAMES)}")
+    cfg = entry.config(hidden, depth, highway and entry.highway, dcca_overrides, a_hat.shape[0])
+    return entry.train(
+        a_hat, getattr(views, entry.view), labels, num_classes, partition, cfg, train_cfg, dev_score
+    )
 
 
 def evaluate_model(
@@ -246,6 +265,13 @@ def evaluate_model(
     partition: Partition,
 ) -> dict[str, EvalReport]:
     preds = predict_classes(model, a_hat, views.text, views.adjacency)
+    return score_predictions(preds, tree, bundle, partition)
+
+
+def score_predictions(
+    preds: np.ndarray, tree: RegionTree, bundle: DatasetBundle, partition: Partition
+) -> dict[str, EvalReport]:
+    """Dev and test reports for per-user class predictions (empty splits skipped)."""
     out = {}
     for name, idx in (("dev", partition.dev_idx), ("test", partition.test_idx)):
         if idx.size:
@@ -253,13 +279,68 @@ def evaluate_model(
     return out
 
 
+@dataclass
+class CellRun:
+    """One trained and scored cell."""
+
+    model: TrainedModel
+    history: list[EpochLog]
+    partition: Partition
+    tree: RegionTree
+    bucket: int  # the leaf-size target the tree was built with
+    preds: np.ndarray  # predicted class per user
+    scores: dict[str, EvalReport]
+
+
+def run_cell(
+    bundle: DatasetBundle,
+    views: ViewMatrices,
+    a_hat: SparseMatrix,
+    spec: SweepSpec,
+    model_name: str,
+    fraction: float,
+    depth: int,
+    seed: int,
+    highway: bool = True,
+    early_stop: bool = False,
+) -> CellRun:
+    """Partition, region tree, labels, fit, one prediction and dev/test scores.
+
+    ``spec`` supplies the harness settings; its grid axes are ignored.
+    ``early_stop`` keeps the epoch with the best dev median error, which
+    makes the trained weights depend on dev coordinates.
+    """
+    partition = subsample_labels(bundle, fraction, seed)
+    bucket = tree_bucket(spec.bucket, fraction, spec.bucket_scale, spec.tree_from)
+    tree = build_region_tree(
+        bundle, partition, spec.bucket, fraction, spec.bucket_scale, spec.tree_from
+    )
+    labels = labels_for_training(bundle, tree, partition.train_idx)
+    dev_score = None
+    if early_stop and partition.dev_idx.size:
+        dev_points = [bundle.points[i] for i in partition.dev_idx]
+
+        def dev_score(preds: np.ndarray) -> float:
+            return evaluate(preds[partition.dev_idx], dev_points, tree).median_km
+
+    train_cfg = TrainConfig(
+        lr=spec.lr, epochs=spec.epochs, dropout=spec.dropout, seed=seed, early_stop=early_stop
+    )
+    model, history = fit_model(
+        model_name, depth, views, a_hat, labels, tree.num_classes, partition, spec.hidden,
+        train_cfg, spec.dcca, dev_score, highway,
+    )
+    preds = predict_classes(model, a_hat, views.text, views.adjacency)
+    scores = score_predictions(preds, tree, bundle, partition)
+    return CellRun(model, history, partition, tree, bucket, preds, scores)
+
+
 # --------------------------------------------------------------------------
 # the sweep itself
 
 
 def run_sweep(bundle: DatasetBundle, spec: SweepSpec) -> RunReport:
-    views = prepare_views(bundle, spec.min_df, spec.max_df_ratio, spec.max_comention_degree)
-    a_hat = normalize_adjacency(views.adjacency, spec.lam)
+    views, a_hat = spec_views(bundle, spec)
     report = RunReport(provenance=bundle.provenance, spec=spec)
 
     for model_name in spec.models:
@@ -273,27 +354,17 @@ def run_sweep(bundle: DatasetBundle, spec: SweepSpec) -> RunReport:
                         "epochs": spec.epochs,
                         "lr": spec.lr,
                         "dropout": spec.dropout,
-                        "bucket": spec.bucket if spec.tree_from == "all-train"
-                        else scaled_bucket(spec.bucket, fraction, spec.bucket_scale),
+                        "bucket": tree_bucket(
+                            spec.bucket, fraction, spec.bucket_scale, spec.tree_from
+                        ),
                         "tree_from": spec.tree_from,
                         "lam": spec.lam,
                     }
                     start = time.perf_counter()
                     try:
-                        partition = subsample_labels(bundle, fraction, seed)
-                        tree = build_region_tree(
-                            bundle, partition, spec.bucket, fraction,
-                            spec.bucket_scale, spec.tree_from,
-                        )
-                        labels = labels_for_training(bundle, tree, partition.train_idx)
-                        train_cfg = TrainConfig(
-                            lr=spec.lr, epochs=spec.epochs, dropout=spec.dropout, seed=seed
-                        )
-                        model, _ = fit_model(
-                            model_name, depth, views, a_hat, labels, tree.num_classes,
-                            partition, spec.hidden, train_cfg, spec.dcca,
-                        )
-                        scores = evaluate_model(model, views, a_hat, tree, bundle, partition)
+                        scores = run_cell(
+                            bundle, views, a_hat, spec, model_name, fraction, depth, seed
+                        ).scores
                         cell.dev = Metrics.from_report(scores["dev"]) if "dev" in scores else None
                         cell.test = Metrics.from_report(scores["test"]) if "test" in scores else None
                     except Exception as exc:  # cell failures must not kill the sweep

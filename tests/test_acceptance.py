@@ -21,7 +21,6 @@ from geograph.data import (
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
-    subsample_labels,
 )
 from geograph.geo import GeoPoint
 from geograph.models import (
@@ -44,13 +43,10 @@ from geograph.optim import ParamSet
 from geograph.sparse import SparseMatrix, hstack
 from geograph.sweep import (
     SweepSpec,
-    build_region_tree,
     emit_report,
-    evaluate_model,
-    fit_model,
-    labels_for_training,
-    prepare_views,
+    run_cell,
     run_sweep,
+    spec_views,
 )
 from geograph.views import normalize_adjacency
 from conftest import random_symmetric_adjacency
@@ -459,22 +455,10 @@ def test_criterion_8_external_corpus_scores():
         pytest.skip("converted external corpus not present")
 
     bundle = load_dataset(*found)
-    views = prepare_views(bundle)
-    a_hat = normalize_adjacency(views.adjacency, 1.0)
-    part = subsample_labels(bundle, 1.0, seed=0)
-    tree = build_region_tree(bundle, part, bucket=50, fraction=1.0)
-    labels = labels_for_training(bundle, tree, part.train_idx)
-
-    gcn, _ = fit_model(
-        "gcn", 3, views, a_hat, labels, tree.num_classes, part, 300,
-        TrainConfig(lr=2e-3, epochs=200, dropout=0.5, seed=0),
-    )
-    g = evaluate_model(gcn, views, a_hat, tree, bundle, part)["test"]
-    mlp, _ = fit_model(
-        "mlp", 1, views, a_hat, labels, tree.num_classes, part, 300,
-        TrainConfig(lr=2e-3, epochs=200, dropout=0.5, seed=0),
-    )
-    m = evaluate_model(mlp, views, a_hat, tree, bundle, part)["test"]
+    spec = SweepSpec(hidden=300, epochs=200, lr=2e-3, dropout=0.5, bucket=50)
+    views, a_hat = spec_views(bundle, spec)
+    g = run_cell(bundle, views, a_hat, spec, "gcn", 1.0, 3, seed=0).scores["test"]
+    m = run_cell(bundle, views, a_hat, spec, "mlp", 1.0, 1, seed=0).scores["test"]
     _verdict(
         8, "external-corpus test scores",
         g.acc161 >= 0.55 and g.median_km <= 70.0 and m.acc161 >= 0.54,
@@ -496,17 +480,12 @@ def test_criterion_9_determinism_and_no_leak(tmp_path, default_bundle, ordering_
     _, csv_b = emit_report(report_b, tmp_path / "b")
     csv_identical = csv_a.read_bytes() == csv_b.read_bytes()
 
+    spec = SweepSpec(hidden=64, epochs=200, lr=1e-2, dropout=0.5, bucket=50)
+
     def trained_params(bundle):
-        views = prepare_views(bundle)
-        a_hat = normalize_adjacency(views.adjacency, 1.0)
-        part = subsample_labels(bundle, 0.01, seed=0)
-        tree = build_region_tree(bundle, part, bucket=50, fraction=0.01)
-        labels = labels_for_training(bundle, tree, part.train_idx)
-        model, _ = fit_model(
-            "gcn", 1, views, a_hat, labels, tree.num_classes, part, 64,
-            TrainConfig(lr=1e-2, epochs=200, dropout=0.5, seed=0),
-        )
-        return model.params.copy_values()
+        views, a_hat = spec_views(bundle, spec)
+        run = run_cell(bundle, views, a_hat, spec, "gcn", 0.01, 1, seed=0)
+        return run.model.params.copy_values()
 
     zeroed = DatasetBundle(
         ids=list(default_bundle.ids),

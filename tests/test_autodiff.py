@@ -1,5 +1,8 @@
 """Tape engine: op-level gradient checks against finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,24 @@ def test_softmax_rows_matches_manual(rng):
     e = np.exp(x - x.max(axis=1, keepdims=True))
     np.testing.assert_allclose(y, e / e.sum(axis=1, keepdims=True), atol=1e-15)
     np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_dropped_tape_is_freed_without_gc(rng):
+    # An op whose backward closure held its own output tensor would form a
+    # reference cycle, keeping every upstream activation alive until a full
+    # collection. With the collector off, dropping the tensors must free them.
+    w = ad.parameter(rng.standard_normal((4, 3)))
+    gc.disable()
+    try:
+        for op in (ad.sigmoid, ad.softmax_rows):
+            hidden = ad.matmul(ad.constant(rng.standard_normal((5, 4))), w)
+            probe = weakref.ref(hidden.data)
+            loss = ad.sum_all(ad.mul(op(hidden), ad.constant(rng.standard_normal((5, 3)))))
+            ad.backward(loss)
+            del hidden, loss
+            assert probe() is None, f"{op.__name__} keeps its tape alive"
+    finally:
+        gc.enable()
 
 
 def test_softmax_rows_grad(rng):

@@ -1,9 +1,12 @@
 """Checkpoint round-trips, determinism of the encoding, and corruption handling."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from geograph.checkpoint import load_checkpoint, save_checkpoint
+from geograph.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from geograph.errors import DataFormatError
 from geograph.models import (
     GcnConfig,
@@ -78,6 +81,23 @@ def test_identical_models_produce_identical_bytes(tmp_path, trained):
 def test_rejects_wrong_magic(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"NOTACKPT" + b"\x00" * 32)
+    with pytest.raises(DataFormatError):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("header", [
+    ["gcn", {}],
+    "gcn",
+    {"meta": {}},
+    {"kind": "gcn"},
+    {"kind": "gcn", "meta": None},
+    {"kind": "gcn-nohighway", "meta": {}},
+    {"kind": ["gcn"], "meta": {}},
+])
+def test_rejects_bad_header(tmp_path, header):
+    raw = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(MAGIC + struct.pack("<Q", len(raw)) + raw + struct.pack("<Q", 0))
     with pytest.raises(DataFormatError):
         load_checkpoint(bad)
 

@@ -124,6 +124,23 @@ def test_sweep_subcommand(corpus, tmp_path, capsys):
     assert "cells (0 failed)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("model", ["gcn", "gcn-lp", "mlp"])
+def test_train_matches_one_cell_sweep(corpus, tmp_path, model):
+    users, edges = corpus
+    assert main(_train_args(corpus, tmp_path / "train", **{"--model": model,
+                                                           "--layers": "2"})) == 0
+    trained = json.loads((tmp_path / "train" / "report.json").read_text())["metrics"]["test"]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "models": [model], "fractions": [1.0], "depths": [2], "seeds": [0],
+        "hidden": 8, "epochs": 3, "lr": 0.02, "dropout": 0.0, "bucket": 15,
+        "dataset": {"users": str(users), "edges": str(edges)},
+    }))
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")]) == 0
+    cell, = json.loads((tmp_path / "sweep" / "report.json").read_text())["cells"]
+    assert cell["test"] == {k: trained[k] for k in ("acc161", "mean_km", "median_km")}
+
+
 def test_sweep_with_synthetic_dataset(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
@@ -156,6 +173,16 @@ def test_exit_code_bad_flag(capsys):
                  "--out", "/tmp/x"]) == 1
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+def test_eval_rejects_checkpoint_header_without_meta(corpus, tmp_path, capsys):
+    users, edges = corpus
+    raw = json.dumps({"kind": "gcn"}).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"GEOCKPT1" + len(raw).to_bytes(8, "little") + raw + bytes(8))
+    assert main(["eval", "--model", str(bad), "--users", str(users),
+                 "--edges", str(edges)]) == 1
+    assert "'meta'" in capsys.readouterr().err
 
 
 def test_exit_code_runtime_failure(tmp_path, capsys):

@@ -19,13 +19,14 @@ from geograph.models import (
     one_hot,
     predict_classes,
     predict_logits,
+    projection_forward,
     stage1_correlation,
     train_dcca,
     train_gcn,
     train_gcn_lp,
     train_mlp,
 )
-from geograph.sparse import SparseMatrix
+from geograph.sparse import SparseMatrix, hstack
 from geograph.views import normalize_adjacency
 from conftest import random_symmetric_adjacency
 
@@ -198,18 +199,42 @@ def test_dcca_needs_enough_rows(rng):
 
 
 def test_predict_matches_training_wiring(rng):
+    # predict_logits must equal logits assembled by hand from the public
+    # forward functions, with the inputs each model was trained on.
     adj, a_hat, x, labels, part = _instance(rng)
-    for train_fn, kwargs in (
-        (train_gcn, {"gcn_cfg": GcnConfig(hidden=5, layers=2)}),
-        (train_mlp, {"hidden": 5}),
-    ):
-        model, _ = train_fn(a_hat, x, labels, 3, part,
-                            train_cfg=TrainConfig(epochs=3, dropout=0.0, seed=0), **kwargs)
-        a = predict_classes(model, a_hat, x, adj)
-        b = predict_classes(model, a_hat, x, adj)
-        np.testing.assert_array_equal(a, b)
-        assert a.shape == (12,)
-        assert predict_logits(model, a_hat, x, adj).shape == (12, 3)
+    train_cfg = TrainConfig(epochs=3, dropout=0.0, seed=0)
+    gcn_cfg = GcnConfig(hidden=5, layers=2)
+    dcca_cfg = DccaConfig(proj_hidden=4, proj_out=3, reg=1e-3, stage1_epochs=2, clf_hidden=5)
+
+    def propagate(features):
+        return SparseMatrix(a_hat.csr @ features.csr)
+
+    def by_hand(model):
+        if model.kind == "gcn":
+            return gcn_forward(a_hat, propagate(x), model.params, gcn_cfg)
+        if model.kind == "gcn-lp":
+            block = model.state["label_block"]
+            return gcn_forward(a_hat, propagate(lp_input(adj, block)), model.params, gcn_cfg)
+        if model.kind == "mlp":
+            return mlp_forward(hstack([x, a_hat]), model.params)
+        z = np.hstack([projection_forward(x, model.params, "f1", dcca_cfg).data,
+                       projection_forward(a_hat, model.params, "f2", dcca_cfg).data])
+        return mlp_forward(SparseMatrix.from_dense(z), model.params, prefix="clf/")
+
+    trained = [
+        train_gcn(a_hat, x, labels, 3, part, gcn_cfg, train_cfg),
+        train_gcn_lp(a_hat, adj, labels, 3, part, gcn_cfg, train_cfg, trigger_accuracy=0.0),
+        train_mlp(a_hat, x, labels, 3, part, 5, train_cfg),
+        train_dcca(a_hat, x, labels, 3, part, dcca_cfg, train_cfg),
+    ]
+    for model, _ in trained:
+        logits = predict_logits(model, a_hat, x, adj)
+        assert logits.shape == (12, 3)
+        np.testing.assert_array_equal(logits, by_hand(model).data, err_msg=model.kind)
+        np.testing.assert_array_equal(
+            predict_classes(model, a_hat, x, adj), logits.argmax(axis=1)
+        )
+    assert {m.kind for m, _ in trained} == {"gcn", "gcn-lp", "mlp", "dcca"}
 
 
 def test_gcn_lp_predict_uses_stored_label_block(rng):
