@@ -243,7 +243,9 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = _stable_sigmoid(x.data)
+    # Imported on first use: scipy.special adds about 0.15 s to every start-up.
+    from scipy.special import expit
+    s = expit(x.data)
     out = Tensor(s, _parents=(x,))
 
     # The closure holds the output array, not ``out``: a tensor reachable from
@@ -253,15 +255,6 @@ def sigmoid(x: Tensor) -> Tensor:
             x._accumulate(g * s * (1.0 - s))
 
     out._vjp = vjp
-    return out
-
-
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    pos = z >= 0
-    out = np.empty_like(z)
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
     return out
 
 

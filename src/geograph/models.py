@@ -3,9 +3,9 @@
 Four classifiers share one training scaffold (full-batch Adam on the
 cross-entropy of the labeled rows):
 
-* ``gcn``: stacked graph convolutions ``H' = relu(A_hat @ H @ W + b)`` with
-  highway gates on the dimension-preserving layers, closed by one more graph
-  convolution into class logits.
+* ``gcn``: graph convolutions ``H' = relu(A_hat @ (H @ W) + b)``, the first
+  over the raw tf-idf rows, with highway gates on the dimension-preserving
+  layers, closed by one more graph convolution into class logits.
 * ``gcn-lp``: the same stack fed with ``[adjacency | label block]`` rows. The
   label block carries one-hot labels for labeled users and, once training
   accuracy first reaches a trigger threshold, the model's own softmax
@@ -152,23 +152,22 @@ def init_gcn_params(
 
 def gcn_forward(
     a_hat: SparseMatrix,
-    propagated_input: SparseMatrix,
+    x: SparseMatrix,
     params: ParamSet,
     cfg: GcnConfig,
     dropout_masks: list[np.ndarray] | None = None,
 ) -> Tensor:
-    """Class logits for every node.
+    """Class logits for every node from the raw input rows ``x``.
 
-    ``propagated_input`` must already be ``a_hat @ X``: the input features are
-    constants, so their propagation is hoisted out of the differentiated
-    graph. Hidden activations are propagated on the tape. ``dropout_masks``
-    holds one mask per hidden layer output (applied before the next
-    convolution); gates and carry paths read the undropped activation so a
-    closed gate passes the input through exactly.
+    The first layer is ``relu(a_hat @ (x @ W0) + b0)``: multiplying by the
+    weights first keeps both products sparse times dense, linear in the
+    edges. ``dropout_masks`` holds one mask per hidden layer output
+    (applied before the next convolution); gates and carry paths read the
+    undropped activation so a closed gate passes the input through exactly.
     """
     if dropout_masks is not None and len(dropout_masks) != cfg.layers:
         raise ShapeError(f"expected {cfg.layers} dropout masks, got {len(dropout_masks)}")
-    h = ad.relu(ad.sparse_affine(propagated_input, params["conv0/W"], params["conv0/b"]))
+    h = ad.relu(ad.add_bias(ad.spmm(a_hat, ad.spmm(x, params["conv0/W"])), params["conv0/b"]))
     for l in range(1, cfg.layers):
         h_in = h
         mixed = h_in
@@ -267,18 +266,20 @@ def _model_config(model: TrainedModel) -> GcnConfig | DccaConfig | None:
     return cls(**{name: model.meta[name] for name in _META_FIELDS[cls]}) if cls else None
 
 
+def missing_meta(kind: str, meta: dict) -> list[str]:
+    """Names of the config keys prediction reads for ``kind`` that ``meta`` lacks."""
+    return [name for name in _META_FIELDS.get(KINDS[kind].config, ()) if name not in meta]
+
+
 def _gcn_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
-    # Input features are constants, so their propagation is hoisted off the tape.
-    return SparseMatrix(a_hat.csr @ x.csr)
+    return x
 
 
 def _gcn_lp_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
     label_block = model.state.get("label_block")
     if label_block is None:
         raise StateError("gcn-lp model is missing its label block")
-    if model.meta.get("include_adjacency_block", True):
-        return _gcn_inputs(model, a_hat, lp_input(adjacency, label_block), adjacency)
-    return _gcn_inputs(model, a_hat, SparseMatrix.from_dense(label_block), adjacency)
+    return lp_input(adjacency, label_block)
 
 
 def _mlp_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
@@ -439,7 +440,6 @@ def train_gcn_lp(
     train_cfg: TrainConfig,
     dev_score: DevScoreFn | None = None,
     trigger_accuracy: float = LP_TRIGGER_ACCURACY,
-    include_adjacency_block: bool = True,
 ) -> tuple[TrainedModel, list[EpochLog]]:
     """Label-propagating variant: the input carries a mutable label block.
 
@@ -447,20 +447,18 @@ def train_gcn_lp(
     and stay there until training accuracy first reaches ``trigger_accuracy``
     (checked once per epoch, then latched); afterwards they hold the model's
     current softmax distribution, recomputed without dropout after every
-    update. ``include_adjacency_block=False`` drops the adjacency columns and
-    feeds the label block alone.
+    update.
     """
     n = a_hat.shape[0]
     init_rng, drop_rng = _split_rng(train_cfg.seed)
-    in_dim = (n if include_adjacency_block else 0) + num_classes
+    in_dim = n + num_classes
     params = init_gcn_params(init_rng, in_dim, num_classes, gcn_cfg)
     label_block = np.zeros((n, num_classes), dtype=np.float64)
     train_idx = partition.train_idx
     label_block[train_idx] = one_hot(labels[train_idx], num_classes)
     model = TrainedModel(
         "gcn-lp", params,
-        _meta(gcn_cfg, in_dim=in_dim, num_classes=num_classes,
-              include_adjacency_block=include_adjacency_block, trigger_accuracy=trigger_accuracy),
+        _meta(gcn_cfg, in_dim=in_dim, num_classes=num_classes, trigger_accuracy=trigger_accuracy),
         {"label_block": label_block},
     )
     held_out = np.setdiff1d(np.arange(n), train_idx)

@@ -114,6 +114,25 @@ def dense_normalized_adjacency(a: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
+def gcn_logits(a_hat: np.ndarray, x: np.ndarray, params: dict[str, np.ndarray], cfg) -> np.ndarray:
+    """Eval-mode logits of the gated GCN, straight from its definition.
+
+    Every hidden layer is the graph convolution relu(A_hat H W + b), the first
+    one over the raw rows x. With cfg.highway, each later layer mixes that
+    with its input through the gate sigmoid(H W_g + b_g). The output layer is
+    A_hat H W_out + b_out. ``params`` maps names to arrays; ``cfg`` needs
+    ``layers`` and ``highway``.
+    """
+    h = np.maximum(a_hat @ x @ params["conv0/W"] + params["conv0/b"], 0.0)
+    for l in range(1, cfg.layers):
+        new = np.maximum(a_hat @ h @ params[f"conv{l}/W"] + params[f"conv{l}/b"], 0.0)
+        if cfg.highway:
+            gate = 1.0 / (1.0 + np.exp(-(h @ params[f"gate{l}/W"] + params[f"gate{l}/b"])))
+            new = gate * new + (1.0 - gate) * h
+        h = new
+    return a_hat @ h @ params["out/W"] + params["out/b"]
+
+
 def newman_modularity(a: np.ndarray, communities: np.ndarray) -> float:
     """Q = (1/2m) sum_ij (A_ij - k_i k_j / 2m) [c_i == c_j]."""
     a = np.asarray(a, dtype=np.float64)

@@ -90,11 +90,10 @@ def _gradient_check_variants(rng):
     for highway in (True, False):
         cfg = GcnConfig(hidden=5, layers=2, highway=highway)
         params = init_gcn_params(rng, terms, classes, cfg)
-        propagated = SparseMatrix(a_hat.csr @ x.csr)
         variants.append((
             f"gcn(highway={highway})",
             params,
-            lambda ps, cfg=cfg, prop=propagated: ce(gcn_forward(a_hat, prop, ps, cfg)),
+            lambda ps, cfg=cfg: ce(gcn_forward(a_hat, x, ps, cfg)),
         ))
 
     block = np.zeros((n, classes))
@@ -102,11 +101,10 @@ def _gradient_check_variants(rng):
     lp_features = lp_input(adj, block)
     lp_cfg = GcnConfig(hidden=5, layers=2, highway=True)
     lp_params = init_gcn_params(rng, n + classes, classes, lp_cfg)
-    lp_propagated = SparseMatrix(a_hat.csr @ lp_features.csr)
     variants.append((
         "gcn-lp",
         lp_params,
-        lambda ps: ce(gcn_forward(a_hat, lp_propagated, ps, lp_cfg)),
+        lambda ps: ce(gcn_forward(a_hat, lp_features, ps, lp_cfg)),
     ))
 
     xcat = hstack([x, a_hat])
@@ -234,9 +232,7 @@ def test_criterion_3_receptive_field_equals_bfs_ball():
         x0 = rng.random((n, 6)) + 0.1
 
         def logits(x):
-            feats = SparseMatrix.from_dense(x)
-            propagated = SparseMatrix(a_hat.csr @ feats.csr)
-            return gcn_forward(a_hat, propagated, params, cfg).data
+            return gcn_forward(a_hat, SparseMatrix.from_dense(x), params, cfg).data
 
         base = logits(x0)
         balls = receptive_field(dense, layers + 1)
@@ -270,7 +266,6 @@ def test_criterion_4_closed_gates_reproduce_shallow_model():
         adj = SparseMatrix.from_dense(random_symmetric_adjacency(rng, n, 0.4))
         a_hat = normalize_adjacency(adj, 1.0)
         x = SparseMatrix.from_dense(rng.random((n, terms)))
-        propagated = SparseMatrix(a_hat.csr @ x.csr)
 
         deep_cfg = GcnConfig(hidden=hidden, layers=4, highway=True, gate_bias=-50.0)
         deep = init_gcn_params(rng, terms, classes, deep_cfg)
@@ -279,8 +274,8 @@ def test_criterion_4_closed_gates_reproduce_shallow_model():
         for name in ("conv0/W", "conv0/b", "out/W", "out/b"):
             shallow.add(name, deep[name].data.copy())
 
-        deep_logits = gcn_forward(a_hat, propagated, deep, deep_cfg).data
-        shallow_logits = gcn_forward(a_hat, propagated, shallow, shallow_cfg).data
+        deep_logits = gcn_forward(a_hat, x, deep, deep_cfg).data
+        shallow_logits = gcn_forward(a_hat, x, shallow, shallow_cfg).data
         worst = max(worst, float(np.abs(deep_logits - shallow_logits).max()))
     _verdict(
         4, "gate bias -50 reduces depth-4 model to its shallow core",

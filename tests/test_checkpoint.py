@@ -93,6 +93,10 @@ def test_rejects_wrong_magic(tmp_path):
     {"kind": "gcn", "meta": None},
     {"kind": "gcn-nohighway", "meta": {}},
     {"kind": ["gcn"], "meta": {}},
+    # meta without the config keys prediction reads for the kind
+    {"kind": "gcn", "meta": {}},
+    {"kind": "gcn-lp", "meta": {"hidden": 4, "layers": 1, "highway": True}},
+    {"kind": "dcca", "meta": {"proj_hidden": 0, "proj_out": 2, "clf_hidden": 4}},
 ])
 def test_rejects_bad_header(tmp_path, header):
     raw = json.dumps(header).encode("utf-8")

@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: subcommands, artifacts, exit codes, reruns."""
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import geograph
 from geograph.cli import main
 from geograph.sweep import CSV_HEADER
 
@@ -185,6 +189,18 @@ def test_eval_rejects_checkpoint_header_without_meta(corpus, tmp_path, capsys):
     assert "'meta'" in capsys.readouterr().err
 
 
+def test_eval_rejects_checkpoint_meta_without_config_keys(corpus, tmp_path, capsys):
+    users, edges = corpus
+    raw = json.dumps({"kind": "gcn", "meta": {}}).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"GEOCKPT1" + len(raw).to_bytes(8, "little") + raw + bytes(8))
+    assert main(["eval", "--model", str(bad), "--users", str(users),
+                 "--edges", str(edges)]) == 1
+    err = capsys.readouterr().err
+    for key in ("hidden", "layers", "highway", "gate_bias"):
+        assert f"'{key}'" in err
+
+
 def test_exit_code_runtime_failure(tmp_path, capsys):
     # users with no mention edges at lambda 0: zero-degree rows are a runtime error
     users = tmp_path / "users.jsonl"
@@ -197,6 +213,16 @@ def test_exit_code_runtime_failure(tmp_path, capsys):
                  "--lambda", "0.0", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "runtime failure" in capsys.readouterr().err
+
+
+def test_module_entry_point():
+    src = Path(geograph.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "geograph", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("train", "sweep", "synth", "eval"):
+        assert name in proc.stdout
 
 
 def test_console_script_entry_point():

@@ -29,6 +29,7 @@ from geograph.models import (
 from geograph.sparse import SparseMatrix, hstack
 from geograph.views import normalize_adjacency
 from conftest import random_symmetric_adjacency
+from oracles import gcn_logits
 
 
 def _instance(rng, n=12, terms=8, classes=3, p=0.35):
@@ -84,11 +85,26 @@ def test_gcn_forward_shapes_and_mask_count(rng):
     adj, a_hat, x, *_ = _instance(rng)
     cfg = GcnConfig(hidden=6, layers=2)
     params = init_gcn_params(rng, x.shape[1], 3, cfg)
-    propagated = SparseMatrix(a_hat.csr @ x.csr)
-    logits = gcn_forward(a_hat, propagated, params, cfg)
+    logits = gcn_forward(a_hat, x, params, cfg)
     assert logits.data.shape == (12, 3)
     with pytest.raises(ShapeError):
-        gcn_forward(a_hat, propagated, params, cfg, dropout_masks=[np.ones((12, 6))])
+        gcn_forward(a_hat, x, params, cfg, dropout_masks=[np.ones((12, 6))])
+
+
+def test_gcn_forward_matches_dense_oracle(rng):
+    adj, a_hat, x, labels, part = _instance(rng)
+    cfg = GcnConfig(hidden=5, layers=2, highway=True, gate_bias=0.0)
+    params = init_gcn_params(rng, x.shape[1], 3, cfg)
+    want = gcn_logits(a_hat.to_dense(), x.to_dense(), params.copy_values(), cfg)
+    np.testing.assert_allclose(gcn_forward(a_hat, x, params, cfg).data, want, rtol=0, atol=1e-12)
+
+    model, _ = train_gcn_lp(a_hat, adj, labels, 3, part, cfg,
+                            TrainConfig(epochs=3, dropout=0.0, seed=0), trigger_accuracy=0.0)
+    block = model.state["label_block"]
+    assert np.all(block.sum(axis=1) > 0.0)  # latched: held-out rows carry predictions
+    lp_rows = np.hstack([adj.to_dense(), block])
+    want = gcn_logits(a_hat.to_dense(), lp_rows, model.params.copy_values(), cfg)
+    np.testing.assert_allclose(predict_logits(model, a_hat, x, adj), want, rtol=0, atol=1e-12)
 
 
 def test_lp_input_width():
@@ -154,17 +170,12 @@ def test_gcn_lp_trigger_latches(rng):
     np.testing.assert_array_equal(block2[part.train_idx], one_hot(labels[part.train_idx], 3))
 
 
-def test_gcn_lp_adjacency_block_flag(rng):
+def test_gcn_lp_input_has_adjacency_block(rng):
     adj, a_hat, x, labels, part = _instance(rng)
     model, _ = train_gcn_lp(a_hat, adj, labels, 3, part,
                             GcnConfig(hidden=4, layers=1),
-                            TrainConfig(epochs=2, dropout=0.0, seed=0),
-                            include_adjacency_block=False)
-    assert model.meta["in_dim"] == 3
-    model2, _ = train_gcn_lp(a_hat, adj, labels, 3, part,
-                             GcnConfig(hidden=4, layers=1),
-                             TrainConfig(epochs=2, dropout=0.0, seed=0))
-    assert model2.meta["in_dim"] == 12 + 3
+                            TrainConfig(epochs=2, dropout=0.0, seed=0))
+    assert model.meta["in_dim"] == 12 + 3
 
 
 def test_dcca_stage1_improves_correlation(rng):
@@ -206,15 +217,12 @@ def test_predict_matches_training_wiring(rng):
     gcn_cfg = GcnConfig(hidden=5, layers=2)
     dcca_cfg = DccaConfig(proj_hidden=4, proj_out=3, reg=1e-3, stage1_epochs=2, clf_hidden=5)
 
-    def propagate(features):
-        return SparseMatrix(a_hat.csr @ features.csr)
-
     def by_hand(model):
         if model.kind == "gcn":
-            return gcn_forward(a_hat, propagate(x), model.params, gcn_cfg)
+            return gcn_forward(a_hat, x, model.params, gcn_cfg)
         if model.kind == "gcn-lp":
             block = model.state["label_block"]
-            return gcn_forward(a_hat, propagate(lp_input(adj, block)), model.params, gcn_cfg)
+            return gcn_forward(a_hat, lp_input(adj, block), model.params, gcn_cfg)
         if model.kind == "mlp":
             return mlp_forward(hstack([x, a_hat]), model.params)
         z = np.hstack([projection_forward(x, model.params, "f1", dcca_cfg).data,
