@@ -1,11 +1,14 @@
 """Reverse-mode gradient engine over a fixed op vocabulary.
 
-Each op records its inputs and a vector-Jacobian closure on the output
-tensor; ``backward`` replays the recorded graph from a scalar loss. The
-vocabulary is deliberately small: dense/sparse matrix products, bias
-broadcast, elementwise nonlinearities and products, row softmax, masked
-softmax cross-entropy, and a canonical-correlation head. All data is
-float64.
+Each op computes its forward value and records its inputs together with a
+vector-Jacobian product (VJP) on the output tensor: given the gradient of the
+loss with respect to the output, the VJP returns one gradient per input, in
+input order, and writes nothing. ``backward`` replays the recorded graph from
+a scalar loss in reverse topological order and is the only place that sums
+those gradients into ``grad``. The vocabulary is deliberately small:
+dense/sparse matrix products, bias broadcast, elementwise nonlinearities and
+products, masked softmax cross-entropy, and a canonical-correlation head. All
+data is float64.
 """
 
 from __future__ import annotations
@@ -19,7 +22,13 @@ from .sparse import SparseMatrix
 
 
 class Tensor:
-    """Node in the recorded computation graph."""
+    """Node in the recorded computation graph.
+
+    ``_vjp(g)`` maps the gradient with respect to this tensor to a tuple of
+    gradients, one per entry of ``_parents`` and in the same order. It must
+    not hold this tensor: a node reachable from its own VJP is a reference
+    cycle that keeps the whole tape alive until a full garbage collection.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp")
 
@@ -29,7 +38,7 @@ class Tensor:
         requires_grad: bool = False,
         name: str = "",
         _parents: tuple["Tensor", ...] = (),
-        _vjp: Callable[[np.ndarray], None] | None = None,
+        _vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None,
     ):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
@@ -41,14 +50,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
 
     def _needs_grad(self) -> bool:
         return self.requires_grad or bool(self._parents)
@@ -90,10 +91,15 @@ def backward(loss: Tensor) -> None:
             if id(p) not in seen and p._needs_grad():
                 stack.append((p, False))
 
+    # A VJP may hand one array to several parents (``add``, ``add_bias``), so
+    # gradients are summed into new arrays, never in place.
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node._vjp is not None and node.grad is not None:
-            node._vjp(node.grad)
+        if node._vjp is None:
+            continue
+        for parent, g in zip(node._parents, node._vjp(node.grad)):
+            if parent._needs_grad():
+                parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -108,123 +114,47 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, _parents=(a, b))
-
-    def vjp(g: np.ndarray) -> None:
-        if a._needs_grad():
-            a._accumulate(g @ b.data.T)
-        if b._needs_grad():
-            b._accumulate(a.data.T @ g)
-
-    out._vjp = vjp
-    return out
+    return Tensor(a.data @ b.data, _parents=(a, b),
+                  _vjp=lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def spmm(s: SparseMatrix, x: Tensor) -> Tensor:
     """Constant sparse matrix times a tensor: out = S @ x."""
-    out = Tensor(s.matmul_dense(x.data), _parents=(x,))
-
-    def vjp(g: np.ndarray) -> None:
-        if x._needs_grad():
-            x._accumulate(s.transpose().matmul_dense(g))
-
-    out._vjp = vjp
-    return out
+    return Tensor(s.matmul_dense(x.data), _parents=(x,),
+                  _vjp=lambda g: (s.transpose().matmul_dense(g),))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Broadcast a length-k row vector onto every row of (n, k) input."""
     if b.data.ndim != 1 or x.data.ndim != 2 or x.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"add_bias: {x.data.shape} + bias {b.data.shape}")
-    out = Tensor(x.data + b.data[None, :], _parents=(x, b))
-
-    def vjp(g: np.ndarray) -> None:
-        if x._needs_grad():
-            x._accumulate(g)
-        if b._needs_grad():
-            b._accumulate(g.sum(axis=0))
-
-    out._vjp = vjp
-    return out
+    return Tensor(x.data + b.data[None, :], _parents=(x, b), _vjp=lambda g: (g, g.sum(axis=0)))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
-    out = Tensor(a.data + b.data, _parents=(a, b))
-
-    def vjp(g: np.ndarray) -> None:
-        if a._needs_grad():
-            a._accumulate(g)
-        if b._needs_grad():
-            b._accumulate(g)
-
-    out._vjp = vjp
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data, _parents=(a, b))
-
-    def vjp(g: np.ndarray) -> None:
-        if a._needs_grad():
-            a._accumulate(g)
-        if b._needs_grad():
-            b._accumulate(-g)
-
-    out._vjp = vjp
-    return out
+    return Tensor(a.data + b.data, _parents=(a, b), _vjp=lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of equal-shaped tensors."""
     _check_same_shape(a, b, "mul")
-    out = Tensor(a.data * b.data, _parents=(a, b))
-
-    def vjp(g: np.ndarray) -> None:
-        if a._needs_grad():
-            a._accumulate(g * b.data)
-        if b._needs_grad():
-            b._accumulate(g * a.data)
-
-    out._vjp = vjp
-    return out
+    return Tensor(a.data * b.data, _parents=(a, b), _vjp=lambda g: (g * b.data, g * a.data))
 
 
 def mul_const(x: Tensor, c) -> Tensor:
     """Multiply by a constant scalar or array (used for scaling and dropout masks)."""
     c = np.asarray(c, dtype=np.float64)
-    out = Tensor(x.data * c, _parents=(x,))
-
-    def vjp(g: np.ndarray) -> None:
-        if x._needs_grad():
-            x._accumulate(g * c)
-
-    out._vjp = vjp
-    return out
+    return Tensor(x.data * c, _parents=(x,), _vjp=lambda g: (g * c,))
 
 
 def add_const(x: Tensor, c) -> Tensor:
     c = np.asarray(c, dtype=np.float64)
-    out = Tensor(x.data + c, _parents=(x,))
-
-    def vjp(g: np.ndarray) -> None:
-        if x._needs_grad():
-            x._accumulate(g)
-
-    out._vjp = vjp
-    return out
+    return Tensor(x.data + c, _parents=(x,), _vjp=lambda g: (g,))
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum(), _parents=(x,))
-
-    def vjp(g: np.ndarray) -> None:
-        if x._needs_grad():
-            x._accumulate(np.full_like(x.data, float(g)))
-
-    out._vjp = vjp
-    return out
+    return Tensor(x.data.sum(), _parents=(x,), _vjp=lambda g: (np.full_like(x.data, float(g)),))
 
 
 # ---------------------------------------------------------------------------
@@ -232,51 +162,21 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0), _parents=(x,))
-
-    def vjp(g: np.ndarray) -> None:
-        if x._needs_grad():
-            x._accumulate(g * (x.data > 0.0))
-
-    out._vjp = vjp
-    return out
+    return Tensor(np.maximum(x.data, 0.0), _parents=(x,), _vjp=lambda g: (g * (x.data > 0.0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     # Imported on first use: scipy.special adds about 0.15 s to every start-up.
     from scipy.special import expit
     s = expit(x.data)
-    out = Tensor(s, _parents=(x,))
-
-    # The closure holds the output array, not ``out``: a tensor reachable from
-    # its own vjp would be a reference cycle keeping the whole tape alive.
-    def vjp(g: np.ndarray) -> None:
-        if x._needs_grad():
-            x._accumulate(g * s * (1.0 - s))
-
-    out._vjp = vjp
-    return out
+    # The VJP holds the output array, not the output tensor (see ``Tensor``).
+    return Tensor(s, _parents=(x,), _vjp=lambda g: (g * s * (1.0 - s),))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got shape {x.data.shape}")
-    y = _softmax(x.data)
-    out = Tensor(y, _parents=(x,))
-
-    def vjp(g: np.ndarray) -> None:
-        if x._needs_grad():
-            dot = (g * y).sum(axis=1, keepdims=True)
-            x._accumulate((g - dot) * y)
-
-    out._vjp = vjp
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +206,13 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray, row_ids: np.ndarr
     log_norm = np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)) + zmax
     log_probs = z - log_norm
     value = -(targets * log_probs).sum() / row_ids.size
-    out = Tensor(value, _parents=(logits,))
 
-    def vjp(g: np.ndarray) -> None:
-        if logits._needs_grad():
-            probs = np.exp(log_probs)
-            full = np.zeros_like(logits.data)
-            full[row_ids] = (probs - targets) * (float(g) / row_ids.size)
-            logits._accumulate(full)
+    def vjp(g: np.ndarray) -> tuple[np.ndarray]:
+        full = np.zeros_like(logits.data)
+        full[row_ids] = (np.exp(log_probs) - targets) * (float(g) / row_ids.size)
+        return (full,)
 
-    out._vjp = vjp
-    return out
+    return Tensor(value, _parents=(logits,), _vjp=vjp)
 
 
 def cca_correlation(h1: Tensor, h2: Tensor, reg: float) -> Tensor:
@@ -355,20 +251,16 @@ def cca_correlation(h1: Tensor, h2: Tensor, reg: float) -> Tensor:
     r2 = _inv_sqrt_sym(s22)
     t = r1 @ s12 @ r2
     u, sing, vt = np.linalg.svd(t, full_matrices=False)
-    out = Tensor(sing.sum(), _parents=(h1, h2))
 
-    def vjp(g: np.ndarray) -> None:
+    def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gs = float(g)
         d12 = r1 @ u @ vt @ r2
         d11 = -0.5 * r1 @ u @ np.diag(sing) @ u.T @ r1
         d22 = -0.5 * r2 @ vt.T @ np.diag(sing) @ vt @ r2
-        if h1._needs_grad():
-            h1._accumulate(gs * (2.0 * c1 @ d11 + c2 @ d12.T) / denom)
-        if h2._needs_grad():
-            h2._accumulate(gs * (2.0 * c2 @ d22 + c1 @ d12) / denom)
+        return (gs * (2.0 * c1 @ d11 + c2 @ d12.T) / denom,
+                gs * (2.0 * c2 @ d22 + c1 @ d12) / denom)
 
-    out._vjp = vjp
-    return out
+    return Tensor(sing.sum(), _parents=(h1, h2), _vjp=vjp)
 
 
 def _inv_sqrt_sym(mat: np.ndarray) -> np.ndarray:
@@ -418,14 +310,12 @@ __all__ = [
     "spmm",
     "add_bias",
     "add",
-    "sub",
     "mul",
     "mul_const",
     "add_const",
     "sum_all",
     "relu",
     "sigmoid",
-    "softmax_rows",
     "softmax_cross_entropy",
     "cca_correlation",
     "affine",

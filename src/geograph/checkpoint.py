@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .models import KINDS, TrainedModel, missing_meta
+from .models import KINDS, TrainedModel, meta_errors
 from .optim import ParamSet
 
 MAGIC = b"GEOCKPT1"
@@ -103,9 +103,9 @@ def load_checkpoint(path) -> tuple[TrainedModel, dict]:
             raise DataFormatError(
                 f"{path}: unknown model kind {header.get('kind')!r}; valid: {sorted(KINDS)}"
             )
-        missing = missing_meta(header["kind"], header["meta"])
-        if missing:
-            raise DataFormatError(f"{path}: {header['kind']} checkpoint meta lacks {missing}")
+        errors = meta_errors(header["kind"], header["meta"])
+        if errors:
+            raise DataFormatError(f"{path}: {header['kind']} checkpoint meta {'; '.join(errors)}")
         params = ParamSet()
         state: dict[str, np.ndarray] = {}
         for _ in range(_read_u64(fh)):

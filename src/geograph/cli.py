@@ -87,7 +87,7 @@ def train(users_path, edges_path, model_name, hidden, layers, no_highway, bucket
         "model": model_name,
         "config": {
             "hidden": hidden, "layers": layers, "highway": not no_highway,
-            "bucket": run.bucket, "tree_from": tree_from,
+            "bucket": tree.bucket_size, "tree_from": tree_from,
             "labeled_fraction": labeled_fraction,
             "lambda": lam, "dropout": dropout, "lr": lr, "epochs": epochs,
             "seed": seed, "early_stop": early_stop,

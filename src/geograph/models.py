@@ -248,11 +248,12 @@ def lp_input(adjacency: SparseMatrix, label_block: np.ndarray) -> SparseMatrix:
 # public forward functions by module-global name at call time, so replacing a
 # module attribute (to time it, say) reaches every call.
 
-# The config fields a model's meta records, per config class; the rest of the
-# meta is input and output widths. Prediction rebuilds the config from them.
+# The config fields a model's meta records, with their JSON types, per config
+# class; the rest of the meta is input and output widths. Prediction rebuilds
+# the config from them.
 _META_FIELDS = {
-    GcnConfig: ("hidden", "layers", "highway", "gate_bias"),
-    DccaConfig: ("proj_hidden", "proj_out", "reg", "clf_hidden"),
+    GcnConfig: {"hidden": int, "layers": int, "highway": bool, "gate_bias": float},
+    DccaConfig: {"proj_hidden": int, "proj_out": int, "reg": float, "clf_hidden": int},
 }
 
 
@@ -266,9 +267,21 @@ def _model_config(model: TrainedModel) -> GcnConfig | DccaConfig | None:
     return cls(**{name: model.meta[name] for name in _META_FIELDS[cls]}) if cls else None
 
 
-def missing_meta(kind: str, meta: dict) -> list[str]:
-    """Names of the config keys prediction reads for ``kind`` that ``meta`` lacks."""
-    return [name for name in _META_FIELDS.get(KINDS[kind].config, ()) if name not in meta]
+def _is_json_type(value, kind: type) -> bool:
+    """A bool is no number here, and an int is also a valid float."""
+    if kind is bool or isinstance(value, bool):
+        return type(value) is kind
+    return isinstance(value, int) or (kind is float and isinstance(value, float))
+
+
+def meta_errors(kind: str, meta: dict) -> list[str]:
+    """One message per config key prediction reads for ``kind`` that ``meta``
+    lacks or holds with the wrong type."""
+    return [
+        f"lacks {name!r}" if name not in meta else f"{name!r} is {meta[name]!r}, not {t.__name__}"
+        for name, t in _META_FIELDS.get(KINDS[kind].config, {}).items()
+        if name not in meta or not _is_json_type(meta[name], t)
+    ]
 
 
 def _gcn_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:

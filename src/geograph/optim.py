@@ -49,9 +49,6 @@ class ParamSet:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
-
     def items(self):
         return self._params.items()
 

@@ -287,7 +287,6 @@ class CellRun:
     history: list[EpochLog]
     partition: Partition
     tree: RegionTree
-    bucket: int  # the leaf-size target the tree was built with
     preds: np.ndarray  # predicted class per user
     scores: dict[str, EvalReport]
 
@@ -311,7 +310,6 @@ def run_cell(
     makes the trained weights depend on dev coordinates.
     """
     partition = subsample_labels(bundle, fraction, seed)
-    bucket = tree_bucket(spec.bucket, fraction, spec.bucket_scale, spec.tree_from)
     tree = build_region_tree(
         bundle, partition, spec.bucket, fraction, spec.bucket_scale, spec.tree_from
     )
@@ -332,7 +330,7 @@ def run_cell(
     )
     preds = predict_classes(model, a_hat, views.text, views.adjacency)
     scores = score_predictions(preds, tree, bundle, partition)
-    return CellRun(model, history, partition, tree, bucket, preds, scores)
+    return CellRun(model, history, partition, tree, preds, scores)
 
 
 # --------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_elementwise_grads(rng):
     def loss(v):
         a = ad.parameter(v["a"], "a")
         b = ad.parameter(v["b"], "b")
-        z = ad.add(ad.mul(a, b), ad.sub(a, b))
+        z = ad.add(ad.mul(a, b), a)
         z = ad.add_const(ad.mul_const(z, 1.7), 0.3)
         return ad.sum_all(z)
 
@@ -120,40 +120,46 @@ def test_sigmoid_grad_and_stability(rng):
 
 def test_softmax_rows_matches_manual(rng):
     x = rng.standard_normal((5, 4))
-    y = ad.softmax_rows(ad.constant(x)).data
+    y = ad._softmax(x)
     e = np.exp(x - x.max(axis=1, keepdims=True))
     np.testing.assert_allclose(y, e / e.sum(axis=1, keepdims=True), atol=1e-15)
     np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_dropped_tape_is_freed_without_gc(rng):
-    # An op whose backward closure held its own output tensor would form a
-    # reference cycle, keeping every upstream activation alive until a full
-    # collection. With the collector off, dropping the tensors must free them.
-    w = ad.parameter(rng.standard_normal((4, 3)))
+    # An op whose VJP held its own output tensor would form a reference cycle,
+    # keeping every upstream activation alive until a full collection. With
+    # the collector off, dropping the tensors must free them.
+    s = SparseMatrix.from_dense(rng.random((4, 6)))
+    w = ad.parameter(rng.standard_normal((3, 3)))
+    b = ad.parameter(rng.standard_normal(3))
+    c = rng.standard_normal((6, 3))
+    ops = {
+        "matmul": lambda h: ad.matmul(h, w),
+        "spmm": lambda h: ad.spmm(s, h),
+        "add_bias": lambda h: ad.add_bias(h, b),
+        "add": lambda h: ad.add(h, h),
+        "mul": lambda h: ad.mul(h, h),
+        "mul_const": lambda h: ad.mul_const(h, c),
+        "add_const": lambda h: ad.add_const(h, 0.5),
+        "relu": ad.relu,
+        "sigmoid": ad.sigmoid,
+        "softmax_cross_entropy": lambda h: ad.softmax_cross_entropy(h, np.eye(3)[[0, 2]], [1, 4]),
+        "cca_correlation": lambda h: ad.cca_correlation(h, ad.mul_const(h, c), 1e-3),
+    }
+    v = ad.parameter(rng.standard_normal((4, 3)))
     gc.disable()
     try:
-        for op in (ad.sigmoid, ad.softmax_rows):
-            hidden = ad.matmul(ad.constant(rng.standard_normal((5, 4))), w)
+        for name, op in ops.items():
+            hidden = ad.matmul(ad.constant(rng.standard_normal((6, 4))), v)
             probe = weakref.ref(hidden.data)
-            loss = ad.sum_all(ad.mul(op(hidden), ad.constant(rng.standard_normal((5, 3)))))
+            out = op(hidden)
+            loss = out if out.data.size == 1 else ad.sum_all(out)
             ad.backward(loss)
-            del hidden, loss
-            assert probe() is None, f"{op.__name__} keeps its tape alive"
+            del hidden, out, loss
+            assert probe() is None, f"{name} keeps its tape alive"
     finally:
         gc.enable()
-
-
-def test_softmax_rows_grad(rng):
-    # weight the columns with a constant so the gradient is not identically zero
-    w = rng.standard_normal((4, 3))
-    x = rng.standard_normal((4, 3))
-
-    def loss(v):
-        y = ad.softmax_rows(ad.parameter(v["x"], "x"))
-        return ad.sum_all(ad.mul(y, ad.constant(w)))
-
-    check_op(loss, {"x": x})
 
 
 def test_softmax_cross_entropy_value_and_grad(rng):
@@ -244,6 +250,21 @@ def test_gradient_accumulates_over_reuse(rng):
     loss = ad.sum_all(ad.mul(x, x))
     ad.backward(loss)
     np.testing.assert_allclose(x.grad, 2.0 * x.data, atol=1e-14)
+
+
+def test_one_vjp_feeds_two_parents(rng):
+    a = ad.parameter(rng.standard_normal((3, 2)), "a")
+    b = ad.parameter(rng.standard_normal((3, 2)), "b")
+    ad.backward(ad.sum_all(ad.mul(ad.add(a, b), a)))
+    np.testing.assert_allclose(a.grad, 2.0 * a.data + b.data, atol=1e-14)
+    np.testing.assert_allclose(b.grad, a.data, atol=1e-14)
+    # Here the outer ``add`` hands one array to two branches and the inner one
+    # hands it on to a and b before a's second gradient arrives: summing that
+    # gradient into a.grad in place would also change b.grad.
+    a.grad = b.grad = None
+    ad.backward(ad.sum_all(ad.add(ad.add(a, b), ad.mul(a, a))))
+    np.testing.assert_allclose(a.grad, 1.0 + 2.0 * a.data, atol=1e-14)
+    np.testing.assert_array_equal(b.grad, 1.0)
 
 
 def test_backward_requires_scalar_with_history(rng):

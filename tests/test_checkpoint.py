@@ -97,6 +97,10 @@ def test_rejects_wrong_magic(tmp_path):
     {"kind": "gcn", "meta": {}},
     {"kind": "gcn-lp", "meta": {"hidden": 4, "layers": 1, "highway": True}},
     {"kind": "dcca", "meta": {"proj_hidden": 0, "proj_out": 2, "clf_hidden": 4}},
+    # config keys of the wrong JSON type
+    {"kind": "gcn", "meta": {"hidden": "16", "layers": 1, "highway": True, "gate_bias": -1.0}},
+    {"kind": "gcn", "meta": {"hidden": 16, "layers": 2.5, "highway": True, "gate_bias": -1.0}},
+    {"kind": "gcn", "meta": {"hidden": 16, "layers": 1, "highway": "yes", "gate_bias": -1.0}},
 ])
 def test_rejects_bad_header(tmp_path, header):
     raw = json.dumps(header).encode("utf-8")

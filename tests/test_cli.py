@@ -201,6 +201,20 @@ def test_eval_rejects_checkpoint_meta_without_config_keys(corpus, tmp_path, caps
         assert f"'{key}'" in err
 
 
+def test_eval_rejects_checkpoint_meta_of_wrong_type(corpus, tmp_path, capsys):
+    users, edges = corpus
+    meta = {"hidden": True, "layers": 1, "highway": 1, "gate_bias": "-1"}
+    raw = json.dumps({"kind": "gcn", "meta": meta}).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"GEOCKPT1" + len(raw).to_bytes(8, "little") + raw + bytes(8))
+    assert main(["eval", "--model", str(bad), "--users", str(users),
+                 "--edges", str(edges)]) == 1
+    err = capsys.readouterr().err
+    for key in ("hidden", "highway", "gate_bias"):
+        assert f"'{key}'" in err
+    assert "'layers'" not in err
+
+
 def test_exit_code_runtime_failure(tmp_path, capsys):
     # users with no mention edges at lambda 0: zero-degree rows are a runtime error
     users = tmp_path / "users.jsonl"
