@@ -7,7 +7,7 @@ input order, and writes nothing. ``backward`` replays the recorded graph from
 a scalar loss in reverse topological order and is the only place that sums
 those gradients into ``grad``. The vocabulary is deliberately small:
 dense/sparse matrix products, bias broadcast, elementwise nonlinearities and
-products, masked softmax cross-entropy, and a canonical-correlation head. All
+products, softmax cross-entropy, and a canonical-correlation head. All
 data is float64.
 """
 
@@ -183,36 +183,28 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 # loss heads
 
 
-def softmax_cross_entropy(logits: Tensor, targets: np.ndarray, row_ids: np.ndarray) -> Tensor:
-    """Mean cross-entropy of softmax(logits) against one-hot targets on selected rows.
+def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean cross-entropy of softmax(logits) against one-hot targets, row by row.
 
-    ``targets`` has shape (len(row_ids), n_classes) and is aligned with
-    ``row_ids``; rows outside ``row_ids`` contribute nothing to the loss or
-    its gradient.
+    ``targets`` has the shape of ``logits``: callers compute logits only for
+    the rows they hold labels for.
     """
-    row_ids = np.asarray(row_ids, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.float64)
     if logits.data.ndim != 2:
         raise ShapeError("softmax_cross_entropy expects logit rows")
-    if targets.shape != (row_ids.size, logits.data.shape[1]):
-        raise ShapeError(
-            f"targets {targets.shape} do not match ({row_ids.size}, {logits.data.shape[1]})"
-        )
-    if row_ids.size == 0:
+    if targets.shape != logits.data.shape:
+        raise ShapeError(f"targets {targets.shape} do not match logits {logits.data.shape}")
+    n = targets.shape[0]
+    if n == 0:
         raise ShapeError("softmax_cross_entropy needs at least one labeled row")
 
-    z = logits.data[row_ids]
+    z = logits.data
     zmax = z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)) + zmax
     log_probs = z - log_norm
-    value = -(targets * log_probs).sum() / row_ids.size
-
-    def vjp(g: np.ndarray) -> tuple[np.ndarray]:
-        full = np.zeros_like(logits.data)
-        full[row_ids] = (np.exp(log_probs) - targets) * (float(g) / row_ids.size)
-        return (full,)
-
-    return Tensor(value, _parents=(logits,), _vjp=vjp)
+    value = -(targets * log_probs).sum() / n
+    return Tensor(value, _parents=(logits,),
+                  _vjp=lambda g: ((np.exp(log_probs) - targets) * (float(g) / n),))
 
 
 def cca_correlation(h1: Tensor, h2: Tensor, reg: float) -> Tensor:

@@ -20,9 +20,12 @@ from . import checkpoint as ckpt
 from .data import DatasetBundle, SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import ArgumentError, DataFormatError, GeographError
 from .geo import RegionTree, evaluate, export_per_class_csv
-from .models import KINDS, predict_classes
+from .models import KINDS, DccaConfig, predict_classes
 from .sweep import MODEL_NAMES, SweepSpec, emit_report, load_sweep_file, run_cell, run_sweep, spec_views
 from .views import ViewMatrices, Vocabulary, build_mention_graph, build_text_view, normalize_adjacency
+
+
+_DCCA_DEFAULTS = DccaConfig()
 
 
 @click.group()
@@ -56,15 +59,22 @@ def cli():
 @click.option("--early-stop", is_flag=True,
               help="Keep the epoch with the best dev median error (patience 10). "
                    "Trained weights then depend on dev coordinates.")
+@click.option("--proj-hidden", default=_DCCA_DEFAULTS.proj_hidden, show_default=True,
+              help="dcca: hidden width of each view's projection, 0 for a linear map.")
+@click.option("--proj-out", default=_DCCA_DEFAULTS.proj_out, show_default=True,
+              help="dcca: projected width of each view.")
+@click.option("--stage1-epochs", default=_DCCA_DEFAULTS.stage1_epochs, show_default=True,
+              help="dcca: correlation-training epochs.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def train(users_path, edges_path, model_name, hidden, layers, no_highway, bucket,
           no_bucket_scale, tree_from, labeled_fraction, lam, dropout, lr, epochs,
-          seed, early_stop, out_dir):
+          seed, early_stop, proj_hidden, proj_out, stage1_epochs, out_dir):
     """Train one model and write checkpoint, report, and predictions."""
     start = time.perf_counter()
     bundle = load_dataset(users_path, edges_path)
+    dcca = {"proj_hidden": proj_hidden, "proj_out": proj_out, "stage1_epochs": stage1_epochs}
     spec = SweepSpec(hidden=hidden, epochs=epochs, lr=lr, dropout=dropout, bucket=bucket,
-                     bucket_scale=not no_bucket_scale, tree_from=tree_from, lam=lam)
+                     bucket_scale=not no_bucket_scale, tree_from=tree_from, lam=lam, dcca=dcca)
     views, a_hat = spec_views(bundle, spec)
     run = run_cell(bundle, views, a_hat, spec, model_name, labeled_fraction, layers, seed,
                    highway=not no_highway, early_stop=early_stop)
@@ -90,7 +100,7 @@ def train(users_path, edges_path, model_name, hidden, layers, no_highway, bucket
             "bucket": tree.bucket_size, "tree_from": tree_from,
             "labeled_fraction": labeled_fraction,
             "lambda": lam, "dropout": dropout, "lr": lr, "epochs": epochs,
-            "seed": seed, "early_stop": early_stop,
+            "seed": seed, "early_stop": early_stop, **dcca,
         },
         "num_classes": tree.num_classes,
         "labeled_users": int(run.partition.train_idx.size),

@@ -28,7 +28,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Partition:
-    """Index sets for labeled, development, and test users (disjoint)."""
+    """Index sets for labeled, development, and test users (disjoint), each
+    held sorted and without repeats."""
 
     train_idx: np.ndarray
     dev_idx: np.ndarray
@@ -36,13 +37,14 @@ class Partition:
 
     def __post_init__(self):
         for name in ("train_idx", "dev_idx", "test_idx"):
-            arr = np.asarray(getattr(self, name), dtype=np.intp)
+            arr = np.sort(np.asarray(getattr(self, name), dtype=np.intp))
+            if np.any(arr[1:] == arr[:-1]):
+                raise ArgumentError(f"partition {name} repeats an index")
             object.__setattr__(self, name, arr)
         if self.train_idx.size == 0:
             raise ArgumentError("partition has no labeled users")
-        pools = [set(self.train_idx), set(self.dev_idx), set(self.test_idx)]
-        total = len(pools[0]) + len(pools[1]) + len(pools[2])
-        if len(pools[0] | pools[1] | pools[2]) != total:
+        every = np.concatenate([self.train_idx, self.dev_idx, self.test_idx])
+        if np.unique(every).size != every.size:
             raise ArgumentError("partition index sets overlap")
 
 

@@ -1,7 +1,9 @@
 """Transductive geolocation models over the text and graph views.
 
 Four classifiers share one training scaffold (full-batch Adam on the
-cross-entropy of the labeled rows):
+cross-entropy of the labeled rows). Training computes logits only for the
+labeled rows, since no gradient reaches the others; prediction computes them
+for every user:
 
 * ``gcn``: graph convolutions ``H' = relu(A_hat @ (H @ W) + b)``, the first
   over the raw tf-idf rows, with highway gates on the dimension-preserving
@@ -25,14 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Partition
-from .errors import ArgumentError, ShapeError, StateError
+from .errors import ArgumentError, NumericError, ShapeError, StateError
 from .optim import ParamSet, glorot_uniform
 from .sparse import SparseMatrix, hstack as sparse_hstack
 
@@ -72,6 +75,8 @@ class DccaConfig:
             raise ArgumentError("proj_out and clf_hidden must be >= 1")
         if self.reg <= 0.0:
             raise ArgumentError("reg must be > 0")
+        if self.stage1_epochs < 0:
+            raise ArgumentError("stage1_epochs must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,7 @@ def gcn_forward(
     params: ParamSet,
     cfg: GcnConfig,
     dropout_masks: list[np.ndarray] | None = None,
+    out_rows: SparseMatrix | None = None,
 ) -> Tensor:
     """Class logits for every node from the raw input rows ``x``.
 
@@ -164,6 +170,8 @@ def gcn_forward(
     edges. ``dropout_masks`` holds one mask per hidden layer output
     (applied before the next convolution); gates and carry paths read the
     undropped activation so a closed gate passes the input through exactly.
+    ``out_rows``, some rows of ``a_hat``, makes the output convolution
+    compute the logits of those nodes alone.
     """
     if dropout_masks is not None and len(dropout_masks) != cfg.layers:
         raise ShapeError(f"expected {cfg.layers} dropout masks, got {len(dropout_masks)}")
@@ -183,7 +191,8 @@ def gcn_forward(
             h = h_new
     if dropout_masks is not None:
         h = ad.dropout(h, dropout_masks[cfg.layers - 1])
-    return ad.affine(ad.spmm(a_hat, h), params["out/W"], params["out/b"])
+    a_out = a_hat if out_rows is None else out_rows
+    return ad.affine(ad.spmm(a_out, h), params["out/W"], params["out/b"])
 
 
 def init_mlp_params(
@@ -244,9 +253,10 @@ def lp_input(adjacency: SparseMatrix, label_block: np.ndarray) -> SparseMatrix:
 # one wiring per model kind, shared by training and prediction
 #
 # Each kind has an input builder ``inputs(model, a_hat, x, adjacency)`` and a
-# forward path ``forward(params, cfg, a_hat, inputs, masks)``. They look up the
-# public forward functions by module-global name at call time, so replacing a
-# module attribute (to time it, say) reaches every call.
+# forward path ``forward(params, cfg, a_hat, inputs, masks, rows=None)``, which
+# computes the logits of every node, or of ``rows.idx`` alone. They look up
+# the public forward functions by module-global name at call time, so
+# replacing a module attribute (to time it, say) reaches every call.
 
 # The config fields a model's meta records, with their JSON types, per config
 # class; the rest of the meta is input and output widths. Prediction rebuilds
@@ -307,16 +317,26 @@ def _dcca_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
     return SparseMatrix.from_dense(np.hstack([h1, h2]))
 
 
-def _gcn_logits(params: ParamSet, cfg, a_hat, inputs, masks) -> Tensor:
-    return gcn_forward(a_hat, inputs, params, cfg, masks)
+class LabeledRows(NamedTuple):
+    """The rows a training forward computes logits for, and what it reads
+    them through: ``a_hat``'s rows for the graph kinds, the input rows for
+    the row-local ones."""
+
+    idx: np.ndarray
+    operand: SparseMatrix
 
 
-def _mlp_logits(params: ParamSet, cfg, a_hat, inputs, masks) -> Tensor:
-    return mlp_forward(inputs, params, masks[0] if masks else None)
+def _gcn_logits(params: ParamSet, cfg, a_hat, inputs, masks, rows=None) -> Tensor:
+    return gcn_forward(a_hat, inputs, params, cfg, masks, None if rows is None else rows.operand)
 
 
-def _dcca_logits(params: ParamSet, cfg, a_hat, inputs, masks) -> Tensor:
-    return mlp_forward(inputs, params, masks[0] if masks else None, prefix="clf/")
+def _mlp_logits(params: ParamSet, cfg, a_hat, inputs, masks, rows=None, prefix="") -> Tensor:
+    # Masks are drawn for every node, so the dropout stream is the same
+    # whichever rows are computed.
+    mask = masks[0] if masks else None
+    if rows is not None:
+        inputs, mask = rows.operand, None if mask is None else mask[rows.idx]
+    return mlp_forward(inputs, params, mask, prefix)
 
 
 @dataclass(frozen=True)
@@ -324,13 +344,18 @@ class ModelKind:
     config: type | None  # None for mlp, whose meta holds only widths
     inputs: Callable
     forward: Callable
+    row_local: bool  # a node's logits read only its own input row
+
+    def labeled_rows(self, a_hat: SparseMatrix, inputs: SparseMatrix, idx) -> LabeledRows:
+        idx = np.asarray(idx, dtype=np.intp)
+        return LabeledRows(idx, (inputs if self.row_local else a_hat).take_rows(idx))
 
 
 KINDS = {
-    "gcn": ModelKind(GcnConfig, _gcn_inputs, _gcn_logits),
-    "gcn-lp": ModelKind(GcnConfig, _gcn_lp_inputs, _gcn_logits),
-    "mlp": ModelKind(None, _mlp_inputs, _mlp_logits),
-    "dcca": ModelKind(DccaConfig, _dcca_inputs, _dcca_logits),
+    "gcn": ModelKind(GcnConfig, _gcn_inputs, _gcn_logits, row_local=False),
+    "gcn-lp": ModelKind(GcnConfig, _gcn_lp_inputs, _gcn_logits, row_local=False),
+    "mlp": ModelKind(None, _mlp_inputs, _mlp_logits, row_local=True),
+    "dcca": ModelKind(DccaConfig, _dcca_inputs, partial(_mlp_logits, prefix="clf/"), row_local=True),
 }
 
 
@@ -354,16 +379,19 @@ def _train_classifier(
     dev_score: DevScoreFn | None = None,
     after_epoch: Callable[[np.ndarray, float], SparseMatrix | None] | None = None,
 ) -> list[EpochLog]:
-    """Shared full-batch loop: the kind's forward, cross-entropy on train rows, Adam.
+    """Shared full-batch loop: the kind's forward on train rows, cross-entropy, Adam.
 
     ``params`` are the weights updated (``model.params`` except for dcca's
     stage-2 classifier). ``after_epoch`` (used by gcn-lp) receives eval-mode
-    probabilities and training accuracy after each update and may return new
-    inputs for the next epoch.
+    probabilities for every node and training accuracy after each update and
+    may return new inputs for the next epoch. The training forward reads the
+    labeled rows through operands built once here, so new inputs reach it
+    only for the graph kinds, which restrict ``a_hat`` rather than the inputs.
     """
     kind, wiring = KINDS[model.kind], _model_config(model)
     num_classes = model.meta["num_classes"]
-    train_idx = np.asarray(train_idx, dtype=np.intp)
+    rows = kind.labeled_rows(a_hat, inputs, train_idx)
+    train_idx = rows.idx
     targets = one_hot(labels[train_idx], num_classes)
     history: list[EpochLog] = []
     # Early stopping keeps the best-scoring parameter snapshot.
@@ -376,8 +404,9 @@ def _train_classifier(
         if cfg.dropout > 0.0:
             shape = (a_hat.shape[0], mask_width)
             masks = [ad.make_dropout_mask(dropout_rng, shape, cfg.dropout) for _ in range(mask_count)]
-        logits = kind.forward(params, wiring, a_hat, inputs, masks)
-        loss = ad.softmax_cross_entropy(logits, targets, train_idx)
+        logits = kind.forward(params, wiring, a_hat, inputs, masks, rows)
+        loss = ad.softmax_cross_entropy(logits, targets)
+        _check_finite(loss, epoch)
         params.zero_grads()
         ad.backward(loss)
         params.adam_step(cfg.lr)
@@ -404,6 +433,11 @@ def _train_classifier(
     if stopping:
         params.load_values(best_values)
     return history
+
+
+def _check_finite(loss: Tensor, epoch: int, stage: str = "training") -> None:
+    if not math.isfinite(loss.data):
+        raise NumericError(f"{stage} diverged: loss is {float(loss.data)} at epoch {epoch + 1}")
 
 
 def _split_rng(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -539,10 +573,14 @@ def train_dcca(
     meta = _meta(dcca_cfg, in_dim=x.shape[1], graph_dim=a_hat.shape[1], num_classes=num_classes)
     model = TrainedModel("dcca", params, meta)
 
-    for _ in range(dcca_cfg.stage1_epochs):
+    for epoch in range(dcca_cfg.stage1_epochs):
         h1 = projection_forward(x, params, "f1", dcca_cfg)
         h2 = projection_forward(a_hat, params, "f2", dcca_cfg)
-        loss = cca_loss(h1, h2, dcca_cfg.reg)
+        try:
+            loss = cca_loss(h1, h2, dcca_cfg.reg)
+        except NumericError as exc:  # the projections themselves overflowed
+            raise NumericError(f"dcca stage 1 diverged at epoch {epoch + 1}: {exc}") from exc
+        _check_finite(loss, epoch, "dcca stage 1")
         params.zero_grads()
         ad.backward(loss)
         params.adam_step(dcca_cfg.stage1_lr)

@@ -88,6 +88,14 @@ class SparseMatrix:
         out = self._csr @ dense
         return np.asarray(out)
 
+    def take_rows(self, idx: np.ndarray) -> "SparseMatrix":
+        """The rows ``idx``, in that order, as a (len(idx), cols) matrix.
+
+        Each kept row holds the same entries in the same order, so a product
+        with it sums the same terms as the full product's row.
+        """
+        return SparseMatrix(self._csr[np.asarray(idx, dtype=np.intp)])
+
     def transpose(self) -> "SparseMatrix":
         if self._transpose is None:
             self._transpose = SparseMatrix(self._csr.T.tocsr())

@@ -81,9 +81,12 @@ def _gradient_check_variants(rng):
     x = SparseMatrix.from_dense(rng.random((n, terms)) + 0.05)
     rows = np.arange(5)
     targets = one_hot(rng.integers(0, classes, rows.size), classes)
+    # Training computes logits for the labeled rows alone: the graph models
+    # through those rows of a_hat, the row-local ones from those input rows.
+    a_rows = a_hat.take_rows(rows)
 
     def ce(logits):
-        return ad.softmax_cross_entropy(logits, targets, rows)
+        return ad.softmax_cross_entropy(logits, targets)
 
     variants = []
 
@@ -93,7 +96,7 @@ def _gradient_check_variants(rng):
         variants.append((
             f"gcn(highway={highway})",
             params,
-            lambda ps, cfg=cfg: ce(gcn_forward(a_hat, x, ps, cfg)),
+            lambda ps, cfg=cfg: ce(gcn_forward(a_hat, x, ps, cfg, out_rows=a_rows)),
         ))
 
     block = np.zeros((n, classes))
@@ -104,10 +107,10 @@ def _gradient_check_variants(rng):
     variants.append((
         "gcn-lp",
         lp_params,
-        lambda ps: ce(gcn_forward(a_hat, lp_features, ps, lp_cfg)),
+        lambda ps: ce(gcn_forward(a_hat, lp_features, ps, lp_cfg, out_rows=a_rows)),
     ))
 
-    xcat = hstack([x, a_hat])
+    xcat = hstack([x, a_hat]).take_rows(rows)
     mlp_params = init_mlp_params(rng, terms + n, 5, classes)
     variants.append(("mlp", mlp_params, lambda ps: ce(mlp_forward(xcat, ps))))
 
@@ -129,7 +132,7 @@ def _gradient_check_variants(rng):
         projection_forward(x, stage1, "f1", dcfg).data,
         projection_forward(a_hat, stage1, "f2", dcfg).data,
     ])
-    z_sparse = SparseMatrix.from_dense(z)
+    z_sparse = SparseMatrix.from_dense(z).take_rows(rows)
     stage2 = init_mlp_params(rng, z.shape[1], 4, classes)
     variants.append(("dcca-stage2", stage2, lambda ps: ce(mlp_forward(z_sparse, ps))))
 

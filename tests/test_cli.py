@@ -2,13 +2,16 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import geograph
+from geograph.checkpoint import load_checkpoint
 from geograph.cli import main
 from geograph.sweep import CSV_HEADER
 
@@ -86,12 +89,23 @@ def test_train_rerun_is_deterministic(corpus, tmp_path):
     assert (out_a / "predictions.csv").read_bytes() == (out_b / "predictions.csv").read_bytes()
 
 
+# dcca at its default widths trains 1,000-unit projections for 100 epochs.
+_MODEL_FLAGS = {"dcca": {"--proj-hidden": "12", "--proj-out": "4", "--stage1-epochs": "5"}}
+
+
 @pytest.mark.parametrize("model", ["gcn-lp", "mlp", "dcca"])
 def test_train_other_models(corpus, tmp_path, model):
     out = tmp_path / model
-    assert main(_train_args(corpus, out, **{"--model": model})) == 0
+    flags = _MODEL_FLAGS.get(model, {})
+    assert main(_train_args(corpus, out, **{"--model": model, **flags})) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["model"] == model
+    meta = load_checkpoint(out / "model.ckpt")[0].meta
+    for flag, value in flags.items():
+        name = flag[2:].replace("-", "_")
+        assert report["config"][name] == int(value)
+        if name in meta:
+            assert meta[name] == int(value)
 
 
 def test_train_fraction_and_tree_flags(corpus, tmp_path):
@@ -213,6 +227,19 @@ def test_eval_rejects_checkpoint_meta_of_wrong_type(corpus, tmp_path, capsys):
     for key in ("hidden", "highway", "gate_bias"):
         assert f"'{key}'" in err
     assert "'layers'" not in err
+
+
+def test_diverged_training_exits_nonzero_without_checkpoint(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-users", "300", "--seed", "0"]) == 0
+    out = tmp_path / "run"
+    args = _train_args((data / "users.jsonl", data / "edges.tsv"), out,
+                       **{"--lr": "1e200", "--epochs": "40", "--hidden": "16"})
+    with np.errstate(all="ignore"):
+        code = main(args)
+    assert code != 0
+    assert re.search(r"diverged: loss is \w+ at epoch \d+", capsys.readouterr().err)
+    assert not (out / "model.ckpt").exists()
 
 
 def test_exit_code_runtime_failure(tmp_path, capsys):

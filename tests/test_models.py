@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import geograph.autodiff as ad
-from geograph.errors import ArgumentError, ShapeError
+from geograph.errors import ArgumentError, NumericError, ShapeError
 from geograph.models import (
+    KINDS,
     DccaConfig,
     GcnConfig,
     Partition,
@@ -56,6 +57,16 @@ def test_partition_rejects_overlap():
         Partition(np.array([0, 1]), np.array([1]), np.array([2]))
     with pytest.raises(ArgumentError):
         Partition(np.array([], dtype=int), np.array([1]), np.array([2]))
+
+
+def test_partition_sorts_and_rejects_repeats():
+    part = Partition([5, 2, 9], [3, 1], [4])
+    np.testing.assert_array_equal(part.train_idx, [2, 5, 9])
+    np.testing.assert_array_equal(part.dev_idx, [1, 3])
+    with pytest.raises(ArgumentError, match="train_idx repeats"):
+        Partition([2, 1, 1], [3], [4])
+    with pytest.raises(ArgumentError, match="test_idx repeats"):
+        Partition([2], [3], [4, 4])
 
 
 def test_highway_combine_formula(rng):
@@ -297,3 +308,95 @@ def test_train_config_validation():
         GcnConfig(layers=0)
     with pytest.raises(ArgumentError):
         DccaConfig(reg=0.0)
+
+
+def _take_rows(t, idx):
+    """Rows ``idx`` of a tensor, on the tape: the full-rows loss reference."""
+    def vjp(g):
+        full = np.zeros_like(t.data)
+        full[idx] = g
+        return (full,)
+
+    return ad.Tensor(t.data[idx], _parents=(t,), _vjp=vjp)
+
+
+def _trained_case(case, a_hat, adj, x, labels, part):
+    """(model, config, mask count, mask width) after a few training epochs."""
+    train_cfg = TrainConfig(lr=0.02, epochs=3, dropout=0.5, seed=0)
+    if case in ("gcn", "gcn-nohighway"):
+        cfg = GcnConfig(hidden=5, layers=3, highway=case == "gcn")
+        return train_gcn(a_hat, x, labels, 3, part, cfg, train_cfg)[0], cfg, 3, 5
+    if case == "gcn-lp":
+        cfg = GcnConfig(hidden=5, layers=2)
+        model, _ = train_gcn_lp(a_hat, adj, labels, 3, part, cfg, train_cfg, trigger_accuracy=0.0)
+        return model, cfg, 2, 5
+    if case == "mlp":
+        return train_mlp(a_hat, x, labels, 3, part, 6, train_cfg)[0], None, 1, 6
+    cfg = DccaConfig(proj_hidden=4, proj_out=3, reg=1e-3, stage1_epochs=2, clf_hidden=6)
+    return train_dcca(a_hat, x, labels, 3, part, cfg, train_cfg)[0], cfg, 1, 6
+
+
+@pytest.mark.parametrize("case", ["gcn", "gcn-nohighway", "gcn-lp", "mlp", "dcca"])
+def test_training_rows_match_full_forward(rng, case):
+    # The training forward computes logits for the labeled rows alone; they
+    # must be the full forward's rows bit for bit, and the loss on them must
+    # give the gradients of the loss read off the full logits.
+    adj, a_hat, x, labels, part = _instance(rng, n=16)
+    model, cfg, count, width = _trained_case(case, a_hat, adj, x, labels, part)
+    if case == "gcn-lp":  # latched: held-out rows carry predictions
+        assert np.all(model.state["label_block"].sum(axis=1) > 0.0)
+    kind = KINDS[model.kind]
+    inputs = kind.inputs(model, a_hat, x, adj)
+    rows = kind.labeled_rows(a_hat, inputs, part.train_idx)
+    masks = [ad.make_dropout_mask(rng, (16, width), 0.5) for _ in range(count)]
+    targets = one_hot(labels[part.train_idx], 3)
+
+    def grads(logits):
+        model.params.zero_grads()
+        ad.backward(ad.softmax_cross_entropy(logits, targets))
+        return {name: t.grad for name, t in model.params.items()}
+
+    train = kind.forward(model.params, cfg, a_hat, inputs, masks, rows)
+    full = kind.forward(model.params, cfg, a_hat, inputs, masks)
+    np.testing.assert_array_equal(train.data, full.data[part.train_idx])
+    want = grads(_take_rows(full, part.train_idx))
+    got = grads(train)
+    assert any(np.any(g) for g in want.values())
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["gcn", "mlp"])
+def test_row_operands_are_built_once_per_run(rng, monkeypatch, kind):
+    adj, a_hat, x, labels, part = _instance(rng)
+    builds = []
+    init = SparseMatrix.__init__
+
+    def counting_init(self, csr):
+        builds.append(1)
+        init(self, csr)
+
+    monkeypatch.setattr(SparseMatrix, "__init__", counting_init)
+    counts = []
+    for epochs in (2, 6):
+        # Fresh copies: a matrix caches its transpose across runs.
+        a, feats = SparseMatrix(a_hat.csr), SparseMatrix(x.csr)
+        builds.clear()
+        cfg = TrainConfig(lr=0.01, epochs=epochs, dropout=0.5, seed=0)
+        if kind == "gcn":
+            train_gcn(a, feats, labels, 3, part, GcnConfig(hidden=4, layers=2), cfg)
+        else:
+            train_mlp(a, feats, labels, 3, part, 4, cfg)
+        counts.append(len(builds))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_training_names_the_epoch(rng):
+    adj, a_hat, x, labels, part = _instance(rng, n=20)
+    with pytest.raises(NumericError, match="training diverged: loss is nan at epoch 2"):
+        train_mlp(a_hat, x, labels, 3, part, 4, TrainConfig(lr=1e200, epochs=5, dropout=0.0))
+    cfg = DccaConfig(proj_hidden=4, proj_out=2, reg=1e-3, stage1_epochs=5, stage1_lr=1e200,
+                     clf_hidden=4)
+    with pytest.raises(NumericError, match="dcca stage 1 diverged at epoch 2"):
+        train_dcca(a_hat, x, labels, 3, part, cfg, TrainConfig(epochs=1, dropout=0.0))
