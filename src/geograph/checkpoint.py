@@ -99,6 +99,8 @@ def load_checkpoint(path) -> tuple[TrainedModel, dict]:
             raise DataFormatError(f"bad checkpoint header: {exc}") from exc
         if not isinstance(header, dict) or not isinstance(header.get("meta"), dict):
             raise DataFormatError(f"{path}: checkpoint header needs a 'kind' and a 'meta' object")
+        if not isinstance(header.get("context", {}), dict):
+            raise DataFormatError(f"{path}: checkpoint 'context' must be an object")
         if not isinstance(header.get("kind"), str) or header["kind"] not in KINDS:
             raise DataFormatError(
                 f"{path}: unknown model kind {header.get('kind')!r}; valid: {sorted(KINDS)}"

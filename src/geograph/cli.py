@@ -215,15 +215,12 @@ def eval_cmd(model_path, users_path, edges_path):
     can only be scored on the graph they were trained with.
     """
     model, context = ckpt.load_checkpoint(model_path)
+    vocab, tree, lam, cap = _read_context(model_path, model, context)
     bundle = load_dataset(users_path, edges_path)
-    vocab = Vocabulary.from_dict(context["vocabulary"])
-    tree = RegionTree.from_dict(context["tree"])
     text, _ = build_text_view(bundle.texts, vocab=vocab)
-    adjacency = build_mention_graph(
-        bundle.ids, bundle.mention_pairs, context.get("max_comention_degree", 1000)
-    )
+    adjacency = build_mention_graph(bundle.ids, bundle.mention_pairs, cap)
     views = ViewMatrices(text=text, adjacency=adjacency, vocabulary=vocab)
-    a_hat = normalize_adjacency(adjacency, context.get("lam", 1.0))
+    a_hat = normalize_adjacency(adjacency, lam)
     preds = predict_classes(model, a_hat, views.text, views.adjacency)
 
     out = {}
@@ -231,10 +228,29 @@ def eval_cmd(model_path, users_path, edges_path):
         idx = bundle.split_indices(split)
         if idx.size == 0:
             continue
-        rep = evaluate(preds[idx], [bundle.points[i] for i in idx], tree)
+        rep = evaluate(preds[idx], bundle.coords[idx], tree)
         out[split] = {"n": int(idx.size), "acc161": rep.acc161,
                       "mean_km": rep.mean_km, "median_km": rep.median_km}
     click.echo(json.dumps(out, indent=2, sort_keys=True))
+
+
+def _read_context(model_path, model, context: dict):
+    """The vocabulary, region tree, lambda and co-mention cap a checkpoint
+    holds, checked, since the file comes from outside."""
+    try:
+        missing = [key for key in ("vocabulary", "tree") if key not in context]
+        if missing:
+            raise DataFormatError(f"context lacks {missing}")
+        tree = RegionTree.from_dict(context["tree"])
+        if model.meta.get("num_classes") != tree.num_classes:
+            raise DataFormatError(f"model predicts {model.meta.get('num_classes')!r} classes "
+                                  f"but its region tree has {tree.num_classes}")
+        lam, cap = context.get("lam", 1.0), context.get("max_comention_degree", 1000)
+        if type(lam) not in (int, float) or type(cap) is not int:
+            raise DataFormatError(f"context lam {lam!r} or max_comention_degree {cap!r} is no number")
+        return Vocabulary.from_dict(context["vocabulary"]), tree, lam, cap
+    except DataFormatError as exc:
+        raise DataFormatError(f"{model_path}: checkpoint {exc}") from exc
 
 
 def main(argv=None) -> int:

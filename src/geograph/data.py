@@ -2,10 +2,11 @@
 
 On disk a dataset is two files: a JSON-lines users file (one object per user
 with ``id``, ``lat``, ``lon``, ``text``, ``split``) and a 2-column TSV of
-(mentioner, mentioned handle) pairs. The synthetic generator produces the
-same structure: a handful of well-separated lat/lon region centers, users
-jittered around them, region-flavored vocabulary, and mention pairs that are
-denser within regions than across them.
+(mentioner, mentioned handle) pairs. In memory the coordinates are one (n, 2)
+float64 lat/lon array, checked when the bundle is built. The synthetic
+generator produces the same structure: a handful of well-separated lat/lon
+region centers, users jittered around them, region-flavored vocabulary, and
+mention pairs that are denser within regions than across them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, DataFormatError
-from .geo import GeoPoint
+from .geo import coordinate_error
 
 SPLITS = ("train", "dev", "test")
 
@@ -50,19 +51,24 @@ class Partition:
 
 @dataclass
 class DatasetBundle:
-    """One corpus: aligned per-user lists plus the raw mention pairs."""
+    """One corpus: aligned per-user lists, an (n, 2) lat/lon array, and the
+    raw mention pairs."""
 
     ids: list[str]
     texts: list[str]
-    points: list[GeoPoint]
+    coords: np.ndarray
     splits: list[str]
     mention_pairs: list[tuple[str, str]]
     provenance: str = "custom"
 
     def __post_init__(self):
         n = len(self.ids)
-        if not (len(self.texts) == len(self.points) == len(self.splits) == n):
-            raise ArgumentError("per-user lists have mismatched lengths")
+        self.coords = np.asarray(self.coords, dtype=np.float64)
+        if not (len(self.texts) == len(self.splits) == n) or self.coords.shape != (n, 2):
+            raise ArgumentError("per-user lists and the (n, 2) lat/lon coords disagree in length")
+        bad = coordinate_error(self.coords)
+        if bad:
+            raise ArgumentError(f"user {self.ids[bad[0]]!r}: {bad[1]}")
         if len(set(self.ids)) != n:
             raise ArgumentError("duplicate user id")
         bad = sorted(set(self.splits) - set(SPLITS))
@@ -81,7 +87,7 @@ class DatasetBundle:
 def load_dataset(users_path, edges_path) -> DatasetBundle:
     """Parse the two-file dataset format, reporting bad lines by number."""
     users_path, edges_path = Path(users_path), Path(edges_path)
-    ids, texts, points, splits = [], [], [], []
+    ids, texts, latlon, splits, linenos = [], [], [], [], []
     seen: set[str] = set()
     with open(users_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -104,17 +110,21 @@ def load_dataset(users_path, edges_path) -> DatasetBundle:
                 raise DataFormatError(
                     f"{users_path}:{lineno}: split must be one of {SPLITS}, got {row['split']!r}"
                 )
-            try:
-                point = GeoPoint(float(row["lat"]), float(row["lon"]))
-            except (TypeError, ValueError, ArgumentError) as exc:
-                raise DataFormatError(f"{users_path}:{lineno}: bad coordinates ({exc})") from exc
+            latlon.append((row["lat"], row["lon"]))
+            if any(type(v) not in (int, float) for v in latlon[-1]):
+                raise DataFormatError(f"{users_path}:{lineno}: bad coordinates (lat and lon "
+                                      f"must be JSON numbers, got {latlon[-1]})")
             seen.add(uid)
             ids.append(uid)
             texts.append(str(row["text"]))
-            points.append(point)
             splits.append(row["split"])
+            linenos.append(lineno)
     if not ids:
         raise DataFormatError(f"{users_path}: no users")
+    coords = np.array(latlon, dtype=np.float64)
+    bad = coordinate_error(coords)
+    if bad:
+        raise DataFormatError(f"{users_path}:{linenos[bad[0]]}: bad coordinates ({bad[1]})")
 
     pairs: list[tuple[str, str]] = []
     dropped = 0
@@ -133,7 +143,7 @@ def load_dataset(users_path, edges_path) -> DatasetBundle:
                 pairs.append((parts[0], parts[1]))
             else:
                 dropped += 1
-    bundle = DatasetBundle(ids, texts, points, splits, pairs)
+    bundle = DatasetBundle(ids, texts, coords, splits, pairs)
     counts = {s: splits.count(s) for s in SPLITS}
     log.info(
         "loaded %d users (%d train / %d dev / %d test), %d mention pairs, "
@@ -150,10 +160,12 @@ def save_dataset(bundle: DatasetBundle, out_dir) -> tuple[Path, Path]:
     users_path = out_dir / "users.jsonl"
     edges_path = out_dir / "edges.tsv"
     with open(users_path, "w", encoding="utf-8") as fh:
-        for uid, text, p, split in zip(bundle.ids, bundle.texts, bundle.points, bundle.splits):
+        for uid, text, (lat, lon), split in zip(
+            bundle.ids, bundle.texts, bundle.coords.tolist(), bundle.splits
+        ):
             fh.write(
                 json.dumps(
-                    {"id": uid, "lat": p.lat, "lon": p.lon, "text": text, "split": split},
+                    {"id": uid, "lat": lat, "lon": lon, "text": text, "split": split},
                     sort_keys=True,
                 )
                 + "\n"
@@ -218,12 +230,8 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig(), seed: int = 
         for r in range(regions)
     ]
     region_of = np.arange(n) % regions
-    jitter = rng.normal(0.0, cfg.jitter_deg, size=(n, 2))
+    coords = np.array(centers)[region_of] + rng.normal(0.0, cfg.jitter_deg, size=(n, 2))
     ids = [f"user{i:05d}" for i in range(n)]
-    points = [
-        GeoPoint(centers[r][0] + jitter[i, 0], centers[r][1] + jitter[i, 1])
-        for i, r in enumerate(region_of)
-    ]
 
     half = cfg.vocab_size // 2
     per_region = half // regions
@@ -262,7 +270,7 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig(), seed: int = 
     for pos, i in enumerate(order):
         splits[i] = "train" if pos < n_train else ("dev" if pos < n_train + n_dev else "test")
 
-    return DatasetBundle(ids, texts, points, splits, pairs, provenance="synthetic")
+    return DatasetBundle(ids, texts, coords, splits, pairs, provenance="synthetic")
 
 
 def subsample_labels(bundle: DatasetBundle, fraction: float, seed: int) -> Partition:

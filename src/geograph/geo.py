@@ -10,15 +10,26 @@ and are summarized as Acc@161 (fraction within 161 km), mean, and median.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError, DataFormatError, ShapeError, StateError
 
 EARTH_RADIUS_KM = 6371.0
 ACC_THRESHOLD_KM = 161.0
+
+
+def coordinate_error(coords: np.ndarray) -> tuple[int, str] | None:
+    """The first row of a float (n, 2) lat/lon array that is no point on the
+    globe, with the reason, or None when every row is one."""
+    # NaN fails every comparison, so non-finite rows fail here too.
+    ok = (np.abs(coords[:, 0]) <= 90.0) & (np.abs(coords[:, 1]) <= 180.0)
+    if ok.all():
+        return None
+    row = int(np.argmin(ok))
+    lat, lon = coords[row].tolist()
+    return row, f"({lat}, {lon}) is not a finite lat in [-90, 90] and lon in [-180, 180]"
 
 
 @dataclass(frozen=True)
@@ -29,21 +40,14 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise ArgumentError(f"non-finite coordinate ({self.lat}, {self.lon})")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ArgumentError(f"latitude {self.lat} outside [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ArgumentError(f"longitude {self.lon} outside [-180, 180]")
+        bad = coordinate_error(np.array([[self.lat, self.lon]], dtype=np.float64))
+        if bad:
+            raise ArgumentError(bad[1])
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in kilometres."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (a.lat, a.lon, b.lat, b.lon))
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+    return float(haversine_km_arrays(a.lat, a.lon, b.lat, b.lon))
 
 
 def haversine_km_arrays(
@@ -58,15 +62,13 @@ def haversine_km_arrays(
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
+@dataclass(slots=True)
 class _Node:
-    __slots__ = ("axis", "split", "left", "right", "class_id")
-
-    def __init__(self, axis=None, split=None, left=None, right=None, class_id=None):
-        self.axis = axis
-        self.split = split
-        self.left = left
-        self.right = right
-        self.class_id = class_id
+    axis: int | None = None
+    split: float | None = None
+    left: _Node | None = None
+    right: _Node | None = None
+    class_id: int | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -83,36 +85,34 @@ class RegionTree:
     split moves down to the largest strictly smaller value so both branches
     stay nonempty; a node whose points are all identical becomes a leaf
     regardless of size.
+
+    Coordinates are (n, 2) lat/lon arrays, as ``DatasetBundle`` holds them;
+    ``rep_coords`` holds the leaves' representatives (read-only). A tree from
+    ``from_dict`` keeps leaf counts and representatives but no members.
     """
 
-    def __init__(self, root: _Node, leaves: list[list[GeoPoint]], bucket_size: int):
+    def __init__(self, root: _Node, counts: list[int], reps: np.ndarray, bucket_size: int,
+                 members: list[np.ndarray] | None = None):
         self._root = root
-        self._members = leaves
+        self._counts = counts
+        self.rep_coords = reps
         self.bucket_size = bucket_size
-        self._representatives = [
-            GeoPoint(
-                float(np.median([p.lat for p in pts])),
-                float(np.median([p.lon for p in pts])),
-            )
-            for pts in leaves
-        ]
+        self._members = members
 
     @classmethod
-    def build(cls, train_points: list[GeoPoint], bucket_size: int) -> "RegionTree":
+    def build(cls, coords: np.ndarray, bucket_size: int) -> "RegionTree":
         if bucket_size < 1:
             raise ArgumentError(f"bucket_size must be >= 1, got {bucket_size}")
-        if not train_points:
+        if not coords.shape[0]:
             raise ArgumentError("cannot build a region tree from zero points")
-        coords = np.array([[p.lat, p.lon] for p in train_points], dtype=np.float64)
-        leaves: list[list[GeoPoint]] = []
+        leaves: list[np.ndarray] = []
 
         def split(indices: np.ndarray) -> _Node:
             pts = coords[indices]
             spread = pts.max(axis=0) - pts.min(axis=0)
             if indices.size <= bucket_size or spread.max() == 0.0:
-                node = _Node(class_id=len(leaves))
-                leaves.append([train_points[i] for i in indices])
-                return node
+                leaves.append(pts)
+                return _Node(class_id=len(leaves) - 1)
             axis = 0 if spread[0] >= spread[1] else 1
             values = np.sort(pts[:, axis])
             cut = values[(indices.size - 1) // 2]
@@ -126,32 +126,40 @@ class RegionTree:
                 right=split(indices[~mask]),
             )
 
-        root = split(np.arange(len(train_points)))
-        return cls(root, leaves, bucket_size)
+        root = split(np.arange(coords.shape[0]))
+        reps = np.array([np.median(pts, axis=0) for pts in leaves])
+        return cls(root, [len(pts) for pts in leaves], reps, bucket_size, leaves)
 
     @property
     def num_classes(self) -> int:
-        return len(self._members)
+        return len(self._counts)
 
     @property
     def representatives(self) -> list[GeoPoint]:
-        return list(self._representatives)
+        return [GeoPoint(lat, lon) for lat, lon in self.rep_coords.tolist()]
 
     def members(self, class_id: int) -> list[GeoPoint]:
-        return list(self._members[class_id])
+        if self._members is None:
+            raise StateError("a loaded region tree keeps no member coordinates")
+        return [GeoPoint(lat, lon) for lat, lon in self._members[class_id].tolist()]
 
     def leaf_counts(self) -> list[int]:
-        return [len(m) for m in self._members]
+        return list(self._counts)
 
-    def assign(self, p: GeoPoint) -> int:
-        node = self._root
-        while not node.is_leaf:
-            coord = p.lat if node.axis == 0 else p.lon
-            node = node.left if coord <= node.split else node.right
-        return node.class_id
+    def assign_many(self, coords: np.ndarray) -> np.ndarray:
+        """The leaf class of each row of an (n, 2) lat/lon array."""
+        out = np.empty(coords.shape[0], dtype=np.intp)
 
-    def assign_many(self, points: list[GeoPoint]) -> np.ndarray:
-        return np.array([self.assign(p) for p in points], dtype=np.intp)
+        def descend(node: _Node, idx: np.ndarray) -> None:
+            if node.is_leaf:
+                out[idx] = node.class_id
+            elif idx.size:
+                left = coords[idx, node.axis] <= node.split
+                descend(node.left, idx[left])
+                descend(node.right, idx[~left])
+
+        descend(self._root, np.arange(coords.shape[0]))
+        return out
 
     # --- serialization -----------------------------------------------------
 
@@ -170,33 +178,53 @@ class RegionTree:
             "bucket_size": self.bucket_size,
             "root": encode(self._root),
             "leaves": [
-                {"count": len(m), "rep": [r.lat, r.lon]}
-                for m, r in zip(self._members, self._representatives)
+                {"count": count, "rep": rep}
+                for count, rep in zip(self._counts, self.rep_coords.tolist())
             ],
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RegionTree":
-        def decode(spec: dict) -> _Node:
-            if "class_id" in spec:
-                return _Node(class_id=spec["class_id"])
-            return _Node(
-                axis=spec["axis"],
-                split=spec["split"],
-                left=decode(spec["left"]),
-                right=decode(spec["right"]),
-            )
+    def from_dict(cls, d) -> "RegionTree":
+        """Rebuild a serialized tree. It comes from outside the process, so a
+        malformed one raises ``DataFormatError`` naming the bad entry."""
 
-        tree = cls.__new__(cls)
-        tree._root = decode(d["root"])
-        tree.bucket_size = d["bucket_size"]
-        # Serialized trees keep only the representative point per leaf; the
-        # member count is replicated so leaf_counts stays meaningful.
-        tree._members = [
-            [GeoPoint(leaf["rep"][0], leaf["rep"][1])] * leaf["count"] for leaf in d["leaves"]
-        ]
-        tree._representatives = [GeoPoint(leaf["rep"][0], leaf["rep"][1]) for leaf in d["leaves"]]
-        return tree
+        def need(ok, what: str) -> None:
+            if not ok:
+                raise DataFormatError(f"region tree {what}")
+
+        need(isinstance(d, dict) and type(d.get("bucket_size")) is int and "root" in d
+             and isinstance(d.get("leaves"), list) and d["leaves"],
+             "needs an integer 'bucket_size', a 'root' and a nonempty list of 'leaves'")
+        leaves = d["leaves"]
+        for c, leaf in enumerate(leaves):
+            need(isinstance(leaf, dict) and type(leaf.get("count")) is int and leaf["count"] >= 1
+                 and isinstance(leaf.get("rep"), list) and len(leaf["rep"]) == 2
+                 and all(type(v) in (int, float) for v in leaf["rep"]),
+                 f"leaf {c} needs a positive integer 'count' and a numeric [lat, lon] 'rep'")
+        reps = np.array([leaf["rep"] for leaf in leaves], dtype=np.float64)
+        bad = coordinate_error(reps)
+        if bad:
+            raise DataFormatError(f"region tree leaf {bad[0]} rep: {bad[1]}")
+        class_ids: list[int] = []
+
+        def decode(spec, where: str) -> _Node:
+            if isinstance(spec, dict) and "class_id" in spec:
+                need(type(spec["class_id"]) is int, f"node {where} has class_id {spec['class_id']!r}")
+                class_ids.append(spec["class_id"])
+                return _Node(class_id=spec["class_id"])
+            missing = [k for k in ("axis", "split", "left", "right")
+                       if not isinstance(spec, dict) or k not in spec]
+            need(not missing, f"node {where} lacks {missing}")
+            axis, split = spec["axis"], spec["split"]
+            need(type(axis) is int and axis in (0, 1) and type(split) in (int, float),
+                 f"node {where} has axis {axis!r} and split {split!r}")
+            return _Node(axis, split, decode(spec["left"], f"{where}.left"),
+                         decode(spec["right"], f"{where}.right"))
+
+        root = decode(d["root"], "root")
+        need(sorted(class_ids) == list(range(len(leaves))),
+             f"leaf class ids {sorted(class_ids)} are not exactly 0..{len(leaves) - 1}")
+        return cls(root, [leaf["count"] for leaf in leaves], reps, d["bucket_size"])
 
 
 @dataclass
@@ -217,26 +245,20 @@ class EvalReport:
 
 
 def evaluate(
-    predicted_classes: np.ndarray, true_points: list[GeoPoint], tree: RegionTree
+    predicted_classes: np.ndarray, true_coords: np.ndarray, tree: RegionTree
 ) -> EvalReport:
     """Score predictions: error is the distance from the predicted leaf's
-    representative to the user's true point."""
+    representative to the user's true (lat, lon) row of ``true_coords``."""
     predicted_classes = np.asarray(predicted_classes, dtype=np.intp)
-    if predicted_classes.shape[0] != len(true_points):
-        raise ShapeError(
-            f"{predicted_classes.shape[0]} predictions vs {len(true_points)} points"
-        )
+    if predicted_classes.shape[0] != len(true_coords):
+        raise ShapeError(f"{predicted_classes.shape[0]} predictions vs {len(true_coords)} points")
     if predicted_classes.size == 0:
         raise ArgumentError("evaluate needs at least one prediction")
     if predicted_classes.min() < 0 or predicted_classes.max() >= tree.num_classes:
         raise ArgumentError("predicted class id outside [0, num_classes)")
 
-    reps = tree.representatives
-    rep_lat = np.array([reps[c].lat for c in predicted_classes])
-    rep_lon = np.array([reps[c].lon for c in predicted_classes])
-    true_lat = np.array([p.lat for p in true_points])
-    true_lon = np.array([p.lon for p in true_points])
-    errors = haversine_km_arrays(rep_lat, rep_lon, true_lat, true_lon)
+    reps = tree.rep_coords[predicted_classes]
+    errors = haversine_km_arrays(reps[:, 0], reps[:, 1], true_coords[:, 0], true_coords[:, 1])
 
     per_class = []
     for cid in range(tree.num_classes):

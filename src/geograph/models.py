@@ -616,9 +616,7 @@ def predict_logits(
     model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix, adjacency: SparseMatrix
 ) -> np.ndarray:
     """Eval-mode logits for every user, through the wiring training used."""
-    kind = KINDS.get(model.kind)
-    if kind is None:
-        raise ArgumentError(f"unknown model kind {model.kind!r}")
+    kind = KINDS[model.kind]
     inputs = kind.inputs(model, a_hat, x, adjacency)
     return kind.forward(model.params, _model_config(model), a_hat, inputs, None).data
 

@@ -90,9 +90,3 @@ class ParamSet:
             if arr.shape != p.data.shape:
                 raise ShapeError(f"cannot load {name}: shape {arr.shape} != {p.data.shape}")
             p.data = arr.copy()
-
-    def reset_adam(self) -> None:
-        for name in self._params:
-            self._m[name][:] = 0.0
-            self._v[name][:] = 0.0
-        self.step_count = 0

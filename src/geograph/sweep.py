@@ -216,7 +216,7 @@ def build_region_tree(
     """
     size = tree_bucket(bucket, fraction, bucket_scale, tree_from)
     idx = partition.train_idx if tree_from == "labeled" else bundle.split_indices("train")
-    return RegionTree.build([bundle.points[i] for i in idx], size)
+    return RegionTree.build(bundle.coords[idx], size)
 
 
 def labels_for_training(
@@ -228,7 +228,7 @@ def labels_for_training(
     training a pure function of the labeled rows.
     """
     labels = np.full(len(bundle), -1, dtype=np.intp)
-    labels[labeled_idx] = tree.assign_many([bundle.points[i] for i in labeled_idx])
+    labels[labeled_idx] = tree.assign_many(bundle.coords[labeled_idx])
     return labels
 
 
@@ -247,9 +247,7 @@ def fit_model(
     highway: bool = True,
 ):
     """Train one model by name; returns (model, history)."""
-    entry = MODELS.get(model_name)
-    if entry is None:
-        raise ArgumentError(f"unknown model {model_name!r}; valid: {list(MODEL_NAMES)}")
+    entry = MODELS[model_name]
     cfg = entry.config(hidden, depth, highway and entry.highway, dcca_overrides, a_hat.shape[0])
     return entry.train(
         a_hat, getattr(views, entry.view), labels, num_classes, partition, cfg, train_cfg, dev_score
@@ -275,7 +273,7 @@ def score_predictions(
     out = {}
     for name, idx in (("dev", partition.dev_idx), ("test", partition.test_idx)):
         if idx.size:
-            out[name] = evaluate(preds[idx], [bundle.points[i] for i in idx], tree)
+            out[name] = evaluate(preds[idx], bundle.coords[idx], tree)
     return out
 
 
@@ -316,10 +314,10 @@ def run_cell(
     labels = labels_for_training(bundle, tree, partition.train_idx)
     dev_score = None
     if early_stop and partition.dev_idx.size:
-        dev_points = [bundle.points[i] for i in partition.dev_idx]
+        dev_coords = bundle.coords[partition.dev_idx]
 
         def dev_score(preds: np.ndarray) -> float:
-            return evaluate(preds[partition.dev_idx], dev_points, tree).median_km
+            return evaluate(preds[partition.dev_idx], dev_coords, tree).median_km
 
     train_cfg = TrainConfig(
         lr=spec.lr, epochs=spec.epochs, dropout=spec.dropout, seed=seed, early_stop=early_stop

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ArgumentError, NumericError, ShapeError
+from .errors import ArgumentError, DataFormatError, NumericError, ShapeError
 from .sparse import SparseMatrix
 
 _MENTION = re.compile(r"(?:^|[^\w@])@(\w+)")
@@ -38,10 +38,6 @@ class Vocabulary:
     df: tuple[int, ...]
     n_docs: int
 
-    def __post_init__(self):
-        if len(self.terms) != len(self.df):
-            raise ShapeError("terms and df lengths differ")
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -57,8 +53,15 @@ class Vocabulary:
         return {"terms": list(self.terms), "df": list(self.df), "n_docs": self.n_docs}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Vocabulary":
-        return cls(terms=tuple(d["terms"]), df=tuple(d["df"]), n_docs=int(d["n_docs"]))
+    def from_dict(cls, d) -> "Vocabulary":
+        """Rebuild a serialized vocabulary; it comes from outside, so it is checked."""
+        if not (isinstance(d, dict) and isinstance(d.get("terms"), list)
+                and isinstance(d.get("df"), list) and len(d["terms"]) == len(d["df"])
+                and all(isinstance(t, str) for t in d["terms"])
+                and all(type(c) is int for c in d["df"]) and type(d.get("n_docs")) is int):
+            raise DataFormatError("vocabulary needs string 'terms', integer 'df' of the same "
+                                  "length and an integer 'n_docs'")
+        return cls(terms=tuple(d["terms"]), df=tuple(d["df"]), n_docs=d["n_docs"])
 
 
 def build_vocabulary(texts: list[str], min_df: int = 2, max_df_ratio: float = 0.5) -> Vocabulary:
@@ -193,9 +196,7 @@ def normalize_adjacency(adjacency: SparseMatrix, lam: float = 1.0) -> SparseMatr
     # Entrywise m_ij / sqrt(d_i * d_j): one rounding per entry, so small cases
     # like a single self-loop come out exact.
     values = coo.data / np.sqrt(degrees[coo.row] * degrees[coo.col])
-    return SparseMatrix(
-        sp.csr_matrix((values, (coo.row, coo.col)), shape=m.shape, dtype=np.float64)
-    )
+    return SparseMatrix.from_triplets(rows, cols, coo.row, coo.col, values)
 
 
 @dataclass
@@ -209,9 +210,3 @@ class ViewMatrices:
     text: SparseMatrix
     adjacency: SparseMatrix
     vocabulary: Vocabulary
-
-    def __post_init__(self):
-        if self.text.shape[0] != self.adjacency.shape[0]:
-            raise ShapeError(
-                f"text rows {self.text.shape[0]} != graph rows {self.adjacency.shape[0]}"
-            )

@@ -22,7 +22,6 @@ from geograph.data import (
     generate_synthetic,
     load_dataset,
 )
-from geograph.geo import GeoPoint
 from geograph.models import (
     DccaConfig,
     GcnConfig,
@@ -485,13 +484,11 @@ def test_criterion_9_determinism_and_no_leak(tmp_path, default_bundle, ordering_
         run = run_cell(bundle, views, a_hat, spec, "gcn", 0.01, 1, seed=0)
         return run.model.params.copy_values()
 
+    heldout = np.array([s != "train" for s in default_bundle.splits])
     zeroed = DatasetBundle(
         ids=list(default_bundle.ids),
         texts=list(default_bundle.texts),
-        points=[
-            p if s == "train" else GeoPoint(0.0, 0.0)
-            for p, s in zip(default_bundle.points, default_bundle.splits)
-        ],
+        coords=np.where(heldout[:, None], 0.0, default_bundle.coords),
         splits=list(default_bundle.splits),
         mention_pairs=list(default_bundle.mention_pairs),
         provenance=default_bundle.provenance,

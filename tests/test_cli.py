@@ -229,6 +229,61 @@ def test_eval_rejects_checkpoint_meta_of_wrong_type(corpus, tmp_path, capsys):
     assert "'layers'" not in err
 
 
+@pytest.fixture(scope="module")
+def trained_ckpt(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained")
+    assert main(_train_args(corpus, out, **{"--layers": "2"})) == 0
+    return out / "model.ckpt"
+
+
+def _first_leaf(node):
+    while "class_id" not in node:
+        node = node["left"]
+    return node
+
+
+def _set(mapping, key, value):
+    mapping[key] = value
+
+
+_CONTEXT_EDITS = {
+    "no tree": (lambda h: h["context"].pop("tree"), "lacks ['tree']"),
+    "no vocabulary": (lambda h: h["context"].pop("vocabulary"), "lacks ['vocabulary']"),
+    "node without split": (lambda h: h["context"]["tree"]["root"].pop("split"),
+                           "node root lacks ['split']"),
+    "rep of a string": (lambda h: _set(h["context"]["tree"]["leaves"][0], "rep", ["x", 1]),
+                        "leaf 0 needs"),
+    "rep off the globe": (lambda h: _set(h["context"]["tree"]["leaves"][1], "rep", [95.0, 0.0]),
+                          "leaf 1 rep: (95.0, 0.0) is not"),
+    "class id out of range": (lambda h: _set(_first_leaf(h["context"]["tree"]["root"]),
+                                             "class_id", 99), "class ids"),
+    "num_classes mismatch": (lambda h: _set(h["meta"], "num_classes", h["meta"]["num_classes"] + 1),
+                             "classes but its region tree has"),
+    "df of strings": (lambda h: _set(h["context"]["vocabulary"], "df",
+                                     [str(c) for c in h["context"]["vocabulary"]["df"]]),
+                      "vocabulary needs"),
+    "lam of a string": (lambda h: _set(h["context"], "lam", "1.0"), "lam '1.0'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONTEXT_EDITS))
+def test_eval_rejects_bad_checkpoint_context(corpus, trained_ckpt, tmp_path, capsys, case):
+    users, edges = corpus
+    edit, message = _CONTEXT_EDITS[case]
+    raw = trained_ckpt.read_bytes()
+    size = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + size])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:8] + len(new).to_bytes(8, "little") + new + raw[16 + size:])
+    capsys.readouterr()
+    assert main(["eval", "--model", str(bad), "--users", str(users),
+                 "--edges", str(edges)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and str(bad) in err, err
+
+
 def test_diverged_training_exits_nonzero_without_checkpoint(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--n-users", "300", "--seed", "0"]) == 0

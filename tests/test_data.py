@@ -15,7 +15,6 @@ from geograph.data import (
     subsample_labels,
 )
 from geograph.errors import ArgumentError, DataFormatError
-from geograph.geo import GeoPoint
 from geograph.views import build_mention_graph
 from oracles import newman_modularity
 
@@ -41,13 +40,14 @@ def test_load_roundtrip(tmp_path):
     bundle = load_dataset(users, edges)
     assert bundle.ids == ["a", "b", "c"]
     assert bundle.splits == ["train", "dev", "test"]
-    assert bundle.points[0] == GeoPoint(10.0, 20.0)
+    assert bundle.coords.dtype == np.float64
+    np.testing.assert_array_equal(bundle.coords, [[10.0, 20.0]] * 3)
     assert ("a", "b") in bundle.mention_pairs
     assert ("c", "someone_else") in bundle.mention_pairs
     out_users, out_edges = save_dataset(bundle, tmp_path / "copy")
     again = load_dataset(out_users, out_edges)
     assert again.ids == bundle.ids
-    assert again.points == bundle.points
+    np.testing.assert_array_equal(again.coords, bundle.coords)
     assert again.mention_pairs == bundle.mention_pairs
 
 
@@ -74,6 +74,18 @@ def test_load_rejects_bad_records(tmp_path, bad):
     with pytest.raises(DataFormatError) as err:
         load_dataset(users, edges)
     assert ":2:" in str(err.value)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lat", 95.0), ("lat", float("nan")), ("lat", True), ("lat", "12.5"), ("lat", None),
+    ("lon", -195.0), ("lon", float("inf")), ("lon", False), ("lon", [1.0]), ("lon", {}),
+])
+def test_load_rejects_bad_coordinates(tmp_path, field, value):
+    row = json.loads(_user("x"))
+    row[field] = value
+    users, edges = _write_dataset(tmp_path, [_user("a"), json.dumps(row), _user("b")], [])
+    with pytest.raises(DataFormatError, match=":2: bad coordinates"):
+        load_dataset(users, edges)
 
 
 def test_load_rejects_duplicate_ids(tmp_path):
@@ -113,7 +125,7 @@ def test_bundle_validation():
         DatasetBundle(
             ids=["a", "a"],
             texts=["t", "t"],
-            points=[GeoPoint(0, 0), GeoPoint(0, 0)],
+            coords=np.zeros((2, 2)),
             splits=["train", "dev"],
             mention_pairs=[],
         )
@@ -121,10 +133,21 @@ def test_bundle_validation():
         DatasetBundle(
             ids=["a"],
             texts=["t"],
-            points=[GeoPoint(0, 0)],
+            coords=np.zeros((1, 2)),
             splits=["holdout"],
             mention_pairs=[],
         )
+
+    def bundle(coords):
+        return DatasetBundle(["a", "b"], ["t", "t"], coords, ["train", "dev"], [])
+
+    assert bundle([[1, 2], [3, 4]]).coords.dtype == np.float64
+    with pytest.raises(ArgumentError, match=r"'b': \(-91.0, 0.0\) is not"):
+        bundle(np.array([[0.0, 0.0], [-91.0, 0.0]]))
+    with pytest.raises(ArgumentError, match=r"'a': \(nan, 0.0\)"):
+        bundle(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ArgumentError, match="lat/lon coords"):
+        bundle(np.zeros((2, 3)))
 
 
 def test_split_indices_cover_everything():
@@ -144,7 +167,7 @@ def test_synthetic_determinism():
     a = generate_synthetic(cfg, seed=9)
     b = generate_synthetic(cfg, seed=9)
     assert a.ids == b.ids and a.texts == b.texts
-    assert a.points == b.points and a.mention_pairs == b.mention_pairs
+    assert np.array_equal(a.coords, b.coords) and a.mention_pairs == b.mention_pairs
     c = generate_synthetic(cfg, seed=10)
     assert c.mention_pairs != a.mention_pairs
 
@@ -152,8 +175,7 @@ def test_synthetic_determinism():
 def test_synthetic_regions_are_spatially_tight():
     cfg = SyntheticConfig(n_users=400, n_regions=4, jitter_deg=0.5)
     bundle = generate_synthetic(cfg, seed=1)
-    lats = np.array([p.lat for p in bundle.points])
-    lons = np.array([p.lon for p in bundle.points])
+    lats, lons = bundle.coords[:, 0], bundle.coords[:, 1]
     regions = np.arange(400) % 4
     for r in range(4):
         assert lats[regions == r].std() < 1.0

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from geograph.errors import ArgumentError, ShapeError
+from geograph.errors import ArgumentError, ShapeError, StateError
 from geograph.geo import (
     ACC_THRESHOLD_KM,
     EARTH_RADIUS_KM,
     GeoPoint,
     RegionTree,
+    coordinate_error,
     evaluate,
     export_per_class_csv,
     haversine_km,
@@ -79,13 +80,20 @@ def test_geopoint_validation():
         GeoPoint(float("nan"), 0.0)
 
 
+def test_coordinate_error_names_first_bad_row():
+    assert coordinate_error(np.array([[0.0, 0.0], [90.0, -180.0]])) is None
+    bad = np.array([[0.0, 0.0], [1.0, 181.0], [91.0, 0.0]])
+    assert coordinate_error(bad) == (
+        1, "(1.0, 181.0) is not a finite lat in [-90, 90] and lon in [-180, 180]")
+    assert coordinate_error(np.array([[np.inf, 0.0]]))[0] == 0
+    assert coordinate_error(np.array([[0.0, 0.0], [0.0, np.nan]]))[0] == 1
+
+
 # --- region tree ------------------------------------------------------------
 
 
 def _random_points(rng, n, duplicates=False):
-    lats = rng.uniform(25, 50, n)
-    lons = rng.uniform(-120, -70, n)
-    pts = [GeoPoint(float(a), float(b)) for a, b in zip(lats, lons)]
+    pts = np.column_stack([rng.uniform(25, 50, n), rng.uniform(-120, -70, n)])
     if duplicates and n >= 4:
         pts[1] = pts[0]
         pts[3] = pts[2]
@@ -97,22 +105,20 @@ def _random_points(rng, n, duplicates=False):
 def test_tree_partition_matches_reference(rng, n, bucket, dup):
     points = _random_points(rng, n, duplicates=dup)
     tree = RegionTree.build(points, bucket)
-    expected = kd_partition([(p.lat, p.lon) for p in points], bucket)
+    expected = kd_partition([tuple(p) for p in points.tolist()], bucket)
     # compare leaf memberships in DFS class-id order against the reference
     member_sets = _leaf_index_sets(tree, points)
     assert member_sets == [sorted(leaf) for leaf in expected]
 
 
 def _leaf_index_sets(tree, points):
-    # recover which original indices landed in each leaf via assign()
-    out = [[] for _ in range(tree.num_classes)]
-    for i, p in enumerate(points):
-        out[tree.assign(p)].append(i)
-    return [sorted(x) for x in out]
+    # recover which original indices landed in each leaf via assign_many()
+    classes = tree.assign_many(points)
+    return [np.flatnonzero(classes == c).tolist() for c in range(tree.num_classes)]
 
 
 def test_tree_identical_points_single_leaf():
-    pts = [GeoPoint(40.0, -100.0)] * 10
+    pts = np.tile([40.0, -100.0], (10, 1))
     tree = RegionTree.build(pts, 2)
     assert tree.num_classes == 1
     assert tree.leaf_counts() == [10]
@@ -134,7 +140,7 @@ def test_tree_leaf_sizes_and_ids(rng):
 
 
 def test_tree_representative_is_componentwise_median():
-    pts = [GeoPoint(1, 10), GeoPoint(2, 30), GeoPoint(3, 20)]
+    pts = np.array([[1.0, 10.0], [2.0, 30.0], [3.0, 20.0]])
     tree = RegionTree.build(pts, 3)
     rep = tree.representatives[0]
     assert (rep.lat, rep.lon) == (2.0, 20.0)
@@ -144,8 +150,9 @@ def test_tree_members_route_back_to_own_leaf(rng):
     pts = _random_points(rng, 50, duplicates=True)
     tree = RegionTree.build(pts, 6)
     for c in range(tree.num_classes):
-        for p in tree.members(c):
-            assert tree.assign(p) == c
+        members = np.array([(p.lat, p.lon) for p in tree.members(c)])
+        assert len(members) == tree.leaf_counts()[c]
+        assert np.all(tree.assign_many(members) == c)
 
 
 def test_tree_serialization_roundtrip(rng):
@@ -154,17 +161,20 @@ def test_tree_serialization_roundtrip(rng):
     clone = RegionTree.from_dict(tree.to_dict())
     assert clone.num_classes == tree.num_classes
     assert clone.leaf_counts() == tree.leaf_counts()
-    for p in _random_points(rng, 40):
-        assert clone.assign(p) == tree.assign(p)
+    queries = _random_points(rng, 40)
+    np.testing.assert_array_equal(clone.assign_many(queries), tree.assign_many(queries))
     for a, b in zip(clone.representatives, tree.representatives):
         assert (a.lat, a.lon) == (b.lat, b.lon)
+    assert clone.to_dict() == tree.to_dict()
+    with pytest.raises(StateError):
+        clone.members(0)
 
 
 def test_tree_build_validation():
     with pytest.raises(ArgumentError):
-        RegionTree.build([], 3)
+        RegionTree.build(np.empty((0, 2)), 3)
     with pytest.raises(ArgumentError):
-        RegionTree.build([GeoPoint(0, 0)], 0)
+        RegionTree.build(np.zeros((1, 2)), 0)
 
 
 # --- evaluation -------------------------------------------------------------
@@ -172,10 +182,10 @@ def test_tree_build_validation():
 
 def test_evaluate_micro_case():
     # two leaves around known centers; predictions half right
-    train = [GeoPoint(40, -100), GeoPoint(40.1, -100.1), GeoPoint(30, -80), GeoPoint(30.1, -80.1)]
+    train = np.array([[40, -100], [40.1, -100.1], [30, -80], [30.1, -80.1]])
     tree = RegionTree.build(train, 2)
-    truth = [GeoPoint(40.05, -100.05), GeoPoint(30.05, -80.05)]
-    right = np.array([tree.assign(truth[0]), tree.assign(truth[1])])
+    truth = np.array([[40.05, -100.05], [30.05, -80.05]])
+    right = tree.assign_many(truth)
     report = evaluate(right, truth, tree)
     assert report.acc161 == 1.0
     assert report.mean_km < 161.0
@@ -187,9 +197,9 @@ def test_evaluate_micro_case():
 
 def test_evaluate_threshold_is_inclusive():
     # representative exactly 161 km east of the truth counts as a hit
-    tree = RegionTree.build([GeoPoint(0, 0)], 1)
+    tree = RegionTree.build(np.zeros((1, 2)), 1)
     dlon = math.degrees(ACC_THRESHOLD_KM / EARTH_RADIUS_KM)
-    report = evaluate(np.array([0]), [GeoPoint(0, dlon)], tree)
+    report = evaluate(np.array([0]), np.array([[0.0, dlon]]), tree)
     assert abs(report.mean_km - ACC_THRESHOLD_KM) < 1e-9
     assert report.acc161 == 1.0
 
@@ -207,11 +217,11 @@ def test_evaluate_per_class_rows(rng):
 def test_evaluate_validation(rng):
     tree = RegionTree.build(_random_points(rng, 4), 2)
     with pytest.raises(ShapeError):
-        evaluate(np.array([0, 0]), [GeoPoint(0, 0)], tree)
+        evaluate(np.array([0, 0]), np.zeros((1, 2)), tree)
     with pytest.raises(ArgumentError):
-        evaluate(np.array([tree.num_classes]), [GeoPoint(0, 0)], tree)
+        evaluate(np.array([tree.num_classes]), np.zeros((1, 2)), tree)
     with pytest.raises(ArgumentError):
-        evaluate(np.array([], dtype=int), [], tree)
+        evaluate(np.array([], dtype=int), np.empty((0, 2)), tree)
 
 
 def test_per_class_csv_export(tmp_path, rng):

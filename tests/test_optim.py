@@ -108,16 +108,3 @@ def test_copy_and_load_roundtrip():
     np.testing.assert_array_equal(ps["w"].data, [1.0, 2.0])
     snapshot["w"][0] = 99.0  # the snapshot must be a real copy
     assert ps["w"].data[0] == 1.0
-
-
-def test_reset_adam_clears_momentum():
-    ps = ParamSet()
-    ps.add("w", np.array([1.0]))
-    ps["w"].grad = np.array([1.0])
-    ps.adam_step(lr=0.1)
-    ps.reset_adam()
-    ps["w"].grad = np.array([1.0])
-    before = ps["w"].data.copy()
-    ps.adam_step(lr=0.1)
-    # after a reset the step behaves like a first step again
-    assert abs((ps["w"].data - before)[0] + 0.1) < 1e-3

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import sparse as sp
 
 from geograph.errors import NumericError, ShapeError
 from geograph.sparse import SparseMatrix, hstack, spmm
@@ -49,31 +50,10 @@ def test_matmul_dense_shape_checks(rng):
         s.matmul_dense(np.zeros(3))
 
 
-def test_transpose_and_identity(rng):
+def test_transpose(rng):
     a = rng.random((4, 6)) * (rng.random((4, 6)) < 0.5)
     s = SparseMatrix.from_dense(a)
     np.testing.assert_array_equal(s.transpose().to_dense(), a.T)
-    np.testing.assert_array_equal(SparseMatrix.identity(3).to_dense(), np.eye(3))
-
-
-def test_row_sums_and_diagonal(rng):
-    a = rng.random((5, 5)) * (rng.random((5, 5)) < 0.5)
-    s = SparseMatrix.from_dense(a)
-    np.testing.assert_allclose(s.row_sums(), a.sum(axis=1), atol=1e-15)
-    np.testing.assert_array_equal(s.diagonal(), np.diag(a))
-
-
-def test_triplets_iteration_row_major():
-    s = SparseMatrix.from_triplets(3, 3, [2, 0, 0], [0, 2, 1], [1.0, 2.0, 3.0])
-    assert list(s.triplets()) == [(0, 1, 3.0), (0, 2, 2.0), (2, 0, 1.0)]
-
-
-def test_equals_is_exact():
-    a = SparseMatrix.from_triplets(1, 1, [0], [0], [0.1])
-    b = SparseMatrix.from_triplets(1, 1, [0], [0], [0.1 + 1e-18])
-    c = SparseMatrix.from_triplets(1, 1, [0], [0], [0.1 + 1e-16])
-    assert a.equals(b)  # below half an ulp of 0.1, rounds back to the same double
-    assert not a.equals(c)
 
 
 def test_hstack_concatenates_columns(rng):
@@ -85,7 +65,7 @@ def test_hstack_concatenates_columns(rng):
 
 def test_hstack_row_mismatch():
     with pytest.raises(ShapeError):
-        hstack([SparseMatrix.identity(2), SparseMatrix.identity(3)])
+        hstack([SparseMatrix.from_dense(np.eye(2)), SparseMatrix.from_dense(np.eye(3))])
 
 
 def test_spmm_function_matches_method(rng):
@@ -111,3 +91,45 @@ def test_triplet_construction_matches_manual_accumulation(trips):
         6, 6, [t[0] for t in trips], [t[1] for t in trips], [t[2] for t in trips]
     )
     np.testing.assert_allclose(s.to_dense(), dense, rtol=0, atol=1e-12)
+
+
+def _messy(rng, n_rows, n_cols):
+    """A matrix built from unsorted triplets with duplicates, explicit zeros
+    and duplicates that cancel."""
+    rows = rng.integers(0, n_rows, 60)
+    cols = rng.integers(0, n_cols, 60)
+    values = rng.standard_normal(60)
+    values[::7] = 0.0
+    rows = np.concatenate([rows, rows[:20], rows[20:25]])
+    cols = np.concatenate([cols, cols[:20], cols[20:25]])
+    values = np.concatenate([values, values[:20], -values[20:25]])
+    return SparseMatrix.from_triplets(n_rows, n_cols, rows, cols, values)
+
+
+def _assert_canonical(s):
+    csr = s.csr
+    assert csr.has_canonical_format
+    for r in range(csr.shape[0]):
+        assert np.all(np.diff(csr.indices[csr.indptr[r]:csr.indptr[r + 1]]) > 0)
+    assert np.all(csr.data != 0.0) and csr.data.dtype == np.float64
+    fresh = sp.csr_matrix((csr.data.copy(), csr.indices.copy(), csr.indptr.copy()), shape=csr.shape)
+    fresh.has_sorted_indices = False
+    fresh.has_canonical_format = False
+    fresh.sum_duplicates()
+    fresh.eliminate_zeros()
+    for name in ("indptr", "indices", "data"):
+        assert getattr(csr, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
+def test_derived_matrices_come_out_canonical(rng):
+    """``take_rows``, ``transpose`` and ``hstack`` wrap scipy's results without
+    re-canonicalizing them; this holds only while scipy returns them
+    canonical, bit for bit equal to a canonicalized copy."""
+    a = _messy(rng, 30, 20)
+    b = _messy(rng, 30, 9)
+    _assert_canonical(a)
+    _assert_canonical(a.take_rows(np.array([3, 0, 17, 17, 29, 5])))
+    _assert_canonical(a.transpose())
+    _assert_canonical(a.take_rows(np.arange(0, 30, 2)).transpose())
+    dense = rng.standard_normal((30, 4)) * (rng.random((30, 4)) < 0.5)
+    _assert_canonical(hstack([a, b, SparseMatrix.from_dense(dense)]))

@@ -214,7 +214,7 @@ def test_normalize_validation():
     with pytest.raises(ShapeError):
         normalize_adjacency(SparseMatrix.from_dense(np.zeros((2, 3))), 1.0)
     with pytest.raises(ArgumentError):
-        normalize_adjacency(SparseMatrix.identity(2), -1.0)
+        normalize_adjacency(SparseMatrix.from_dense(np.eye(2)), -1.0)
 
 
 @given(st.integers(1, 12), st.integers(0, 10_000))
