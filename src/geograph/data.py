@@ -96,7 +96,7 @@ def load_dataset(users_path, edges_path) -> DatasetBundle:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
                 raise DataFormatError(f"{users_path}:{lineno}: invalid JSON ({exc})") from exc
             if not isinstance(row, dict):
                 raise DataFormatError(f"{users_path}:{lineno}: expected an object")
@@ -110,10 +110,15 @@ def load_dataset(users_path, edges_path) -> DatasetBundle:
                 raise DataFormatError(
                     f"{users_path}:{lineno}: split must be one of {SPLITS}, got {row['split']!r}"
                 )
-            latlon.append((row["lat"], row["lon"]))
-            if any(type(v) not in (int, float) for v in latlon[-1]):
+            pair = (row["lat"], row["lon"])
+            if any(type(v) not in (int, float) for v in pair):
                 raise DataFormatError(f"{users_path}:{lineno}: bad coordinates (lat and lon "
-                                      f"must be JSON numbers, got {latlon[-1]})")
+                                      f"must be JSON numbers, got {pair})")
+            try:
+                latlon.append((float(pair[0]), float(pair[1])))
+            except OverflowError:
+                raise DataFormatError(f"{users_path}:{lineno}: bad coordinates (an integer "
+                                      "too large for a float)") from None
             seen.add(uid)
             ids.append(uid)
             texts.append(str(row["text"]))

@@ -23,12 +23,13 @@ from .errors import NumericError, ShapeError
 class SparseMatrix:
     """Immutable CSR matrix. Build through the classmethod constructors."""
 
-    __slots__ = ("_csr", "_transpose")
+    __slots__ = ("_csr", "_transpose", "_symmetric")
 
     def __init__(self, csr: _sp.csr_matrix):
         """Wrap ``csr``, a float64 CSR matrix that already holds the invariants."""
         self._csr = csr
         self._transpose: SparseMatrix | None = None
+        self._symmetric = False
 
     @classmethod
     def from_triplets(
@@ -88,8 +89,18 @@ class SparseMatrix:
         return SparseMatrix(self._csr[np.asarray(idx, dtype=np.intp)])
 
     def transpose(self) -> "SparseMatrix":
+        """The transpose, built once; a matrix equal to its own transpose entry
+        for entry, such as a normalized undirected adjacency, is returned as is."""
+        if self._symmetric:
+            return self
         if self._transpose is None:
-            self._transpose = SparseMatrix(self._csr.T.tocsr())
+            t = self._csr.T.tocsr()
+            if (t.shape == self.shape and np.array_equal(t.indptr, self._csr.indptr)
+                    and np.array_equal(t.indices, self._csr.indices)
+                    and np.array_equal(t.data, self._csr.data)):
+                self._symmetric = True
+                return self
+            self._transpose = SparseMatrix(t)
         return self._transpose
 
     def to_dense(self) -> np.ndarray:

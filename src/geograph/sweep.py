@@ -112,6 +112,8 @@ class SweepSpec:
             raise ArgumentError("depths must be >= 1")
         if self.tree_from not in ("labeled", "all-train"):
             raise ArgumentError("tree_from must be 'labeled' or 'all-train'")
+        if self.min_df < 0 or self.max_comention_degree < 0:
+            raise ArgumentError("min_df and max_comention_degree must be >= 0")
 
 def load_sweep_file(path) -> tuple[SweepSpec, dict | None, str | None]:
     """Parse a sweep file: SweepSpec fields plus optional ``dataset`` source

@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @dataclass
@@ -175,3 +176,84 @@ def kd_partition(points: list[tuple[float, float]], bucket: int) -> list[list[in
 
     recurse(list(range(len(points))))
     return leaves
+
+
+def _canonical_csr(n_rows: int, n_cols: int, rows, cols, values) -> sp.csr_matrix:
+    """CSR with duplicates summed, zeros dropped and each row's columns sorted."""
+    mat = sp.coo_matrix((np.asarray(values, dtype=np.float64), (rows, cols)),
+                        shape=(n_rows, n_cols)).tocsr()
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    mat.sort_indices()
+    return mat
+
+
+def _words(text: str) -> list[str]:
+    """Lowercased whitespace tokens that are not @-mentions."""
+    return [t for t in text.lower().split() if not t.startswith("@")]
+
+
+def vocabulary(texts: list[str], min_df: int, max_df_ratio: float) -> tuple[tuple, tuple, int]:
+    """(terms, df, n_docs): sorted terms whose document frequency lies in
+    [min_df, max_df_ratio * N], counted one document at a time."""
+    counts: dict[str, int] = {}
+    for text in texts:
+        words = _words(text)
+        for w in set(words):
+            counts[w] = counts.get(w, 0) + 1
+    kept = sorted(t for t, c in counts.items() if c >= min_df and c <= max_df_ratio * len(texts))
+    return tuple(kept), tuple(counts[t] for t in kept), len(texts)
+
+
+def text_view(texts: list[str], terms: tuple, df: tuple, n_docs: int) -> sp.csr_matrix:
+    """Binary-tf idf rows over a fixed vocabulary, each l2-normalized on its own."""
+    index = {t: i for i, t in enumerate(terms)}
+    idf = np.log((1.0 + n_docs) / (1.0 + np.asarray(df, dtype=np.float64))) + 1.0
+    rows, cols, vals = [], [], []
+    for i, text in enumerate(texts):
+        words = _words(text)
+        hit = sorted({index[w] for w in words if w in index})
+        if not hit:
+            continue
+        weights = idf[hit]
+        weights = weights / np.sqrt(np.sum(weights * weights))
+        rows.extend([i] * len(hit))
+        cols.extend(hit)
+        vals.extend(weights.tolist())
+    return _canonical_csr(len(texts), len(terms), rows, cols, vals)
+
+
+def mention_graph(user_ids: list[str], mention_pairs: list[tuple[str, str]],
+                  max_comention_degree: int) -> sp.csr_matrix:
+    """The collapsed mention graph, edge by edge: each handle's target user
+    joins its mentioners, and the mentioners of a handle that at most
+    ``max_comention_degree`` users mention form a clique."""
+    n = len(user_ids)
+    id_index = {u.lower(): i for i, u in enumerate(user_ids)}
+    mentioners: dict[str, set[int]] = {}
+    for mentioner, handle in mention_pairs:
+        i = id_index.get(mentioner.lower())
+        if i is not None:
+            mentioners.setdefault(handle.lower(), set()).add(i)
+
+    edges: set[tuple[int, int]] = set()
+
+    def connect(a: int, b: int) -> None:
+        if a != b:
+            edges.add((a, b) if a < b else (b, a))
+
+    for handle in sorted(mentioners):
+        users = sorted(mentioners[handle])
+        target = id_index.get(handle)
+        if target is not None:
+            for u in users:
+                connect(u, target)
+        if len(users) <= max_comention_degree:
+            for j, u in enumerate(users):
+                for v in users[j + 1:]:
+                    connect(u, v)
+
+    pairs = sorted(edges)
+    rows = [a for a, b in pairs] + [b for a, b in pairs]
+    cols = [b for a, b in pairs] + [a for a, b in pairs]
+    return _canonical_csr(n, n, rows, cols, [1.0] * len(rows))

@@ -67,6 +67,8 @@ def test_load_reports_line_numbers(tmp_path):
         json.dumps({"id": "x", "lat": 95.0, "lon": 2.0, "text": "t", "split": "train"}),
         json.dumps({"id": "x", "lat": 1.0, "lon": 2.0, "text": "t", "split": "other"}),
         json.dumps({"id": "x", "lat": "north", "lon": 2.0, "text": "t", "split": "dev"}),
+        pytest.param('{"id": "x", "lat": 1' + "0" * 5000 + ', "lon": 2.0, "text": "t", '
+                     '"split": "dev"}', id="integer-beyond-int-conversion-limit"),
     ],
 )
 def test_load_rejects_bad_records(tmp_path, bad):
@@ -79,6 +81,7 @@ def test_load_rejects_bad_records(tmp_path, bad):
 @pytest.mark.parametrize("field,value", [
     ("lat", 95.0), ("lat", float("nan")), ("lat", True), ("lat", "12.5"), ("lat", None),
     ("lon", -195.0), ("lon", float("inf")), ("lon", False), ("lon", [1.0]), ("lon", {}),
+    pytest.param("lat", 10 ** 400, id="lat-integer-beyond-float"),
 ])
 def test_load_rejects_bad_coordinates(tmp_path, field, value):
     row = json.loads(_user("x"))

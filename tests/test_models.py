@@ -159,6 +159,29 @@ def test_training_is_bit_deterministic(rng):
     )
 
 
+class _BuiltTranspose(SparseMatrix):
+    """A matrix whose transpose is always a separately built copy."""
+
+    __slots__ = ()
+
+    def transpose(self) -> SparseMatrix:
+        return SparseMatrix(self.csr.T.tocsr())
+
+
+def test_gcn_fit_is_unchanged_by_a_self_transposing_a_hat(rng):
+    """A normalized undirected adjacency is its own transpose; training with a
+    separately built transpose in the backward pass gives equal bytes."""
+    adj, a_hat, x, labels, part = _instance(rng)
+    assert a_hat.transpose() is a_hat
+    cfg, train_cfg = GcnConfig(hidden=5, layers=2), TrainConfig(lr=0.01, epochs=8, seed=3)
+    model, history = train_gcn(a_hat, x, labels, 3, part, cfg, train_cfg)
+    again, again_history = train_gcn(_BuiltTranspose(a_hat.csr), x, labels, 3, part, cfg,
+                                     train_cfg)
+    assert [h.loss for h in history] == [h.loss for h in again_history]
+    for name, value in model.params.copy_values().items():
+        assert value.tobytes() == again.params[name].data.tobytes(), name
+
+
 def test_gcn_lp_trigger_latches(rng):
     adj, a_hat, x, labels, part = _instance(rng, n=14)
     held_out = np.setdiff1d(np.arange(14), part.train_idx)

@@ -56,6 +56,10 @@ def test_spec_validation():
         SweepSpec(depths=(0,))
     with pytest.raises(ArgumentError):
         SweepSpec(tree_from="dev")
+    with pytest.raises(ArgumentError):
+        SweepSpec(min_df=-1)
+    with pytest.raises(ArgumentError):
+        SweepSpec(max_comention_degree=-1)
 
 
 def test_load_sweep_file(tmp_path):

@@ -17,6 +17,7 @@ from geograph.views import (
     normalize_adjacency,
     tokenize,
 )
+import oracles
 from oracles import dense_normalized_adjacency
 from conftest import random_symmetric_adjacency
 
@@ -170,6 +171,74 @@ def test_duplicate_user_ids_rejected():
         build_mention_graph(["u", "U"], [])
 
 
+def _assert_same_csr(got: SparseMatrix, want) -> None:
+    got = got.csr
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def _mixed_case(draw, name: str) -> str:
+    flips = draw(st.lists(st.booleans(), min_size=len(name), max_size=len(name)))
+    return "".join(c.upper() if f else c for c, f in zip(name, flips))
+
+
+@st.composite
+def mention_corpora(draw):
+    """User ids of mixed case, and (mentioner, handle) pairs that mix known
+    and unknown mentioners, self-mentions, repeats and handles naming users."""
+    n = draw(st.integers(0, 9))
+    ids = [_mixed_case(draw, f"user{i}") for i in range(n)]
+    people = ids + ["ghost", "Stranger"]
+    handles = ids + ["celeb", "news", "Team", "ghost"]
+    drawn = draw(st.lists(st.tuples(st.sampled_from(people), st.sampled_from(handles),
+                                    st.booleans(), st.booleans()), max_size=40))
+    pairs = [(m.swapcase() if flip_m else m, h.swapcase() if flip_h else h)
+             for m, h, flip_m, flip_h in drawn]
+    return ids, pairs
+
+
+@given(mention_corpora())
+def test_mention_graph_matches_set_oracle(corpus):
+    """Every cap from 0 to above the largest handle degree (9 users)."""
+    ids, pairs = corpus
+    for cap in range(len(ids) + 2):
+        _assert_same_csr(build_mention_graph(ids, pairs, cap),
+                         oracles.mention_graph(ids, pairs, cap))
+
+
+def test_mention_graph_without_pairs():
+    _assert_same_csr(build_mention_graph(["a", "B"], [], 0),
+                     oracles.mention_graph(["a", "B"], [], 0))
+    assert build_mention_graph([], [("a", "b")]).shape == (0, 0)
+
+
+# Rows of more than 8 terms take numpy's pairwise summation path.
+_WORDS = ["Apple", "apple", "pear", "fig", "kiwi!", "@pear", "@Fig", "x@y", "lime", "LIME",
+          *(f"w{i}" for i in range(14))]
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(_WORDS), max_size=30).map(" ".join), min_size=1, max_size=12),
+    st.lists(st.lists(st.sampled_from(_WORDS + ["unseen"]), max_size=6).map(" ".join), max_size=5),
+    st.integers(0, 4),
+    st.floats(0.05, 1.0),
+)
+def test_text_view_matches_two_pass_oracle(texts, unseen, min_df, max_df_ratio):
+    """Both the fitted and a prefitted vocabulary; documents may be empty or
+    hold only mentions and out-of-vocabulary words."""
+    x, vocab = build_text_view(texts, min_df=min_df, max_df_ratio=max_df_ratio)
+    terms, df, n_docs = oracles.vocabulary(texts, min_df, max_df_ratio)
+    assert vocab == Vocabulary(terms=terms, df=df, n_docs=n_docs)
+    assert build_vocabulary(texts, min_df, max_df_ratio) == vocab
+    _assert_same_csr(x, oracles.text_view(texts, terms, df, n_docs))
+    y, same = build_text_view(unseen, vocab=vocab)
+    assert same is vocab
+    _assert_same_csr(y, oracles.text_view(unseen, terms, df, n_docs))
+
+
 def test_extract_mention_pairs():
     pairs = extract_mention_pairs(["a", "b"], ["hi @B @b", "nothing"])
     assert pairs == [("a", "b")]
@@ -228,3 +297,18 @@ def test_normalize_symmetric_and_spectrally_bounded(n, seed):
     eigs = np.linalg.eigvalsh(out)
     assert eigs.max() <= 1.0 + 1e-12
     assert eigs.min() >= -1.0 - 1e-12
+
+
+@given(st.integers(1, 12), st.integers(0, 10_000), st.sampled_from([0.5, 1.0, 2.0]))
+def test_normalized_symmetric_adjacency_is_its_own_transpose(n, seed, lam):
+    rng = np.random.default_rng(seed)
+    a = random_symmetric_adjacency(rng, n, 0.5)
+    a_hat = normalize_adjacency(SparseMatrix.from_dense(a), lam)
+    assert a_hat.transpose() is a_hat
+    _assert_same_csr(a_hat, a_hat.csr.T.tocsr())
+    # A directed graph's normalization is not symmetric and keeps a real transpose.
+    directed = np.triu(a)
+    out = normalize_adjacency(SparseMatrix.from_dense(directed), lam)
+    if not np.array_equal(directed, directed.T):
+        assert out.transpose() is not out
+    np.testing.assert_array_equal(out.transpose().to_dense(), out.to_dense().T)
