@@ -21,13 +21,11 @@ from .geo import EvalReport, GeoPoint, RegionTree, evaluate, haversine_km
 from .models import (
     DccaConfig,
     GcnConfig,
+    MlpConfig,
     TrainConfig,
     TrainedModel,
     predict_classes,
-    train_dcca,
-    train_gcn,
-    train_gcn_lp,
-    train_mlp,
+    train,
 )
 from .optim import ParamSet
 from .sparse import SparseMatrix
@@ -45,6 +43,7 @@ __all__ = [
     "GcnConfig",
     "GeoPoint",
     "GeographError",
+    "MlpConfig",
     "NumericError",
     "ParamSet",
     "Partition",
@@ -73,9 +72,6 @@ __all__ = [
     "run_sweep",
     "save_dataset",
     "subsample_labels",
-    "train_dcca",
-    "train_gcn",
-    "train_gcn_lp",
-    "train_mlp",
+    "train",
     "__version__",
 ]

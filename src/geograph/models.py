@@ -25,9 +25,11 @@ participate only through their features and graph edges.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,6 +41,7 @@ from .errors import ArgumentError, NumericError, ShapeError, StateError
 from .optim import ParamSet, glorot_uniform
 from .sparse import SparseMatrix, hstack as sparse_hstack
 
+log = logging.getLogger(__name__)
 
 # --------------------------------------------------------------------------
 # configuration
@@ -57,6 +60,15 @@ class GcnConfig:
     def __post_init__(self):
         if self.hidden < 1 or self.layers < 1:
             raise ArgumentError("hidden and layers must be >= 1")
+
+
+@dataclass(frozen=True)
+class MlpConfig:
+    hidden: int = 300
+
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ArgumentError("hidden must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -252,36 +264,39 @@ def lp_input(adjacency: SparseMatrix, label_block: np.ndarray) -> SparseMatrix:
 # --------------------------------------------------------------------------
 # one wiring per model kind, shared by training and prediction
 #
-# Each kind has an input builder ``inputs(model, a_hat, x, adjacency)`` and a
-# forward path ``forward(params, cfg, a_hat, inputs, masks, rows=None)``, which
-# computes the logits of every node, or of ``rows.idx`` alone. They look up
-# the public forward functions by module-global name at call time, so
-# replacing a module attribute (to time it, say) reaches every call.
+# Each kind has a set-up ``setup(rng, a_hat, x, adjacency, labels,
+# num_classes, partition, cfg) -> (model, trained params, after_epoch)``, an
+# input builder ``inputs(model, a_hat, x, adjacency)`` and a forward path
+# ``forward(params, cfg, a_hat, inputs, masks, rows=None)``, which computes the
+# logits of every node, or of ``rows.idx`` alone. gcn-lp's ``after_epoch``
+# gets eval-mode probabilities for every node and the training accuracy after
+# each update and may return new inputs. The wiring looks up the public forward
+# functions by module-global name at call time, so replacing a module
+# attribute (to time it, say) reaches every call.
 
 # The config fields a model's meta records, with their JSON types, per config
 # class; the rest of the meta is input and output widths. Prediction rebuilds
 # the config from them.
 _META_FIELDS = {
     GcnConfig: {"hidden": int, "layers": int, "highway": bool, "gate_bias": float},
+    MlpConfig: {"hidden": int},
     DccaConfig: {"proj_hidden": int, "proj_out": int, "reg": float, "clf_hidden": int},
 }
 
 
 def _meta(cfg, **fields) -> dict:
-    return {**fields, **{name: getattr(cfg, name) for name in _META_FIELDS.get(type(cfg), ())}}
+    return {**fields, **{name: getattr(cfg, name) for name in _META_FIELDS[type(cfg)]}}
 
 
-def _model_config(model: TrainedModel) -> GcnConfig | DccaConfig | None:
-    """The config ``model`` was trained with, rebuilt from its meta (None for mlp)."""
+def _model_config(model: TrainedModel) -> GcnConfig | MlpConfig | DccaConfig:
+    """The config ``model`` was trained with, rebuilt from its meta."""
     cls = KINDS[model.kind].config
-    return cls(**{name: model.meta[name] for name in _META_FIELDS[cls]}) if cls else None
+    return cls(**{name: model.meta[name] for name in _META_FIELDS[cls]})
 
 
-def _is_json_type(value, kind: type) -> bool:
+def is_json_type(value, kind: type) -> bool:
     """A bool is no number here, and an int is also a valid float."""
-    if kind is bool or isinstance(value, bool):
-        return type(value) is kind
-    return isinstance(value, int) or (kind is float and isinstance(value, float))
+    return type(value) is kind or (kind is float and type(value) is int)
 
 
 def meta_errors(kind: str, meta: dict) -> list[str]:
@@ -289,9 +304,79 @@ def meta_errors(kind: str, meta: dict) -> list[str]:
     lacks or holds with the wrong type."""
     return [
         f"lacks {name!r}" if name not in meta else f"{name!r} is {meta[name]!r}, not {t.__name__}"
-        for name, t in _META_FIELDS.get(KINDS[kind].config, {}).items()
-        if name not in meta or not _is_json_type(meta[name], t)
+        for name, t in _META_FIELDS[KINDS[kind].config].items()
+        if name not in meta or not is_json_type(meta[name], t)
     ]
+
+
+def _gcn_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg):
+    params = init_gcn_params(rng, x.shape[1], num_classes, cfg)
+    meta = _meta(cfg, in_dim=x.shape[1], num_classes=num_classes)
+    return TrainedModel("gcn", params, meta), params, None
+
+
+def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg):
+    """Label-propagating variant: the input carries a mutable label block.
+
+    Labeled rows always hold their one-hot label. Held-out rows start at zero
+    and stay there until training accuracy first reaches
+    ``LP_TRIGGER_ACCURACY`` (checked once per epoch, then latched);
+    afterwards they hold the model's current softmax distribution,
+    recomputed without dropout after every update.
+    """
+    n, trigger = a_hat.shape[0], LP_TRIGGER_ACCURACY
+    in_dim = n + num_classes
+    params = init_gcn_params(rng, in_dim, num_classes, cfg)
+    label_block = np.zeros((n, num_classes), dtype=np.float64)
+    train_idx = partition.train_idx
+    label_block[train_idx] = one_hot(labels[train_idx], num_classes)
+    meta = _meta(cfg, in_dim=in_dim, num_classes=num_classes, trigger_accuracy=trigger)
+    held_out = np.setdiff1d(np.arange(n), train_idx)
+    latched = False
+
+    def after_epoch(probs: np.ndarray, train_acc: float) -> SparseMatrix | None:
+        nonlocal latched
+        latched = latched or train_acc >= trigger
+        if not latched:
+            return None
+        label_block[held_out] = probs[held_out]
+        return lp_input(adjacency, label_block)
+
+    return TrainedModel("gcn-lp", params, meta, {"label_block": label_block}), params, after_epoch
+
+
+def _mlp_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg):
+    """One hidden layer over the concatenated text and normalized-graph rows."""
+    in_dim = x.shape[1] + a_hat.shape[1]
+    params = init_mlp_params(rng, in_dim, cfg.hidden, num_classes)
+    meta = _meta(cfg, in_dim=in_dim, num_classes=num_classes)
+    return TrainedModel("mlp", params, meta), params, None
+
+
+def _dcca_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg):
+    """Stage 1 maximizes view correlation on all users (no labels involved).
+    The classifier is a parameter set of its own, so training it on the
+    concatenated projections leaves the projection weights frozen."""
+    if a_hat.shape[0] - 1 <= cfg.proj_out:
+        raise ArgumentError("need more than proj_out + 1 users to correlate views")
+    params = ParamSet()
+    init_projection_params(rng, "f1", x.shape[1], cfg, params)
+    init_projection_params(rng, "f2", a_hat.shape[1], cfg, params)
+    clf = init_mlp_params(rng, 2 * cfg.proj_out, cfg.clf_hidden, num_classes, prefix="clf/")
+    meta = _meta(cfg, in_dim=x.shape[1], graph_dim=a_hat.shape[1], num_classes=num_classes)
+
+    for epoch in range(cfg.stage1_epochs):
+        h1 = projection_forward(x, params, "f1", cfg)
+        h2 = projection_forward(a_hat, params, "f2", cfg)
+        try:
+            loss = cca_loss(h1, h2, cfg.reg)
+        except NumericError as exc:  # the projections themselves overflowed
+            raise NumericError(f"dcca stage 1 diverged at epoch {epoch + 1}: {exc}") from exc
+        _check_finite(loss, epoch, "dcca stage 1")
+        params.zero_grads()
+        ad.backward(loss)
+        params.adam_step(cfg.stage1_lr)
+    return TrainedModel("dcca", params, meta), clf, None
 
 
 def _gcn_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
@@ -341,9 +426,11 @@ def _mlp_logits(params: ParamSet, cfg, a_hat, inputs, masks, rows=None, prefix="
 
 @dataclass(frozen=True)
 class ModelKind:
-    config: type | None  # None for mlp, whose meta holds only widths
+    config: type
+    setup: Callable
     inputs: Callable
     forward: Callable
+    masks: Callable  # cfg -> (count, width) of the dropout masks an epoch draws
     row_local: bool  # a node's logits read only its own input row
 
     def labeled_rows(self, a_hat: SparseMatrix, inputs: SparseMatrix, idx) -> LabeledRows:
@@ -351,70 +438,76 @@ class ModelKind:
         return LabeledRows(idx, (inputs if self.row_local else a_hat).take_rows(idx))
 
 
+_gcn_masks = attrgetter("layers", "hidden")
 KINDS = {
-    "gcn": ModelKind(GcnConfig, _gcn_inputs, _gcn_logits, row_local=False),
-    "gcn-lp": ModelKind(GcnConfig, _gcn_lp_inputs, _gcn_logits, row_local=False),
-    "mlp": ModelKind(None, _mlp_inputs, _mlp_logits, row_local=True),
-    "dcca": ModelKind(DccaConfig, _dcca_inputs, partial(_mlp_logits, prefix="clf/"), row_local=True),
+    "gcn": ModelKind(GcnConfig, _gcn_setup, _gcn_inputs, _gcn_logits, _gcn_masks, False),
+    "gcn-lp": ModelKind(GcnConfig, _gcn_lp_setup, _gcn_lp_inputs, _gcn_logits, _gcn_masks, False),
+    "mlp": ModelKind(MlpConfig, _mlp_setup, _mlp_inputs, _mlp_logits,
+                     lambda c: (1, c.hidden), True),
+    "dcca": ModelKind(DccaConfig, _dcca_setup, _dcca_inputs, partial(_mlp_logits, prefix="clf/"),
+                      lambda c: (1, c.clf_hidden), True),
 }
 
 
 # --------------------------------------------------------------------------
-# training scaffold
-
-DevScoreFn = Callable[[np.ndarray], float]
+# training
 
 
-def _train_classifier(
-    model: TrainedModel,
-    params: ParamSet,
-    inputs: SparseMatrix,
-    a_hat: SparseMatrix,
-    labels: np.ndarray,
-    train_idx: np.ndarray,
-    cfg: TrainConfig,
-    dropout_rng: np.random.Generator,
-    mask_count: int,
-    mask_width: int,
-    dev_score: DevScoreFn | None = None,
-    after_epoch: Callable[[np.ndarray, float], SparseMatrix | None] | None = None,
-) -> list[EpochLog]:
-    """Shared full-batch loop: the kind's forward on train rows, cross-entropy, Adam.
+def train(
+    kind: str, a_hat: SparseMatrix, x: SparseMatrix, adjacency: SparseMatrix | None,
+    labels: np.ndarray, num_classes: int, partition: Partition,
+    cfg: GcnConfig | MlpConfig | DccaConfig, train_cfg: TrainConfig,
+    dev_score: Callable[[np.ndarray], float] | None = None,
+) -> tuple[TrainedModel, list[EpochLog]]:
+    """Train a model of ``kind`` (a ``KINDS`` key) with its config ``cfg``.
 
-    ``params`` are the weights updated (``model.params`` except for dcca's
-    stage-2 classifier). ``after_epoch`` (used by gcn-lp) receives eval-mode
-    probabilities for every node and training accuracy after each update and
-    may return new inputs for the next epoch. The training forward reads the
-    labeled rows through operands built once here, so new inputs reach it
-    only for the graph kinds, which restrict ``a_hat`` rather than the inputs.
+    After the kind's set-up, one full-batch loop runs the kind's forward on
+    the labeled rows, cross-entropy and Adam. The training forward reads the
+    labeled rows through operands built once here, so new inputs from
+    gcn-lp's per-epoch hook reach it only because the graph kinds restrict
+    ``a_hat`` rather than the inputs. ``dev_score`` (lower is better) gets
+    eval-mode predictions for every user after each update; with
+    ``train_cfg.early_stop`` the best-scoring weights are kept.
     """
-    kind, wiring = KINDS[model.kind], _model_config(model)
-    num_classes = model.meta["num_classes"]
-    rows = kind.labeled_rows(a_hat, inputs, train_idx)
+    if kind not in KINDS:
+        raise ArgumentError(f"unknown model kind {kind!r}; valid: {sorted(KINDS)}")
+    entry = KINDS[kind]
+    if not isinstance(cfg, entry.config):
+        raise ArgumentError(f"{kind} needs a {entry.config.__name__}, got {type(cfg).__name__}")
+    n = a_hat.shape[0]
+    if x.shape[0] != n:
+        raise ShapeError(f"features have {x.shape[0]} rows for {n} nodes")
+    seeds = np.random.SeedSequence(train_cfg.seed).spawn(2)
+    init_rng, dropout_rng = map(np.random.default_rng, seeds)
+    model, params, after_epoch = entry.setup(
+        init_rng, a_hat, x, adjacency, labels, num_classes, partition, cfg
+    )
+    inputs = entry.inputs(model, a_hat, x, adjacency)
+    rows = entry.labeled_rows(a_hat, inputs, partition.train_idx)
     train_idx = rows.idx
     targets = one_hot(labels[train_idx], num_classes)
+    mask_count, mask_width = entry.masks(cfg)
     history: list[EpochLog] = []
     # Early stopping keeps the best-scoring parameter snapshot.
-    stopping = cfg.early_stop and dev_score is not None
+    stopping = train_cfg.early_stop and dev_score is not None
     best_score, stale = math.inf, 0
     best_values = params.copy_values() if stopping else None
 
-    for epoch in range(cfg.epochs):
+    for epoch in range(train_cfg.epochs):
         masks = None
-        if cfg.dropout > 0.0:
-            shape = (a_hat.shape[0], mask_width)
-            masks = [ad.make_dropout_mask(dropout_rng, shape, cfg.dropout) for _ in range(mask_count)]
-        logits = kind.forward(params, wiring, a_hat, inputs, masks, rows)
+        if train_cfg.dropout > 0.0:
+            masks = [ad.make_dropout_mask(dropout_rng, (n, mask_width), train_cfg.dropout)
+                     for _ in range(mask_count)]
+        logits = entry.forward(params, cfg, a_hat, inputs, masks, rows)
         loss = ad.softmax_cross_entropy(logits, targets)
         _check_finite(loss, epoch)
         params.zero_grads()
         ad.backward(loss)
-        params.adam_step(cfg.lr)
+        params.adam_step(train_cfg.lr)
 
-        train_acc = float("nan")
-        score = None
+        train_acc, score = float("nan"), None
         if after_epoch is not None or dev_score is not None:
-            probs = ad._softmax(kind.forward(params, wiring, a_hat, inputs, None).data)
+            probs = ad._softmax(entry.forward(params, cfg, a_hat, inputs, None).data)
             preds = probs.argmax(axis=1)
             train_acc = float(np.mean(preds[train_idx] == labels[train_idx]))
             if after_epoch is not None:
@@ -428,174 +521,22 @@ def _train_classifier(
                 best_score, best_values, stale = score, params.copy_values(), 0
             else:
                 stale += 1
-            if stale >= cfg.patience:
+            if stale >= train_cfg.patience:
                 break
     if stopping:
         params.load_values(best_values)
-    return history
+    for name, tensor in params.items():  # dcca's classifier joins its projections
+        if name not in model.params:
+            model.params.add(name, tensor.data)
+    if history[-1].loss > history[0].loss:
+        log.warning("%s training ended at loss %.4g, above its first-epoch loss %.4g",
+                    kind, history[-1].loss, history[0].loss)
+    return model, history
 
 
 def _check_finite(loss: Tensor, epoch: int, stage: str = "training") -> None:
     if not math.isfinite(loss.data):
         raise NumericError(f"{stage} diverged: loss is {float(loss.data)} at epoch {epoch + 1}")
-
-
-def _split_rng(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    init_seq, drop_seq = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(init_seq), np.random.default_rng(drop_seq)
-
-
-def _check_rows(a_hat: SparseMatrix, x: SparseMatrix) -> int:
-    n = a_hat.shape[0]
-    if x.shape[0] != n:
-        raise ShapeError(f"features have {x.shape[0]} rows for {n} nodes")
-    return n
-
-
-# --------------------------------------------------------------------------
-# model-specific training
-
-
-def train_gcn(
-    a_hat: SparseMatrix,
-    x: SparseMatrix,
-    labels: np.ndarray,
-    num_classes: int,
-    partition: Partition,
-    gcn_cfg: GcnConfig,
-    train_cfg: TrainConfig,
-    dev_score: DevScoreFn | None = None,
-) -> tuple[TrainedModel, list[EpochLog]]:
-    _check_rows(a_hat, x)
-    init_rng, drop_rng = _split_rng(train_cfg.seed)
-    params = init_gcn_params(init_rng, x.shape[1], num_classes, gcn_cfg)
-    model = TrainedModel("gcn", params, _meta(gcn_cfg, in_dim=x.shape[1], num_classes=num_classes))
-    history = _train_classifier(
-        model, params, _gcn_inputs(model, a_hat, x, None), a_hat, labels, partition.train_idx,
-        train_cfg, drop_rng, gcn_cfg.layers, gcn_cfg.hidden, dev_score,
-    )
-    return model, history
-
-
-def train_gcn_lp(
-    a_hat: SparseMatrix,
-    adjacency: SparseMatrix,
-    labels: np.ndarray,
-    num_classes: int,
-    partition: Partition,
-    gcn_cfg: GcnConfig,
-    train_cfg: TrainConfig,
-    dev_score: DevScoreFn | None = None,
-    trigger_accuracy: float = LP_TRIGGER_ACCURACY,
-) -> tuple[TrainedModel, list[EpochLog]]:
-    """Label-propagating variant: the input carries a mutable label block.
-
-    Labeled rows always hold their one-hot label. Held-out rows start at zero
-    and stay there until training accuracy first reaches ``trigger_accuracy``
-    (checked once per epoch, then latched); afterwards they hold the model's
-    current softmax distribution, recomputed without dropout after every
-    update.
-    """
-    n = a_hat.shape[0]
-    init_rng, drop_rng = _split_rng(train_cfg.seed)
-    in_dim = n + num_classes
-    params = init_gcn_params(init_rng, in_dim, num_classes, gcn_cfg)
-    label_block = np.zeros((n, num_classes), dtype=np.float64)
-    train_idx = partition.train_idx
-    label_block[train_idx] = one_hot(labels[train_idx], num_classes)
-    model = TrainedModel(
-        "gcn-lp", params,
-        _meta(gcn_cfg, in_dim=in_dim, num_classes=num_classes, trigger_accuracy=trigger_accuracy),
-        {"label_block": label_block},
-    )
-    held_out = np.setdiff1d(np.arange(n), train_idx)
-    latched = False
-
-    def after_epoch(probs: np.ndarray, train_acc: float) -> SparseMatrix | None:
-        nonlocal latched
-        latched = latched or train_acc >= trigger_accuracy
-        if not latched:
-            return None
-        label_block[held_out] = probs[held_out]
-        return _gcn_lp_inputs(model, a_hat, None, adjacency)
-
-    history = _train_classifier(
-        model, params, _gcn_lp_inputs(model, a_hat, None, adjacency), a_hat, labels, train_idx,
-        train_cfg, drop_rng, gcn_cfg.layers, gcn_cfg.hidden, dev_score, after_epoch,
-    )
-    return model, history
-
-
-def train_mlp(
-    a_hat: SparseMatrix,
-    x: SparseMatrix,
-    labels: np.ndarray,
-    num_classes: int,
-    partition: Partition,
-    hidden: int,
-    train_cfg: TrainConfig,
-    dev_score: DevScoreFn | None = None,
-) -> tuple[TrainedModel, list[EpochLog]]:
-    """One hidden layer over the concatenated text and normalized-graph rows."""
-    _check_rows(a_hat, x)
-    init_rng, drop_rng = _split_rng(train_cfg.seed)
-    in_dim = x.shape[1] + a_hat.shape[1]
-    params = init_mlp_params(init_rng, in_dim, hidden, num_classes)
-    model = TrainedModel("mlp", params, _meta(None, in_dim=in_dim, num_classes=num_classes,
-                                               hidden=hidden))
-    history = _train_classifier(
-        model, params, _mlp_inputs(model, a_hat, x, None), a_hat, labels, partition.train_idx,
-        train_cfg, drop_rng, 1, hidden, dev_score,
-    )
-    return model, history
-
-
-def train_dcca(
-    a_hat: SparseMatrix,
-    x: SparseMatrix,
-    labels: np.ndarray,
-    num_classes: int,
-    partition: Partition,
-    dcca_cfg: DccaConfig,
-    train_cfg: TrainConfig,
-    dev_score: DevScoreFn | None = None,
-) -> tuple[TrainedModel, list[EpochLog]]:
-    """Stage 1 maximizes view correlation on all users (no labels involved);
-    stage 2 trains a softmax classifier on the frozen, concatenated
-    projections of the labeled users."""
-    n = _check_rows(a_hat, x)
-    if n - 1 <= dcca_cfg.proj_out:
-        raise ArgumentError("need more than proj_out + 1 users to correlate views")
-    init_rng, drop_rng = _split_rng(train_cfg.seed)
-    params = ParamSet()
-    init_projection_params(init_rng, "f1", x.shape[1], dcca_cfg, params)
-    init_projection_params(init_rng, "f2", a_hat.shape[1], dcca_cfg, params)
-    meta = _meta(dcca_cfg, in_dim=x.shape[1], graph_dim=a_hat.shape[1], num_classes=num_classes)
-    model = TrainedModel("dcca", params, meta)
-
-    for epoch in range(dcca_cfg.stage1_epochs):
-        h1 = projection_forward(x, params, "f1", dcca_cfg)
-        h2 = projection_forward(a_hat, params, "f2", dcca_cfg)
-        try:
-            loss = cca_loss(h1, h2, dcca_cfg.reg)
-        except NumericError as exc:  # the projections themselves overflowed
-            raise NumericError(f"dcca stage 1 diverged at epoch {epoch + 1}: {exc}") from exc
-        _check_finite(loss, epoch, "dcca stage 1")
-        params.zero_grads()
-        ad.backward(loss)
-        params.adam_step(dcca_cfg.stage1_lr)
-
-    # Stage 2 optimizes the classifier only; projection weights are frozen by
-    # training a separate parameter set against the fixed projections z.
-    z = _dcca_inputs(model, a_hat, x, None)
-    clf = init_mlp_params(init_rng, z.shape[1], dcca_cfg.clf_hidden, num_classes, prefix="clf/")
-    history = _train_classifier(
-        model, clf, z, a_hat, labels, partition.train_idx,
-        train_cfg, drop_rng, 1, dcca_cfg.clf_hidden, dev_score,
-    )
-    for name, tensor in clf.items():
-        params.add(name, tensor.data)
-    return model, history
 
 
 # --------------------------------------------------------------------------

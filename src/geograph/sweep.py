@@ -18,61 +18,39 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .data import DatasetBundle, Partition, subsample_labels
+from .data import DatasetBundle, Partition, SyntheticConfig, subsample_labels
 from .errors import ArgumentError
 from .geo import EvalReport, RegionTree, evaluate
 from .models import (
+    KINDS,
     DccaConfig,
     EpochLog,
     GcnConfig,
+    MlpConfig,
     TrainConfig,
     TrainedModel,
-    train_dcca,
-    train_gcn,
-    train_gcn_lp,
-    train_mlp,
+    is_json_type,
     predict_classes,
+    train,
 )
 from .sparse import SparseMatrix
 from .views import ViewMatrices, build_mention_graph, build_text_view, normalize_adjacency
 
-
-def _gcn_config(hidden, depth, highway, dcca, n) -> GcnConfig:
-    return GcnConfig(hidden=hidden, layers=depth, highway=highway)
-
-
-def _dcca_config(hidden, depth, highway, dcca, n) -> DccaConfig:
-    cfg = DccaConfig(**{"clf_hidden": hidden, **(dcca or {})})
-    # The default projection width exceeds small corpora; cap it to keep the
-    # correlation well-defined (needs more samples than projected dims).
-    if cfg.proj_out >= n - 1:
-        cfg = replace(cfg, proj_out=max(1, (n - 1) // 2))
-    return cfg
-
-
-@dataclass(frozen=True)
-class ModelEntry:
-    train: Callable  # train_gcn, train_gcn_lp, train_mlp or train_dcca
-    view: str  # the ViewMatrices field passed beside a_hat
-    # (hidden, depth, highway, dcca overrides, user count) -> the trainer's config
-    config: Callable
-    depth_aware: bool
-    highway: bool = True
-
-
+# Sweep model name -> (the model kind it trains, whether its gates are on).
 MODELS = {
-    "gcn": ModelEntry(train_gcn, "text", _gcn_config, depth_aware=True),
-    "gcn-nohighway": ModelEntry(train_gcn, "text", _gcn_config, depth_aware=True, highway=False),
-    "gcn-lp": ModelEntry(train_gcn_lp, "adjacency", _gcn_config, depth_aware=True),
-    "mlp": ModelEntry(train_mlp, "text", lambda hidden, *_: hidden, depth_aware=False),
-    "dcca": ModelEntry(train_dcca, "text", _dcca_config, depth_aware=False),
+    "gcn": ("gcn", True),
+    "gcn-nohighway": ("gcn", False),
+    "gcn-lp": ("gcn-lp", True),
+    "mlp": ("mlp", True),
+    "dcca": ("dcca", True),
 }
 MODEL_NAMES = tuple(MODELS)
-DEPTH_AWARE = tuple(name for name, entry in MODELS.items() if entry.depth_aware)
+# The names whose kind stacks graph convolutions take the depth axis.
+DEPTH_AWARE = tuple(name for name, (kind, _) in MODELS.items()
+                    if KINDS[kind].config is GcnConfig)
 
 CSV_HEADER = "model,fraction,depth,seed,acc161,mean_km,median_km,seconds"
 
@@ -101,8 +79,8 @@ class SweepSpec:
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
-        if not self.seeds:
-            raise ArgumentError("need at least one seed")
+        if not (self.models and self.fractions and self.depths and self.seeds):
+            raise ArgumentError("need at least one model, fraction, depth and seed")
         if any(not 0.0 < f <= 1.0 for f in self.fractions):
             raise ArgumentError("fractions must lie in (0, 1]")
         unknown = sorted(set(self.models) - set(MODEL_NAMES))
@@ -114,20 +92,45 @@ class SweepSpec:
             raise ArgumentError("tree_from must be 'labeled' or 'all-train'")
         if self.min_df < 0 or self.max_comention_degree < 0:
             raise ArgumentError("min_df and max_comention_degree must be >= 0")
+        # The configs a cell builds check the ranges of the training knobs.
+        TrainConfig(lr=self.lr, epochs=self.epochs, dropout=self.dropout)
+        MlpConfig(self.hidden)
+        DccaConfig(**{"clf_hidden": self.hidden, **self.dcca})
+
+
+def _field_errors(values: dict, defaults: dict, where: str = "") -> list[str]:
+    """One message per key of ``values`` that ``defaults`` lacks or whose value
+    has another JSON type than the default (a list stands for a tuple)."""
+    errors = []
+    for name, value in values.items():
+        default = defaults.get(name)
+        if name not in defaults:
+            errors.append(f"unknown key {where}{name}")
+        elif isinstance(default, dict) and isinstance(value, dict):
+            errors += _field_errors(value, default, f"{where}{name}.")
+        elif isinstance(default, tuple):
+            item = type(default[0])
+            if not (isinstance(value, list) and all(is_json_type(v, item) for v in value)):
+                errors.append(f"{where}{name} is {value!r}, not a list of {item.__name__}")
+        elif not is_json_type(value, type(default)):
+            errors.append(f"{where}{name} is {value!r}, not {type(default).__name__}")
+    return errors
+
 
 def load_sweep_file(path) -> tuple[SweepSpec, dict | None, str | None]:
-    """Parse a sweep file: SweepSpec fields plus optional ``dataset`` source
-    ({"users": ..., "edges": ...} or {"synthetic": {...generator config...}})
-    and optional ``out`` directory."""
+    """Parse and check a sweep file: SweepSpec fields plus optional
+    ``dataset`` source ({"users": ..., "edges": ...} or {"synthetic":
+    {...generator config...}}) and optional ``out`` directory."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ArgumentError(f"{path}: sweep spec must be a JSON object")
-    dataset = raw.pop("dataset", None)
-    out = raw.pop("out", None)
-    unknown = sorted(set(raw) - set(SweepSpec.__dataclass_fields__))
-    if unknown:
-        raise ArgumentError(f"{path}: unknown sweep spec keys {unknown}")
+    synthetic = {**asdict(SyntheticConfig()), "seed": 0}
+    errors = _field_errors(raw, {**asdict(SweepSpec()), "dcca": asdict(DccaConfig()), "out": "",
+                                 "dataset": {"users": "", "edges": "", "synthetic": synthetic}})
+    if errors:
+        raise ArgumentError(f"{path}: {'; '.join(errors)}")
+    dataset, out = raw.pop("dataset", None), raw.pop("out", None)
     return SweepSpec(**raw), dataset, out
 
 
@@ -249,11 +252,20 @@ def fit_model(
     highway: bool = True,
 ):
     """Train one model by name; returns (model, history)."""
-    entry = MODELS[model_name]
-    cfg = entry.config(hidden, depth, highway and entry.highway, dcca_overrides, a_hat.shape[0])
-    return entry.train(
-        a_hat, getattr(views, entry.view), labels, num_classes, partition, cfg, train_cfg, dev_score
-    )
+    kind, gated = MODELS[model_name]
+    config = KINDS[kind].config
+    if config is GcnConfig:
+        cfg = GcnConfig(hidden=hidden, layers=depth, highway=highway and gated)
+    elif config is DccaConfig:
+        cfg = DccaConfig(**{"clf_hidden": hidden, **(dcca_overrides or {})})
+        # The default projection width exceeds small corpora; cap it to keep the
+        # correlation well-defined (needs more samples than projected dims).
+        if cfg.proj_out >= a_hat.shape[0] - 1:
+            cfg = replace(cfg, proj_out=max(1, (a_hat.shape[0] - 1) // 2))
+    else:
+        cfg = MlpConfig(hidden)
+    return train(kind, a_hat, views.text, views.adjacency, labels, num_classes, partition, cfg,
+                 train_cfg, dev_score)
 
 
 def evaluate_model(

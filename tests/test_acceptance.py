@@ -36,7 +36,7 @@ from geograph.models import (
     mlp_forward,
     one_hot,
     projection_forward,
-    train_dcca,
+    train,
 )
 from geograph.optim import ParamSet
 from geograph.sparse import SparseMatrix, hstack
@@ -306,8 +306,8 @@ def test_criterion_5_linear_cca_recovery():
         part_train = np.arange(10)
         cfg = DccaConfig(proj_hidden=0, proj_out=4, reg=1e-5,
                          stage1_epochs=800, stage1_lr=2e-2, clf_hidden=4)
-        model, _ = train_dcca(
-            SparseMatrix.from_dense(x2), SparseMatrix.from_dense(x1), labels, 2,
+        model, _ = train(  # dcca reads no adjacency
+            "dcca", SparseMatrix.from_dense(x2), SparseMatrix.from_dense(x1), None, labels, 2,
             Partition(part_train, np.array([10]), np.array([11])),
             cfg, TrainConfig(epochs=1, dropout=0.0, seed=seed),
         )

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from geograph import models
 from geograph.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from geograph.errors import DataFormatError
 from geograph.models import (
@@ -13,8 +14,7 @@ from geograph.models import (
     Partition,
     TrainConfig,
     predict_logits,
-    train_gcn,
-    train_gcn_lp,
+    train,
 )
 from geograph.sparse import SparseMatrix
 from geograph.views import normalize_adjacency
@@ -29,9 +29,9 @@ def trained(rng):
     labels = np.full(10, -1, dtype=np.intp)
     labels[:6] = rng.integers(0, 3, 6)
     part = Partition(np.arange(6), np.array([6, 7]), np.array([8, 9]))
-    model, _ = train_gcn(a_hat, x, labels, 3, part,
-                         GcnConfig(hidden=4, layers=2),
-                         TrainConfig(epochs=3, dropout=0.0, seed=0))
+    model, _ = train("gcn", a_hat, x, adj, labels, 3, part,
+                     GcnConfig(hidden=4, layers=2),
+                     TrainConfig(epochs=3, dropout=0.0, seed=0))
     return model, adj, a_hat, x
 
 
@@ -51,21 +51,21 @@ def test_roundtrip_preserves_params_and_predictions(tmp_path, trained):
     )
 
 
-def test_roundtrip_keeps_label_block_state(tmp_path, rng):
+def test_roundtrip_keeps_label_block_state(tmp_path, rng, monkeypatch):
     adj = SparseMatrix.from_dense(random_symmetric_adjacency(rng, 8, 0.5))
     a_hat = normalize_adjacency(adj, 1.0)
     labels = np.full(8, -1, dtype=np.intp)
     labels[:5] = rng.integers(0, 2, 5)
     part = Partition(np.arange(5), np.array([5]), np.array([6, 7]))
-    model, _ = train_gcn_lp(a_hat, adj, labels, 2, part,
-                            GcnConfig(hidden=3, layers=1),
-                            TrainConfig(epochs=3, dropout=0.0, seed=1),
-                            trigger_accuracy=0.0)
+    x = SparseMatrix.from_dense(rng.random((8, 4)))
+    monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
+    model, _ = train("gcn-lp", a_hat, x, adj, labels, 2, part,
+                     GcnConfig(hidden=3, layers=1),
+                     TrainConfig(epochs=3, dropout=0.0, seed=1))
     ckpt = tmp_path / "lp.ckpt"
     save_checkpoint(ckpt, model, context={})
     loaded, _ = load_checkpoint(ckpt)
     np.testing.assert_array_equal(loaded.state["label_block"], model.state["label_block"])
-    x = SparseMatrix.from_dense(rng.random((8, 4)))
     np.testing.assert_array_equal(
         predict_logits(loaded, a_hat, x, adj), predict_logits(model, a_hat, x, adj)
     )
@@ -101,6 +101,7 @@ def test_rejects_wrong_magic(tmp_path):
     {"kind": "gcn", "meta": {"hidden": "16", "layers": 1, "highway": True, "gate_bias": -1.0}},
     {"kind": "gcn", "meta": {"hidden": 16, "layers": 2.5, "highway": True, "gate_bias": -1.0}},
     {"kind": "gcn", "meta": {"hidden": 16, "layers": 1, "highway": "yes", "gate_bias": -1.0}},
+    {"kind": "mlp", "meta": {"hidden": "16"}},
 ])
 def test_rejects_bad_header(tmp_path, header):
     raw = json.dumps(header).encode("utf-8")

@@ -186,6 +186,31 @@ def test_exit_code_user_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+def test_train_rejects_zero_width_mlp(corpus, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(_train_args(corpus, out, **{"--model": "mlp", "--hidden": "0"})) == 1
+    assert "hidden must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"dataset": 5}, "dataset is 5, not dict"),
+    ({"dataset": {"synthetic": {"n_users": 60, "regions": 2}}}, "unknown key dataset.synthetic.regions"),
+    ({"hidden": "16"}, "hidden is '16', not int"),
+    ({"epochs": 0}, "epochs must be >= 1"),
+    ({"dcca": {"bogus": 1}}, "unknown key dcca.bogus"),
+    ({"fractions": 0.5}, "fractions is 0.5, not a list of float"),
+    ({"models": []}, "need at least one model"),
+])
+def test_sweep_rejects_bad_spec_field(corpus, tmp_path, capsys, fields, message):
+    users, edges = corpus
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dataset": {"users": str(users), "edges": str(edges)}, **fields}))
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_bad_flag(capsys):
     assert main(["train", "--users", "/nonexistent", "--edges", "/nonexistent",
                  "--out", "/tmp/x"]) == 1

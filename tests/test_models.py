@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import geograph.autodiff as ad
+from geograph import models
 from geograph.errors import ArgumentError, NumericError, ShapeError
 from geograph.models import (
     KINDS,
     DccaConfig,
     GcnConfig,
+    MlpConfig,
     Partition,
     TrainConfig,
     gcn_forward,
@@ -22,10 +24,7 @@ from geograph.models import (
     predict_logits,
     projection_forward,
     stage1_correlation,
-    train_dcca,
-    train_gcn,
-    train_gcn_lp,
-    train_mlp,
+    train,
 )
 from geograph.sparse import SparseMatrix, hstack
 from geograph.views import normalize_adjacency
@@ -102,15 +101,16 @@ def test_gcn_forward_shapes_and_mask_count(rng):
         gcn_forward(a_hat, x, params, cfg, dropout_masks=[np.ones((12, 6))])
 
 
-def test_gcn_forward_matches_dense_oracle(rng):
+def test_gcn_forward_matches_dense_oracle(rng, monkeypatch):
     adj, a_hat, x, labels, part = _instance(rng)
     cfg = GcnConfig(hidden=5, layers=2, highway=True, gate_bias=0.0)
     params = init_gcn_params(rng, x.shape[1], 3, cfg)
     want = gcn_logits(a_hat.to_dense(), x.to_dense(), params.copy_values(), cfg)
     np.testing.assert_allclose(gcn_forward(a_hat, x, params, cfg).data, want, rtol=0, atol=1e-12)
 
-    model, _ = train_gcn_lp(a_hat, adj, labels, 3, part, cfg,
-                            TrainConfig(epochs=3, dropout=0.0, seed=0), trigger_accuracy=0.0)
+    monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
+    model, _ = train("gcn-lp", a_hat, x, adj, labels, 3, part, cfg,
+                     TrainConfig(epochs=3, dropout=0.0, seed=0))
     block = model.state["label_block"]
     assert np.all(block.sum(axis=1) > 0.0)  # latched: held-out rows carry predictions
     lp_rows = np.hstack([adj.to_dense(), block])
@@ -128,17 +128,17 @@ def test_lp_input_width():
 
 def test_mlp_input_width(rng):
     adj, a_hat, x, labels, part = _instance(rng)
-    model, _ = train_mlp(a_hat, x, labels, 3, part, hidden=5,
-                         train_cfg=TrainConfig(epochs=2, dropout=0.0, seed=0))
+    model, _ = train("mlp", a_hat, x, adj, labels, 3, part, MlpConfig(hidden=5),
+                     TrainConfig(epochs=2, dropout=0.0, seed=0))
     assert model.meta["in_dim"] == x.shape[1] + a_hat.shape[0]
     assert model.params["hid/W"].data.shape == (x.shape[1] + 12, 5)
 
 
 def test_training_reduces_loss(rng):
     adj, a_hat, x, labels, part = _instance(rng, n=20, terms=10)
-    _, hist = train_gcn(a_hat, x, labels, 3, part,
-                        GcnConfig(hidden=8, layers=2),
-                        TrainConfig(lr=0.02, epochs=30, dropout=0.0, seed=1))
+    _, hist = train("gcn", a_hat, x, adj, labels, 3, part,
+                    GcnConfig(hidden=8, layers=2),
+                    TrainConfig(lr=0.02, epochs=30, dropout=0.0, seed=1))
     assert hist[-1].loss < hist[0].loss
 
 
@@ -147,13 +147,13 @@ def test_training_is_bit_deterministic(rng):
     cfg = GcnConfig(hidden=5, layers=2)
     runs = []
     for _ in range(2):
-        model, _ = train_gcn(a_hat, x, labels, 3, part, cfg,
-                             TrainConfig(lr=0.01, epochs=10, dropout=0.5, seed=7))
+        model, _ = train("gcn", a_hat, x, adj, labels, 3, part, cfg,
+                         TrainConfig(lr=0.01, epochs=10, dropout=0.5, seed=7))
         runs.append(model.params.copy_values())
     for name in runs[0]:
         np.testing.assert_array_equal(runs[0][name], runs[1][name])
-    other, _ = train_gcn(a_hat, x, labels, 3, part, cfg,
-                         TrainConfig(lr=0.01, epochs=10, dropout=0.5, seed=8))
+    other, _ = train("gcn", a_hat, x, adj, labels, 3, part, cfg,
+                     TrainConfig(lr=0.01, epochs=10, dropout=0.5, seed=8))
     assert any(
         not np.array_equal(other.params[name].data, runs[0][name]) for name in runs[0]
     )
@@ -174,30 +174,32 @@ def test_gcn_fit_is_unchanged_by_a_self_transposing_a_hat(rng):
     adj, a_hat, x, labels, part = _instance(rng)
     assert a_hat.transpose() is a_hat
     cfg, train_cfg = GcnConfig(hidden=5, layers=2), TrainConfig(lr=0.01, epochs=8, seed=3)
-    model, history = train_gcn(a_hat, x, labels, 3, part, cfg, train_cfg)
-    again, again_history = train_gcn(_BuiltTranspose(a_hat.csr), x, labels, 3, part, cfg,
-                                     train_cfg)
+    model, history = train("gcn", a_hat, x, adj, labels, 3, part, cfg, train_cfg)
+    again, again_history = train("gcn", _BuiltTranspose(a_hat.csr), x, adj, labels, 3, part, cfg,
+                                 train_cfg)
     assert [h.loss for h in history] == [h.loss for h in again_history]
     for name, value in model.params.copy_values().items():
         assert value.tobytes() == again.params[name].data.tobytes(), name
 
 
-def test_gcn_lp_trigger_latches(rng):
+def test_gcn_lp_trigger_latches(rng, monkeypatch):
     adj, a_hat, x, labels, part = _instance(rng, n=14)
     held_out = np.setdiff1d(np.arange(14), part.train_idx)
     # trigger never reached: held-out label rows stay zero
-    model, _ = train_gcn_lp(a_hat, adj, labels, 3, part,
-                            GcnConfig(hidden=5, layers=1),
-                            TrainConfig(lr=0.01, epochs=4, dropout=0.0, seed=0),
-                            trigger_accuracy=1.1)
+    monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 1.1)
+    model, _ = train("gcn-lp", a_hat, x, adj, labels, 3, part,
+                     GcnConfig(hidden=5, layers=1),
+                     TrainConfig(lr=0.01, epochs=4, dropout=0.0, seed=0))
+    assert model.meta["trigger_accuracy"] == 1.1
     block = model.state["label_block"]
     np.testing.assert_array_equal(block[held_out], 0.0)
     np.testing.assert_array_equal(block[part.train_idx], one_hot(labels[part.train_idx], 3))
     # trigger at zero: propagated rows fill with softmax distributions
-    model2, _ = train_gcn_lp(a_hat, adj, labels, 3, part,
-                             GcnConfig(hidden=5, layers=1),
-                             TrainConfig(lr=0.01, epochs=4, dropout=0.0, seed=0),
-                             trigger_accuracy=0.0)
+    monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
+    model2, _ = train("gcn-lp", a_hat, x, adj, labels, 3, part,
+                      GcnConfig(hidden=5, layers=1),
+                      TrainConfig(lr=0.01, epochs=4, dropout=0.0, seed=0))
+    assert model2.meta["trigger_accuracy"] == 0.0
     block2 = model2.state["label_block"]
     np.testing.assert_allclose(block2[held_out].sum(axis=1), 1.0, atol=1e-12)
     assert np.all(block2[held_out] > 0.0)
@@ -206,9 +208,9 @@ def test_gcn_lp_trigger_latches(rng):
 
 def test_gcn_lp_input_has_adjacency_block(rng):
     adj, a_hat, x, labels, part = _instance(rng)
-    model, _ = train_gcn_lp(a_hat, adj, labels, 3, part,
-                            GcnConfig(hidden=4, layers=1),
-                            TrainConfig(epochs=2, dropout=0.0, seed=0))
+    model, _ = train("gcn-lp", a_hat, x, adj, labels, 3, part,
+                     GcnConfig(hidden=4, layers=1),
+                     TrainConfig(epochs=2, dropout=0.0, seed=0))
     assert model.meta["in_dim"] == 12 + 3
 
 
@@ -224,13 +226,13 @@ def test_dcca_stage1_improves_correlation(rng):
     cfg = DccaConfig(proj_hidden=0, proj_out=2, reg=1e-3, stage1_epochs=0,
                      stage1_lr=5e-3, clf_hidden=4)
     x1s = SparseMatrix.from_dense(x1)
-    base, _ = train_dcca(a_hat, x1s, labels, 2, part, cfg,
-                         TrainConfig(epochs=1, dropout=0.0, seed=3))
+    base, _ = train("dcca", a_hat, x1s, adj, labels, 2, part, cfg,
+                    TrainConfig(epochs=1, dropout=0.0, seed=3))
     before = stage1_correlation(a_hat, x1s, base)
     cfg2 = DccaConfig(proj_hidden=0, proj_out=2, reg=1e-3, stage1_epochs=150,
                       stage1_lr=5e-3, clf_hidden=4)
-    trained, _ = train_dcca(a_hat, x1s, labels, 2, part, cfg2,
-                            TrainConfig(epochs=1, dropout=0.0, seed=3))
+    trained, _ = train("dcca", a_hat, x1s, adj, labels, 2, part, cfg2,
+                       TrainConfig(epochs=1, dropout=0.0, seed=3))
     after = stage1_correlation(a_hat, x1s, trained)
     assert after > before
 
@@ -238,12 +240,12 @@ def test_dcca_stage1_improves_correlation(rng):
 def test_dcca_needs_enough_rows(rng):
     adj, a_hat, x, labels, part = _instance(rng)
     with pytest.raises(ArgumentError):
-        train_dcca(a_hat, x, labels, 3, part,
-                   DccaConfig(proj_hidden=0, proj_out=20, reg=1e-3),
-                   TrainConfig(epochs=1, seed=0, dropout=0.0))
+        train("dcca", a_hat, x, adj, labels, 3, part,
+              DccaConfig(proj_hidden=0, proj_out=20, reg=1e-3),
+              TrainConfig(epochs=1, seed=0, dropout=0.0))
 
 
-def test_predict_matches_training_wiring(rng):
+def test_predict_matches_training_wiring(rng, monkeypatch):
     # predict_logits must equal logits assembled by hand from the public
     # forward functions, with the inputs each model was trained on.
     adj, a_hat, x, labels, part = _instance(rng)
@@ -263,11 +265,11 @@ def test_predict_matches_training_wiring(rng):
                        projection_forward(a_hat, model.params, "f2", dcca_cfg).data])
         return mlp_forward(SparseMatrix.from_dense(z), model.params, prefix="clf/")
 
+    monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
     trained = [
-        train_gcn(a_hat, x, labels, 3, part, gcn_cfg, train_cfg),
-        train_gcn_lp(a_hat, adj, labels, 3, part, gcn_cfg, train_cfg, trigger_accuracy=0.0),
-        train_mlp(a_hat, x, labels, 3, part, 5, train_cfg),
-        train_dcca(a_hat, x, labels, 3, part, dcca_cfg, train_cfg),
+        train(kind, a_hat, x, adj, labels, 3, part, cfg, train_cfg)
+        for kind, cfg in (("gcn", gcn_cfg), ("gcn-lp", gcn_cfg), ("mlp", MlpConfig(5)),
+                          ("dcca", dcca_cfg))
     ]
     for model, _ in trained:
         logits = predict_logits(model, a_hat, x, adj)
@@ -279,12 +281,12 @@ def test_predict_matches_training_wiring(rng):
     assert {m.kind for m, _ in trained} == {"gcn", "gcn-lp", "mlp", "dcca"}
 
 
-def test_gcn_lp_predict_uses_stored_label_block(rng):
+def test_gcn_lp_predict_uses_stored_label_block(rng, monkeypatch):
     adj, a_hat, x, labels, part = _instance(rng)
-    model, _ = train_gcn_lp(a_hat, adj, labels, 3, part,
-                            GcnConfig(hidden=5, layers=1),
-                            TrainConfig(epochs=5, dropout=0.0, seed=0),
-                            trigger_accuracy=0.0)
+    monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
+    model, _ = train("gcn-lp", a_hat, x, adj, labels, 3, part,
+                     GcnConfig(hidden=5, layers=1),
+                     TrainConfig(epochs=5, dropout=0.0, seed=0))
     preds = predict_classes(model, a_hat, x, adj)
     assert preds.shape == (12,)
     model.state = {}
@@ -301,13 +303,13 @@ def test_early_stopping_restores_best_epoch(rng):
         calls.append(1)
         return float(len(calls))  # epoch 1 is "best", everything after is worse
 
-    stopped, hist = train_gcn(a_hat, x, labels, 3, part, cfg,
-                              TrainConfig(lr=0.01, epochs=50, dropout=0.3, seed=5,
-                                          early_stop=True, patience=4),
-                              dev_score=worsening_score)
+    stopped, hist = train("gcn", a_hat, x, adj, labels, 3, part, cfg,
+                          TrainConfig(lr=0.01, epochs=50, dropout=0.3, seed=5,
+                                      early_stop=True, patience=4),
+                          dev_score=worsening_score)
     assert len(hist) == 5  # best epoch + patience exhausted
-    one_epoch, _ = train_gcn(a_hat, x, labels, 3, part, cfg,
-                             TrainConfig(lr=0.01, epochs=1, dropout=0.3, seed=5))
+    one_epoch, _ = train("gcn", a_hat, x, adj, labels, 3, part, cfg,
+                         TrainConfig(lr=0.01, epochs=1, dropout=0.3, seed=5))
     for name in stopped.params.names():
         np.testing.assert_array_equal(
             stopped.params[name].data, one_epoch.params[name].data
@@ -318,8 +320,8 @@ def test_gcn_rejects_mismatched_features(rng):
     adj, a_hat, x, labels, part = _instance(rng)
     bad = SparseMatrix.from_dense(np.zeros((5, 8)))
     with pytest.raises(ShapeError):
-        train_gcn(a_hat, bad, labels, 3, part, GcnConfig(hidden=4, layers=1),
-                  TrainConfig(epochs=1, seed=0, dropout=0.0))
+        train("gcn", a_hat, bad, adj, labels, 3, part, GcnConfig(hidden=4, layers=1),
+              TrainConfig(epochs=1, seed=0, dropout=0.0))
 
 
 def test_train_config_validation():
@@ -331,6 +333,8 @@ def test_train_config_validation():
         GcnConfig(layers=0)
     with pytest.raises(ArgumentError):
         DccaConfig(reg=0.0)
+    with pytest.raises(ArgumentError, match="hidden must be >= 1"):
+        MlpConfig(hidden=0)
 
 
 def _take_rows(t, idx):
@@ -344,27 +348,30 @@ def _take_rows(t, idx):
 
 
 def _trained_case(case, a_hat, adj, x, labels, part):
-    """(model, config, mask count, mask width) after a few training epochs."""
+    """(model, config, mask count, mask width) after a few training epochs;
+    gcn-lp is trained with its trigger at zero."""
     train_cfg = TrainConfig(lr=0.02, epochs=3, dropout=0.5, seed=0)
     if case in ("gcn", "gcn-nohighway"):
         cfg = GcnConfig(hidden=5, layers=3, highway=case == "gcn")
-        return train_gcn(a_hat, x, labels, 3, part, cfg, train_cfg)[0], cfg, 3, 5
+        return train("gcn", a_hat, x, adj, labels, 3, part, cfg, train_cfg)[0], cfg, 3, 5
     if case == "gcn-lp":
         cfg = GcnConfig(hidden=5, layers=2)
-        model, _ = train_gcn_lp(a_hat, adj, labels, 3, part, cfg, train_cfg, trigger_accuracy=0.0)
+        model, _ = train("gcn-lp", a_hat, x, adj, labels, 3, part, cfg, train_cfg)
         return model, cfg, 2, 5
     if case == "mlp":
-        return train_mlp(a_hat, x, labels, 3, part, 6, train_cfg)[0], None, 1, 6
+        cfg = MlpConfig(6)
+        return train("mlp", a_hat, x, adj, labels, 3, part, cfg, train_cfg)[0], cfg, 1, 6
     cfg = DccaConfig(proj_hidden=4, proj_out=3, reg=1e-3, stage1_epochs=2, clf_hidden=6)
-    return train_dcca(a_hat, x, labels, 3, part, cfg, train_cfg)[0], cfg, 1, 6
+    return train("dcca", a_hat, x, adj, labels, 3, part, cfg, train_cfg)[0], cfg, 1, 6
 
 
 @pytest.mark.parametrize("case", ["gcn", "gcn-nohighway", "gcn-lp", "mlp", "dcca"])
-def test_training_rows_match_full_forward(rng, case):
+def test_training_rows_match_full_forward(rng, monkeypatch, case):
     # The training forward computes logits for the labeled rows alone; they
     # must be the full forward's rows bit for bit, and the loss on them must
     # give the gradients of the loss read off the full logits.
     adj, a_hat, x, labels, part = _instance(rng, n=16)
+    monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
     model, cfg, count, width = _trained_case(case, a_hat, adj, x, labels, part)
     if case == "gcn-lp":  # latched: held-out rows carry predictions
         assert np.all(model.state["label_block"].sum(axis=1) > 0.0)
@@ -406,10 +413,8 @@ def test_row_operands_are_built_once_per_run(rng, monkeypatch, kind):
         a, feats = SparseMatrix(a_hat.csr), SparseMatrix(x.csr)
         builds.clear()
         cfg = TrainConfig(lr=0.01, epochs=epochs, dropout=0.5, seed=0)
-        if kind == "gcn":
-            train_gcn(a, feats, labels, 3, part, GcnConfig(hidden=4, layers=2), cfg)
-        else:
-            train_mlp(a, feats, labels, 3, part, 4, cfg)
+        model_cfg = GcnConfig(hidden=4, layers=2) if kind == "gcn" else MlpConfig(4)
+        train(kind, a, feats, adj, labels, 3, part, model_cfg, cfg)
         counts.append(len(builds))
     assert counts[0] == counts[1] > 0
 
@@ -418,8 +423,45 @@ def test_row_operands_are_built_once_per_run(rng, monkeypatch, kind):
 def test_diverged_training_names_the_epoch(rng):
     adj, a_hat, x, labels, part = _instance(rng, n=20)
     with pytest.raises(NumericError, match="training diverged: loss is nan at epoch 2"):
-        train_mlp(a_hat, x, labels, 3, part, 4, TrainConfig(lr=1e200, epochs=5, dropout=0.0))
+        train("mlp", a_hat, x, adj, labels, 3, part, MlpConfig(4),
+              TrainConfig(lr=1e200, epochs=5, dropout=0.0))
     cfg = DccaConfig(proj_hidden=4, proj_out=2, reg=1e-3, stage1_epochs=5, stage1_lr=1e200,
                      clf_hidden=4)
     with pytest.raises(NumericError, match="dcca stage 1 diverged at epoch 2"):
-        train_dcca(a_hat, x, labels, 3, part, cfg, TrainConfig(epochs=1, dropout=0.0))
+        train("dcca", a_hat, x, adj, labels, 3, part, cfg, TrainConfig(epochs=1, dropout=0.0))
+
+
+_BLOWUP_CONFIGS = {
+    "gcn": GcnConfig(hidden=8, layers=2),
+    "gcn-lp": GcnConfig(hidden=8),
+    "mlp": MlpConfig(8),
+    "dcca": DccaConfig(proj_hidden=4, proj_out=2, reg=1e-3, stage1_epochs=2, clf_hidden=8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BLOWUP_CONFIGS))
+def test_finite_blowup_is_logged(rng, caplog, kind):
+    adj, a_hat, x, labels, part = _instance(rng, n=20, terms=10)
+    cfg = _BLOWUP_CONFIGS[kind]
+    with caplog.at_level("WARNING", logger="geograph.models"):
+        _, hist = train(kind, a_hat, x, adj, labels, 3, part, cfg,
+                        TrainConfig(lr=1000.0, epochs=40, dropout=0.0))
+    assert np.isfinite(hist[-1].loss) and hist[-1].loss > hist[0].loss
+    record, = caplog.records
+    assert record.levelname == "WARNING"
+    for text in (kind, f"{hist[0].loss:.4g}", f"{hist[-1].loss:.4g}"):
+        assert text in record.getMessage()
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="geograph.models"):
+        _, hist = train(kind, a_hat, x, adj, labels, 3, part, cfg,
+                        TrainConfig(lr=0.02, epochs=30, dropout=0.0, seed=1))
+    assert hist[-1].loss < hist[0].loss and not caplog.records
+
+
+def test_train_checks_kind_and_config(rng):
+    adj, a_hat, x, labels, part = _instance(rng)
+    train_cfg = TrainConfig(epochs=1, dropout=0.0)
+    with pytest.raises(ArgumentError, match="unknown model kind 'gcn-nohighway'"):
+        train("gcn-nohighway", a_hat, x, adj, labels, 3, part, GcnConfig(hidden=4), train_cfg)
+    with pytest.raises(ArgumentError, match="mlp needs a MlpConfig, got GcnConfig"):
+        train("mlp", a_hat, x, adj, labels, 3, part, GcnConfig(hidden=4), train_cfg)

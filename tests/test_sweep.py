@@ -1,6 +1,7 @@
 """Sweep orchestration: cell grids, tree construction policy, report emission."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -50,8 +51,9 @@ def test_spec_validation():
         SweepSpec(models=("transformer",))
     with pytest.raises(ArgumentError):
         SweepSpec(fractions=(0.0,))
-    with pytest.raises(ArgumentError):
-        SweepSpec(seeds=())
+    for axis in ("models", "fractions", "depths", "seeds"):
+        with pytest.raises(ArgumentError, match="need at least one model"):
+            SweepSpec(**{axis: ()})
     with pytest.raises(ArgumentError):
         SweepSpec(depths=(0,))
     with pytest.raises(ArgumentError):
@@ -60,6 +62,13 @@ def test_spec_validation():
         SweepSpec(min_df=-1)
     with pytest.raises(ArgumentError):
         SweepSpec(max_comention_degree=-1)
+    # the knobs every cell's configs check, checked once for the spec
+    for bad, message in [({"epochs": 0}, "epochs"), ({"dropout": 1.5}, "dropout"),
+                         ({"hidden": 0}, "hidden"), ({"dcca": {"reg": -1.0}}, "reg")]:
+        with pytest.raises(ArgumentError, match=message):
+            SweepSpec(**bad)
+    with pytest.raises(TypeError, match="proj_width"):  # a sweep file gets ArgumentError
+        SweepSpec(dcca={"proj_width": 4})
 
 
 def test_load_sweep_file(tmp_path):
@@ -76,6 +85,30 @@ def test_load_sweep_file(tmp_path):
     assert out == "results"
     path.write_text(json.dumps({"modles": ["gcn"]}))
     with pytest.raises(ArgumentError):
+        load_sweep_file(path)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"dataset": 5}, "dataset is 5, not dict"),
+    ({"dataset": {"synthetic": [1]}}, "dataset.synthetic is [1], not dict"),
+    ({"dataset": {"synthetic": {"n_user": 50}}}, "unknown key dataset.synthetic.n_user"),
+    ({"dataset": {"synthetic": {"n_users": "50"}}}, "dataset.synthetic.n_users is '50', not int"),
+    ({"dataset": {"users": 1, "edges": "e.tsv"}}, "dataset.users is 1, not str"),
+    ({"hidden": "16"}, "hidden is '16', not int"),
+    ({"lr": "x"}, "lr is 'x', not float"),
+    ({"bucket_scale": 1}, "bucket_scale is 1, not bool"),
+    ({"fractions": 0.5}, "fractions is 0.5, not a list of float"),
+    ({"seeds": [0, 1.5]}, "seeds is [0, 1.5], not a list of int"),
+    ({"dcca": {"proj_out": 2.5}}, "dcca.proj_out is 2.5, not int"),
+    ({"dcca": {"bogus": 1}}, "unknown key dcca.bogus"),
+    ({"out": 3}, "out is 3, not str"),
+    ({"epochs": 0}, "epochs must be >= 1"),
+    ({"dropout": 1.5}, "dropout must be in [0, 1)"),
+])
+def test_load_sweep_file_names_the_bad_field(tmp_path, fields, message):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(fields))
+    with pytest.raises(ArgumentError, match=re.escape(message)):
         load_sweep_file(path)
 
 
@@ -133,12 +166,13 @@ def test_run_sweep_covers_every_model(small_bundle):
     assert {c.model for c in report.cells} == set(spec.models)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cell_failure_does_not_kill_sweep(small_bundle):
     # an absurd fraction yields a single labeled point per class at best;
-    # force a failure instead via an impossible dcca projection width
+    # force a runtime failure instead: dcca stage 1 diverges at this rate
     spec = _small_spec(models=("dcca", "gcn"),
-                       dcca={"proj_hidden": 0, "proj_out": 4,
-                             "stage1_epochs": 3, "reg": -1.0})
+                       dcca={"proj_hidden": 4, "proj_out": 2,
+                             "stage1_epochs": 5, "stage1_lr": 1e200})
     report = run_sweep(small_bundle, spec)
     by_model = {c.model: c for c in report.cells}
     assert by_model["dcca"].failed and by_model["dcca"].reason
