@@ -20,9 +20,10 @@ from . import checkpoint as ckpt
 from .data import DatasetBundle, SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import ArgumentError, DataFormatError, GeographError
 from .geo import RegionTree, evaluate, export_per_class_csv
-from .models import KINDS, DccaConfig, predict_classes
-from .sweep import MODEL_NAMES, SweepSpec, emit_report, load_sweep_file, run_cell, run_sweep, spec_views
-from .views import ViewMatrices, Vocabulary, build_mention_graph, build_text_view, normalize_adjacency
+from .models import PATIENCE, DccaConfig, predict_classes
+from .sweep import (MODEL_NAMES, MODELS, SweepSpec, emit_report, load_sweep_file, run_cell,
+                    run_sweep, spec_views)
+from .views import Vocabulary, build_mention_graph, build_text_view, normalize_adjacency
 
 
 _DCCA_DEFAULTS = DccaConfig()
@@ -36,11 +37,11 @@ def cli():
 @cli.command()
 @click.option("--users", "users_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--edges", "edges_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--model", "model_name", type=click.Choice([m for m in MODEL_NAMES if m in KINDS]), default="gcn", show_default=True)
+@click.option("--model", "model_name", type=click.Choice(MODEL_NAMES), default="gcn",
+              show_default=True, help="Sweep model name; gcn-nohighway is gcn without gates.")
 @click.option("--hidden", default=300, show_default=True, help="Hidden layer width.")
 @click.option("--layers", default=1, show_default=True,
               help="Hidden graph-conv layers; the softmax layer adds one more hop.")
-@click.option("--no-highway", is_flag=True, help="Disable the gated skip connections.")
 @click.option("--bucket", default=50, show_default=True, help="Region tree leaf size target.")
 @click.option("--no-bucket-scale", is_flag=True,
               help="Keep --bucket fixed instead of scaling it by the labeled fraction.")
@@ -57,8 +58,8 @@ def cli():
 @click.option("--epochs", default=200, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--early-stop", is_flag=True,
-              help="Keep the epoch with the best dev median error (patience 10). "
-                   "Trained weights then depend on dev coordinates.")
+              help=f"Keep the epoch with the best dev median error (patience {PATIENCE}). "
+                   "Needs dev users; trained weights then depend on their coordinates.")
 @click.option("--proj-hidden", default=_DCCA_DEFAULTS.proj_hidden, show_default=True,
               help="dcca: hidden width of each view's projection, 0 for a linear map.")
 @click.option("--proj-out", default=_DCCA_DEFAULTS.proj_out, show_default=True,
@@ -66,7 +67,7 @@ def cli():
 @click.option("--stage1-epochs", default=_DCCA_DEFAULTS.stage1_epochs, show_default=True,
               help="dcca: correlation-training epochs.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def train(users_path, edges_path, model_name, hidden, layers, no_highway, bucket,
+def train(users_path, edges_path, model_name, hidden, layers, bucket,
           no_bucket_scale, tree_from, labeled_fraction, lam, dropout, lr, epochs,
           seed, early_stop, proj_hidden, proj_out, stage1_epochs, out_dir):
     """Train one model and write checkpoint, report, and predictions."""
@@ -77,7 +78,7 @@ def train(users_path, edges_path, model_name, hidden, layers, no_highway, bucket
                      bucket_scale=not no_bucket_scale, tree_from=tree_from, lam=lam, dcca=dcca)
     views, a_hat = spec_views(bundle, spec)
     run = run_cell(bundle, views, a_hat, spec, model_name, labeled_fraction, layers, seed,
-                   highway=not no_highway, early_stop=early_stop)
+                   early_stop=early_stop)
     tree, scores = run.tree, run.scores
     seconds = time.perf_counter() - start
 
@@ -96,7 +97,7 @@ def train(users_path, edges_path, model_name, hidden, layers, no_highway, bucket
     report = {
         "model": model_name,
         "config": {
-            "hidden": hidden, "layers": layers, "highway": not no_highway,
+            "hidden": hidden, "layers": layers, "highway": MODELS[model_name][1],
             "bucket": tree.bucket_size, "tree_from": tree_from,
             "labeled_fraction": labeled_fraction,
             "lambda": lam, "dropout": dropout, "lr": lr, "epochs": epochs,
@@ -106,27 +107,20 @@ def train(users_path, edges_path, model_name, hidden, layers, no_highway, bucket
         "labeled_users": int(run.partition.train_idx.size),
         "epochs_run": len(run.history),
         "final_train_loss": run.history[-1].loss,
-        "metrics": {k: dataclasses.asdict(_strip_per_class(v)) for k, v in scores.items()},
+        "metrics": {k: dataclasses.asdict(v) for k, v in scores.items()},
         "seconds": seconds,
     }
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for split, rep in scores.items():
-        export_per_class_csv(rep, tree, out / f"per_class_{split}.csv")
-
-    for split in ("dev", "test"):
-        if split in scores:
-            rep = scores[split]
-            click.echo(
-                f"{split}: acc@161 {rep.acc161:.4f}  mean {rep.mean_km:.1f} km  "
-                f"median {rep.median_km:.1f} km"
-            )
+        idx = getattr(run.partition, f"{split}_idx")
+        export_per_class_csv(run.preds[idx], bundle.coords[idx], tree, out / f"per_class_{split}.csv")
+        click.echo(
+            f"{split}: acc@161 {rep.acc161:.4f}  mean {rep.mean_km:.1f} km  "
+            f"median {rep.median_km:.1f} km"
+        )
     click.echo(f"wrote {out / 'model.ckpt'}")
-
-
-def _strip_per_class(report):
-    return dataclasses.replace(report, per_class=[])
 
 
 def _write_predictions(path, bundle: DatasetBundle, preds, tree) -> None:
@@ -219,9 +213,7 @@ def eval_cmd(model_path, users_path, edges_path):
     bundle = load_dataset(users_path, edges_path)
     text, _ = build_text_view(bundle.texts, vocab=vocab)
     adjacency = build_mention_graph(bundle.ids, bundle.mention_pairs, cap)
-    views = ViewMatrices(text=text, adjacency=adjacency, vocabulary=vocab)
-    a_hat = normalize_adjacency(adjacency, lam)
-    preds = predict_classes(model, a_hat, views.text, views.adjacency)
+    preds = predict_classes(model, normalize_adjacency(adjacency, lam), text, adjacency)
 
     out = {}
     for split in ("train", "dev", "test"):

@@ -10,7 +10,7 @@ and are summarized as Acc@161 (fraction within 161 km), mean, and median.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,20 +228,26 @@ class RegionTree:
 
 
 @dataclass
-class PerClassRow:
-    class_id: int
-    count: int
-    median_km: float | None
-
-
-@dataclass
 class EvalReport:
-    """Acc@161, mean and median error in km, and a per-predicted-class breakdown."""
+    """Acc@161, mean and median error in km."""
 
     acc161: float
     mean_km: float
     median_km: float
-    per_class: list[PerClassRow] = field(default_factory=list)
+
+
+def _errors(
+    predicted_classes: np.ndarray, true_coords: np.ndarray, tree: RegionTree
+) -> np.ndarray:
+    """The km error of each prediction, checked against the tree."""
+    if predicted_classes.shape[0] != len(true_coords):
+        raise ShapeError(f"{predicted_classes.shape[0]} predictions vs {len(true_coords)} points")
+    if predicted_classes.size == 0:
+        raise ArgumentError("evaluate needs at least one prediction")
+    if predicted_classes.min() < 0 or predicted_classes.max() >= tree.num_classes:
+        raise ArgumentError("predicted class id outside [0, num_classes)")
+    reps = tree.rep_coords[predicted_classes]
+    return haversine_km_arrays(reps[:, 0], reps[:, 1], true_coords[:, 0], true_coords[:, 1])
 
 
 def evaluate(
@@ -249,49 +255,25 @@ def evaluate(
 ) -> EvalReport:
     """Score predictions: error is the distance from the predicted leaf's
     representative to the user's true (lat, lon) row of ``true_coords``."""
-    predicted_classes = np.asarray(predicted_classes, dtype=np.intp)
-    if predicted_classes.shape[0] != len(true_coords):
-        raise ShapeError(f"{predicted_classes.shape[0]} predictions vs {len(true_coords)} points")
-    if predicted_classes.size == 0:
-        raise ArgumentError("evaluate needs at least one prediction")
-    if predicted_classes.min() < 0 or predicted_classes.max() >= tree.num_classes:
-        raise ArgumentError("predicted class id outside [0, num_classes)")
-
-    reps = tree.rep_coords[predicted_classes]
-    errors = haversine_km_arrays(reps[:, 0], reps[:, 1], true_coords[:, 0], true_coords[:, 1])
-
-    per_class = []
-    for cid in range(tree.num_classes):
-        errs = errors[predicted_classes == cid]
-        per_class.append(
-            PerClassRow(
-                class_id=cid,
-                count=int(errs.size),
-                median_km=float(np.median(errs)) if errs.size else None,
-            )
-        )
+    errors = _errors(np.asarray(predicted_classes, dtype=np.intp), true_coords, tree)
     return EvalReport(
         acc161=float(np.mean(errors <= ACC_THRESHOLD_KM)),
         mean_km=float(np.mean(errors)),
         median_km=float(np.median(errors)),
-        per_class=per_class,
     )
 
 
-def export_per_class_csv(report: EvalReport, tree: RegionTree, path) -> None:
-    """One row per class: id, predicted count, representative point, median error."""
-    reps = tree.representatives
+def export_per_class_csv(
+    predicted_classes: np.ndarray, true_coords: np.ndarray, tree: RegionTree, path
+) -> None:
+    """One row per class: id, predicted count, representative point and the
+    median error of the users predicted into it (empty when there are none)."""
+    predicted_classes = np.asarray(predicted_classes, dtype=np.intp)
+    errors = _errors(predicted_classes, true_coords, tree)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class_id", "count", "rep_lat", "rep_lon", "median_km"])
-        for row in report.per_class:
-            rep = reps[row.class_id]
-            writer.writerow(
-                [
-                    row.class_id,
-                    row.count,
-                    repr(rep.lat),
-                    repr(rep.lon),
-                    "" if row.median_km is None else repr(row.median_km),
-                ]
-            )
+        for cid, (lat, lon) in enumerate(tree.rep_coords.tolist()):
+            errs = errors[predicted_classes == cid]
+            median = repr(float(np.median(errs))) if errs.size else ""
+            writer.writerow([cid, errs.size, repr(lat), repr(lon), median])

@@ -87,6 +87,8 @@ class DccaConfig:
             raise ArgumentError("proj_out and clf_hidden must be >= 1")
         if self.reg <= 0.0:
             raise ArgumentError("reg must be > 0")
+        if not self.stage1_lr > 0.0:
+            raise ArgumentError(f"stage1_lr must be > 0, got {self.stage1_lr}")
         if self.stage1_epochs < 0:
             raise ArgumentError("stage1_epochs must be >= 0")
 
@@ -97,13 +99,10 @@ class TrainConfig:
     epochs: int = 200
     dropout: float = 0.5
     seed: int = 0
-    # Optional early stopping on a caller-supplied dev score (lower = better).
-    # Off by default: the fixed-epoch path guarantees training is a pure
-    # function of features, edges, and labeled rows.
-    early_stop: bool = False
-    patience: int = 10
 
     def __post_init__(self):
+        if not self.lr > 0.0:
+            raise ArgumentError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.dropout < 1.0:
             raise ArgumentError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.epochs < 1:
@@ -111,6 +110,8 @@ class TrainConfig:
 
 
 LP_TRIGGER_ACCURACY = 0.2
+# Epochs without a better dev score before early stopping ends training.
+PATIENCE = 10
 
 
 @dataclass
@@ -465,9 +466,11 @@ def train(
     the labeled rows, cross-entropy and Adam. The training forward reads the
     labeled rows through operands built once here, so new inputs from
     gcn-lp's per-epoch hook reach it only because the graph kinds restrict
-    ``a_hat`` rather than the inputs. ``dev_score`` (lower is better) gets
-    eval-mode predictions for every user after each update; with
-    ``train_cfg.early_stop`` the best-scoring weights are kept.
+    ``a_hat`` rather than the inputs. ``dev_score`` (lower is better) turns
+    on early stopping: it gets eval-mode predictions for every user after
+    each update, training ends after ``PATIENCE`` epochs without a better
+    score, and the best-scoring weights are kept. Without it, training is a
+    pure function of features, edges and labeled rows.
     """
     if kind not in KINDS:
         raise ArgumentError(f"unknown model kind {kind!r}; valid: {sorted(KINDS)}")
@@ -489,7 +492,7 @@ def train(
     mask_count, mask_width = entry.masks(cfg)
     history: list[EpochLog] = []
     # Early stopping keeps the best-scoring parameter snapshot.
-    stopping = train_cfg.early_stop and dev_score is not None
+    stopping = dev_score is not None
     best_score, stale = math.inf, 0
     best_values = params.copy_values() if stopping else None
 
@@ -513,7 +516,7 @@ def train(
             if after_epoch is not None:
                 fresh = after_epoch(probs, train_acc)
                 inputs = inputs if fresh is None else fresh
-            if dev_score is not None:
+            if stopping:
                 score = dev_score(preds)
         history.append(EpochLog(epoch, float(loss.data), train_acc, score))
         if stopping:
@@ -521,7 +524,7 @@ def train(
                 best_score, best_values, stale = score, params.copy_values(), 0
             else:
                 stale += 1
-            if stale >= train_cfg.patience:
+            if stale >= PATIENCE:
                 break
     if stopping:
         params.load_values(best_values)

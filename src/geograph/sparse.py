@@ -115,8 +115,3 @@ def hstack(blocks: Sequence[SparseMatrix]) -> SparseMatrix:
     if len({b.shape[0] for b in blocks}) != 1:
         raise ShapeError("hstack needs one or more blocks with equal row counts")
     return SparseMatrix(_sp.hstack([b.csr for b in blocks], format="csr"))
-
-
-def spmm(s: SparseMatrix, dense: np.ndarray) -> np.ndarray:
-    """Exact sparse-dense product; shape (s.shape[0], dense.shape[1])."""
-    return s.matmul_dense(dense)

@@ -135,24 +135,13 @@ def load_sweep_file(path) -> tuple[SweepSpec, dict | None, str | None]:
 
 
 @dataclass
-class Metrics:
-    acc161: float
-    mean_km: float
-    median_km: float
-
-    @classmethod
-    def from_report(cls, report: EvalReport) -> "Metrics":
-        return cls(report.acc161, report.mean_km, report.median_km)
-
-
-@dataclass
 class CellResult:
     model: str
     fraction: float
     depth: int
     seed: int
-    dev: Metrics | None = None
-    test: Metrics | None = None
+    dev: EvalReport | None = None
+    test: EvalReport | None = None
     seconds: float = 0.0
     config: dict = field(default_factory=dict)
     failed: bool = False
@@ -187,22 +176,18 @@ def spec_views(bundle: DatasetBundle, spec: SweepSpec) -> tuple[ViewMatrices, Sp
     return views, normalize_adjacency(views.adjacency, spec.lam)
 
 
-def scaled_bucket(bucket: int, fraction: float, scale: bool) -> int:
-    """Shrink the leaf-size target with the labeled fraction, floored at 1.
+def tree_bucket(bucket: int, fraction: float, bucket_scale: bool, tree_from: str) -> int:
+    """The leaf-size target a region tree is built with.
 
     With few labeled points a full-size bucket collapses the tree to a single
-    class, so by default the bucket scales as round(bucket * fraction).
+    class, so by default a tree of the labeled users scales the bucket as
+    round(bucket * fraction), floored at 1. An all-train tree never scales it.
     """
-    return max(1, int(round(bucket * fraction))) if scale else bucket
-
-
-def tree_bucket(bucket: int, fraction: float, bucket_scale: bool, tree_from: str) -> int:
-    """The leaf-size target a region tree is built with."""
-    if tree_from == "labeled":
-        return scaled_bucket(bucket, fraction, bucket_scale)
-    if tree_from == "all-train":
-        return bucket
-    raise ArgumentError("tree_from must be 'labeled' or 'all-train'")
+    if tree_from not in ("labeled", "all-train"):
+        raise ArgumentError("tree_from must be 'labeled' or 'all-train'")
+    if tree_from == "labeled" and bucket_scale:
+        return max(1, int(round(bucket * fraction)))
+    return bucket
 
 
 def build_region_tree(
@@ -249,13 +234,12 @@ def fit_model(
     train_cfg: TrainConfig,
     dcca_overrides: dict | None = None,
     dev_score=None,
-    highway: bool = True,
 ):
     """Train one model by name; returns (model, history)."""
     kind, gated = MODELS[model_name]
     config = KINDS[kind].config
     if config is GcnConfig:
-        cfg = GcnConfig(hidden=hidden, layers=depth, highway=highway and gated)
+        cfg = GcnConfig(hidden=hidden, layers=depth, highway=gated)
     elif config is DccaConfig:
         cfg = DccaConfig(**{"clf_hidden": hidden, **(dcca_overrides or {})})
         # The default projection width exceeds small corpora; cap it to keep the
@@ -312,14 +296,13 @@ def run_cell(
     fraction: float,
     depth: int,
     seed: int,
-    highway: bool = True,
     early_stop: bool = False,
 ) -> CellRun:
     """Partition, region tree, labels, fit, one prediction and dev/test scores.
 
     ``spec`` supplies the harness settings; its grid axes are ignored.
     ``early_stop`` keeps the epoch with the best dev median error, which
-    makes the trained weights depend on dev coordinates.
+    needs dev users and makes the trained weights depend on their coordinates.
     """
     partition = subsample_labels(bundle, fraction, seed)
     tree = build_region_tree(
@@ -327,18 +310,18 @@ def run_cell(
     )
     labels = labels_for_training(bundle, tree, partition.train_idx)
     dev_score = None
-    if early_stop and partition.dev_idx.size:
+    if early_stop:
+        if not partition.dev_idx.size:
+            raise ArgumentError("early stopping needs dev users, and the dataset has none")
         dev_coords = bundle.coords[partition.dev_idx]
 
         def dev_score(preds: np.ndarray) -> float:
             return evaluate(preds[partition.dev_idx], dev_coords, tree).median_km
 
-    train_cfg = TrainConfig(
-        lr=spec.lr, epochs=spec.epochs, dropout=spec.dropout, seed=seed, early_stop=early_stop
-    )
+    train_cfg = TrainConfig(lr=spec.lr, epochs=spec.epochs, dropout=spec.dropout, seed=seed)
     model, history = fit_model(
         model_name, depth, views, a_hat, labels, tree.num_classes, partition, spec.hidden,
-        train_cfg, spec.dcca, dev_score, highway,
+        train_cfg, spec.dcca, dev_score,
     )
     preds = predict_classes(model, a_hat, views.text, views.adjacency)
     scores = score_predictions(preds, tree, bundle, partition)
@@ -375,8 +358,7 @@ def run_sweep(bundle: DatasetBundle, spec: SweepSpec) -> RunReport:
                         scores = run_cell(
                             bundle, views, a_hat, spec, model_name, fraction, depth, seed
                         ).scores
-                        cell.dev = Metrics.from_report(scores["dev"]) if "dev" in scores else None
-                        cell.test = Metrics.from_report(scores["test"]) if "test" in scores else None
+                        cell.dev, cell.test = scores.get("dev"), scores.get("test")
                     except Exception as exc:  # cell failures must not kill the sweep
                         cell.failed = True
                         cell.reason = f"{type(exc).__name__}: {exc}"

@@ -12,7 +12,7 @@ import pytest
 
 import geograph
 from geograph.checkpoint import load_checkpoint
-from geograph.cli import main
+from geograph.cli import cli, main
 from geograph.sweep import CSV_HEADER
 
 
@@ -156,7 +156,17 @@ def test_train_matches_one_cell_sweep(corpus, tmp_path, model):
     }))
     assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")]) == 0
     cell, = json.loads((tmp_path / "sweep" / "report.json").read_text())["cells"]
-    assert cell["test"] == {k: trained[k] for k in ("acc161", "mean_km", "median_km")}
+    assert cell["test"] == trained
+
+
+def test_train_gcn_nohighway_has_no_gates(corpus, tmp_path):
+    out = tmp_path / "run"
+    assert main(_train_args(corpus, out, **{"--model": "gcn-nohighway", "--layers": "2"})) == 0
+    model = load_checkpoint(out / "model.ckpt")[0]
+    assert model.kind == "gcn" and model.meta["highway"] is False
+    assert not [name for name in model.params.names() if name.startswith("gate")]
+    report = json.loads((out / "report.json").read_text())
+    assert report["model"] == "gcn-nohighway" and report["config"]["highway"] is False
 
 
 def test_sweep_with_synthetic_dataset(tmp_path):
@@ -186,6 +196,26 @@ def test_exit_code_user_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+def test_train_rejects_nonpositive_lr(corpus, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(_train_args(corpus, out, **{"--lr": "0"})) == 1
+    assert "lr must be > 0, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_early_stop_without_dev_users_exits_1(corpus, tmp_path, capsys):
+    users, edges = corpus
+    rows = [json.loads(line) for line in users.read_text().splitlines()]
+    no_dev = tmp_path / "users.jsonl"
+    no_dev.write_text("".join(
+        json.dumps({**row, "split": "test" if row["split"] == "dev" else row["split"]}) + "\n"
+        for row in rows))
+    out = tmp_path / "run"
+    assert main(_train_args((no_dev, edges), out, **{"--early-stop": None})) == 1
+    assert "early stopping needs dev users" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
+
+
 def test_train_rejects_zero_width_mlp(corpus, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(_train_args(corpus, out, **{"--model": "mlp", "--hidden": "0"})) == 1
@@ -209,6 +239,16 @@ def test_sweep_rejects_bad_spec_field(corpus, tmp_path, capsys, fields, message)
     assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_every_readme_flag_exists():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    documented -= {"--no-build-isolation"}  # a pip flag
+    options = {opt for command in cli.commands.values()
+               for param in command.params for opt in param.opts}
+    assert documented
+    assert sorted(documented - options) == []
 
 
 def test_exit_code_bad_flag(capsys):

@@ -1,5 +1,7 @@
 """Distance, discretization, and evaluation against independent references."""
 
+import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -204,14 +206,23 @@ def test_evaluate_threshold_is_inclusive():
     assert report.acc161 == 1.0
 
 
-def test_evaluate_per_class_rows(rng):
+def test_evaluate_per_class_rows(rng, tmp_path):
     pts = _random_points(rng, 20)
     tree = RegionTree.build(pts, 5)
     preds = np.zeros(6, dtype=int)  # everyone predicted into class 0
-    report = evaluate(preds, _random_points(rng, 6), tree)
-    assert len(report.per_class) == tree.num_classes
-    assert report.per_class[0].count == 6
-    assert all(r.count == 0 and r.median_km is None for r in report.per_class[1:])
+    truth = _random_points(rng, 6)
+    report = evaluate(preds, truth, tree)
+    assert [f.name for f in dataclasses.fields(report)] == ["acc161", "mean_km", "median_km"]
+    path = tmp_path / "per_class.csv"
+    export_per_class_csv(preds, truth, tree, path)
+    rows = list(csv.reader(path.open()))[1:]
+    assert len(rows) == tree.num_classes
+    rep = tree.representatives[0]
+    errors = [haversine_km(rep, GeoPoint(lat, lon)) for lat, lon in truth.tolist()]
+    assert rows[0][:2] == ["0", "6"]
+    assert float(rows[0][4]) == pytest.approx(float(np.median(errors)), rel=1e-12)
+    assert float(rows[0][4]) == pytest.approx(report.median_km, rel=1e-12)
+    assert all(row[1] == "0" and row[4] == "" for row in rows[1:])
 
 
 def test_evaluate_validation(rng):
@@ -228,10 +239,17 @@ def test_per_class_csv_export(tmp_path, rng):
     pts = _random_points(rng, 10)
     tree = RegionTree.build(pts, 3)
     preds = np.array([0, 0, 1])
-    report = evaluate(preds, _random_points(rng, 3), tree)
+    truth = _random_points(rng, 3)
     path = tmp_path / "per_class.csv"
-    export_per_class_csv(report, tree, path)
+    export_per_class_csv(preds, truth, tree, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "class_id,count,rep_lat,rep_lon,median_km"
     assert len(lines) == tree.num_classes + 1
     assert lines[1].startswith("0,2,")
+    assert lines[2].startswith("1,1,")
+    for cid, line in enumerate(lines[1:]):
+        lat, lon = tree.rep_coords[cid].tolist()
+        assert line.split(",")[2:4] == [repr(lat), repr(lon)]
+    assert tree.num_classes > 2 and lines[3].endswith(",")  # class 2 has no predictions
+    with pytest.raises(ShapeError):
+        export_per_class_csv(preds, truth[:2], tree, path)

@@ -294,7 +294,8 @@ def test_gcn_lp_predict_uses_stored_label_block(rng, monkeypatch):
         predict_classes(model, a_hat, x, adj)
 
 
-def test_early_stopping_restores_best_epoch(rng):
+def test_early_stopping_restores_best_epoch(rng, monkeypatch):
+    monkeypatch.setattr(models, "PATIENCE", 4)
     adj, a_hat, x, labels, part = _instance(rng, n=16)
     cfg = GcnConfig(hidden=5, layers=1)
     calls = []
@@ -304,8 +305,7 @@ def test_early_stopping_restores_best_epoch(rng):
         return float(len(calls))  # epoch 1 is "best", everything after is worse
 
     stopped, hist = train("gcn", a_hat, x, adj, labels, 3, part, cfg,
-                          TrainConfig(lr=0.01, epochs=50, dropout=0.3, seed=5,
-                                      early_stop=True, patience=4),
+                          TrainConfig(lr=0.01, epochs=50, dropout=0.3, seed=5),
                           dev_score=worsening_score)
     assert len(hist) == 5  # best epoch + patience exhausted
     one_epoch, _ = train("gcn", a_hat, x, adj, labels, 3, part, cfg,

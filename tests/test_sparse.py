@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import sparse as sp
 
 from geograph.errors import NumericError, ShapeError
-from geograph.sparse import SparseMatrix, hstack, spmm
+from geograph.sparse import SparseMatrix, hstack
 
 
 def test_from_triplets_sums_duplicates():
@@ -66,12 +66,6 @@ def test_hstack_concatenates_columns(rng):
 def test_hstack_row_mismatch():
     with pytest.raises(ShapeError):
         hstack([SparseMatrix.from_dense(np.eye(2)), SparseMatrix.from_dense(np.eye(3))])
-
-
-def test_spmm_function_matches_method(rng):
-    s = SparseMatrix.from_dense(rng.random((4, 4)))
-    x = rng.standard_normal((4, 2))
-    np.testing.assert_array_equal(spmm(s, x), s.matmul_dense(x))
 
 
 @given(

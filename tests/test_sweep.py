@@ -17,7 +17,7 @@ from geograph.sweep import (
     load_sweep_file,
     prepare_views,
     run_sweep,
-    scaled_bucket,
+    tree_bucket,
 )
 
 
@@ -64,7 +64,11 @@ def test_spec_validation():
         SweepSpec(max_comention_degree=-1)
     # the knobs every cell's configs check, checked once for the spec
     for bad, message in [({"epochs": 0}, "epochs"), ({"dropout": 1.5}, "dropout"),
-                         ({"hidden": 0}, "hidden"), ({"dcca": {"reg": -1.0}}, "reg")]:
+                         ({"hidden": 0}, "hidden"), ({"dcca": {"reg": -1.0}}, "reg"),
+                         ({"lr": 0.0}, "^lr must be > 0"), ({"lr": -1e-3}, "^lr must be > 0"),
+                         ({"lr": float("nan")}, "^lr must be > 0"),
+                         ({"dcca": {"stage1_lr": 0.0}}, "stage1_lr must be > 0"),
+                         ({"dcca": {"stage1_lr": float("nan")}}, "stage1_lr must be > 0")]:
         with pytest.raises(ArgumentError, match=message):
             SweepSpec(**bad)
     with pytest.raises(TypeError, match="proj_width"):  # a sweep file gets ArgumentError
@@ -104,6 +108,8 @@ def test_load_sweep_file(tmp_path):
     ({"out": 3}, "out is 3, not str"),
     ({"epochs": 0}, "epochs must be >= 1"),
     ({"dropout": 1.5}, "dropout must be in [0, 1)"),
+    ({"lr": 0}, "lr must be > 0, got 0"),
+    ({"dcca": {"stage1_lr": -1}}, "stage1_lr must be > 0, got -1"),
 ])
 def test_load_sweep_file_names_the_bad_field(tmp_path, fields, message):
     path = tmp_path / "sweep.json"
@@ -112,11 +118,12 @@ def test_load_sweep_file_names_the_bad_field(tmp_path, fields, message):
         load_sweep_file(path)
 
 
-def test_scaled_bucket():
-    assert scaled_bucket(50, 1.0, True) == 50
-    assert scaled_bucket(50, 0.1, True) == 5
-    assert scaled_bucket(50, 0.001, True) == 1  # floored
-    assert scaled_bucket(50, 0.1, False) == 50
+def test_tree_bucket():
+    assert tree_bucket(50, 1.0, True, "labeled") == 50
+    assert tree_bucket(50, 0.1, True, "labeled") == 5
+    assert tree_bucket(50, 0.001, True, "labeled") == 1  # floored
+    assert tree_bucket(50, 0.1, False, "labeled") == 50
+    assert tree_bucket(50, 0.1, True, "all-train") == 50  # never scaled
 
 
 def test_tree_source_policy(small_bundle):
@@ -129,7 +136,7 @@ def test_tree_source_policy(small_bundle):
     # all-train mode covers the whole train split at the unscaled bucket
     assert sum(labeled_tree.leaf_counts()) == part.train_idx.size
     assert sum(full_tree.leaf_counts()) == small_bundle.split_indices("train").size
-    assert max(labeled_tree.leaf_counts()) <= scaled_bucket(10, 0.2, True)
+    assert max(labeled_tree.leaf_counts()) <= tree_bucket(10, 0.2, True, "labeled")
     assert max(full_tree.leaf_counts()) <= 10
     with pytest.raises(ArgumentError):
         build_region_tree(small_bundle, part, 10, 0.2, tree_from="everything")
