@@ -6,9 +6,17 @@ loss with respect to the output, the VJP returns one gradient per input, in
 input order, and writes nothing. ``backward`` replays the recorded graph from
 a scalar loss in reverse topological order and is the only place that sums
 those gradients into ``grad``. The vocabulary is deliberately small:
-dense/sparse matrix products, bias broadcast, elementwise nonlinearities and
-products, softmax cross-entropy, and a canonical-correlation head. All
-data is float64.
+
+* products: ``matmul``, ``spmm`` (constant sparse operand) and ``add_bias``;
+* elementwise: ``mul_const`` (scaling and dropout), ``relu`` and ``sigmoid``;
+* reductions and loss heads: ``sum_all``, ``softmax_cross_entropy`` and
+  ``cca_correlation``;
+* fused layers: ``graph_conv``, one relu graph convolution, and ``highway``,
+  one highway gate with its carry. Each is a single node whose VJP holds
+  only the arrays it reads, so a deep gated stack keeps a short tape.
+
+``affine``, ``sparse_affine`` and ``dropout`` compose these. All data is
+float64.
 """
 
 from __future__ import annotations
@@ -91,8 +99,9 @@ def backward(loss: Tensor) -> None:
             if id(p) not in seen and p._needs_grad():
                 stack.append((p, False))
 
-    # A VJP may hand one array to several parents (``add``, ``add_bias``), so
-    # gradients are summed into new arrays, never in place.
+    # A VJP may pass on the array it was given (``add_bias`` does), so one
+    # array can be the gradient of several tensors: gradients are summed into
+    # new arrays, never in place.
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._vjp is None:
@@ -119,7 +128,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def spmm(s: SparseMatrix, x: Tensor) -> Tensor:
-    """Constant sparse matrix times a tensor: out = S @ x."""
+    """Constant sparse matrix times a tensor: out = S @ x.
+
+    ``s`` may be any constant operand that offers ``matmul_dense`` and
+    ``transpose().matmul_dense`` as ``SparseMatrix`` does."""
     return Tensor(s.matmul_dense(x.data), _parents=(x,),
                   _vjp=lambda g: (s.transpose().matmul_dense(g),))
 
@@ -131,26 +143,10 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return Tensor(x.data + b.data[None, :], _parents=(x, b), _vjp=lambda g: (g, g.sum(axis=0)))
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    return Tensor(a.data + b.data, _parents=(a, b), _vjp=lambda g: (g, g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of equal-shaped tensors."""
-    _check_same_shape(a, b, "mul")
-    return Tensor(a.data * b.data, _parents=(a, b), _vjp=lambda g: (g * b.data, g * a.data))
-
-
 def mul_const(x: Tensor, c) -> Tensor:
     """Multiply by a constant scalar or array (used for scaling and dropout masks)."""
     c = np.asarray(c, dtype=np.float64)
     return Tensor(x.data * c, _parents=(x,), _vjp=lambda g: (g * c,))
-
-
-def add_const(x: Tensor, c) -> Tensor:
-    c = np.asarray(c, dtype=np.float64)
-    return Tensor(x.data + c, _parents=(x,), _vjp=lambda g: (g,))
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -165,10 +161,14 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(np.maximum(x.data, 0.0), _parents=(x,), _vjp=lambda g: (g * (x.data > 0.0),))
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _expit(z: np.ndarray) -> np.ndarray:
     # Imported on first use: scipy.special adds about 0.15 s to every start-up.
     from scipy.special import expit
-    s = expit(x.data)
+    return expit(z)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    s = _expit(x.data)
     # The VJP holds the output array, not the output tensor (see ``Tensor``).
     return Tensor(s, _parents=(x,), _vjp=lambda g: (g * s * (1.0 - s),))
 
@@ -262,6 +262,64 @@ def _inv_sqrt_sym(mat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# fused layers
+#
+# Each runs its arithmetic in the order the unfused ops would, so its forward
+# value has their bytes, and records one node instead of a chain of them.
+
+
+def graph_conv(a_hat: SparseMatrix, h: Tensor, w: Tensor, b: Tensor,
+               mask: np.ndarray | None = None) -> Tensor:
+    """One graph convolution, ``relu(a_hat @ (mask * h) @ w + b)``.
+
+    ``mask`` is an inverted-dropout mask on ``h``. The VJP holds the
+    propagated input ``a_hat @ (mask * h)``, which ``w``'s gradient reads,
+    and the relu's active set as booleans.
+    """
+    if w.data.ndim != 2 or h.data.ndim != 2 or h.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"graph_conv: input {h.data.shape} @ weights {w.data.shape}")
+    if b.data.shape != (w.data.shape[1],):
+        raise ShapeError(f"graph_conv: bias {b.data.shape} for weights {w.data.shape}")
+    if mask is not None and np.shape(mask) != h.data.shape:
+        raise ShapeError(f"graph_conv: mask {np.shape(mask)} vs input {h.data.shape}")
+    w_data = w.data
+    propagated = a_hat.matmul_dense(h.data if mask is None else h.data * mask)
+    out = propagated @ w_data
+    out += b.data
+    active = out > 0.0
+    np.maximum(out, 0.0, out=out)
+
+    def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        g = g * active
+        g_h = a_hat.transpose().matmul_dense(g @ w_data.T)
+        return (g_h if mask is None else g_h * mask), propagated.T @ g, g.sum(axis=0)
+
+    return Tensor(out, _parents=(h, w, b), _vjp=vjp)
+
+
+def highway(h_new: Tensor, h_in: Tensor, wg: Tensor, bg: Tensor) -> Tensor:
+    """A highway gate: ``gate * h_new + (1 - gate) * h_in`` with
+    ``gate = sigmoid(h_in @ wg + bg)``, per unit.
+
+    The VJP holds the gate and reads the two inputs' own arrays.
+    """
+    _check_same_shape(h_new, h_in, "highway")
+    k = h_in.data.shape[1]
+    if wg.data.shape != (k, k) or bg.data.shape != (k,):
+        raise ShapeError(f"highway: gate {wg.data.shape} + {bg.data.shape} on width {k}")
+    new, carried, wg_data = h_new.data, h_in.data, wg.data
+    gate = _expit(carried @ wg_data + bg.data)
+    out = new * gate + carried * (gate * -1.0 + 1.0)
+
+    def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        carry = gate * -1.0 + 1.0
+        g_pre = (g * new - g * carried) * gate * carry
+        return g * gate, g * carry + g_pre @ wg_data.T, carried.T @ g_pre, g_pre.sum(axis=0)
+
+    return Tensor(out, _parents=(h_new, h_in, wg, bg), _vjp=vjp)
+
+
+# ---------------------------------------------------------------------------
 # composite helpers
 
 
@@ -301,15 +359,14 @@ __all__ = [
     "matmul",
     "spmm",
     "add_bias",
-    "add",
-    "mul",
     "mul_const",
-    "add_const",
     "sum_all",
     "relu",
     "sigmoid",
     "softmax_cross_entropy",
     "cca_correlation",
+    "graph_conv",
+    "highway",
     "affine",
     "sparse_affine",
     "dropout",

@@ -94,15 +94,17 @@ def train(users_path, edges_path, model_name, hidden, layers, bucket,
     ckpt.save_checkpoint(out / "model.ckpt", run.model, context)
     _write_predictions(out / "predictions.csv", bundle, run.preds, tree)
 
+    config = {
+        "hidden": hidden, "layers": layers, "highway": MODELS[model_name][1],
+        "bucket": tree.bucket_size, "tree_from": tree_from,
+        "labeled_fraction": labeled_fraction,
+        "lambda": lam, "dropout": dropout, "lr": lr, "epochs": epochs,
+        "seed": seed, "early_stop": early_stop, **dcca,
+    }
     report = {
         "model": model_name,
-        "config": {
-            "hidden": hidden, "layers": layers, "highway": MODELS[model_name][1],
-            "bucket": tree.bucket_size, "tree_from": tree_from,
-            "labeled_fraction": labeled_fraction,
-            "lambda": lam, "dropout": dropout, "lr": lr, "epochs": epochs,
-            "seed": seed, "early_stop": early_stop, **dcca,
-        },
+        # What the model was trained with wins over the flag that asked for it.
+        "config": {**config, **{k: v for k, v in run.model.meta.items() if k in config}},
         "num_classes": tree.num_classes,
         "labeled_users": int(run.partition.train_idx.size),
         "epochs_run": len(run.history),

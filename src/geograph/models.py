@@ -145,12 +145,6 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 # forward passes
 
 
-def highway_combine(h_new: Tensor, h_in: Tensor, gate: Tensor) -> Tensor:
-    """gate * h_new + (1 - gate) * h_in, elementwise."""
-    carry = ad.add_const(ad.mul_const(gate, -1.0), 1.0)
-    return ad.add(ad.mul(h_new, gate), ad.mul(h_in, carry))
-
-
 def init_gcn_params(
     rng: np.random.Generator, in_dim: int, num_classes: int, cfg: GcnConfig
 ) -> ParamSet:
@@ -176,7 +170,8 @@ def gcn_forward(
     dropout_masks: list[np.ndarray] | None = None,
     out_rows: SparseMatrix | None = None,
 ) -> Tensor:
-    """Class logits for every node from the raw input rows ``x``.
+    """Class logits for every node from the raw input rows ``x`` (gcn-lp's
+    are ``LabelRows``).
 
     The first layer is ``relu(a_hat @ (x @ W0) + b0)``: multiplying by the
     weights first keeps both products sparse times dense, linear in the
@@ -190,16 +185,10 @@ def gcn_forward(
         raise ShapeError(f"expected {cfg.layers} dropout masks, got {len(dropout_masks)}")
     h = ad.relu(ad.add_bias(ad.spmm(a_hat, ad.spmm(x, params["conv0/W"])), params["conv0/b"]))
     for l in range(1, cfg.layers):
-        h_in = h
-        mixed = h_in
-        if dropout_masks is not None:
-            mixed = ad.dropout(mixed, dropout_masks[l - 1])
-        h_new = ad.relu(
-            ad.affine(ad.spmm(a_hat, mixed), params[f"conv{l}/W"], params[f"conv{l}/b"])
-        )
+        mask = None if dropout_masks is None else dropout_masks[l - 1]
+        h_new = ad.graph_conv(a_hat, h, params[f"conv{l}/W"], params[f"conv{l}/b"], mask)
         if cfg.highway:
-            gate = ad.sigmoid(ad.affine(h_in, params[f"gate{l}/W"], params[f"gate{l}/b"]))
-            h = highway_combine(h_new, h_in, gate)
+            h = ad.highway(h_new, h, params[f"gate{l}/W"], params[f"gate{l}/b"])
         else:
             h = h_new
     if dropout_masks is not None:
@@ -254,12 +243,43 @@ def cca_loss(h1: Tensor, h2: Tensor, reg: float) -> Tensor:
     return ad.mul_const(ad.cca_correlation(h1, h2, reg), -1.0)
 
 
-def lp_input(adjacency: SparseMatrix, label_block: np.ndarray) -> SparseMatrix:
-    """Rows ``[binary adjacency | per-class label weights]`` for gcn-lp."""
+class LabelRows(NamedTuple):
+    """gcn-lp's input rows ``[A | L]``, the binary adjacency ``A`` beside the
+    dense label block ``L``, never built as one matrix.
+
+    It offers what ``ad.spmm`` reads of a sparse operand: ``shape``,
+    ``matmul_dense`` and ``transpose().matmul_dense``. A product splits the
+    dense operand into its adjacency rows and its label rows.
+    """
+
+    adjacency: SparseMatrix
+    label_block: np.ndarray
+    transposed: bool = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n, k = self.label_block.shape
+        return (n + k, n) if self.transposed else (n, n + k)
+
+    def transpose(self) -> "LabelRows":
+        return self._replace(transposed=not self.transposed)
+
+    def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
+        a, block = self.adjacency, self.label_block
+        if self.transposed:  # [A | L].T @ g
+            return np.vstack([a.transpose().matmul_dense(dense), block.T @ dense])
+        n = a.shape[1]  # [A | L] @ W = A @ W[:n] + L @ W[n:]
+        return a.matmul_dense(dense[:n]) + block @ dense[n:]
+
+
+def lp_input(adjacency: SparseMatrix, label_block: np.ndarray) -> LabelRows:
+    """Rows ``[binary adjacency | per-class label weights]`` for gcn-lp.
+
+    The rows hold ``label_block`` itself, not a copy."""
     n = adjacency.shape[0]
     if label_block.shape[0] != n:
         raise ShapeError(f"label block has {label_block.shape[0]} rows for {n} nodes")
-    return sparse_hstack([adjacency, SparseMatrix.from_dense(label_block)])
+    return LabelRows(adjacency, label_block)
 
 
 # --------------------------------------------------------------------------
@@ -335,7 +355,7 @@ def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg)
     held_out = np.setdiff1d(np.arange(n), train_idx)
     latched = False
 
-    def after_epoch(probs: np.ndarray, train_acc: float) -> SparseMatrix | None:
+    def after_epoch(probs: np.ndarray, train_acc: float) -> LabelRows | None:
         nonlocal latched
         latched = latched or train_acc >= trigger
         if not latched:
@@ -384,7 +404,7 @@ def _gcn_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
     return x
 
 
-def _gcn_lp_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
+def _gcn_lp_inputs(model: TrainedModel, a_hat, x, adjacency) -> LabelRows:
     label_block = model.state.get("label_block")
     if label_block is None:
         raise StateError("gcn-lp model is missing its label block")

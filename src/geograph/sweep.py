@@ -15,6 +15,7 @@ otherwise identical runs differ.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -38,6 +39,8 @@ from .models import (
 )
 from .sparse import SparseMatrix
 from .views import ViewMatrices, build_mention_graph, build_text_view, normalize_adjacency
+
+log = logging.getLogger(__name__)
 
 # Sweep model name -> (the model kind it trains, whether its gates are on).
 MODELS = {
@@ -131,7 +134,11 @@ def load_sweep_file(path) -> tuple[SweepSpec, dict | None, str | None]:
     if errors:
         raise ArgumentError(f"{path}: {'; '.join(errors)}")
     dataset, out = raw.pop("dataset", None), raw.pop("out", None)
-    return SweepSpec(**raw), dataset, out
+    try:
+        spec = SweepSpec(**raw)
+    except ArgumentError as exc:
+        raise ArgumentError(f"{path}: {exc}") from exc
+    return spec, dataset, out
 
 
 @dataclass
@@ -245,7 +252,10 @@ def fit_model(
         # The default projection width exceeds small corpora; cap it to keep the
         # correlation well-defined (needs more samples than projected dims).
         if cfg.proj_out >= a_hat.shape[0] - 1:
-            cfg = replace(cfg, proj_out=max(1, (a_hat.shape[0] - 1) // 2))
+            capped = max(1, (a_hat.shape[0] - 1) // 2)
+            log.warning("dcca: proj_out %d needs more than %d users, not %d; training with %d",
+                        cfg.proj_out, cfg.proj_out + 1, a_hat.shape[0], capped)
+            cfg = replace(cfg, proj_out=capped)
     else:
         cfg = MlpConfig(hidden)
     return train(kind, a_hat, views.text, views.adjacency, labels, num_classes, partition, cfg,

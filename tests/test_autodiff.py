@@ -84,14 +84,69 @@ def test_spmm_grad(rng):
 
 
 def test_elementwise_grads(rng):
-    p = _params(rng, a=(3, 4), b=(3, 4))
+    p = _params(rng, a=(3, 4))
+    c = rng.standard_normal((3, 4))
 
     def loss(v):
-        a = ad.parameter(v["a"], "a")
-        b = ad.parameter(v["b"], "b")
-        z = ad.add(ad.mul(a, b), a)
-        z = ad.add_const(ad.mul_const(z, 1.7), 0.3)
-        return ad.sum_all(z)
+        z = ad.sigmoid(ad.mul_const(ad.parameter(v["a"], "a"), c))
+        return ad.sum_all(ad.mul_const(z, 1.7))
+
+    check_op(loss, p)
+
+
+def _conv_instance(rng):
+    """A sparse propagation matrix and graph_conv parameters."""
+    a_hat = SparseMatrix.from_dense(rng.random((5, 6)) * (rng.random((5, 6)) < 0.6))
+    p = _params(rng, h=(6, 4), w=(4, 3), b=(3,))
+    return a_hat, p
+
+
+def _relu_margin(a_hat, v, mask=None):
+    """Distance of the nearest pre-activation from the relu's kink, where
+    finite differences are no gradient check."""
+    h = v["h"] if mask is None else v["h"] * mask
+    return np.abs(a_hat.to_dense() @ h @ v["w"] + v["b"]).min()
+
+
+@pytest.mark.parametrize("dropped", [False, True])
+def test_graph_conv_grad(rng, dropped):
+    a_hat, p = _conv_instance(rng)
+    mask = ad.make_dropout_mask(rng, (6, 4), 0.5) if dropped else None
+    weights = rng.standard_normal((5, 3))
+    assert _relu_margin(a_hat, p, mask) > 1e-4
+
+    def loss(v):
+        out = ad.graph_conv(a_hat, ad.parameter(v["h"], "h"), ad.parameter(v["w"], "w"),
+                            ad.parameter(v["b"], "b"), mask)
+        return ad.sum_all(ad.mul_const(out, weights))
+
+    check_op(loss, p)
+
+
+def test_graph_conv_matches_unfused_ops(rng):
+    a_hat, p = _conv_instance(rng)
+    mask = ad.make_dropout_mask(rng, (6, 4), 0.5)
+    h, w, b = (ad.constant(p[k]) for k in ("h", "w", "b"))
+    unfused = ad.relu(ad.affine(ad.spmm(a_hat, ad.dropout(h, mask)), w, b))
+    np.testing.assert_array_equal(ad.graph_conv(a_hat, h, w, b, mask).data, unfused.data)
+    with pytest.raises(ShapeError):
+        ad.graph_conv(a_hat, h, w, b, mask[:, :3])
+    with pytest.raises(ShapeError):
+        ad.graph_conv(a_hat, h, ad.constant(p["w"].T), b)
+
+
+@pytest.mark.parametrize("gate_bias", [4.0, -4.0])  # gates near open, near closed
+def test_highway_grad(rng, gate_bias):
+    p = _params(rng, h_new=(5, 3), h_in=(5, 3), wg=(3, 3), bg=(3,))
+    p["wg"] *= 0.3
+    p["bg"] = 0.1 * p["bg"] + gate_bias
+    gate = 1.0 / (1.0 + np.exp(-(p["h_in"] @ p["wg"] + p["bg"])))
+    assert (gate > 0.8).all() if gate_bias > 0 else (gate < 0.2).all()
+    weights = rng.standard_normal((5, 3))
+
+    def loss(v):
+        out = ad.highway(*(ad.parameter(v[k], k) for k in ("h_new", "h_in", "wg", "bg")))
+        return ad.sum_all(ad.mul_const(out, weights))
 
     check_op(loss, p)
 
@@ -138,14 +193,13 @@ def test_dropped_tape_is_freed_without_gc(rng):
         "matmul": lambda h: ad.matmul(h, w),
         "spmm": lambda h: ad.spmm(s, h),
         "add_bias": lambda h: ad.add_bias(h, b),
-        "add": lambda h: ad.add(h, h),
-        "mul": lambda h: ad.mul(h, h),
         "mul_const": lambda h: ad.mul_const(h, c),
-        "add_const": lambda h: ad.add_const(h, 0.5),
         "relu": ad.relu,
         "sigmoid": ad.sigmoid,
         "softmax_cross_entropy": lambda h: ad.softmax_cross_entropy(h, np.eye(3)[[0, 2, 1, 0, 2, 1]]),
         "cca_correlation": lambda h: ad.cca_correlation(h, ad.mul_const(h, c), 1e-3),
+        "graph_conv": lambda h: ad.graph_conv(s, h, w, b, c),
+        "highway": lambda h: ad.highway(ad.mul_const(h, c), h, w, b),
     }
     v = ad.parameter(rng.standard_normal((4, 3)))
     gc.disable()
@@ -246,22 +300,32 @@ def test_make_dropout_mask_validates_p(rng):
 
 def test_gradient_accumulates_over_reuse(rng):
     x = ad.parameter(rng.standard_normal((3, 3)), "x")
-    loss = ad.sum_all(ad.mul(x, x))
+    loss = ad.sum_all(ad.matmul(x, x))
     ad.backward(loss)
-    np.testing.assert_allclose(x.grad, 2.0 * x.data, atol=1e-14)
+    ones = np.ones((3, 3))
+    np.testing.assert_allclose(x.grad, ones @ x.data.T + x.data.T @ ones, atol=1e-14)
+
+
+def _add(a, b):
+    """Elementwise sum whose VJP hands the one array it gets to both parents."""
+    return ad.Tensor(a.data + b.data, _parents=(a, b), _vjp=lambda g: (g, g))
+
+
+def _mul(a, b):
+    return ad.Tensor(a.data * b.data, _parents=(a, b), _vjp=lambda g: (g * b.data, g * a.data))
 
 
 def test_one_vjp_feeds_two_parents(rng):
     a = ad.parameter(rng.standard_normal((3, 2)), "a")
     b = ad.parameter(rng.standard_normal((3, 2)), "b")
-    ad.backward(ad.sum_all(ad.mul(ad.add(a, b), a)))
+    ad.backward(ad.sum_all(_mul(_add(a, b), a)))
     np.testing.assert_allclose(a.grad, 2.0 * a.data + b.data, atol=1e-14)
     np.testing.assert_allclose(b.grad, a.data, atol=1e-14)
-    # Here the outer ``add`` hands one array to two branches and the inner one
+    # Here the outer ``_add`` hands one array to two branches and the inner one
     # hands it on to a and b before a's second gradient arrives: summing that
     # gradient into a.grad in place would also change b.grad.
     a.grad = b.grad = None
-    ad.backward(ad.sum_all(ad.add(ad.add(a, b), ad.mul(a, a))))
+    ad.backward(ad.sum_all(_add(_add(a, b), _mul(a, a))))
     np.testing.assert_allclose(a.grad, 1.0 + 2.0 * a.data, atol=1e-14)
     np.testing.assert_array_equal(b.grad, 1.0)
 

@@ -13,7 +13,7 @@ import pytest
 import geograph
 from geograph.checkpoint import load_checkpoint
 from geograph.cli import cli, main
-from geograph.sweep import CSV_HEADER
+from geograph.sweep import CSV_HEADER, MODEL_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +106,26 @@ def test_train_other_models(corpus, tmp_path, model):
         assert report["config"][name] == int(value)
         if name in meta:
             assert meta[name] == int(value)
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_report_config_matches_checkpoint_meta(corpus, tmp_path, caplog, model):
+    # dcca keeps its default proj_out, wider than 120 users can correlate:
+    # training caps it, says so once, and the report states the capped width.
+    out = tmp_path / model
+    flags = {"--proj-hidden": "12", "--stage1-epochs": "2"} if model == "dcca" else {}
+    with caplog.at_level("WARNING", logger="geograph.sweep"):
+        assert main(_train_args(corpus, out, **{"--model": model, "--layers": "2", **flags})) == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    meta = load_checkpoint(out / "model.ckpt")[0].meta
+    shared = set(config) & set(meta)
+    assert shared and {k: config[k] for k in shared} == {k: meta[k] for k in shared}
+    warnings = [r for r in caplog.records if r.name == "geograph.sweep"]
+    if model == "dcca":
+        assert config["proj_out"] == meta["proj_out"] == 59
+        assert len(warnings) == 1 and "proj_out 500" in warnings[0].getMessage()
+    else:
+        assert not warnings
 
 
 def test_train_fraction_and_tree_flags(corpus, tmp_path):

@@ -14,7 +14,6 @@ from geograph.models import (
     Partition,
     TrainConfig,
     gcn_forward,
-    highway_combine,
     init_gcn_params,
     lp_input,
     mlp_forward,
@@ -68,13 +67,42 @@ def test_partition_sorts_and_rejects_repeats():
         Partition([2], [3], [4, 4])
 
 
-def test_highway_combine_formula(rng):
-    h_new = ad.constant(rng.standard_normal((4, 3)))
-    h_in = ad.constant(rng.standard_normal((4, 3)))
-    gate = ad.constant(rng.random((4, 3)))
-    out = highway_combine(h_new, h_in, gate).data
-    want = h_new.data * gate.data + h_in.data * (1.0 - gate.data)
-    np.testing.assert_allclose(out, want, atol=1e-15)
+def test_highway_formula(rng):
+    h_new, h_in, wg = (ad.constant(rng.standard_normal(shape)) for shape in ((4, 3), (4, 3), (3, 3)))
+    bg = ad.constant(rng.standard_normal(3))
+    gate = 1.0 / (1.0 + np.exp(-(h_in.data @ wg.data + bg.data)))
+    want = h_new.data * gate + h_in.data * (1.0 - gate)
+    np.testing.assert_allclose(ad.highway(h_new, h_in, wg, bg).data, want, atol=1e-15)
+    # Saturated gates pass one input through exactly.
+    for bias, passed in ((800.0, h_new), (-800.0, h_in)):
+        out = ad.highway(h_new, h_in, wg, ad.constant(np.full(3, bias)))
+        np.testing.assert_array_equal(out.data, passed.data)
+
+
+def _tape_nodes(out):
+    """The recorded (non-leaf) tensors reachable from ``out``."""
+    seen, stack, count = set(), [out], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            count += t._vjp is not None
+            stack.extend(t._parents)
+    return count
+
+
+@pytest.mark.parametrize("highway, per_layer", [(True, 2), (False, 1)])
+def test_gcn_hidden_layer_tape_nodes(rng, highway, per_layer):
+    # Each hidden layer after the first records its graph convolution as one
+    # node, and its highway gate, when it has one, as a second.
+    adj, a_hat, x, *_ = _instance(rng)
+    counts = {}
+    for layers in (1, 4):
+        cfg = GcnConfig(hidden=6, layers=layers, highway=highway)
+        params = init_gcn_params(rng, x.shape[1], 3, cfg)
+        masks = [ad.make_dropout_mask(rng, (12, 6), 0.5) for _ in range(layers)]
+        counts[layers] = _tape_nodes(gcn_forward(a_hat, x, params, cfg, masks))
+    assert counts[4] - counts[1] == 3 * per_layer
 
 
 def test_gcn_param_layout_and_gate_bias(rng):
@@ -124,6 +152,16 @@ def test_lp_input_width():
     assert lp_input(adj, block).shape == (2, 5)
     with pytest.raises(ShapeError):
         lp_input(adj, np.zeros((3, 2)))
+
+
+def test_lp_input_products_match_dense_rows(rng):
+    adj = SparseMatrix.from_dense(random_symmetric_adjacency(rng, 6, 0.4))
+    block = rng.random((6, 3))
+    rows, dense = lp_input(adj, block), np.hstack([adj.to_dense(), block])
+    w, g = rng.standard_normal((9, 4)), rng.standard_normal((6, 4))
+    np.testing.assert_allclose(rows.matmul_dense(w), dense @ w, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(rows.transpose().matmul_dense(g), dense.T @ g, rtol=0, atol=1e-14)
+    assert rows.transpose().shape == (9, 6)
 
 
 def test_mlp_input_width(rng):

@@ -110,12 +110,15 @@ def test_load_sweep_file(tmp_path):
     ({"dropout": 1.5}, "dropout must be in [0, 1)"),
     ({"lr": 0}, "lr must be > 0, got 0"),
     ({"dcca": {"stage1_lr": -1}}, "stage1_lr must be > 0, got -1"),
+    ({"hidden": 0}, "hidden must be >= 1"),
+    ({"depths": [0]}, "depths must be >= 1"),
 ])
 def test_load_sweep_file_names_the_bad_field(tmp_path, fields, message):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(fields))
-    with pytest.raises(ArgumentError, match=re.escape(message)):
+    with pytest.raises(ArgumentError, match=re.escape(message)) as info:
         load_sweep_file(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_tree_bucket():
