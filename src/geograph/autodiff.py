@@ -11,9 +11,11 @@ those gradients into ``grad``. The vocabulary is deliberately small:
 * elementwise: ``mul_const`` (scaling and dropout), ``relu`` and ``sigmoid``;
 * reductions and loss heads: ``sum_all``, ``softmax_cross_entropy`` and
   ``cca_correlation``;
-* fused layers: ``graph_conv``, one relu graph convolution, and ``highway``,
-  one highway gate with its carry. Each is a single node whose VJP holds
-  only the arrays it reads, so a deep gated stack keeps a short tape.
+* fused layers: ``relu_affine``, one relu layer over a constant input (a
+  dense array or a sparse-like operand), ``graph_conv``, one relu graph
+  convolution, and ``highway``, one highway gate with its carry. Each is a
+  single node whose VJP holds only the arrays it reads, so a deep gated stack
+  keeps a short tape.
 
 ``affine``, ``sparse_affine`` and ``dropout`` compose these. All data is
 float64.
@@ -268,6 +270,31 @@ def _inv_sqrt_sym(mat: np.ndarray) -> np.ndarray:
 # value has their bytes, and records one node instead of a chain of them.
 
 
+def relu_affine(x, w: Tensor, b: Tensor) -> Tensor:
+    """One relu layer over a constant input, ``relu(x @ w + b)``.
+
+    ``x`` is a dense array or, as ``spmm`` reads it, an operand with
+    ``shape``, ``matmul_dense`` and ``transpose().matmul_dense``. No gradient
+    reaches ``x``: the VJP holds the relu's active set as booleans and
+    returns ``x.T @ g_active`` and ``g_active.sum(0)``.
+    """
+    if w.data.ndim != 2 or len(x.shape) != 2 or x.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"relu_affine: input {x.shape} @ weights {w.data.shape}")
+    if b.data.shape != (w.data.shape[1],):
+        raise ShapeError(f"relu_affine: bias {b.data.shape} for weights {w.data.shape}")
+    dense = isinstance(x, np.ndarray)
+    out = x @ w.data if dense else x.matmul_dense(w.data)
+    out += b.data
+    active = out > 0.0
+    np.maximum(out, 0.0, out=out)
+
+    def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g = g * active
+        return (x.T @ g if dense else x.transpose().matmul_dense(g)), g.sum(axis=0)
+
+    return Tensor(out, _parents=(w, b), _vjp=vjp)
+
+
 def graph_conv(a_hat: SparseMatrix, h: Tensor, w: Tensor, b: Tensor,
                mask: np.ndarray | None = None) -> Tensor:
     """One graph convolution, ``relu(a_hat @ (mask * h) @ w + b)``.
@@ -365,6 +392,7 @@ __all__ = [
     "sigmoid",
     "softmax_cross_entropy",
     "cca_correlation",
+    "relu_affine",
     "graph_conv",
     "highway",
     "affine",

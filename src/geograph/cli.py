@@ -20,7 +20,7 @@ from . import checkpoint as ckpt
 from .data import DatasetBundle, SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import ArgumentError, DataFormatError, GeographError
 from .geo import RegionTree, evaluate, export_per_class_csv
-from .models import PATIENCE, DccaConfig, predict_classes
+from .models import PATIENCE, DccaConfig, predict_classes, trained_config
 from .sweep import (MODEL_NAMES, MODELS, SweepSpec, emit_report, load_sweep_file, run_cell,
                     run_sweep, spec_views)
 from .views import Vocabulary, build_mention_graph, build_text_view, normalize_adjacency
@@ -104,7 +104,7 @@ def train(users_path, edges_path, model_name, hidden, layers, bucket,
     report = {
         "model": model_name,
         # What the model was trained with wins over the flag that asked for it.
-        "config": {**config, **{k: v for k, v in run.model.meta.items() if k in config}},
+        "config": {**config, **trained_config(run.model)},
         "num_classes": tree.num_classes,
         "labeled_users": int(run.partition.train_idx.size),
         "epochs_run": len(run.history),

@@ -7,7 +7,9 @@ for every user:
 
 * ``gcn``: graph convolutions ``H' = relu(A_hat @ (H @ W) + b)``, the first
   over the raw tf-idf rows, with highway gates on the dimension-preserving
-  layers, closed by one more graph convolution into class logits.
+  layers, closed by one more graph convolution into class logits. The first
+  layer's ``A_hat @ X`` is fixed for a whole run, so it is propagated once
+  (see ``propagate``).
 * ``gcn-lp``: the same stack fed with ``[adjacency | label block]`` rows. The
   label block carries one-hot labels for labeled users and, once training
   accuracy first reaches a trigger threshold, the model's own softmax
@@ -112,6 +114,15 @@ class TrainConfig:
 LP_TRIGGER_ACCURACY = 0.2
 # Epochs without a better dev score before early stopping ends training.
 PATIENCE = 10
+# ``propagate`` holds ``A_hat @ X`` dense when ``n * V <= DENSE_PROPAGATION *
+# (nnz(A_hat) + nnz(X))``: an epoch's two gemms against the n x V array then
+# cost less than its four sparse products. Both sides scale with the hidden
+# width, so the crossover is a ratio of gemm to spmm speed. Measured at hidden
+# 64 on one OpenBLAS thread (2-core x86), forward plus backward per epoch:
+# dense wins at ratio 1.5 (10,000 users: 145 -> 18 ms), 3.7 (1,000 users:
+# 3.7 -> 1.3 ms) and 6.3-6.4 (2.3 -> 1.6 ms, 40 -> 26 ms); sparse wins at
+# 16.6 (4.2 vs 8.9 ms), 32.5 (3.7 vs 19 ms) and above.
+DENSE_PROPAGATION = 8
 
 
 @dataclass
@@ -164,26 +175,26 @@ def init_gcn_params(
 
 def gcn_forward(
     a_hat: SparseMatrix,
-    x: SparseMatrix,
+    propagated: np.ndarray | Propagated,
     params: ParamSet,
     cfg: GcnConfig,
     dropout_masks: list[np.ndarray] | None = None,
     out_rows: SparseMatrix | None = None,
 ) -> Tensor:
-    """Class logits for every node from the raw input rows ``x`` (gcn-lp's
-    are ``LabelRows``).
+    """Class logits for every node from the propagated input rows
+    ``a_hat @ x``, as ``propagate`` returns them (gcn-lp's ``x`` are
+    ``LabelRows``, always left lazy).
 
-    The first layer is ``relu(a_hat @ (x @ W0) + b0)``: multiplying by the
-    weights first keeps both products sparse times dense, linear in the
-    edges. ``dropout_masks`` holds one mask per hidden layer output
-    (applied before the next convolution); gates and carry paths read the
-    undropped activation so a closed gate passes the input through exactly.
+    The first layer is ``relu((a_hat @ x) @ W0 + b0)``, one tape node whose
+    operand is constant. ``dropout_masks`` holds one mask per hidden layer
+    output (applied before the next convolution); gates and carry paths read
+    the undropped activation so a closed gate passes the input through exactly.
     ``out_rows``, some rows of ``a_hat``, makes the output convolution
     compute the logits of those nodes alone.
     """
     if dropout_masks is not None and len(dropout_masks) != cfg.layers:
         raise ShapeError(f"expected {cfg.layers} dropout masks, got {len(dropout_masks)}")
-    h = ad.relu(ad.add_bias(ad.spmm(a_hat, ad.spmm(x, params["conv0/W"])), params["conv0/b"]))
+    h = ad.relu_affine(propagated, params["conv0/W"], params["conv0/b"])
     for l in range(1, cfg.layers):
         mask = None if dropout_masks is None else dropout_masks[l - 1]
         h_new = ad.graph_conv(a_hat, h, params[f"conv{l}/W"], params[f"conv{l}/b"], mask)
@@ -209,9 +220,10 @@ def init_mlp_params(
 
 
 def mlp_forward(
-    x: SparseMatrix, params: ParamSet, dropout_mask: np.ndarray | None = None, prefix: str = ""
+    x: SparseMatrix | np.ndarray, params: ParamSet, dropout_mask: np.ndarray | None = None,
+    prefix: str = "",
 ) -> Tensor:
-    h = ad.relu(ad.sparse_affine(x, params[f"{prefix}hid/W"], params[f"{prefix}hid/b"]))
+    h = ad.relu_affine(x, params[f"{prefix}hid/W"], params[f"{prefix}hid/b"])
     if dropout_mask is not None:
         h = ad.dropout(h, dropout_mask)
     return ad.affine(h, params[f"{prefix}out/W"], params[f"{prefix}out/b"])
@@ -247,7 +259,7 @@ class LabelRows(NamedTuple):
     """gcn-lp's input rows ``[A | L]``, the binary adjacency ``A`` beside the
     dense label block ``L``, never built as one matrix.
 
-    It offers what ``ad.spmm`` reads of a sparse operand: ``shape``,
+    It offers what ``Propagated`` reads of a sparse operand: ``shape``,
     ``matmul_dense`` and ``transpose().matmul_dense``. A product splits the
     dense operand into its adjacency rows and its label rows.
     """
@@ -282,6 +294,41 @@ def lp_input(adjacency: SparseMatrix, label_block: np.ndarray) -> LabelRows:
     return LabelRows(adjacency, label_block)
 
 
+class Propagated(NamedTuple):
+    """``a_hat @ rows``, never formed: a product runs ``a_hat @ (rows @ W)``
+    and its transpose ``rows.T @ (a_hat.T @ G)``, both sparse times dense.
+
+    It offers what ``ad.relu_affine`` reads of an operand, as ``LabelRows``
+    does."""
+
+    a_hat: SparseMatrix
+    rows: SparseMatrix | LabelRows
+    transposed: bool = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        shape = (self.a_hat.shape[0], self.rows.shape[1])
+        return shape[::-1] if self.transposed else shape
+
+    def transpose(self) -> "Propagated":
+        return self._replace(transposed=not self.transposed)
+
+    def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
+        if self.transposed:
+            return self.rows.transpose().matmul_dense(self.a_hat.transpose().matmul_dense(dense))
+        return self.a_hat.matmul_dense(self.rows.matmul_dense(dense))
+
+
+def propagate(a_hat: SparseMatrix, x: SparseMatrix) -> np.ndarray | Propagated:
+    """gcn's first-layer operand ``a_hat @ x``: a dense array when its size
+    says a gemm beats the two sparse products (``DENSE_PROPAGATION``), else
+    ``Propagated``, which runs exactly those products."""
+    n, v = x.shape
+    if n * v <= DENSE_PROPAGATION * (a_hat.nnz + x.nnz):
+        return a_hat.matmul_dense(x.to_dense())
+    return Propagated(a_hat, x)
+
+
 # --------------------------------------------------------------------------
 # one wiring per model kind, shared by training and prediction
 #
@@ -309,10 +356,16 @@ def _meta(cfg, **fields) -> dict:
     return {**fields, **{name: getattr(cfg, name) for name in _META_FIELDS[type(cfg)]}}
 
 
+def trained_config(model: TrainedModel) -> dict:
+    """The config fields ``model`` was trained with, as its meta records them.
+    Reports take them from here, so a width capped in training is reported
+    as trained."""
+    return {name: model.meta[name] for name in _META_FIELDS[KINDS[model.kind].config]}
+
+
 def _model_config(model: TrainedModel) -> GcnConfig | MlpConfig | DccaConfig:
     """The config ``model`` was trained with, rebuilt from its meta."""
-    cls = KINDS[model.kind].config
-    return cls(**{name: model.meta[name] for name in _META_FIELDS[cls]})
+    return KINDS[model.kind].config(**trained_config(model))
 
 
 def is_json_type(value, kind: type) -> bool:
@@ -355,13 +408,13 @@ def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg)
     held_out = np.setdiff1d(np.arange(n), train_idx)
     latched = False
 
-    def after_epoch(probs: np.ndarray, train_acc: float) -> LabelRows | None:
+    def after_epoch(probs: np.ndarray, train_acc: float) -> Propagated | None:
         nonlocal latched
         latched = latched or train_acc >= trigger
         if not latched:
             return None
         label_block[held_out] = probs[held_out]
-        return lp_input(adjacency, label_block)
+        return Propagated(a_hat, lp_input(adjacency, label_block))
 
     return TrainedModel("gcn-lp", params, meta, {"label_block": label_block}), params, after_epoch
 
@@ -400,27 +453,27 @@ def _dcca_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg):
     return TrainedModel("dcca", params, meta), clf, None
 
 
-def _gcn_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
-    return x
+def _gcn_inputs(model: TrainedModel, a_hat, x, adjacency) -> np.ndarray | Propagated:
+    return propagate(a_hat, x)
 
 
-def _gcn_lp_inputs(model: TrainedModel, a_hat, x, adjacency) -> LabelRows:
+def _gcn_lp_inputs(model: TrainedModel, a_hat, x, adjacency) -> Propagated:
     label_block = model.state.get("label_block")
     if label_block is None:
         raise StateError("gcn-lp model is missing its label block")
-    return lp_input(adjacency, label_block)
+    return Propagated(a_hat, lp_input(adjacency, label_block))
 
 
 def _mlp_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
     return sparse_hstack([x, a_hat])
 
 
-def _dcca_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
-    """Both views' projections side by side: the classifier's fixed input."""
+def _dcca_inputs(model: TrainedModel, a_hat, x, adjacency) -> np.ndarray:
+    """Both views' projections side by side: the classifier's fixed, dense input."""
     cfg = _model_config(model)
     h1 = projection_forward(x, model.params, "f1", cfg).data
     h2 = projection_forward(a_hat, model.params, "f2", cfg).data
-    return SparseMatrix.from_dense(np.hstack([h1, h2]))
+    return np.hstack([h1, h2])
 
 
 class LabeledRows(NamedTuple):
@@ -429,7 +482,7 @@ class LabeledRows(NamedTuple):
     the row-local ones."""
 
     idx: np.ndarray
-    operand: SparseMatrix
+    operand: SparseMatrix | np.ndarray
 
 
 def _gcn_logits(params: ParamSet, cfg, a_hat, inputs, masks, rows=None) -> Tensor:
@@ -454,9 +507,12 @@ class ModelKind:
     masks: Callable  # cfg -> (count, width) of the dropout masks an epoch draws
     row_local: bool  # a node's logits read only its own input row
 
-    def labeled_rows(self, a_hat: SparseMatrix, inputs: SparseMatrix, idx) -> LabeledRows:
+    def labeled_rows(self, a_hat: SparseMatrix, inputs, idx) -> LabeledRows:
         idx = np.asarray(idx, dtype=np.intp)
-        return LabeledRows(idx, (inputs if self.row_local else a_hat).take_rows(idx))
+        if not self.row_local:
+            return LabeledRows(idx, a_hat.take_rows(idx))
+        return LabeledRows(idx, inputs[idx] if isinstance(inputs, np.ndarray)
+                           else inputs.take_rows(idx))
 
 
 _gcn_masks = attrgetter("layers", "hidden")

@@ -36,6 +36,7 @@ from .models import (
     is_json_type,
     predict_classes,
     train,
+    trained_config,
 )
 from .sparse import SparseMatrix
 from .views import ViewMatrices, build_mention_graph, build_text_view, normalize_adjacency
@@ -365,10 +366,11 @@ def run_sweep(bundle: DatasetBundle, spec: SweepSpec) -> RunReport:
                     }
                     start = time.perf_counter()
                     try:
-                        scores = run_cell(
+                        run = run_cell(
                             bundle, views, a_hat, spec, model_name, fraction, depth, seed
-                        ).scores
-                        cell.dev, cell.test = scores.get("dev"), scores.get("test")
+                        )
+                        cell.dev, cell.test = run.scores.get("dev"), run.scores.get("test")
+                        cell.config.update(trained_config(run.model))
                     except Exception as exc:  # cell failures must not kill the sweep
                         cell.failed = True
                         cell.reason = f"{type(exc).__name__}: {exc}"

@@ -35,7 +35,9 @@ from geograph.models import (
     lp_input,
     mlp_forward,
     one_hot,
+    Propagated,
     projection_forward,
+    propagate,
     train,
 )
 from geograph.optim import ParamSet
@@ -95,12 +97,13 @@ def _gradient_check_variants(rng):
         variants.append((
             f"gcn(highway={highway})",
             params,
-            lambda ps, cfg=cfg: ce(gcn_forward(a_hat, x, ps, cfg, out_rows=a_rows)),
+            lambda ps, cfg=cfg: ce(gcn_forward(a_hat, propagate(a_hat, x), ps, cfg,
+                                               out_rows=a_rows)),
         ))
 
     block = np.zeros((n, classes))
     block[rows] = targets
-    lp_features = lp_input(adj, block)
+    lp_features = Propagated(a_hat, lp_input(adj, block))
     lp_cfg = GcnConfig(hidden=5, layers=2, highway=True)
     lp_params = init_gcn_params(rng, n + classes, classes, lp_cfg)
     variants.append((
@@ -131,9 +134,8 @@ def _gradient_check_variants(rng):
         projection_forward(x, stage1, "f1", dcfg).data,
         projection_forward(a_hat, stage1, "f2", dcfg).data,
     ])
-    z_sparse = SparseMatrix.from_dense(z).take_rows(rows)
     stage2 = init_mlp_params(rng, z.shape[1], 4, classes)
-    variants.append(("dcca-stage2", stage2, lambda ps: ce(mlp_forward(z_sparse, ps))))
+    variants.append(("dcca-stage2", stage2, lambda ps: ce(mlp_forward(z[rows], ps))))
 
     return variants
 
@@ -234,7 +236,8 @@ def test_criterion_3_receptive_field_equals_bfs_ball():
         x0 = rng.random((n, 6)) + 0.1
 
         def logits(x):
-            return gcn_forward(a_hat, SparseMatrix.from_dense(x), params, cfg).data
+            return gcn_forward(a_hat, propagate(a_hat, SparseMatrix.from_dense(x)), params,
+                               cfg).data
 
         base = logits(x0)
         balls = receptive_field(dense, layers + 1)
@@ -276,8 +279,8 @@ def test_criterion_4_closed_gates_reproduce_shallow_model():
         for name in ("conv0/W", "conv0/b", "out/W", "out/b"):
             shallow.add(name, deep[name].data.copy())
 
-        deep_logits = gcn_forward(a_hat, x, deep, deep_cfg).data
-        shallow_logits = gcn_forward(a_hat, x, shallow, shallow_cfg).data
+        deep_logits = gcn_forward(a_hat, propagate(a_hat, x), deep, deep_cfg).data
+        shallow_logits = gcn_forward(a_hat, propagate(a_hat, x), shallow, shallow_cfg).data
         worst = max(worst, float(np.abs(deep_logits - shallow_logits).max()))
     _verdict(
         4, "gate bias -50 reduces depth-4 model to its shallow core",
@@ -394,6 +397,7 @@ def test_criterion_7_depth_study():
     # Cross-region mixing is turned up (p_out) so that deep ungated smoothing
     # genuinely destroys the region signal; per-user text is informative, so
     # shallow models are strong and there is something to lose.
+    start = time.perf_counter()
     bundle = generate_synthetic(
         SyntheticConfig(region_word_weight=0.7, words_per_user=30, p_out=0.004),
         seed=42,
@@ -409,6 +413,7 @@ def test_criterion_7_depth_study():
         dropout=0.5,
     )
     report = run_sweep(bundle, spec)
+    elapsed = time.perf_counter() - start
     failed = [c for c in report.cells if c.failed]
     assert not failed, f"sweep cells failed: {[(c.model, c.reason) for c in failed]}"
 
@@ -422,7 +427,7 @@ def test_criterion_7_depth_study():
         nohw_6 > nohw_2 and gated[6] <= 1.1 * best,
         f"ungated d6 {nohw_6:.0f} km > d2 {nohw_2:.0f} km; "
         f"gated d6 {gated[6]:.0f} km <= 1.1x best {1.1 * best:.0f} km "
-        f"(gated d2/d4/d6: {gated[2]:.0f}/{gated[4]:.0f}/{gated[6]:.0f})",
+        f"(gated d2/d4/d6: {gated[2]:.0f}/{gated[4]:.0f}/{gated[6]:.0f}); {elapsed:.0f}s",
     )
 
 

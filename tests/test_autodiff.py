@@ -135,6 +135,42 @@ def test_graph_conv_matches_unfused_ops(rng):
         ad.graph_conv(a_hat, h, ad.constant(p["w"].T), b)
 
 
+@pytest.mark.parametrize("dense", [False, True])
+def test_relu_affine_grad(rng, dense):
+    x = rng.random((5, 6)) * (rng.random((5, 6)) < 0.6)
+    operand = x if dense else SparseMatrix.from_dense(x)
+    p = _params(rng, w=(6, 3), b=(3,))
+    weights = rng.standard_normal((5, 3))
+    assert np.abs(x @ p["w"] + p["b"]).min() > 1e-4  # no pre-activation at the kink
+
+    def loss(v):
+        out = ad.relu_affine(operand, ad.parameter(v["w"], "w"), ad.parameter(v["b"], "b"))
+        return ad.sum_all(ad.mul_const(out, weights))
+
+    check_op(loss, p)
+
+
+def test_relu_affine_matches_unfused_ops(rng):
+    # Value and weight gradients keep the bytes of relu(sparse_affine(...)).
+    s = SparseMatrix.from_dense(rng.random((5, 6)) * (rng.random((5, 6)) < 0.6))
+    p = _params(rng, w=(6, 3), b=(3,))
+    g = rng.standard_normal((5, 3))
+    outs, grads = [], []
+    for fused in (True, False):
+        w, b = ad.parameter(p["w"]), ad.parameter(p["b"])
+        out = ad.relu_affine(s, w, b) if fused else ad.relu(ad.sparse_affine(s, w, b))
+        ad.backward(ad.sum_all(ad.mul_const(out, g)))
+        outs.append(out.data)
+        grads.append((w.grad, b.grad))
+    np.testing.assert_array_equal(outs[0], outs[1])
+    for fused_grad, unfused_grad in zip(*grads):
+        np.testing.assert_array_equal(fused_grad, unfused_grad)
+    with pytest.raises(ShapeError):
+        ad.relu_affine(s, ad.constant(p["w"].T), ad.constant(p["b"]))
+    with pytest.raises(ShapeError):
+        ad.relu_affine(s, ad.constant(p["w"]), ad.constant(p["b"][:2]))
+
+
 @pytest.mark.parametrize("gate_bias", [4.0, -4.0])  # gates near open, near closed
 def test_highway_grad(rng, gate_bias):
     p = _params(rng, h_new=(5, 3), h_in=(5, 3), wg=(3, 3), bg=(3,))
@@ -198,6 +234,7 @@ def test_dropped_tape_is_freed_without_gc(rng):
         "sigmoid": ad.sigmoid,
         "softmax_cross_entropy": lambda h: ad.softmax_cross_entropy(h, np.eye(3)[[0, 2, 1, 0, 2, 1]]),
         "cca_correlation": lambda h: ad.cca_correlation(h, ad.mul_const(h, c), 1e-3),
+        "relu_affine": lambda h: ad.relu_affine(s, h, b),
         "graph_conv": lambda h: ad.graph_conv(s, h, w, b, c),
         "highway": lambda h: ad.highway(ad.mul_const(h, c), h, w, b),
     }

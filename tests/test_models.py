@@ -21,7 +21,9 @@ from geograph.models import (
     one_hot,
     predict_classes,
     predict_logits,
+    Propagated,
     projection_forward,
+    propagate,
     stage1_correlation,
     train,
 )
@@ -79,16 +81,21 @@ def test_highway_formula(rng):
         np.testing.assert_array_equal(out.data, passed.data)
 
 
-def _tape_nodes(out):
-    """The recorded (non-leaf) tensors reachable from ``out``."""
-    seen, stack, count = set(), [out], 0
+def _reachable(out):
+    """Every tensor reachable from ``out``, ``out`` included."""
+    seen, stack, found = set(), [out], []
     while stack:
         t = stack.pop()
         if id(t) not in seen:
             seen.add(id(t))
-            count += t._vjp is not None
+            found.append(t)
             stack.extend(t._parents)
-    return count
+    return found
+
+
+def _tape_nodes(out):
+    """The number of recorded (non-leaf) tensors reachable from ``out``."""
+    return sum(t._vjp is not None for t in _reachable(out))
 
 
 @pytest.mark.parametrize("highway, per_layer", [(True, 2), (False, 1)])
@@ -101,8 +108,62 @@ def test_gcn_hidden_layer_tape_nodes(rng, highway, per_layer):
         cfg = GcnConfig(hidden=6, layers=layers, highway=highway)
         params = init_gcn_params(rng, x.shape[1], 3, cfg)
         masks = [ad.make_dropout_mask(rng, (12, 6), 0.5) for _ in range(layers)]
-        counts[layers] = _tape_nodes(gcn_forward(a_hat, x, params, cfg, masks))
+        counts[layers] = _tape_nodes(gcn_forward(a_hat, propagate(a_hat, x), params, cfg, masks))
     assert counts[4] - counts[1] == 3 * per_layer
+
+
+def test_first_layer_is_one_tape_node(rng, monkeypatch):
+    # gcn, gcn-lp and mlp read a constant first-layer operand through one
+    # fused node, whose only parents are its weights and bias.
+    adj, a_hat, x, labels, part = _instance(rng)
+    monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
+    gcn_cfg = GcnConfig(hidden=5, layers=2)
+    for kind, cfg, weights in (("gcn", gcn_cfg, "conv0/W"), ("gcn-lp", gcn_cfg, "conv0/W"),
+                               ("mlp", MlpConfig(5), "hid/W")):
+        model, _ = train(kind, a_hat, x, adj, labels, 3, part, cfg,
+                         TrainConfig(epochs=1, dropout=0.0, seed=0))
+        entry = KINDS[kind]
+        masks = [np.ones((12, 5))] * entry.masks(cfg)[0]
+        logits = entry.forward(model.params, cfg, a_hat, entry.inputs(model, a_hat, x, adj), masks)
+        w = model.params[weights]
+        readers = [t for t in _reachable(logits) if any(p is w for p in t._parents)]
+        assert len(readers) == 1, kind
+        assert all(p.requires_grad and not p._parents for p in readers[0]._parents), kind
+
+
+def test_dense_and_lazy_propagation_agree(rng):
+    adj, a_hat, x, *_ = _instance(rng)
+    assert isinstance(propagate(a_hat, x), np.ndarray)  # 12 x 8 is small enough
+    cfg = GcnConfig(hidden=5, layers=2)
+    params = init_gcn_params(rng, x.shape[1], 3, cfg)
+    weights = rng.standard_normal((12, 3))
+    results = []
+    for operand in (propagate(a_hat, x), Propagated(a_hat, x)):
+        params.zero_grads()
+        logits = gcn_forward(a_hat, operand, params, cfg)
+        ad.backward(ad.sum_all(ad.mul_const(logits, weights)))
+        results.append((logits.data, params["conv0/W"].grad, params["conv0/b"].grad))
+    for dense, lazy in zip(*results):
+        np.testing.assert_allclose(dense, lazy, rtol=0, atol=1e-12)
+
+
+def _random_sparse(rng, rows, cols, nnz):
+    flat = rng.choice(rows * cols, size=nnz, replace=False)
+    return SparseMatrix.from_triplets(rows, cols, flat // cols, flat % cols, rng.random(nnz) + 0.1)
+
+
+def test_propagate_chooses_dense_by_size(rng):
+    # The sizes of the depth-study corpus: 1,000 users, 200 terms, 31,706
+    # entries in a_hat and 22,993 in the text. A gemm beats the two products.
+    a_hat = _random_sparse(rng, 1000, 1000, 31_706)
+    x = _random_sparse(rng, 1000, 200, 22_993)
+    dense = propagate(a_hat, x)
+    assert isinstance(dense, np.ndarray)
+    np.testing.assert_allclose(dense, a_hat.to_dense() @ x.to_dense(), rtol=0, atol=1e-12)
+    # A wide sparse vocabulary: 2,000 users with 30 of 20,000 terms each.
+    a_hat, x = _random_sparse(rng, 2000, 2000, 20_000), _random_sparse(rng, 2000, 20_000, 60_000)
+    wide = propagate(a_hat, x)
+    assert isinstance(wide, Propagated) and wide.shape == (2000, 20_000)
 
 
 def test_gcn_param_layout_and_gate_bias(rng):
@@ -123,10 +184,10 @@ def test_gcn_forward_shapes_and_mask_count(rng):
     adj, a_hat, x, *_ = _instance(rng)
     cfg = GcnConfig(hidden=6, layers=2)
     params = init_gcn_params(rng, x.shape[1], 3, cfg)
-    logits = gcn_forward(a_hat, x, params, cfg)
+    logits = gcn_forward(a_hat, propagate(a_hat, x), params, cfg)
     assert logits.data.shape == (12, 3)
     with pytest.raises(ShapeError):
-        gcn_forward(a_hat, x, params, cfg, dropout_masks=[np.ones((12, 6))])
+        gcn_forward(a_hat, propagate(a_hat, x), params, cfg, dropout_masks=[np.ones((12, 6))])
 
 
 def test_gcn_forward_matches_dense_oracle(rng, monkeypatch):
@@ -134,7 +195,8 @@ def test_gcn_forward_matches_dense_oracle(rng, monkeypatch):
     cfg = GcnConfig(hidden=5, layers=2, highway=True, gate_bias=0.0)
     params = init_gcn_params(rng, x.shape[1], 3, cfg)
     want = gcn_logits(a_hat.to_dense(), x.to_dense(), params.copy_values(), cfg)
-    np.testing.assert_allclose(gcn_forward(a_hat, x, params, cfg).data, want, rtol=0, atol=1e-12)
+    got = gcn_forward(a_hat, propagate(a_hat, x), params, cfg).data
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
     model, _ = train("gcn-lp", a_hat, x, adj, labels, 3, part, cfg,
@@ -293,15 +355,16 @@ def test_predict_matches_training_wiring(rng, monkeypatch):
 
     def by_hand(model):
         if model.kind == "gcn":
-            return gcn_forward(a_hat, x, model.params, gcn_cfg)
+            return gcn_forward(a_hat, propagate(a_hat, x), model.params, gcn_cfg)
         if model.kind == "gcn-lp":
             block = model.state["label_block"]
-            return gcn_forward(a_hat, lp_input(adj, block), model.params, gcn_cfg)
+            return gcn_forward(a_hat, Propagated(a_hat, lp_input(adj, block)), model.params,
+                               gcn_cfg)
         if model.kind == "mlp":
             return mlp_forward(hstack([x, a_hat]), model.params)
         z = np.hstack([projection_forward(x, model.params, "f1", dcca_cfg).data,
                        projection_forward(a_hat, model.params, "f2", dcca_cfg).data])
-        return mlp_forward(SparseMatrix.from_dense(z), model.params, prefix="clf/")
+        return mlp_forward(z, model.params, prefix="clf/")
 
     monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
     trained = [

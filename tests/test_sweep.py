@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from geograph.data import SyntheticConfig, generate_synthetic, subsample_labels
+from geograph import sweep
 from geograph.errors import ArgumentError
 from geograph.sweep import (
     CSV_HEADER,
+    MODEL_NAMES,
     SweepSpec,
     build_region_tree,
     emit_report,
@@ -174,6 +176,22 @@ def test_run_sweep_covers_every_model(small_bundle):
     failures = [(c.model, c.reason) for c in report.cells if c.failed]
     assert failures == []
     assert {c.model for c in report.cells} == set(spec.models)
+
+
+def test_cell_config_matches_trained_meta(monkeypatch):
+    # dcca keeps its default proj_out, wider than 300 users can correlate:
+    # training caps it, and the cell records the width it trained with.
+    runs, run_cell = [], sweep.run_cell
+    monkeypatch.setattr(sweep, "run_cell", lambda *args: runs.append(run_cell(*args)) or runs[-1])
+    spec = _small_spec(models=MODEL_NAMES, depths=(2,),
+                       dcca={"proj_hidden": 8, "stage1_epochs": 2})
+    report = run_sweep(generate_synthetic(SyntheticConfig(n_users=300), seed=0), spec)
+    assert len(runs) == len(report.cells) == len(MODEL_NAMES)
+    for cell, run in zip(report.cells, runs):
+        meta = run.model.meta
+        shared = set(cell.config) & set(meta)
+        assert shared and {k: cell.config[k] for k in shared} == {k: meta[k] for k in shared}
+    assert report.cells[-1].model == "dcca" and report.cells[-1].config["proj_out"] == 149
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
