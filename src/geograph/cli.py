@@ -20,9 +20,9 @@ from . import checkpoint as ckpt
 from .data import DatasetBundle, SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import ArgumentError, DataFormatError, GeographError
 from .geo import RegionTree, evaluate, export_per_class_csv
-from .models import PATIENCE, DccaConfig, predict_classes, trained_config
-from .sweep import (MODEL_NAMES, MODELS, SweepSpec, emit_report, load_sweep_file, run_cell,
-                    run_sweep, spec_views)
+from .models import PATIENCE, DccaConfig, predict_classes
+from .sweep import (MODEL_NAMES, SweepSpec, emit_report, load_sweep_file, run_cell, run_sweep,
+                    spec_views)
 from .views import Vocabulary, build_mention_graph, build_text_view, normalize_adjacency
 
 
@@ -94,17 +94,9 @@ def train(users_path, edges_path, model_name, hidden, layers, bucket,
     ckpt.save_checkpoint(out / "model.ckpt", run.model, context)
     _write_predictions(out / "predictions.csv", bundle, run.preds, tree)
 
-    config = {
-        "hidden": hidden, "layers": layers, "highway": MODELS[model_name][1],
-        "bucket": tree.bucket_size, "tree_from": tree_from,
-        "labeled_fraction": labeled_fraction,
-        "lambda": lam, "dropout": dropout, "lr": lr, "epochs": epochs,
-        "seed": seed, "early_stop": early_stop, **dcca,
-    }
     report = {
         "model": model_name,
-        # What the model was trained with wins over the flag that asked for it.
-        "config": {**config, **trained_config(run.model)},
+        "config": run.config,
         "num_classes": tree.num_classes,
         "labeled_users": int(run.partition.train_idx.size),
         "epochs_run": len(run.history),
@@ -138,10 +130,7 @@ def _write_predictions(path, bundle: DatasetBundle, preds, tree) -> None:
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_override", default=None, type=click.Path(file_okay=False),
               help="Report directory; overrides the spec's own 'out'.")
-@click.option("--csv-timing", type=click.Choice(["zero", "wall"]), default="zero",
-              show_default=True,
-              help="'wall' records real seconds in the CSV at the cost of byte-stable reruns.")
-def sweep(spec_path, out_override, csv_timing):
+def sweep(spec_path, out_override):
     """Run the (model, fraction, depth, seed) grid described by a JSON spec."""
     spec, dataset_cfg, out_dir = load_sweep_file(spec_path)
     out_dir = out_override or out_dir
@@ -158,7 +147,7 @@ def sweep(spec_path, out_override, csv_timing):
     else:
         raise ArgumentError("dataset entry must give 'users'+'edges' or 'synthetic'")
     report = run_sweep(bundle, spec)
-    json_path, csv_path = emit_report(report, out_dir, csv_timing)
+    json_path, csv_path = emit_report(report, out_dir)
     failed = [c for c in report.cells if c.failed]
     click.echo(f"{len(report.cells)} cells ({len(failed)} failed) -> {csv_path}")
     for cell in failed:
@@ -208,12 +197,13 @@ def eval_cmd(model_path, users_path, edges_path):
     """Score a checkpoint on a dataset; prints JSON metrics per split.
 
     Models whose input width depends on the user count (mlp, gcn-lp, dcca)
-    can only be scored on the graph they were trained with.
+    can only be scored on a graph of as many users as they were trained on.
     """
     model, context = ckpt.load_checkpoint(model_path)
     vocab, tree, lam, cap = _read_context(model_path, model, context)
     bundle = load_dataset(users_path, edges_path)
     text, _ = build_text_view(bundle.texts, vocab=vocab)
+    _check_user_count(model_path, model, text.shape[1], len(bundle))
     adjacency = build_mention_graph(bundle.ids, bundle.mention_pairs, cap)
     preds = predict_classes(model, normalize_adjacency(adjacency, lam), text, adjacency)
 
@@ -245,6 +235,23 @@ def _read_context(model_path, model, context: dict):
         return Vocabulary.from_dict(context["vocabulary"]), tree, lam, cap
     except DataFormatError as exc:
         raise DataFormatError(f"{model_path}: checkpoint {exc}") from exc
+
+
+def _check_user_count(model_path, model, text_width: int, users: int) -> None:
+    """mlp, gcn-lp and dcca read one input column per user, so their
+    checkpoints score only as many users as they were trained on. A gcn's
+    weights read only the text width."""
+    if model.kind == "gcn":
+        return
+    key = "graph_dim" if model.kind == "dcca" else "in_dim"
+    width = model.meta.get(key)
+    if type(width) is not int:
+        raise DataFormatError(f"{model_path}: checkpoint meta {key} {width!r} is no integer")
+    # An mlp's input rows are [text | A_hat], a gcn-lp's [A | label block].
+    trained = width - {"mlp": text_width, "gcn-lp": model.meta["num_classes"]}.get(model.kind, 0)
+    if trained != users:
+        raise ArgumentError(f"{model_path}: the {model.kind} checkpoint was trained on {trained} "
+                            f"users, but the dataset has {users}")
 
 
 def main(argv=None) -> int:

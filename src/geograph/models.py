@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -338,9 +338,9 @@ def propagate(a_hat: SparseMatrix, x: SparseMatrix) -> np.ndarray | Propagated:
 # ``forward(params, cfg, a_hat, inputs, masks, rows=None)``, which computes the
 # logits of every node, or of ``rows.idx`` alone. gcn-lp's ``after_epoch``
 # gets eval-mode probabilities for every node and the training accuracy after
-# each update and may return new inputs. The wiring looks up the public forward
-# functions by module-global name at call time, so replacing a module
-# attribute (to time it, say) reaches every call.
+# each update, and writes the label block its inputs hold in place. The wiring
+# looks up the public forward functions by module-global name at call time, so
+# replacing a module attribute (to time it, say) reaches every call.
 
 # The config fields a model's meta records, with their JSON types, per config
 # class; the rest of the meta is input and output widths. Prediction rebuilds
@@ -408,13 +408,11 @@ def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg)
     held_out = np.setdiff1d(np.arange(n), train_idx)
     latched = False
 
-    def after_epoch(probs: np.ndarray, train_acc: float) -> Propagated | None:
+    def after_epoch(probs: np.ndarray, train_acc: float) -> None:
         nonlocal latched
         latched = latched or train_acc >= trigger
-        if not latched:
-            return None
-        label_block[held_out] = probs[held_out]
-        return Propagated(a_hat, lp_input(adjacency, label_block))
+        if latched:
+            label_block[held_out] = probs[held_out]
 
     return TrainedModel("gcn-lp", params, meta, {"label_block": label_block}), params, after_epoch
 
@@ -430,9 +428,14 @@ def _mlp_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg):
 def _dcca_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg):
     """Stage 1 maximizes view correlation on all users (no labels involved).
     The classifier is a parameter set of its own, so training it on the
-    concatenated projections leaves the projection weights frozen."""
-    if a_hat.shape[0] - 1 <= cfg.proj_out:
-        raise ArgumentError("need more than proj_out + 1 users to correlate views")
+    concatenated projections leaves the projection weights frozen. A
+    ``proj_out`` too wide for ``n`` users to correlate drops to ``(n - 1) // 2``."""
+    n = a_hat.shape[0]
+    if cfg.proj_out >= n - 1:
+        capped = max(1, (n - 1) // 2)
+        log.warning("dcca: proj_out %d needs more than %d users, not %d; training with %d",
+                    cfg.proj_out, cfg.proj_out + 1, n, capped)
+        cfg = replace(cfg, proj_out=capped)
     params = ParamSet()
     init_projection_params(rng, "f1", x.shape[1], cfg, params)
     init_projection_params(rng, "f2", a_hat.shape[1], cfg, params)
@@ -540,13 +543,11 @@ def train(
 
     After the kind's set-up, one full-batch loop runs the kind's forward on
     the labeled rows, cross-entropy and Adam. The training forward reads the
-    labeled rows through operands built once here, so new inputs from
-    gcn-lp's per-epoch hook reach it only because the graph kinds restrict
-    ``a_hat`` rather than the inputs. ``dev_score`` (lower is better) turns
-    on early stopping: it gets eval-mode predictions for every user after
-    each update, training ends after ``PATIENCE`` epochs without a better
-    score, and the best-scoring weights are kept. Without it, training is a
-    pure function of features, edges and labeled rows.
+    labeled rows through operands built once here. ``dev_score`` (lower is
+    better) turns on early stopping: it gets eval-mode predictions for every
+    user after each update, training ends after ``PATIENCE`` epochs without a
+    better score, and the best-scoring weights are kept. Without it, training
+    is a pure function of features, edges and labeled rows.
     """
     if kind not in KINDS:
         raise ArgumentError(f"unknown model kind {kind!r}; valid: {sorted(KINDS)}")
@@ -590,8 +591,7 @@ def train(
             preds = probs.argmax(axis=1)
             train_acc = float(np.mean(preds[train_idx] == labels[train_idx]))
             if after_epoch is not None:
-                fresh = after_epoch(probs, train_acc)
-                inputs = inputs if fresh is None else fresh
+                after_epoch(probs, train_acc)
             if stopping:
                 score = dev_score(preds)
         history.append(EpochLog(epoch, float(loss.data), train_acc, score))

@@ -6,18 +6,17 @@ Model names select architecture and gating: ``gcn``, ``gcn-nohighway``,
 ``gcn-lp``, ``mlp``, ``dcca``; the depth axis applies to the graph-convolution
 models and collapses to a single cell for the others.
 
-Reports are a JSON summary and a long-format CSV. The CSV is byte-stable
-across identical invocations: by default its seconds column is written as
-0.000 (wall-clock lives in the JSON), because real timings would make two
-otherwise identical runs differ.
+Each cell's ``config`` is its run record (``run_config``): the harness
+fields it read and the config its model was trained with. Reports are a JSON
+summary, which also holds each cell's wall-clock seconds, and a long-format
+CSV of test metrics, which is byte-stable across identical invocations.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +40,6 @@ from .models import (
 from .sparse import SparseMatrix
 from .views import ViewMatrices, build_mention_graph, build_text_view, normalize_adjacency
 
-log = logging.getLogger(__name__)
-
 # Sweep model name -> (the model kind it trains, whether its gates are on).
 MODELS = {
     "gcn": ("gcn", True),
@@ -56,7 +53,7 @@ MODEL_NAMES = tuple(MODELS)
 DEPTH_AWARE = tuple(name for name, (kind, _) in MODELS.items()
                     if KINDS[kind].config is GcnConfig)
 
-CSV_HEADER = "model,fraction,depth,seed,acc161,mean_km,median_km,seconds"
+CSV_HEADER = "model,fraction,depth,seed,acc161,mean_km,median_km"
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,12 @@ class SweepSpec:
         # The configs a cell builds check the ranges of the training knobs.
         TrainConfig(lr=self.lr, epochs=self.epochs, dropout=self.dropout)
         MlpConfig(self.hidden)
-        DccaConfig(**{"clf_hidden": self.hidden, **self.dcca})
+        _dcca_config(self.hidden, self.dcca)
+
+
+def _dcca_config(hidden: int, overrides: dict | None) -> DccaConfig:
+    """The dcca config a cell asks for: ``hidden`` is the classifier's width."""
+    return DccaConfig(**{"clf_hidden": hidden, **(overrides or {})})
 
 
 def _field_errors(values: dict, defaults: dict, where: str = "") -> list[str]:
@@ -249,14 +251,7 @@ def fit_model(
     if config is GcnConfig:
         cfg = GcnConfig(hidden=hidden, layers=depth, highway=gated)
     elif config is DccaConfig:
-        cfg = DccaConfig(**{"clf_hidden": hidden, **(dcca_overrides or {})})
-        # The default projection width exceeds small corpora; cap it to keep the
-        # correlation well-defined (needs more samples than projected dims).
-        if cfg.proj_out >= a_hat.shape[0] - 1:
-            capped = max(1, (a_hat.shape[0] - 1) // 2)
-            log.warning("dcca: proj_out %d needs more than %d users, not %d; training with %d",
-                        cfg.proj_out, cfg.proj_out + 1, a_hat.shape[0], capped)
-            cfg = replace(cfg, proj_out=capped)
+        cfg = _dcca_config(hidden, dcca_overrides)
     else:
         cfg = MlpConfig(hidden)
     return train(kind, a_hat, views.text, views.adjacency, labels, num_classes, partition, cfg,
@@ -286,6 +281,25 @@ def score_predictions(
     return out
 
 
+def run_config(spec: SweepSpec, model_name: str, fraction: float, seed: int,
+               early_stop: bool = False, model: TrainedModel | None = None) -> dict:
+    """The record of what a run read: its harness fields, the dcca config of
+    a dcca run, and then the config ``model`` was trained with, whose values
+    win (a width capped in training is recorded as trained). A run that
+    failed has no model; its record keeps the first two parts."""
+    config = {
+        "epochs": spec.epochs, "lr": spec.lr, "dropout": spec.dropout, "seed": seed,
+        "fraction": fraction,
+        "bucket": tree_bucket(spec.bucket, fraction, spec.bucket_scale, spec.tree_from),
+        "tree_from": spec.tree_from, "lam": spec.lam, "early_stop": early_stop,
+    }
+    if MODELS[model_name][0] == "dcca":
+        config.update(asdict(_dcca_config(spec.hidden, spec.dcca)))
+    if model is not None:
+        config.update(trained_config(model))
+    return config
+
+
 @dataclass
 class CellRun:
     """One trained and scored cell."""
@@ -296,6 +310,7 @@ class CellRun:
     tree: RegionTree
     preds: np.ndarray  # predicted class per user
     scores: dict[str, EvalReport]
+    config: dict  # run_config's record
 
 
 def run_cell(
@@ -336,7 +351,8 @@ def run_cell(
     )
     preds = predict_classes(model, a_hat, views.text, views.adjacency)
     scores = score_predictions(preds, tree, bundle, partition)
-    return CellRun(model, history, partition, tree, preds, scores)
+    config = run_config(spec, model_name, fraction, seed, early_stop, model)
+    return CellRun(model, history, partition, tree, preds, scores, config)
 
 
 # --------------------------------------------------------------------------
@@ -353,27 +369,17 @@ def run_sweep(bundle: DatasetBundle, spec: SweepSpec) -> RunReport:
             for depth in depths:
                 for seed in spec.seeds:
                     cell = CellResult(model_name, fraction, depth, seed)
-                    cell.config = {
-                        "hidden": spec.hidden,
-                        "epochs": spec.epochs,
-                        "lr": spec.lr,
-                        "dropout": spec.dropout,
-                        "bucket": tree_bucket(
-                            spec.bucket, fraction, spec.bucket_scale, spec.tree_from
-                        ),
-                        "tree_from": spec.tree_from,
-                        "lam": spec.lam,
-                    }
                     start = time.perf_counter()
                     try:
                         run = run_cell(
                             bundle, views, a_hat, spec, model_name, fraction, depth, seed
                         )
                         cell.dev, cell.test = run.scores.get("dev"), run.scores.get("test")
-                        cell.config.update(trained_config(run.model))
+                        cell.config = run.config
                     except Exception as exc:  # cell failures must not kill the sweep
                         cell.failed = True
                         cell.reason = f"{type(exc).__name__}: {exc}"
+                        cell.config = run_config(spec, model_name, fraction, seed)
                     cell.seconds = time.perf_counter() - start
                     report.cells.append(cell)
     return report
@@ -399,15 +405,8 @@ def _aggregate(cells: list[CellResult]) -> list[dict]:
     return out
 
 
-def emit_report(report: RunReport, out_dir, csv_timing: str = "zero") -> tuple[Path, Path]:
-    """Write report.json and report.csv under out_dir.
-
-    ``csv_timing="wall"`` puts real wall-clock in the CSV seconds column,
-    trading away byte-identical reruns; the default writes 0.000 there and
-    keeps true timings in the JSON.
-    """
-    if csv_timing not in ("zero", "wall"):
-        raise ArgumentError(f"csv_timing must be 'zero' or 'wall', got {csv_timing!r}")
+def emit_report(report: RunReport, out_dir) -> tuple[Path, Path]:
+    """Write report.json and report.csv under out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"
@@ -425,16 +424,8 @@ def emit_report(report: RunReport, out_dir, csv_timing: str = "zero") -> tuple[P
 
     lines = [CSV_HEADER]
     for cell in report.cells:
-        metrics = cell.test if cell.test is not None else cell.dev
-        if cell.failed or metrics is None:
-            acc, mean, median = "nan", "nan", "nan"
-        else:
-            acc = f"{metrics.acc161:.4f}"
-            mean = f"{metrics.mean_km:.3f}"
-            median = f"{metrics.median_km:.3f}"
-        seconds = f"{cell.seconds:.3f}" if csv_timing == "wall" else "0.000"
-        lines.append(
-            f"{cell.model},{cell.fraction:g},{cell.depth},{cell.seed},{acc},{mean},{median},{seconds}"
-        )
+        m = cell.test if cell.test is not None else cell.dev  # a failed cell has neither
+        scores = "nan,nan,nan" if m is None else f"{m.acc161:.4f},{m.mean_km:.3f},{m.median_km:.3f}"
+        lines.append(f"{cell.model},{cell.fraction:g},{cell.depth},{cell.seed},{scores}")
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return json_path, csv_path

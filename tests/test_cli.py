@@ -112,20 +112,64 @@ def test_train_other_models(corpus, tmp_path, model):
 def test_report_config_matches_checkpoint_meta(corpus, tmp_path, caplog, model):
     # dcca keeps its default proj_out, wider than 120 users can correlate:
     # training caps it, says so once, and the report states the capped width.
+    users, edges = corpus
     out = tmp_path / model
     flags = {"--proj-hidden": "12", "--stage1-epochs": "2"} if model == "dcca" else {}
-    with caplog.at_level("WARNING", logger="geograph.sweep"):
+    with caplog.at_level("WARNING", logger="geograph.models"):
         assert main(_train_args(corpus, out, **{"--model": model, "--layers": "2", **flags})) == 0
     config = json.loads((out / "report.json").read_text())["config"]
     meta = load_checkpoint(out / "model.ckpt")[0].meta
     shared = set(config) & set(meta)
     assert shared and {k: config[k] for k in shared} == {k: meta[k] for k in shared}
-    warnings = [r for r in caplog.records if r.name == "geograph.sweep"]
+    warnings = [r for r in caplog.records if r.name == "geograph.models"]
     if model == "dcca":
         assert config["proj_out"] == meta["proj_out"] == 59
         assert len(warnings) == 1 and "proj_out 500" in warnings[0].getMessage()
     else:
         assert not warnings
+    # No key for a knob the model does not read.
+    if model in ("mlp", "dcca"):
+        assert not {"layers", "highway"} & set(config)
+    if model != "dcca":
+        assert not [key for key in config if key.startswith(("proj_", "stage1_"))]
+    assert "lam" in config and "lambda" not in config
+    # A one-cell sweep of the same run records the same config.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "models": [model], "depths": [2], "hidden": 8, "epochs": 3, "lr": 0.02,
+        "dropout": 0.0, "bucket": 15, "dcca": {"proj_hidden": 12, "stage1_epochs": 2},
+        "dataset": {"users": str(users), "edges": str(edges)},
+    }))
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")]) == 0
+    cell, = json.loads((tmp_path / "sweep" / "report.json").read_text())["cells"]
+    assert cell["config"] == config
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """Another graph, of 80 users, from the same generator."""
+    out = tmp_path_factory.mktemp("small")
+    assert main(["synth", "--out", str(out), "--n-users", "80", "--regions", "2",
+                 "--vocab-size", "40", "--p-in", "0.08", "--p-out", "0.005", "--seed", "1"]) == 0
+    return out / "users.jsonl", out / "edges.tsv"
+
+
+@pytest.mark.parametrize("model", ["gcn", "gcn-lp", "mlp", "dcca"])
+def test_eval_on_a_graph_of_another_size(corpus, small_corpus, tmp_path, capsys, model):
+    # mlp, gcn-lp and dcca read one input column per user; gcn scores any graph.
+    out = tmp_path / model
+    assert main(_train_args(corpus, out, **{"--model": model, **_MODEL_FLAGS.get(model, {})})) == 0
+    users, edges = small_corpus
+    capsys.readouterr()
+    code = main(["eval", "--model", str(out / "model.ckpt"), "--users", str(users),
+                 "--edges", str(edges)])
+    captured = capsys.readouterr()
+    if model == "gcn":
+        assert code == 0 and "test" in json.loads(captured.out)
+    else:
+        assert code == 1
+        assert f"the {model} checkpoint was trained on 120 users, but the dataset has 80" \
+            in captured.err
 
 
 def test_train_fraction_and_tree_flags(corpus, tmp_path):

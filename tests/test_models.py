@@ -337,12 +337,17 @@ def test_dcca_stage1_improves_correlation(rng):
     assert after > before
 
 
-def test_dcca_needs_enough_rows(rng):
+def test_dcca_caps_a_projection_too_wide_for_its_users(rng, caplog):
+    # 12 users correlate at most 10 dimensions: proj_out 20 trains as 11 // 2.
     adj, a_hat, x, labels, part = _instance(rng)
-    with pytest.raises(ArgumentError):
-        train("dcca", a_hat, x, adj, labels, 3, part,
-              DccaConfig(proj_hidden=0, proj_out=20, reg=1e-3),
-              TrainConfig(epochs=1, seed=0, dropout=0.0))
+    with caplog.at_level("WARNING", logger="geograph.models"):
+        model, _ = train("dcca", a_hat, x, adj, labels, 3, part,
+                         DccaConfig(proj_hidden=0, proj_out=20, reg=1e-3, stage1_epochs=2),
+                         TrainConfig(epochs=1, seed=0, dropout=0.0))
+    assert model.meta["proj_out"] == 5 and model.params["f1/out/W"].shape == (8, 5)
+    record, = caplog.records
+    assert record.name == "geograph.models"
+    assert record.getMessage() == "dcca: proj_out 20 needs more than 21 users, not 12; training with 5"
 
 
 def test_predict_matches_training_wiring(rng, monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from geograph.data import SyntheticConfig, generate_synthetic, subsample_labels
 from geograph import sweep
 from geograph.errors import ArgumentError
+from geograph.models import DccaConfig, trained_config
 from geograph.sweep import (
     CSV_HEADER,
     MODEL_NAMES,
@@ -178,20 +180,33 @@ def test_run_sweep_covers_every_model(small_bundle):
     assert {c.model for c in report.cells} == set(spec.models)
 
 
-def test_cell_config_matches_trained_meta(monkeypatch):
+def test_cell_config_matches_trained_meta(monkeypatch, caplog):
     # dcca keeps its default proj_out, wider than 300 users can correlate:
-    # training caps it, and the cell records the width it trained with.
+    # training caps it, says so once, and the cell records the width it
+    # trained with.
     runs, run_cell = [], sweep.run_cell
     monkeypatch.setattr(sweep, "run_cell", lambda *args: runs.append(run_cell(*args)) or runs[-1])
     spec = _small_spec(models=MODEL_NAMES, depths=(2,),
                        dcca={"proj_hidden": 8, "stage1_epochs": 2})
-    report = run_sweep(generate_synthetic(SyntheticConfig(n_users=300), seed=0), spec)
+    with caplog.at_level("WARNING", logger="geograph.models"):
+        report = run_sweep(generate_synthetic(SyntheticConfig(n_users=300), seed=0), spec)
     assert len(runs) == len(report.cells) == len(MODEL_NAMES)
+    harness = {"epochs", "lr", "dropout", "seed", "fraction", "bucket", "tree_from", "lam",
+               "early_stop"}
     for cell, run in zip(report.cells, runs):
         meta = run.model.meta
         shared = set(cell.config) & set(meta)
         assert shared and {k: cell.config[k] for k in shared} == {k: meta[k] for k in shared}
+        assert cell.config is run.config
+        dcca_keys = set(asdict(DccaConfig())) if cell.model == "dcca" else set()
+        assert set(cell.config) == harness | set(trained_config(run.model)) | dcca_keys
+        if cell.model in ("mlp", "dcca"):
+            assert not {"layers", "highway"} & set(cell.config)
+        else:
+            assert not [k for k in cell.config if k.startswith(("proj_", "stage1_"))]
     assert report.cells[-1].model == "dcca" and report.cells[-1].config["proj_out"] == 149
+    warning, = [r for r in caplog.records if r.name == "geograph.models"]
+    assert "proj_out 500" in warning.getMessage()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -205,6 +220,9 @@ def test_cell_failure_does_not_kill_sweep(small_bundle):
     by_model = {c.model: c for c in report.cells}
     assert by_model["dcca"].failed and by_model["dcca"].reason
     assert not by_model["gcn"].failed
+    # The failed cell keeps the record of what it was asked to run.
+    assert by_model["dcca"].config == sweep.run_config(spec, "dcca", 1.0, 0)
+    assert by_model["dcca"].config["stage1_lr"] == 1e200
 
 
 def test_emit_report_layout(tmp_path, small_bundle):
@@ -217,23 +235,14 @@ def test_emit_report_layout(tmp_path, small_bundle):
     agg = payload["aggregates"]
     assert len(agg) == 1 and agg[0]["seeds"] == 2
     assert "test_acc161_mean" in agg[0] and "test_acc161_std" in agg[0]
+    assert all(cell["seconds"] > 0.0 for cell in payload["cells"])  # timings live here
     lines = csv_path.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == CSV_HEADER == "model,fraction,depth,seed,acc161,mean_km,median_km"
     assert len(lines) == 3
     first = lines[1].split(",")
+    assert len(first) == 7
     assert first[0] == "gcn" and first[1] == "1" and first[2] == "1"
-    assert first[7] == "0.000"  # timing zeroed for byte-stable reruns
     float(first[4]), float(first[5]), float(first[6])  # parse as numbers
-
-
-def test_emit_report_wall_timing(tmp_path, small_bundle):
-    spec = _small_spec()
-    report = run_sweep(small_bundle, spec)
-    _, csv_path = emit_report(report, tmp_path / "wall", csv_timing="wall")
-    seconds = csv_path.read_text().splitlines()[1].split(",")[7]
-    assert float(seconds) > 0.0
-    with pytest.raises(ArgumentError):
-        emit_report(report, tmp_path / "bad", csv_timing="cpu")
 
 
 def test_reports_are_byte_stable(tmp_path, small_bundle):
