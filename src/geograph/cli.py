@@ -72,10 +72,10 @@ def train(users_path, edges_path, model_name, hidden, layers, bucket,
           seed, early_stop, proj_hidden, proj_out, stage1_epochs, out_dir):
     """Train one model and write checkpoint, report, and predictions."""
     start = time.perf_counter()
-    bundle = load_dataset(users_path, edges_path)
     dcca = {"proj_hidden": proj_hidden, "proj_out": proj_out, "stage1_epochs": stage1_epochs}
     spec = SweepSpec(hidden=hidden, epochs=epochs, lr=lr, dropout=dropout, bucket=bucket,
                      bucket_scale=not no_bucket_scale, tree_from=tree_from, lam=lam, dcca=dcca)
+    bundle = load_dataset(users_path, edges_path)
     views, a_hat = spec_views(bundle, spec)
     run = run_cell(bundle, views, a_hat, spec, model_name, labeled_fraction, layers, seed,
                    early_stop=early_stop)
@@ -89,7 +89,6 @@ def train(users_path, edges_path, model_name, hidden, layers, bucket,
         "tree": tree.to_dict(),
         "lam": lam,
         "max_comention_degree": spec.max_comention_degree,
-        "dataset": {"users": str(users_path), "edges": str(edges_path)},
     }
     ckpt.save_checkpoint(out / "model.ckpt", run.model, context)
     _write_predictions(out / "predictions.csv", bundle, run.preds, tree)
@@ -203,9 +202,11 @@ def eval_cmd(model_path, users_path, edges_path):
     vocab, tree, lam, cap = _read_context(model_path, model, context)
     bundle = load_dataset(users_path, edges_path)
     text, _ = build_text_view(bundle.texts, vocab=vocab)
-    _check_user_count(model_path, model, text.shape[1], len(bundle))
     adjacency = build_mention_graph(bundle.ids, bundle.mention_pairs, cap)
-    preds = predict_classes(model, normalize_adjacency(adjacency, lam), text, adjacency)
+    try:
+        preds = predict_classes(model, normalize_adjacency(adjacency, lam), text, adjacency)
+    except ArgumentError as exc:  # the checkpoint does not fit this dataset
+        raise ArgumentError(f"{model_path}: {exc}") from exc
 
     out = {}
     for split in ("train", "dev", "test"):
@@ -230,28 +231,13 @@ def _read_context(model_path, model, context: dict):
             raise DataFormatError(f"model predicts {model.meta.get('num_classes')!r} classes "
                                   f"but its region tree has {tree.num_classes}")
         lam, cap = context.get("lam", 1.0), context.get("max_comention_degree", 1000)
-        if type(lam) not in (int, float) or type(cap) is not int:
-            raise DataFormatError(f"context lam {lam!r} or max_comention_degree {cap!r} is no number")
+        if type(lam) not in (int, float) or not 0 <= lam < float("inf"):
+            raise DataFormatError(f"context lam {lam!r} is no finite number >= 0")
+        if type(cap) is not int or cap < 0:
+            raise DataFormatError(f"context max_comention_degree {cap!r} is no integer >= 0")
         return Vocabulary.from_dict(context["vocabulary"]), tree, lam, cap
     except DataFormatError as exc:
         raise DataFormatError(f"{model_path}: checkpoint {exc}") from exc
-
-
-def _check_user_count(model_path, model, text_width: int, users: int) -> None:
-    """mlp, gcn-lp and dcca read one input column per user, so their
-    checkpoints score only as many users as they were trained on. A gcn's
-    weights read only the text width."""
-    if model.kind == "gcn":
-        return
-    key = "graph_dim" if model.kind == "dcca" else "in_dim"
-    width = model.meta.get(key)
-    if type(width) is not int:
-        raise DataFormatError(f"{model_path}: checkpoint meta {key} {width!r} is no integer")
-    # An mlp's input rows are [text | A_hat], a gcn-lp's [A | label block].
-    trained = width - {"mlp": text_width, "gcn-lp": model.meta["num_classes"]}.get(model.kind, 0)
-    if trained != users:
-        raise ArgumentError(f"{model_path}: the {model.kind} checkpoint was trained on {trained} "
-                            f"users, but the dataset has {users}")
 
 
 def main(argv=None) -> int:

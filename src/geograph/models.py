@@ -8,8 +8,8 @@ for every user:
 * ``gcn``: graph convolutions ``H' = relu(A_hat @ (H @ W) + b)``, the first
   over the raw tf-idf rows, with highway gates on the dimension-preserving
   layers, closed by one more graph convolution into class logits. The first
-  layer's ``A_hat @ X`` is fixed for a whole run, so it is propagated once
-  (see ``propagate``).
+  layer's ``A_hat @ X`` is fixed for a whole run, so training may hold it
+  dense (see ``propagate``); prediction reads it once, through ``Propagated``.
 * ``gcn-lp``: the same stack fed with ``[adjacency | label block]`` rows. The
   label block carries one-hot labels for labeled users and, once training
   accuracy first reaches a trigger threshold, the model's own softmax
@@ -23,6 +23,8 @@ for every user:
 Every model predicts one of the region-tree classes per user. Training never
 reads labels or coordinates outside the labeled index set; held-out users
 participate only through their features and graph edges.
+``KINDS`` holds every per-kind rule, among them the input widths a corpus
+implies, which the meta records and prediction checks.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ class GcnConfig:
     gate_bias: float = -1.0
 
     def __post_init__(self):
-        if self.hidden < 1 or self.layers < 1:
-            raise ArgumentError("hidden and layers must be >= 1")
+        if min(self.hidden, self.layers) < 1:
+            raise ArgumentError(f"{'hidden' if self.hidden < 1 else 'layers'} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -320,9 +322,9 @@ class Propagated(NamedTuple):
 
 
 def propagate(a_hat: SparseMatrix, x: SparseMatrix) -> np.ndarray | Propagated:
-    """gcn's first-layer operand ``a_hat @ x``: a dense array when its size
-    says a gemm beats the two sparse products (``DENSE_PROPAGATION``), else
-    ``Propagated``, which runs exactly those products."""
+    """gcn's first-layer operand ``a_hat @ x`` as training holds it: dense when
+    its size says a gemm beats the two sparse products (``DENSE_PROPAGATION``),
+    else ``Propagated``, which runs exactly those products."""
     n, v = x.shape
     if n * v <= DENSE_PROPAGATION * (a_hat.nnz + x.nnz):
         return a_hat.matmul_dense(x.to_dense())
@@ -332,8 +334,8 @@ def propagate(a_hat: SparseMatrix, x: SparseMatrix) -> np.ndarray | Propagated:
 # --------------------------------------------------------------------------
 # one wiring per model kind, shared by training and prediction
 #
-# Each kind has a set-up ``setup(rng, a_hat, x, adjacency, labels,
-# num_classes, partition, cfg) -> (model, trained params, after_epoch)``, an
+# Each kind has a width rule, a set-up ``setup(rng, a_hat, x, adjacency,
+# labels, partition, cfg, meta) -> (model, trained params, after_epoch)``, an
 # input builder ``inputs(model, a_hat, x, adjacency)`` and a forward path
 # ``forward(params, cfg, a_hat, inputs, masks, rows=None)``, which computes the
 # logits of every node, or of ``rows.idx`` alone. gcn-lp's ``after_epoch``
@@ -350,10 +352,6 @@ _META_FIELDS = {
     MlpConfig: {"hidden": int},
     DccaConfig: {"proj_hidden": int, "proj_out": int, "reg": float, "clf_hidden": int},
 }
-
-
-def _meta(cfg, **fields) -> dict:
-    return {**fields, **{name: getattr(cfg, name) for name in _META_FIELDS[type(cfg)]}}
 
 
 def trained_config(model: TrainedModel) -> dict:
@@ -374,22 +372,32 @@ def is_json_type(value, kind: type) -> bool:
 
 
 def meta_errors(kind: str, meta: dict) -> list[str]:
-    """One message per config key prediction reads for ``kind`` that ``meta``
-    lacks or holds with the wrong type."""
+    """One message per config key or input width prediction reads for
+    ``kind`` that ``meta`` lacks or holds with the wrong type."""
+    entry = KINDS[kind]
+    widths = dict.fromkeys(["num_classes", *entry.widths(0, 0, 0)], int)
     return [
         f"lacks {name!r}" if name not in meta else f"{name!r} is {meta[name]!r}, not {t.__name__}"
-        for name, t in _META_FIELDS[KINDS[kind].config].items()
+        for name, t in {**_META_FIELDS[entry.config], **widths}.items()
         if name not in meta or not is_json_type(meta[name], t)
     ]
 
 
-def _gcn_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg):
-    params = init_gcn_params(rng, x.shape[1], num_classes, cfg)
-    meta = _meta(cfg, in_dim=x.shape[1], num_classes=num_classes)
+def _dcca_views(a_hat: SparseMatrix, x: SparseMatrix) -> dict[str, SparseMatrix]:
+    """dcca's net ``f1`` projects the text rows, ``f2`` the normalized graph rows."""
+    return {"f1": x, "f2": a_hat}
+
+
+def _projections(params: ParamSet, cfg: DccaConfig, a_hat, x) -> list[Tensor]:
+    return [projection_forward(v, params, net, cfg) for net, v in _dcca_views(a_hat, x).items()]
+
+
+def _gcn_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
+    params = init_gcn_params(rng, meta["in_dim"], meta["num_classes"], cfg)
     return TrainedModel("gcn", params, meta), params, None
 
 
-def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg):
+def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
     """Label-propagating variant: the input carries a mutable label block.
 
     Labeled rows always hold their one-hot label. Held-out rows start at zero
@@ -398,13 +406,12 @@ def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg)
     afterwards they hold the model's current softmax distribution,
     recomputed without dropout after every update.
     """
-    n, trigger = a_hat.shape[0], LP_TRIGGER_ACCURACY
-    in_dim = n + num_classes
-    params = init_gcn_params(rng, in_dim, num_classes, cfg)
+    n, num_classes, trigger = a_hat.shape[0], meta["num_classes"], LP_TRIGGER_ACCURACY
+    params = init_gcn_params(rng, meta["in_dim"], num_classes, cfg)
     label_block = np.zeros((n, num_classes), dtype=np.float64)
     train_idx = partition.train_idx
     label_block[train_idx] = one_hot(labels[train_idx], num_classes)
-    meta = _meta(cfg, in_dim=in_dim, num_classes=num_classes, trigger_accuracy=trigger)
+    meta["trigger_accuracy"] = trigger
     held_out = np.setdiff1d(np.arange(n), train_idx)
     latched = False
 
@@ -417,15 +424,13 @@ def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg)
     return TrainedModel("gcn-lp", params, meta, {"label_block": label_block}), params, after_epoch
 
 
-def _mlp_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg):
+def _mlp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
     """One hidden layer over the concatenated text and normalized-graph rows."""
-    in_dim = x.shape[1] + a_hat.shape[1]
-    params = init_mlp_params(rng, in_dim, cfg.hidden, num_classes)
-    meta = _meta(cfg, in_dim=in_dim, num_classes=num_classes)
+    params = init_mlp_params(rng, meta["in_dim"], cfg.hidden, meta["num_classes"])
     return TrainedModel("mlp", params, meta), params, None
 
 
-def _dcca_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg):
+def _dcca_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
     """Stage 1 maximizes view correlation on all users (no labels involved).
     The classifier is a parameter set of its own, so training it on the
     concatenated projections leaves the projection weights frozen. A
@@ -435,18 +440,16 @@ def _dcca_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg):
         capped = max(1, (n - 1) // 2)
         log.warning("dcca: proj_out %d needs more than %d users, not %d; training with %d",
                     cfg.proj_out, cfg.proj_out + 1, n, capped)
-        cfg = replace(cfg, proj_out=capped)
+        cfg, meta["proj_out"] = replace(cfg, proj_out=capped), capped
     params = ParamSet()
-    init_projection_params(rng, "f1", x.shape[1], cfg, params)
-    init_projection_params(rng, "f2", a_hat.shape[1], cfg, params)
-    clf = init_mlp_params(rng, 2 * cfg.proj_out, cfg.clf_hidden, num_classes, prefix="clf/")
-    meta = _meta(cfg, in_dim=x.shape[1], graph_dim=a_hat.shape[1], num_classes=num_classes)
+    for net, view in _dcca_views(a_hat, x).items():
+        init_projection_params(rng, net, view.shape[1], cfg, params)
+    clf = init_mlp_params(rng, 2 * cfg.proj_out, cfg.clf_hidden, meta["num_classes"],
+                          prefix="clf/")
 
     for epoch in range(cfg.stage1_epochs):
-        h1 = projection_forward(x, params, "f1", cfg)
-        h2 = projection_forward(a_hat, params, "f2", cfg)
         try:
-            loss = cca_loss(h1, h2, cfg.reg)
+            loss = cca_loss(*_projections(params, cfg, a_hat, x), cfg.reg)
         except NumericError as exc:  # the projections themselves overflowed
             raise NumericError(f"dcca stage 1 diverged at epoch {epoch + 1}: {exc}") from exc
         _check_finite(loss, epoch, "dcca stage 1")
@@ -454,10 +457,6 @@ def _dcca_setup(rng, a_hat, x, adjacency, labels, num_classes, partition, cfg):
         ad.backward(loss)
         params.adam_step(cfg.stage1_lr)
     return TrainedModel("dcca", params, meta), clf, None
-
-
-def _gcn_inputs(model: TrainedModel, a_hat, x, adjacency) -> np.ndarray | Propagated:
-    return propagate(a_hat, x)
 
 
 def _gcn_lp_inputs(model: TrainedModel, a_hat, x, adjacency) -> Propagated:
@@ -473,10 +472,7 @@ def _mlp_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
 
 def _dcca_inputs(model: TrainedModel, a_hat, x, adjacency) -> np.ndarray:
     """Both views' projections side by side: the classifier's fixed, dense input."""
-    cfg = _model_config(model)
-    h1 = projection_forward(x, model.params, "f1", cfg).data
-    h2 = projection_forward(a_hat, model.params, "f2", cfg).data
-    return np.hstack([h1, h2])
+    return np.hstack([h.data for h in _projections(model.params, _model_config(model), a_hat, x)])
 
 
 class LabeledRows(NamedTuple):
@@ -504,6 +500,7 @@ def _mlp_logits(params: ParamSet, cfg, a_hat, inputs, masks, rows=None, prefix="
 @dataclass(frozen=True)
 class ModelKind:
     config: type
+    widths: Callable  # (users, text_width, num_classes) -> the input widths the meta records
     setup: Callable
     inputs: Callable
     forward: Callable
@@ -520,11 +517,15 @@ class ModelKind:
 
 _gcn_masks = attrgetter("layers", "hidden")
 KINDS = {
-    "gcn": ModelKind(GcnConfig, _gcn_setup, _gcn_inputs, _gcn_logits, _gcn_masks, False),
-    "gcn-lp": ModelKind(GcnConfig, _gcn_lp_setup, _gcn_lp_inputs, _gcn_logits, _gcn_masks, False),
-    "mlp": ModelKind(MlpConfig, _mlp_setup, _mlp_inputs, _mlp_logits,
-                     lambda c: (1, c.hidden), True),
-    "dcca": ModelKind(DccaConfig, _dcca_setup, _dcca_inputs, partial(_mlp_logits, prefix="clf/"),
+    "gcn": ModelKind(GcnConfig, lambda n, v, k: {"in_dim": v}, _gcn_setup,
+                     lambda model, a_hat, x, adjacency: Propagated(a_hat, x), _gcn_logits,
+                     _gcn_masks, False),
+    "gcn-lp": ModelKind(GcnConfig, lambda n, v, k: {"in_dim": n + k}, _gcn_lp_setup,
+                        _gcn_lp_inputs, _gcn_logits, _gcn_masks, False),
+    "mlp": ModelKind(MlpConfig, lambda n, v, k: {"in_dim": v + n}, _mlp_setup, _mlp_inputs,
+                     _mlp_logits, lambda c: (1, c.hidden), True),
+    "dcca": ModelKind(DccaConfig, lambda n, v, k: {"in_dim": v, "graph_dim": n}, _dcca_setup,
+                      _dcca_inputs, partial(_mlp_logits, prefix="clf/"),
                       lambda c: (1, c.clf_hidden), True),
 }
 
@@ -559,10 +560,15 @@ def train(
         raise ShapeError(f"features have {x.shape[0]} rows for {n} nodes")
     seeds = np.random.SeedSequence(train_cfg.seed).spawn(2)
     init_rng, dropout_rng = map(np.random.default_rng, seeds)
+    meta = {**entry.widths(n, x.shape[1], num_classes), "num_classes": num_classes,
+            **{name: getattr(cfg, name) for name in _META_FIELDS[entry.config]}}
     model, params, after_epoch = entry.setup(
-        init_rng, a_hat, x, adjacency, labels, num_classes, partition, cfg
+        init_rng, a_hat, x, adjacency, labels, partition, cfg, meta
     )
     inputs = entry.inputs(model, a_hat, x, adjacency)
+    # Every epoch reads the operand, so fixed text rows may be held dense.
+    if isinstance(inputs, Propagated) and isinstance(inputs.rows, SparseMatrix):
+        inputs = propagate(a_hat, inputs.rows)
     rows = entry.labeled_rows(a_hat, inputs, partition.train_idx)
     train_idx = rows.idx
     targets = one_hot(labels[train_idx], num_classes)
@@ -627,15 +633,26 @@ def stage1_correlation(
 ) -> float:
     """Current sum of canonical correlations between the two projections."""
     cfg = _model_config(model)
-    h1 = projection_forward(x, model.params, "f1", cfg)
-    h2 = projection_forward(a_hat, model.params, "f2", cfg)
-    return float(ad.cca_correlation(h1, h2, cfg.reg).data)
+    return float(ad.cca_correlation(*_projections(model.params, cfg, a_hat, x), cfg.reg).data)
+
+
+def _check_widths(model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix) -> None:
+    """Raise ``ArgumentError`` unless this corpus gives the input widths
+    ``model``'s meta records. A width grows by one column per user or not at all."""
+    rule, n, v, k = KINDS[model.kind].widths, a_hat.shape[0], x.shape[1], model.meta["num_classes"]
+    for key, width in rule(n, v, k).items():
+        got, base = model.meta[key], rule(0, v, k)[key]
+        if got != width:
+            trained = f"on {got - base} users" if base != width else f"for {key} {got}"
+            raise ArgumentError(f"the {model.kind} checkpoint was trained {trained}, but the "
+                                f"dataset has {n} users and {v} terms")
 
 
 def predict_logits(
     model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix, adjacency: SparseMatrix
 ) -> np.ndarray:
     """Eval-mode logits for every user, through the wiring training used."""
+    _check_widths(model, a_hat, x)
     kind = KINDS[model.kind]
     inputs = kind.inputs(model, a_hat, x, adjacency)
     return kind.forward(model.params, _model_config(model), a_hat, inputs, None).data

@@ -2,14 +2,14 @@
 
 A sweep trains every (model, fraction, depth, seed) cell on one dataset and
 records dev and test metrics per cell plus mean/std aggregates over seeds.
-Model names select architecture and gating: ``gcn``, ``gcn-nohighway``,
-``gcn-lp``, ``mlp``, ``dcca``; the depth axis applies to the graph-convolution
-models and collapses to a single cell for the others.
+Model names (``MODELS``) select architecture, gating and config: ``gcn``,
+``gcn-nohighway``, ``gcn-lp``, ``mlp``, ``dcca``; the depth axis applies to the
+graph-convolution models and collapses to a single cell for the others.
 
-Each cell's ``config`` is its run record (``run_config``): the harness
-fields it read and the config its model was trained with. Reports are a JSON
-summary, which also holds each cell's wall-clock seconds, and a long-format
-CSV of test metrics, which is byte-stable across identical invocations.
+Each cell's ``config`` is its run record (``run_config``): the harness fields
+it read and its model config, as asked for, then as trained. Reports are a
+JSON summary, which also holds each cell's wall-clock seconds, and a
+long-format CSV of test metrics, which is byte-stable across identical runs.
 """
 
 from __future__ import annotations
@@ -40,13 +40,14 @@ from .models import (
 from .sparse import SparseMatrix
 from .views import ViewMatrices, build_mention_graph, build_text_view, normalize_adjacency
 
-# Sweep model name -> (the model kind it trains, whether its gates are on).
+# Sweep model name -> (the model kind it trains, the one builder of its config
+# from hidden width, depth and dcca overrides; hidden is dcca's classifier width).
 MODELS = {
-    "gcn": ("gcn", True),
-    "gcn-nohighway": ("gcn", False),
-    "gcn-lp": ("gcn-lp", True),
-    "mlp": ("mlp", True),
-    "dcca": ("dcca", True),
+    "gcn": ("gcn", lambda hidden, depth, dcca: GcnConfig(hidden, depth)),
+    "gcn-nohighway": ("gcn", lambda hidden, depth, dcca: GcnConfig(hidden, depth, highway=False)),
+    "gcn-lp": ("gcn-lp", lambda hidden, depth, dcca: GcnConfig(hidden, depth)),
+    "mlp": ("mlp", lambda hidden, depth, dcca: MlpConfig(hidden)),
+    "dcca": ("dcca", lambda hidden, depth, dcca: DccaConfig(**{"clf_hidden": hidden, **dcca})),
 }
 MODEL_NAMES = tuple(MODELS)
 # The names whose kind stacks graph convolutions take the depth axis.
@@ -89,19 +90,17 @@ class SweepSpec:
             raise ArgumentError(f"unknown models {unknown}; valid: {list(MODEL_NAMES)}")
         if any(d < 1 for d in self.depths):
             raise ArgumentError("depths must be >= 1")
-        if self.tree_from not in ("labeled", "all-train"):
-            raise ArgumentError("tree_from must be 'labeled' or 'all-train'")
+        tree_bucket(self.bucket, 1.0, self.bucket_scale, self.tree_from)  # checks both
         if self.min_df < 0 or self.max_comention_degree < 0:
             raise ArgumentError("min_df and max_comention_degree must be >= 0")
+        if not self.lam >= 0.0:
+            raise ArgumentError(f"lam must be >= 0, got {self.lam}")
+        if not 0.0 < self.max_df_ratio <= 1.0:
+            raise ArgumentError(f"max_df_ratio must be in (0, 1], got {self.max_df_ratio}")
         # The configs a cell builds check the ranges of the training knobs.
         TrainConfig(lr=self.lr, epochs=self.epochs, dropout=self.dropout)
-        MlpConfig(self.hidden)
-        _dcca_config(self.hidden, self.dcca)
-
-
-def _dcca_config(hidden: int, overrides: dict | None) -> DccaConfig:
-    """The dcca config a cell asks for: ``hidden`` is the classifier's width."""
-    return DccaConfig(**{"clf_hidden": hidden, **(overrides or {})})
+        for _, build in MODELS.values():
+            build(self.hidden, self.depths[0], self.dcca)
 
 
 def _field_errors(values: dict, defaults: dict, where: str = "") -> list[str]:
@@ -195,6 +194,8 @@ def tree_bucket(bucket: int, fraction: float, bucket_scale: bool, tree_from: str
     """
     if tree_from not in ("labeled", "all-train"):
         raise ArgumentError("tree_from must be 'labeled' or 'all-train'")
+    if bucket < 1:
+        raise ArgumentError(f"bucket must be >= 1, got {bucket}")
     if tree_from == "labeled" and bucket_scale:
         return max(1, int(round(bucket * fraction)))
     return bucket
@@ -246,16 +247,9 @@ def fit_model(
     dev_score=None,
 ):
     """Train one model by name; returns (model, history)."""
-    kind, gated = MODELS[model_name]
-    config = KINDS[kind].config
-    if config is GcnConfig:
-        cfg = GcnConfig(hidden=hidden, layers=depth, highway=gated)
-    elif config is DccaConfig:
-        cfg = _dcca_config(hidden, dcca_overrides)
-    else:
-        cfg = MlpConfig(hidden)
-    return train(kind, a_hat, views.text, views.adjacency, labels, num_classes, partition, cfg,
-                 train_cfg, dev_score)
+    kind, build = MODELS[model_name]
+    return train(kind, a_hat, views.text, views.adjacency, labels, num_classes, partition,
+                 build(hidden, depth, dcca_overrides or {}), train_cfg, dev_score)
 
 
 def evaluate_model(
@@ -281,20 +275,20 @@ def score_predictions(
     return out
 
 
-def run_config(spec: SweepSpec, model_name: str, fraction: float, seed: int,
+def run_config(spec: SweepSpec, model_name: str, fraction: float, depth: int, seed: int,
                early_stop: bool = False, model: TrainedModel | None = None) -> dict:
-    """The record of what a run read: its harness fields, the dcca config of
-    a dcca run, and then the config ``model`` was trained with, whose values
-    win (a width capped in training is recorded as trained). A run that
-    failed has no model; its record keeps the first two parts."""
+    """The record of what a run read: its harness fields, the model config
+    it asked for, and then the config ``model`` was trained with, whose
+    values win (a width capped in training is recorded as trained). A run
+    that failed has no model; its record keeps the first two parts."""
     config = {
         "epochs": spec.epochs, "lr": spec.lr, "dropout": spec.dropout, "seed": seed,
         "fraction": fraction,
         "bucket": tree_bucket(spec.bucket, fraction, spec.bucket_scale, spec.tree_from),
         "tree_from": spec.tree_from, "lam": spec.lam, "early_stop": early_stop,
     }
-    if MODELS[model_name][0] == "dcca":
-        config.update(asdict(_dcca_config(spec.hidden, spec.dcca)))
+    _, build = MODELS[model_name]
+    config.update(asdict(build(spec.hidden, depth, spec.dcca)))
     if model is not None:
         config.update(trained_config(model))
     return config
@@ -351,7 +345,7 @@ def run_cell(
     )
     preds = predict_classes(model, a_hat, views.text, views.adjacency)
     scores = score_predictions(preds, tree, bundle, partition)
-    config = run_config(spec, model_name, fraction, seed, early_stop, model)
+    config = run_config(spec, model_name, fraction, depth, seed, early_stop, model)
     return CellRun(model, history, partition, tree, preds, scores, config)
 
 
@@ -379,7 +373,7 @@ def run_sweep(bundle: DatasetBundle, spec: SweepSpec) -> RunReport:
                     except Exception as exc:  # cell failures must not kill the sweep
                         cell.failed = True
                         cell.reason = f"{type(exc).__name__}: {exc}"
-                        cell.config = run_config(spec, model_name, fraction, seed)
+                        cell.config = run_config(spec, model_name, fraction, depth, seed)
                     cell.seconds = time.perf_counter() - start
                     report.cells.append(cell)
     return report

@@ -219,7 +219,7 @@ def normalize_adjacency(adjacency: SparseMatrix, lam: float = 1.0) -> SparseMatr
     rows, cols = adjacency.shape
     if rows != cols:
         raise ShapeError(f"adjacency must be square, got {adjacency.shape}")
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ArgumentError(f"lam must be >= 0, got {lam}")
     m = (adjacency.csr + lam * sp.identity(rows, format="csr", dtype=np.float64)).tocsr()
     degrees = np.asarray(m.sum(axis=1)).ravel()

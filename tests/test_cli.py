@@ -89,6 +89,17 @@ def test_train_rerun_is_deterministic(corpus, tmp_path):
     assert (out_a / "predictions.csv").read_bytes() == (out_b / "predictions.csv").read_bytes()
 
 
+def test_checkpoint_does_not_depend_on_where_the_corpus_lives(corpus, tmp_path):
+    copy = tmp_path / "elsewhere" / "copy"
+    copy.mkdir(parents=True)
+    for path in corpus:
+        (copy / path.name).write_bytes(path.read_bytes())
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(_train_args(corpus, out_a)) == 0
+    assert main(_train_args((copy / "users.jsonl", copy / "edges.tsv"), out_b)) == 0
+    assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
+
+
 # dcca at its default widths trains 1,000-unit projections for 100 epochs.
 _MODEL_FLAGS = {"dcca": {"--proj-hidden": "12", "--proj-out": "4", "--stage1-epochs": "5"}}
 
@@ -280,6 +291,22 @@ def test_early_stop_without_dev_users_exits_1(corpus, tmp_path, capsys):
     assert not (out / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    ({"--bucket": "0"}, "bucket must be >= 1, got 0"),
+    ({"--bucket": "-5"}, "bucket must be >= 1, got -5"),
+    ({"--lambda": "-1"}, "lam must be >= 0, got -1.0"),
+])
+def test_train_rejects_out_of_range_knobs(corpus, tmp_path, capsys, monkeypatch, flags, message):
+    def no_load(*args):
+        raise AssertionError("the dataset was loaded before the knobs were checked")
+
+    monkeypatch.setattr("geograph.cli.load_dataset", no_load)
+    out = tmp_path / "run"
+    assert main(_train_args(corpus, out, **flags)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_zero_width_mlp(corpus, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(_train_args(corpus, out, **{"--model": "mlp", "--hidden": "0"})) == 1
@@ -295,6 +322,9 @@ def test_train_rejects_zero_width_mlp(corpus, tmp_path, capsys):
     ({"dcca": {"bogus": 1}}, "unknown key dcca.bogus"),
     ({"fractions": 0.5}, "fractions is 0.5, not a list of float"),
     ({"models": []}, "need at least one model"),
+    ({"bucket": 0}, "bucket must be >= 1, got 0"),
+    ({"lam": -1.0}, "lam must be >= 0, got -1.0"),
+    ({"max_df_ratio": 0.0}, "max_df_ratio must be in (0, 1], got 0.0"),
 ])
 def test_sweep_rejects_bad_spec_field(corpus, tmp_path, capsys, fields, message):
     users, edges = corpus
@@ -392,6 +422,13 @@ _CONTEXT_EDITS = {
                                      [str(c) for c in h["context"]["vocabulary"]["df"]]),
                       "vocabulary needs"),
     "lam of a string": (lambda h: _set(h["context"], "lam", "1.0"), "lam '1.0'"),
+    "lam of NaN": (lambda h: _set(h["context"], "lam", float("nan")), "lam nan is no finite"),
+    "lam of Infinity": (lambda h: _set(h["context"], "lam", float("inf")), "lam inf is no finite"),
+    "negative lam": (lambda h: _set(h["context"], "lam", -1.0), "lam -1.0 is no finite"),
+    "negative cap": (lambda h: _set(h["context"], "max_comention_degree", -1),
+                     "max_comention_degree -1 is no integer"),
+    "fractional cap": (lambda h: _set(h["context"], "max_comention_degree", 2.5),
+                       "max_comention_degree 2.5 is no integer"),
 }
 
 

@@ -352,7 +352,8 @@ def test_dcca_caps_a_projection_too_wide_for_its_users(rng, caplog):
 
 def test_predict_matches_training_wiring(rng, monkeypatch):
     # predict_logits must equal logits assembled by hand from the public
-    # forward functions, with the inputs each model was trained on.
+    # forward functions, with the inputs each model was trained on. A
+    # prediction reads gcn's A_hat X once, so it never holds it dense.
     adj, a_hat, x, labels, part = _instance(rng)
     train_cfg = TrainConfig(epochs=3, dropout=0.0, seed=0)
     gcn_cfg = GcnConfig(hidden=5, layers=2)
@@ -360,7 +361,7 @@ def test_predict_matches_training_wiring(rng, monkeypatch):
 
     def by_hand(model):
         if model.kind == "gcn":
-            return gcn_forward(a_hat, propagate(a_hat, x), model.params, gcn_cfg)
+            return gcn_forward(a_hat, Propagated(a_hat, x), model.params, gcn_cfg)
         if model.kind == "gcn-lp":
             block = model.state["label_block"]
             return gcn_forward(a_hat, Propagated(a_hat, lp_input(adj, block)), model.params,
@@ -385,6 +386,49 @@ def test_predict_matches_training_wiring(rng, monkeypatch):
             predict_classes(model, a_hat, x, adj), logits.argmax(axis=1)
         )
     assert {m.kind for m, _ in trained} == {"gcn", "gcn-lp", "mlp", "dcca"}
+
+
+def test_gcn_prediction_never_builds_the_dense_text_product(rng, monkeypatch):
+    # Training holds this small A_hat X dense; a prediction reads it once,
+    # through the two sparse products, and never forms the n x V array.
+    adj, a_hat, x, labels, part = _instance(rng)
+    assert isinstance(propagate(a_hat, x), np.ndarray)
+    model, _ = train("gcn", a_hat, x, adj, labels, 3, part, GcnConfig(hidden=5, layers=2),
+                     TrainConfig(epochs=2, dropout=0.0, seed=0))
+
+    def no_dense(self):
+        raise AssertionError("prediction built a dense operand")
+
+    monkeypatch.setattr(SparseMatrix, "to_dense", no_dense)
+    assert predict_classes(model, a_hat, x, adj).shape == (12,)
+
+
+_OTHER_SIZE_CONFIGS = {
+    "gcn": GcnConfig(hidden=4, layers=2),
+    "gcn-lp": GcnConfig(hidden=4, layers=2),
+    "mlp": MlpConfig(4),
+    "dcca": DccaConfig(proj_hidden=0, proj_out=2, reg=1e-3, stage1_epochs=1, clf_hidden=4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OTHER_SIZE_CONFIGS))
+def test_predict_on_a_graph_of_another_size(rng, kind):
+    # gcn-lp, mlp and dcca read one input column per user, so a model scores
+    # only as many users as it was trained on; gcn's weights read the text.
+    adj, a_hat, x, labels, part = _instance(rng)
+    model, _ = train(kind, a_hat, x, adj, labels, 3, part, _OTHER_SIZE_CONFIGS[kind],
+                     TrainConfig(epochs=1, dropout=0.0, seed=0))
+    other_adj, other_a_hat, other_x, *_ = _instance(rng, n=9)
+    if kind == "gcn":
+        assert predict_classes(model, other_a_hat, other_x, other_adj).shape == (9,)
+        wide_x = SparseMatrix.from_dense(np.ones((9, 11)))
+        with pytest.raises(ArgumentError, match="trained for in_dim 8, but the dataset has 9 "
+                                                "users and 11 terms"):
+            predict_classes(model, other_a_hat, wide_x, other_adj)
+        return
+    message = f"the {kind} checkpoint was trained on 12 users, but the dataset has 9"
+    with pytest.raises(ArgumentError, match=message):
+        predict_classes(model, other_a_hat, other_x, other_adj)
 
 
 def test_gcn_lp_predict_uses_stored_label_block(rng, monkeypatch):

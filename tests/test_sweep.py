@@ -9,7 +9,7 @@ import pytest
 
 from geograph.data import SyntheticConfig, generate_synthetic, subsample_labels
 from geograph import sweep
-from geograph.errors import ArgumentError
+from geograph.errors import ArgumentError, NumericError
 from geograph.models import DccaConfig, trained_config
 from geograph.sweep import (
     CSV_HEADER,
@@ -72,7 +72,10 @@ def test_spec_validation():
                          ({"lr": 0.0}, "^lr must be > 0"), ({"lr": -1e-3}, "^lr must be > 0"),
                          ({"lr": float("nan")}, "^lr must be > 0"),
                          ({"dcca": {"stage1_lr": 0.0}}, "stage1_lr must be > 0"),
-                         ({"dcca": {"stage1_lr": float("nan")}}, "stage1_lr must be > 0")]:
+                         ({"dcca": {"stage1_lr": float("nan")}}, "stage1_lr must be > 0"),
+                         ({"bucket": 0}, "bucket must be >= 1"),
+                         ({"lam": float("nan")}, "lam must be >= 0"),
+                         ({"max_df_ratio": 0.0}, "max_df_ratio must be in")]:
         with pytest.raises(ArgumentError, match=message):
             SweepSpec(**bad)
     with pytest.raises(TypeError, match="proj_width"):  # a sweep file gets ArgumentError
@@ -116,6 +119,12 @@ def test_load_sweep_file(tmp_path):
     ({"dcca": {"stage1_lr": -1}}, "stage1_lr must be > 0, got -1"),
     ({"hidden": 0}, "hidden must be >= 1"),
     ({"depths": [0]}, "depths must be >= 1"),
+    ({"bucket": 0}, "bucket must be >= 1, got 0"),
+    ({"bucket": -5}, "bucket must be >= 1, got -5"),
+    ({"lam": -1.0}, "lam must be >= 0, got -1.0"),
+    ({"lam": float("nan")}, "lam must be >= 0, got nan"),
+    ({"max_df_ratio": 0.0}, "max_df_ratio must be in (0, 1], got 0.0"),
+    ({"max_df_ratio": 1.5}, "max_df_ratio must be in (0, 1], got 1.5"),
 ])
 def test_load_sweep_file_names_the_bad_field(tmp_path, fields, message):
     path = tmp_path / "sweep.json"
@@ -210,7 +219,7 @@ def test_cell_config_matches_trained_meta(monkeypatch, caplog):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cell_failure_does_not_kill_sweep(small_bundle):
+def test_cell_failure_does_not_kill_sweep(small_bundle, monkeypatch):
     # an absurd fraction yields a single labeled point per class at best;
     # force a runtime failure instead: dcca stage 1 diverges at this rate
     spec = _small_spec(models=("dcca", "gcn"),
@@ -220,9 +229,20 @@ def test_cell_failure_does_not_kill_sweep(small_bundle):
     by_model = {c.model: c for c in report.cells}
     assert by_model["dcca"].failed and by_model["dcca"].reason
     assert not by_model["gcn"].failed
-    # The failed cell keeps the record of what it was asked to run.
-    assert by_model["dcca"].config == sweep.run_config(spec, "dcca", 1.0, 0)
+    # The failed cell keeps the record of what it was asked to run, its
+    # model config included.
+    assert by_model["dcca"].config == sweep.run_config(spec, "dcca", 1.0, 1, 0)
     assert by_model["dcca"].config["stage1_lr"] == 1e200
+    assert by_model["dcca"].config["clf_hidden"] == spec.hidden
+
+    def diverge(*args):
+        raise NumericError("training diverged: loss is nan at epoch 1")
+
+    monkeypatch.setattr(sweep, "train", diverge)
+    cell, = run_sweep(small_bundle, _small_spec(models=("gcn-nohighway",), depths=(3,))).cells
+    assert cell.failed and cell.reason.startswith("NumericError")
+    assert {k: cell.config[k] for k in ("hidden", "layers", "highway", "gate_bias")} == {
+        "hidden": 8, "layers": 3, "highway": False, "gate_bias": -1.0}
 
 
 def test_emit_report_layout(tmp_path, small_bundle):
