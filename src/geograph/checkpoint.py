@@ -1,122 +1,128 @@
-"""Model checkpoints: a JSON config header plus a flat named-array archive.
+"""Model checkpoints: a JSON header with a table of contents, then one array block.
 
-Layout (all integers unsigned 64-bit little-endian):
+Layout:
 
-    magic "GEOCKPT1"
-    header_len, header bytes     UTF-8 JSON: model kind, wiring meta, and the
+    magic "GEOCKPT2"
+    header_len                   unsigned 64-bit little-endian
+    header                       UTF-8 JSON: model kind, wiring meta, the
                                  context needed to rebuild inputs (vocabulary,
-                                 region tree, graph knobs)
-    n_arrays
-    per array: name_len, name bytes (UTF-8),
-               ndim, dims...,
-               row-major float64 little-endian values
+                                 region tree leaves, graph knobs) and the table
+                                 of contents "arrays": [[name, shape], ...] in
+                                 name order
+    array block                  every array's row-major float64 little-endian
+                                 values, in table order, back to back
 
-Arrays are written in sorted name order, so identical models produce
-identical files. Optimizer moments are not stored; a loaded model predicts
-but does not resume training.
+Identical models produce identical files. Optimizer moments are not stored;
+a loaded model predicts but does not resume training. Loading checks the
+table against the kind's meta and the file size before it reads an array.
 """
 
 from __future__ import annotations
 
 import json
-import struct
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
-from .models import KINDS, TrainedModel, meta_errors
+from .errors import ArgumentError, DataFormatError
+from .models import KINDS, STATE_PREFIX, TrainedModel, array_layout, meta_errors
 from .optim import ParamSet
 
-MAGIC = b"GEOCKPT1"
-STATE_PREFIX = "state/"
-
-
-def _write_u64(fh, value: int) -> None:
-    fh.write(struct.pack("<Q", value))
-
-
-def _read_u64(fh) -> int:
-    raw = fh.read(8)
-    if len(raw) != 8:
-        raise DataFormatError("truncated checkpoint")
-    return struct.unpack("<Q", raw)[0]
-
-
-def _write_array(fh, name: str, arr: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    _write_u64(fh, len(encoded))
-    fh.write(encoded)
-    _write_u64(fh, arr.ndim)
-    for dim in arr.shape:
-        _write_u64(fh, dim)
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _read_array(fh) -> tuple[str, np.ndarray]:
-    name_len = _read_u64(fh)
-    name = fh.read(name_len).decode("utf-8")
-    ndim = _read_u64(fh)
-    shape = tuple(_read_u64(fh) for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    raw = fh.read(count * 8)
-    if len(raw) != count * 8:
-        raise DataFormatError(f"truncated checkpoint while reading {name!r}")
-    return name, np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+MAGIC = b"GEOCKPT2"
+_FIXED = len(MAGIC) + 8  # magic and header_len
 
 
 def save_checkpoint(path, model: TrainedModel, context: dict) -> Path:
     """``context`` is extra JSON-able state (vocabulary, region tree, graph
     knobs) that lets a later process rebuild the model's inputs."""
     path = Path(path)
-    header = {"kind": model.kind, "meta": model.meta, "context": context}
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     arrays = {name: tensor.data for name, tensor in model.params.items()}
-    for name, arr in model.state.items():
-        arrays[STATE_PREFIX + name] = np.asarray(arr, dtype=np.float64)
+    arrays.update((STATE_PREFIX + name, arr) for name, arr in model.state.items())
+    arrays = {name: np.ascontiguousarray(arrays[name], dtype="<f8") for name in sorted(arrays)}
+    header = {"kind": model.kind, "meta": model.meta, "context": context,
+              "arrays": [[name, list(arr.shape)] for name, arr in arrays.items()]}
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        _write_u64(fh, len(header_bytes))
-        fh.write(header_bytes)
-        _write_u64(fh, len(arrays))
-        for name in sorted(arrays):
-            _write_array(fh, name, arrays[name])
+        fh.write(MAGIC + len(header_bytes).to_bytes(8, "little") + header_bytes)
+        for arr in arrays.values():
+            fh.write(arr.tobytes())
     return path
 
 
 def load_checkpoint(path) -> tuple[TrainedModel, dict]:
+    """The model and context in ``path``; a malformed file raises ``DataFormatError``."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise DataFormatError(f"{path} is not a model checkpoint")
-        header_len = _read_u64(fh)
-        raw_header = fh.read(header_len)
-        if len(raw_header) != header_len:
-            raise DataFormatError("truncated checkpoint header")
-        try:
-            header = json.loads(raw_header.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataFormatError(f"bad checkpoint header: {exc}") from exc
-        if not isinstance(header, dict) or not isinstance(header.get("meta"), dict):
-            raise DataFormatError(f"{path}: checkpoint header needs a 'kind' and a 'meta' object")
-        if not isinstance(header.get("context", {}), dict):
-            raise DataFormatError(f"{path}: checkpoint 'context' must be an object")
-        if not isinstance(header.get("kind"), str) or header["kind"] not in KINDS:
-            raise DataFormatError(
-                f"{path}: unknown model kind {header.get('kind')!r}; valid: {sorted(KINDS)}"
-            )
-        errors = meta_errors(header["kind"], header["meta"])
-        if errors:
-            raise DataFormatError(f"{path}: {header['kind']} checkpoint meta {'; '.join(errors)}")
-        params = ParamSet()
-        state: dict[str, np.ndarray] = {}
-        for _ in range(_read_u64(fh)):
-            name, arr = _read_array(fh)
-            if name.startswith(STATE_PREFIX):
-                state[name[len(STATE_PREFIX):]] = arr
-            else:
-                params.add(name, arr)
-        if fh.read(1):
-            raise DataFormatError("trailing bytes after checkpoint arrays")
-    model = TrainedModel(kind=header["kind"], params=params, meta=header["meta"], state=state)
+    try:
+        return _decode(path.read_bytes())
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _decode(blob: bytes) -> tuple[TrainedModel, dict]:
+    if blob[:len(MAGIC)] != MAGIC:
+        raise DataFormatError(f"not a {MAGIC!r} model checkpoint: it starts {blob[:len(MAGIC)]!r}")
+    header_len = int.from_bytes(blob[len(MAGIC):_FIXED], "little")
+    if _FIXED + header_len > len(blob):
+        raise DataFormatError(f"truncated checkpoint: a header of {header_len} bytes does not "
+                              f"fit in {len(blob)} bytes")
+    try:
+        header = json.loads(blob[_FIXED:_FIXED + header_len].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+        raise DataFormatError(f"bad checkpoint header: {exc}") from exc
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("context", {}), dict)):
+        raise DataFormatError("checkpoint header needs a 'kind', a 'meta' and a 'context' object")
+    kind, meta, toc = header.get("kind"), header["meta"], header.get("arrays")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise DataFormatError(f"unknown model kind {kind!r}; valid: {sorted(KINDS)}")
+    errors = meta_errors(kind, meta)
+    if errors:
+        raise DataFormatError(f"{kind} checkpoint meta {'; '.join(errors)}")
+    if not isinstance(toc, list) or not all(
+        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+        and isinstance(entry[1], list) and all(type(d) is int and d >= 0 for d in entry[1])
+        for entry in toc
+    ):
+        raise DataFormatError("checkpoint header needs 'arrays', a list of [name, shape] pairs")
+    # Each layer lists two arrays, over 16 header bytes: that bounds the layout's loop.
+    if type(meta.get("layers")) is int and 16 * meta["layers"] > header_len:
+        raise DataFormatError(f"{kind} checkpoint has {meta['layers']} layers, more than its "
+                              f"{header_len}-byte header can list")
+    toc = [(name, tuple(shape)) for name, shape in toc]
+    model = TrainedModel(kind, ParamSet(), meta)
+    try:
+        error = _layout_error(toc, array_layout(model))
+    except ArgumentError as exc:
+        error = f"meta {exc}"
+    if error:
+        raise DataFormatError(f"{kind} checkpoint {error}")
+    sizes = [math.prod(shape) for _, shape in toc]
+    end = _FIXED + header_len + 8 * sum(sizes)
+    if end != len(blob):
+        raise DataFormatError(f"{'truncated' if end > len(blob) else 'trailing bytes in'} "
+                              f"checkpoint: its arrays end at byte {end} of {len(blob)}")
+    offset = _FIXED + header_len
+    for (name, shape), size in zip(toc, sizes):
+        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
+        offset += 8 * size
+        if name.startswith(STATE_PREFIX):
+            model.state[name[len(STATE_PREFIX):]] = arr.astype(np.float64)
+        else:
+            model.params.add(name, arr)  # copies
     return model, header.get("context", {})
+
+
+def _layout_error(toc: list[tuple[str, tuple]], expected: dict[str, tuple]) -> str | None:
+    """The first way ``toc`` differs from the ``expected`` arrays, in name order."""
+    got = dict(toc)
+    for name in sorted(got.keys() | expected.keys()):
+        if name not in got:
+            return f"lacks array {name!r}"
+        if name not in expected:
+            return f"has an extra array {name!r}"
+        if got[name] != expected[name]:
+            return f"array {name!r} has shape {list(got[name])}, not {list(expected[name])}"
+    if [name for name, _ in toc] != sorted(got):
+        return "lists its arrays out of name order or more than once"
+    return None

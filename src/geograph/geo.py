@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,17 +63,13 @@ def haversine_km_arrays(
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
-@dataclass(slots=True)
-class _Node:
-    axis: int | None = None
-    split: float | None = None
-    left: _Node | None = None
-    right: _Node | None = None
-    class_id: int | None = None
+class _Split(NamedTuple):
+    """An inner node: ``coord[axis] <= cut`` goes left. A leaf is its class id."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.class_id is not None
+    axis: int
+    cut: float
+    left: _Split | int
+    right: _Split | int
 
 
 class RegionTree:
@@ -88,15 +85,15 @@ class RegionTree:
 
     Coordinates are (n, 2) lat/lon arrays, as ``DatasetBundle`` holds them;
     ``rep_coords`` holds the leaves' representatives (read-only). A tree from
-    ``from_dict`` keeps leaf counts and representatives but no members.
+    ``from_dict`` keeps leaf counts and representatives, which is all scoring
+    reads, but neither split nodes nor members.
     """
 
-    def __init__(self, root: _Node, counts: list[int], reps: np.ndarray, bucket_size: int,
+    def __init__(self, counts: list[int], reps: np.ndarray, root: _Split | int | None = None,
                  members: list[np.ndarray] | None = None):
-        self._root = root
         self._counts = counts
         self.rep_coords = reps
-        self.bucket_size = bucket_size
+        self._root = root
         self._members = members
 
     @classmethod
@@ -107,28 +104,23 @@ class RegionTree:
             raise ArgumentError("cannot build a region tree from zero points")
         leaves: list[np.ndarray] = []
 
-        def split(indices: np.ndarray) -> _Node:
+        def split(indices: np.ndarray) -> _Split | int:
             pts = coords[indices]
             spread = pts.max(axis=0) - pts.min(axis=0)
             if indices.size <= bucket_size or spread.max() == 0.0:
                 leaves.append(pts)
-                return _Node(class_id=len(leaves) - 1)
+                return len(leaves) - 1
             axis = 0 if spread[0] >= spread[1] else 1
             values = np.sort(pts[:, axis])
             cut = values[(indices.size - 1) // 2]
             if cut == values[-1]:
                 cut = values[values < values[-1]][-1]
             mask = pts[:, axis] <= cut
-            return _Node(
-                axis=axis,
-                split=float(cut),
-                left=split(indices[mask]),
-                right=split(indices[~mask]),
-            )
+            return _Split(axis, float(cut), split(indices[mask]), split(indices[~mask]))
 
         root = split(np.arange(coords.shape[0]))
         reps = np.array([np.median(pts, axis=0) for pts in leaves])
-        return cls(root, [len(pts) for pts in leaves], reps, bucket_size, leaves)
+        return cls([len(pts) for pts in leaves], reps, root, leaves)
 
     @property
     def num_classes(self) -> int:
@@ -148,13 +140,15 @@ class RegionTree:
 
     def assign_many(self, coords: np.ndarray) -> np.ndarray:
         """The leaf class of each row of an (n, 2) lat/lon array."""
+        if self._root is None:
+            raise StateError("a loaded region tree keeps no split nodes")
         out = np.empty(coords.shape[0], dtype=np.intp)
 
-        def descend(node: _Node, idx: np.ndarray) -> None:
-            if node.is_leaf:
-                out[idx] = node.class_id
+        def descend(node: _Split | int, idx: np.ndarray) -> None:
+            if not isinstance(node, _Split):
+                out[idx] = node
             elif idx.size:
-                left = coords[idx, node.axis] <= node.split
+                left = coords[idx, node.axis] <= node.cut
                 descend(node.left, idx[left])
                 descend(node.right, idx[~left])
 
@@ -164,67 +158,28 @@ class RegionTree:
     # --- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        def encode(node: _Node) -> dict:
-            if node.is_leaf:
-                return {"class_id": node.class_id}
-            return {
-                "axis": node.axis,
-                "split": node.split,
-                "left": encode(node.left),
-                "right": encode(node.right),
-            }
-
-        return {
-            "bucket_size": self.bucket_size,
-            "root": encode(self._root),
-            "leaves": [
-                {"count": count, "rep": rep}
-                for count, rep in zip(self._counts, self.rep_coords.tolist())
-            ],
-        }
+        """The leaves in class order: each one's member count and representative."""
+        return {"leaves": [{"count": count, "rep": rep}
+                           for count, rep in zip(self._counts, self.rep_coords.tolist())]}
 
     @classmethod
     def from_dict(cls, d) -> "RegionTree":
-        """Rebuild a serialized tree. It comes from outside the process, so a
-        malformed one raises ``DataFormatError`` naming the bad entry."""
-
-        def need(ok, what: str) -> None:
-            if not ok:
-                raise DataFormatError(f"region tree {what}")
-
-        need(isinstance(d, dict) and type(d.get("bucket_size")) is int and "root" in d
-             and isinstance(d.get("leaves"), list) and d["leaves"],
-             "needs an integer 'bucket_size', a 'root' and a nonempty list of 'leaves'")
-        leaves = d["leaves"]
+        """Rebuild a serialized tree's leaves. They come from outside the
+        process, so a malformed one raises ``DataFormatError`` naming it."""
+        leaves = d.get("leaves") if isinstance(d, dict) else None
+        if not isinstance(leaves, list) or not leaves:
+            raise DataFormatError("region tree needs a nonempty list of 'leaves'")
         for c, leaf in enumerate(leaves):
-            need(isinstance(leaf, dict) and type(leaf.get("count")) is int and leaf["count"] >= 1
-                 and isinstance(leaf.get("rep"), list) and len(leaf["rep"]) == 2
-                 and all(type(v) in (int, float) for v in leaf["rep"]),
-                 f"leaf {c} needs a positive integer 'count' and a numeric [lat, lon] 'rep'")
+            count, rep = (leaf.get("count"), leaf.get("rep")) if isinstance(leaf, dict) else (0, 0)
+            if not (type(count) is int and count >= 1 and isinstance(rep, list) and len(rep) == 2
+                    and all(type(v) in (int, float) for v in rep)):
+                raise DataFormatError(f"region tree leaf {c} needs a positive integer 'count' "
+                                      "and a numeric [lat, lon] 'rep'")
         reps = np.array([leaf["rep"] for leaf in leaves], dtype=np.float64)
         bad = coordinate_error(reps)
         if bad:
             raise DataFormatError(f"region tree leaf {bad[0]} rep: {bad[1]}")
-        class_ids: list[int] = []
-
-        def decode(spec, where: str) -> _Node:
-            if isinstance(spec, dict) and "class_id" in spec:
-                need(type(spec["class_id"]) is int, f"node {where} has class_id {spec['class_id']!r}")
-                class_ids.append(spec["class_id"])
-                return _Node(class_id=spec["class_id"])
-            missing = [k for k in ("axis", "split", "left", "right")
-                       if not isinstance(spec, dict) or k not in spec]
-            need(not missing, f"node {where} lacks {missing}")
-            axis, split = spec["axis"], spec["split"]
-            need(type(axis) is int and axis in (0, 1) and type(split) in (int, float),
-                 f"node {where} has axis {axis!r} and split {split!r}")
-            return _Node(axis, split, decode(spec["left"], f"{where}.left"),
-                         decode(spec["right"], f"{where}.right"))
-
-        root = decode(d["root"], "root")
-        need(sorted(class_ids) == list(range(len(leaves))),
-             f"leaf class ids {sorted(class_ids)} are not exactly 0..{len(leaves) - 1}")
-        return cls(root, [leaf["count"] for leaf in leaves], reps, d["bucket_size"])
+        return cls([leaf["count"] for leaf in leaves], reps)
 
 
 @dataclass

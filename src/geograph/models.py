@@ -24,7 +24,8 @@ Every model predicts one of the region-tree classes per user. Training never
 reads labels or coordinates outside the labeled index set; held-out users
 participate only through their features and graph edges.
 ``KINDS`` holds every per-kind rule, among them the input widths a corpus
-implies, which the meta records and prediction checks.
+implies, which the meta records and prediction checks, and the arrays a
+model of a given meta holds, which a checkpoint is checked against.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Partition
-from .errors import ArgumentError, NumericError, ShapeError, StateError
+from .errors import ArgumentError, NumericError, ShapeError
 from .optim import ParamSet, glorot_uniform
 from .sparse import SparseMatrix, hstack as sparse_hstack
 
@@ -114,6 +115,8 @@ class TrainConfig:
 
 
 LP_TRIGGER_ACCURACY = 0.2
+# A checkpoint stores ``TrainedModel.state`` arrays under this name prefix.
+STATE_PREFIX = "state/"
 # Epochs without a better dev score before early stopping ends training.
 PATIENCE = 10
 # ``propagate`` holds ``A_hat @ X`` dense when ``n * V <= DENSE_PROPAGATION *
@@ -155,24 +158,41 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# forward passes
+# parameter layouts and forward passes
+#
+# Each network states its parameter names and shapes once, in draw order.
+# Initialization draws through the layout (a matrix by Glorot, a vector as a
+# constant), and ``array_layout`` checks a checkpoint against it.
+
+
+Layout = dict[str, tuple[int, ...]]  # array name -> shape
+
+
+def _draw(rng: np.random.Generator, layout: Layout, params: ParamSet,
+          fill: Callable[[str], float] = lambda name: 0.0) -> ParamSet:
+    for name, shape in layout.items():
+        params.add(name, glorot_uniform(rng, *shape) if len(shape) == 2
+                   else np.full(shape, float(fill(name))))
+    return params
+
+
+def gcn_layout(in_dim: int, num_classes: int, cfg: GcnConfig) -> Layout:
+    layout, width = {}, in_dim
+    for l in range(cfg.layers):
+        layout[f"conv{l}/W"], layout[f"conv{l}/b"] = (width, cfg.hidden), (cfg.hidden,)
+        # The first layer changes width, so only later layers carry a gate.
+        if cfg.highway and l > 0:
+            layout[f"gate{l}/W"], layout[f"gate{l}/b"] = (cfg.hidden, cfg.hidden), (cfg.hidden,)
+        width = cfg.hidden
+    layout["out/W"], layout["out/b"] = (cfg.hidden, num_classes), (num_classes,)
+    return layout
 
 
 def init_gcn_params(
     rng: np.random.Generator, in_dim: int, num_classes: int, cfg: GcnConfig
 ) -> ParamSet:
-    params = ParamSet()
-    dims = [in_dim] + [cfg.hidden] * cfg.layers
-    for l in range(cfg.layers):
-        params.add(f"conv{l}/W", glorot_uniform(rng, dims[l], dims[l + 1]))
-        params.add(f"conv{l}/b", np.zeros(dims[l + 1]))
-        # The first layer changes width, so only later layers carry a gate.
-        if cfg.highway and l > 0:
-            params.add(f"gate{l}/W", glorot_uniform(rng, cfg.hidden, cfg.hidden))
-            params.add(f"gate{l}/b", np.full(cfg.hidden, float(cfg.gate_bias)))
-    params.add("out/W", glorot_uniform(rng, cfg.hidden, num_classes))
-    params.add("out/b", np.zeros(num_classes))
-    return params
+    return _draw(rng, gcn_layout(in_dim, num_classes, cfg), ParamSet(),
+                 lambda name: cfg.gate_bias if name.startswith("gate") else 0.0)
 
 
 def gcn_forward(
@@ -210,15 +230,15 @@ def gcn_forward(
     return ad.affine(ad.spmm(a_out, h), params["out/W"], params["out/b"])
 
 
+def mlp_layout(in_dim: int, hidden: int, num_classes: int, prefix: str = "") -> Layout:
+    return {f"{prefix}hid/W": (in_dim, hidden), f"{prefix}hid/b": (hidden,),
+            f"{prefix}out/W": (hidden, num_classes), f"{prefix}out/b": (num_classes,)}
+
+
 def init_mlp_params(
     rng: np.random.Generator, in_dim: int, hidden: int, num_classes: int, prefix: str = ""
 ) -> ParamSet:
-    params = ParamSet()
-    params.add(f"{prefix}hid/W", glorot_uniform(rng, in_dim, hidden))
-    params.add(f"{prefix}hid/b", np.zeros(hidden))
-    params.add(f"{prefix}out/W", glorot_uniform(rng, hidden, num_classes))
-    params.add(f"{prefix}out/b", np.zeros(num_classes))
-    return params
+    return _draw(rng, mlp_layout(in_dim, hidden, num_classes, prefix), ParamSet())
 
 
 def mlp_forward(
@@ -231,16 +251,16 @@ def mlp_forward(
     return ad.affine(h, params[f"{prefix}out/W"], params[f"{prefix}out/b"])
 
 
+def projection_layout(prefix: str, in_dim: int, cfg: DccaConfig) -> Layout:
+    if cfg.proj_hidden > 0:
+        return mlp_layout(in_dim, cfg.proj_hidden, cfg.proj_out, f"{prefix}/")
+    return {f"{prefix}/out/W": (in_dim, cfg.proj_out), f"{prefix}/out/b": (cfg.proj_out,)}
+
+
 def init_projection_params(
     rng: np.random.Generator, prefix: str, in_dim: int, cfg: DccaConfig, params: ParamSet
 ) -> None:
-    if cfg.proj_hidden > 0:
-        params.add(f"{prefix}/hid/W", glorot_uniform(rng, in_dim, cfg.proj_hidden))
-        params.add(f"{prefix}/hid/b", np.zeros(cfg.proj_hidden))
-        params.add(f"{prefix}/out/W", glorot_uniform(rng, cfg.proj_hidden, cfg.proj_out))
-    else:
-        params.add(f"{prefix}/out/W", glorot_uniform(rng, in_dim, cfg.proj_out))
-    params.add(f"{prefix}/out/b", np.zeros(cfg.proj_out))
+    _draw(rng, projection_layout(prefix, in_dim, cfg), params)
 
 
 def projection_forward(
@@ -334,7 +354,7 @@ def propagate(a_hat: SparseMatrix, x: SparseMatrix) -> np.ndarray | Propagated:
 # --------------------------------------------------------------------------
 # one wiring per model kind, shared by training and prediction
 #
-# Each kind has a width rule, a set-up ``setup(rng, a_hat, x, adjacency,
+# Each kind has a width rule, an array layout, a set-up ``setup(rng, a_hat, x, adjacency,
 # labels, partition, cfg, meta) -> (model, trained params, after_epoch)``, an
 # input builder ``inputs(model, a_hat, x, adjacency)`` and a forward path
 # ``forward(params, cfg, a_hat, inputs, masks, rows=None)``, which computes the
@@ -364,6 +384,12 @@ def trained_config(model: TrainedModel) -> dict:
 def _model_config(model: TrainedModel) -> GcnConfig | MlpConfig | DccaConfig:
     """The config ``model`` was trained with, rebuilt from its meta."""
     return KINDS[model.kind].config(**trained_config(model))
+
+
+def array_layout(model: TrainedModel) -> Layout:
+    """Every array ``model``'s meta implies it holds. A meta that passes
+    ``meta_errors`` but no config's checks raises ``ArgumentError``."""
+    return KINDS[model.kind].layout(_model_config(model), model.meta)
 
 
 def is_json_type(value, kind: type) -> bool:
@@ -426,7 +452,8 @@ def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
 
 def _mlp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
     """One hidden layer over the concatenated text and normalized-graph rows."""
-    params = init_mlp_params(rng, meta["in_dim"], cfg.hidden, meta["num_classes"])
+    params = init_mlp_params(rng, meta["in_dim"] + meta["graph_dim"], cfg.hidden,
+                             meta["num_classes"])
     return TrainedModel("mlp", params, meta), params, None
 
 
@@ -444,8 +471,7 @@ def _dcca_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
     params = ParamSet()
     for net, view in _dcca_views(a_hat, x).items():
         init_projection_params(rng, net, view.shape[1], cfg, params)
-    clf = init_mlp_params(rng, 2 * cfg.proj_out, cfg.clf_hidden, meta["num_classes"],
-                          prefix="clf/")
+    clf = init_mlp_params(rng, 2 * cfg.proj_out, cfg.clf_hidden, meta["num_classes"], "clf/")
 
     for epoch in range(cfg.stage1_epochs):
         try:
@@ -460,10 +486,7 @@ def _dcca_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
 
 
 def _gcn_lp_inputs(model: TrainedModel, a_hat, x, adjacency) -> Propagated:
-    label_block = model.state.get("label_block")
-    if label_block is None:
-        raise StateError("gcn-lp model is missing its label block")
-    return Propagated(a_hat, lp_input(adjacency, label_block))
+    return Propagated(a_hat, lp_input(adjacency, model.state["label_block"]))
 
 
 def _mlp_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
@@ -501,6 +524,7 @@ def _mlp_logits(params: ParamSet, cfg, a_hat, inputs, masks, rows=None, prefix="
 class ModelKind:
     config: type
     widths: Callable  # (users, text_width, num_classes) -> the input widths the meta records
+    layout: Callable  # (cfg, meta) -> every array's shape, state under STATE_PREFIX
     setup: Callable
     inputs: Callable
     forward: Callable
@@ -515,18 +539,32 @@ class ModelKind:
                            else inputs.take_rows(idx))
 
 
+def _gcn_lp_layout(cfg: GcnConfig, meta: dict) -> Layout:
+    in_dim, k = meta["in_dim"], meta["num_classes"]
+    return {**gcn_layout(in_dim, k, cfg), STATE_PREFIX + "label_block": (in_dim - k, k)}
+
+
+def _dcca_layout(cfg: DccaConfig, meta: dict) -> Layout:
+    return {**projection_layout("f1", meta["in_dim"], cfg),
+            **projection_layout("f2", meta["graph_dim"], cfg),
+            **mlp_layout(2 * cfg.proj_out, cfg.clf_hidden, meta["num_classes"], "clf/")}
+
+
 _gcn_masks = attrgetter("layers", "hidden")
+_text_and_graph = lambda n, v, k: {"in_dim": v, "graph_dim": n}  # noqa: E731
 KINDS = {
-    "gcn": ModelKind(GcnConfig, lambda n, v, k: {"in_dim": v}, _gcn_setup,
+    "gcn": ModelKind(GcnConfig, lambda n, v, k: {"in_dim": v},
+                     lambda c, m: gcn_layout(m["in_dim"], m["num_classes"], c), _gcn_setup,
                      lambda model, a_hat, x, adjacency: Propagated(a_hat, x), _gcn_logits,
                      _gcn_masks, False),
-    "gcn-lp": ModelKind(GcnConfig, lambda n, v, k: {"in_dim": n + k}, _gcn_lp_setup,
-                        _gcn_lp_inputs, _gcn_logits, _gcn_masks, False),
-    "mlp": ModelKind(MlpConfig, lambda n, v, k: {"in_dim": v + n}, _mlp_setup, _mlp_inputs,
-                     _mlp_logits, lambda c: (1, c.hidden), True),
-    "dcca": ModelKind(DccaConfig, lambda n, v, k: {"in_dim": v, "graph_dim": n}, _dcca_setup,
-                      _dcca_inputs, partial(_mlp_logits, prefix="clf/"),
-                      lambda c: (1, c.clf_hidden), True),
+    "gcn-lp": ModelKind(GcnConfig, lambda n, v, k: {"in_dim": n + k}, _gcn_lp_layout,
+                        _gcn_lp_setup, _gcn_lp_inputs, _gcn_logits, _gcn_masks, False),
+    "mlp": ModelKind(MlpConfig, _text_and_graph,
+                     lambda c, m: mlp_layout(m["in_dim"] + m["graph_dim"], c.hidden,
+                                             m["num_classes"]),
+                     _mlp_setup, _mlp_inputs, _mlp_logits, lambda c: (1, c.hidden), True),
+    "dcca": ModelKind(DccaConfig, _text_and_graph, _dcca_layout, _dcca_setup, _dcca_inputs,
+                      partial(_mlp_logits, prefix="clf/"), lambda c: (1, c.clf_hidden), True),
 }
 
 

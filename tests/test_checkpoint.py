@@ -1,10 +1,10 @@
 """Checkpoint round-trips, determinism of the encoding, and corruption handling."""
 
 import json
-import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geograph import models
 from geograph.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -21,8 +21,7 @@ from geograph.views import normalize_adjacency
 from conftest import random_symmetric_adjacency
 
 
-@pytest.fixture
-def trained(rng):
+def _train_small(rng):
     adj = SparseMatrix.from_dense(random_symmetric_adjacency(rng, 10, 0.4))
     a_hat = normalize_adjacency(adj, 1.0)
     x = SparseMatrix.from_dense(rng.random((10, 6)))
@@ -33,6 +32,11 @@ def trained(rng):
                      GcnConfig(hidden=4, layers=2),
                      TrainConfig(epochs=3, dropout=0.0, seed=0))
     return model, adj, a_hat, x
+
+
+@pytest.fixture
+def trained(rng):
+    return _train_small(rng)
 
 
 def test_roundtrip_preserves_params_and_predictions(tmp_path, trained):
@@ -106,7 +110,7 @@ def test_rejects_wrong_magic(tmp_path):
 def test_rejects_bad_header(tmp_path, header):
     raw = json.dumps(header).encode("utf-8")
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(MAGIC + struct.pack("<Q", len(raw)) + raw + struct.pack("<Q", 0))
+    bad.write_bytes(MAGIC + len(raw).to_bytes(8, "little") + raw)
     with pytest.raises(DataFormatError):
         load_checkpoint(bad)
 
@@ -128,3 +132,103 @@ def test_rejects_trailing_garbage(tmp_path, trained):
     padded.write_bytes(ckpt.read_bytes() + b"extra")
     with pytest.raises(DataFormatError):
         load_checkpoint(padded)
+
+
+def _with_header(blob: bytes, edit) -> bytes:
+    size = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + size])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:8] + len(new).to_bytes(8, "little") + new + blob[16 + size:]
+
+
+def _reshape(name, shape):
+    def edit(header):
+        header["arrays"] = [[n, shape if n == name else s] for n, s in header["arrays"]]
+    return edit
+
+
+def _rename(old, new):
+    def edit(header):
+        header["arrays"] = sorted([new if n == old else n, s] for n, s in header["arrays"])
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_reshape("state/label_block", [7, 2]),
+     "array 'state/label_block' has shape [7, 2], not [8, 2]"),
+    (_rename("state/label_block", "state/labels"), "lacks array 'state/label_block'"),
+    (_rename("out/b", "out/c"), "lacks array 'out/b'"),
+    (lambda h: h["meta"].update(hidden=4), "array 'conv0/W' has shape [10, 3], not [10, 4]"),
+    (lambda h: h["meta"].update(layers=2), "lacks array 'conv1/W'"),
+    (lambda h: h["meta"].update(hidden=0), "meta hidden must be >= 1"),
+    (lambda h: h["meta"].update(layers=10**12), "has 1000000000000 layers, more than"),
+    (lambda h: h["arrays"].reverse(), "out of name order"),
+    (lambda h: h["arrays"].append(h["arrays"][0]), "out of name order or more than once"),
+    (lambda h: h.pop("arrays"), "needs 'arrays'"),
+    (lambda h: h["arrays"][0].__setitem__(1, [-1, 2]), "needs 'arrays'"),
+    (lambda h: h["arrays"][0].__setitem__(1, [True]), "needs 'arrays'"),
+])
+def test_rejects_arrays_the_meta_does_not_imply(tmp_path, rng, edit, message):
+    adj = SparseMatrix.from_dense(random_symmetric_adjacency(rng, 8, 0.5))
+    a_hat = normalize_adjacency(adj, 1.0)
+    labels = np.full(8, -1, dtype=np.intp)
+    labels[:5] = rng.integers(0, 2, 5)
+    part = Partition(np.arange(5), np.array([5]), np.array([6, 7]))
+    x = SparseMatrix.from_dense(rng.random((8, 4)))
+    model, _ = train("gcn-lp", a_hat, x, adj, labels, 2, part, GcnConfig(hidden=3, layers=1),
+                     TrainConfig(epochs=1, dropout=0.0, seed=1))
+    ckpt = save_checkpoint(tmp_path / "lp.ckpt", model, context={})
+    ckpt.write_bytes(_with_header(ckpt.read_bytes(), edit))
+    with pytest.raises(DataFormatError) as err:
+        load_checkpoint(ckpt)
+    assert str(err.value).startswith(f"{ckpt}: ") and message in str(err.value)
+
+
+# --- fuzzing: every mutation of a valid file loads or raises DataFormatError.
+
+
+@pytest.fixture(scope="module")
+def fuzz_case(tmp_path_factory):
+    """A small valid checkpoint's bytes, its header length and a scratch path."""
+    model, *_ = _train_small(np.random.default_rng(12345))
+    path = save_checkpoint(tmp_path_factory.mktemp("fuzz") / "model.ckpt", model, context={
+        "lam": 1.0, "tree": {"leaves": [{"count": 3, "rep": [1.5, -2.0]}]}})
+    blob = path.read_bytes()
+    return blob, int.from_bytes(blob[8:16], "little"), path
+
+
+def _load_or_reject(path, blob: bytes) -> bool:
+    """Whether ``blob`` loads; any other outcome than ``DataFormatError``
+    naming ``path`` fails the test."""
+    path.write_bytes(blob)
+    try:
+        load_checkpoint(path)
+    except DataFormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return False
+    return True
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_fuzz_truncation(fuzz_case, data):
+    blob, _, path = fuzz_case
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    assert not _load_or_reject(path, blob[:cut])
+
+
+@settings(max_examples=200)
+@given(data=st.data(), value=st.integers(0, 255))
+def test_fuzz_header_byte(fuzz_case, data, value):
+    blob, header_len, path = fuzz_case
+    at = data.draw(st.integers(0, 16 + header_len - 1), label="at")
+    _load_or_reject(path, blob[:at] + bytes([value]) + blob[at + 1:])
+
+
+@settings(max_examples=60)
+@given(length=st.integers(0, 2**64 - 1))
+def test_fuzz_header_length(fuzz_case, length):
+    blob, header_len, path = fuzz_case
+    loads = _load_or_reject(path, blob[:8] + length.to_bytes(8, "little") + blob[16:])
+    assert loads == (length == header_len)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import geograph
-from geograph.checkpoint import load_checkpoint
+from geograph.checkpoint import MAGIC, load_checkpoint
 from geograph.cli import cli, main
 from geograph.sweep import CSV_HEADER, MODEL_NAMES
 
@@ -356,7 +356,7 @@ def test_eval_rejects_checkpoint_header_without_meta(corpus, tmp_path, capsys):
     users, edges = corpus
     raw = json.dumps({"kind": "gcn"}).encode("utf-8")
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"GEOCKPT1" + len(raw).to_bytes(8, "little") + raw + bytes(8))
+    bad.write_bytes(MAGIC + len(raw).to_bytes(8, "little") + raw)
     assert main(["eval", "--model", str(bad), "--users", str(users),
                  "--edges", str(edges)]) == 1
     assert "'meta'" in capsys.readouterr().err
@@ -366,7 +366,7 @@ def test_eval_rejects_checkpoint_meta_without_config_keys(corpus, tmp_path, caps
     users, edges = corpus
     raw = json.dumps({"kind": "gcn", "meta": {}}).encode("utf-8")
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"GEOCKPT1" + len(raw).to_bytes(8, "little") + raw + bytes(8))
+    bad.write_bytes(MAGIC + len(raw).to_bytes(8, "little") + raw)
     assert main(["eval", "--model", str(bad), "--users", str(users),
                  "--edges", str(edges)]) == 1
     err = capsys.readouterr().err
@@ -379,7 +379,7 @@ def test_eval_rejects_checkpoint_meta_of_wrong_type(corpus, tmp_path, capsys):
     meta = {"hidden": True, "layers": 1, "highway": 1, "gate_bias": "-1"}
     raw = json.dumps({"kind": "gcn", "meta": meta}).encode("utf-8")
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"GEOCKPT1" + len(raw).to_bytes(8, "little") + raw + bytes(8))
+    bad.write_bytes(MAGIC + len(raw).to_bytes(8, "little") + raw)
     assert main(["eval", "--model", str(bad), "--users", str(users),
                  "--edges", str(edges)]) == 1
     err = capsys.readouterr().err
@@ -391,14 +391,9 @@ def test_eval_rejects_checkpoint_meta_of_wrong_type(corpus, tmp_path, capsys):
 @pytest.fixture(scope="module")
 def trained_ckpt(corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
-    assert main(_train_args(corpus, out, **{"--layers": "2"})) == 0
+    # 6 hidden units against 8 classes, so a transposed out/W has another shape.
+    assert main(_train_args(corpus, out, **{"--layers": "2", "--hidden": "6"})) == 0
     return out / "model.ckpt"
-
-
-def _first_leaf(node):
-    while "class_id" not in node:
-        node = node["left"]
-    return node
 
 
 def _set(mapping, key, value):
@@ -408,15 +403,12 @@ def _set(mapping, key, value):
 _CONTEXT_EDITS = {
     "no tree": (lambda h: h["context"].pop("tree"), "lacks ['tree']"),
     "no vocabulary": (lambda h: h["context"].pop("vocabulary"), "lacks ['vocabulary']"),
-    "node without split": (lambda h: h["context"]["tree"]["root"].pop("split"),
-                           "node root lacks ['split']"),
     "rep of a string": (lambda h: _set(h["context"]["tree"]["leaves"][0], "rep", ["x", 1]),
                         "leaf 0 needs"),
     "rep off the globe": (lambda h: _set(h["context"]["tree"]["leaves"][1], "rep", [95.0, 0.0]),
                           "leaf 1 rep: (95.0, 0.0) is not"),
-    "class id out of range": (lambda h: _set(_first_leaf(h["context"]["tree"]["root"]),
-                                             "class_id", 99), "class ids"),
-    "num_classes mismatch": (lambda h: _set(h["meta"], "num_classes", h["meta"]["num_classes"] + 1),
+    # The meta's class count also sets the array shapes, so the tree changes.
+    "num_classes mismatch": (lambda h: h["context"]["tree"]["leaves"].pop(),
                              "classes but its region tree has"),
     "df of strings": (lambda h: _set(h["context"]["vocabulary"], "df",
                                      [str(c) for c in h["context"]["vocabulary"]["df"]]),
@@ -432,22 +424,67 @@ _CONTEXT_EDITS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_CONTEXT_EDITS))
-def test_eval_rejects_bad_checkpoint_context(corpus, trained_ckpt, tmp_path, capsys, case):
-    users, edges = corpus
-    edit, message = _CONTEXT_EDITS[case]
-    raw = trained_ckpt.read_bytes()
+def _with_header(raw: bytes, edit, keep_arrays: bool = True) -> bytes:
+    """The checkpoint ``raw`` with its JSON header changed by ``edit``."""
     size = int.from_bytes(raw[8:16], "little")
     header = json.loads(raw[16:16 + size])
     edit(header)
     new = json.dumps(header, sort_keys=True).encode("utf-8")
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(raw[:8] + len(new).to_bytes(8, "little") + new + raw[16 + size:])
+    arrays = raw[16 + size:] if keep_arrays else b""
+    return raw[:8] + len(new).to_bytes(8, "little") + new + arrays
+
+
+def _eval_error(corpus, bad, capsys) -> str:
+    """What ``eval`` prints on stderr for the checkpoint ``bad``; it must exit 1."""
+    users, edges = corpus
     capsys.readouterr()
     assert main(["eval", "--model", str(bad), "--users", str(users),
                  "--edges", str(edges)]) == 1
-    err = capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(_CONTEXT_EDITS))
+def test_eval_rejects_bad_checkpoint_context(corpus, trained_ckpt, tmp_path, capsys, case):
+    edit, message = _CONTEXT_EDITS[case]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(trained_ckpt.read_bytes(), edit))
+    err = _eval_error(corpus, bad, capsys)
     assert message in err and str(bad) in err, err
+
+
+def _bad_name_byte(raw: bytes) -> bytes:
+    at = raw.index(b"conv0/W")
+    return raw[:at] + b"\xff" + raw[at + 1:]
+
+
+def _transpose_out_w(header) -> None:
+    for name, shape in header["arrays"]:
+        if name == "out/W":
+            shape.reverse()
+
+
+_CORRUPTIONS = {
+    "bad UTF-8 in an array name": (_bad_name_byte, "bad checkpoint header"),
+    "header length 2^62": (lambda raw: raw[:8] + (2**62).to_bytes(8, "little") + raw[16:],
+                           "truncated checkpoint: a header of 4611686018427387904 bytes"),
+    "no arrays": (lambda raw: _with_header(raw, lambda h: _set(h, "arrays", []), False),
+                  "gcn checkpoint lacks array 'conv0/W'"),
+    "transposed out/W": (lambda raw: _with_header(raw, _transpose_out_w),
+                         "gcn checkpoint array 'out/W' has shape"),
+    "16 bytes clipped": (lambda raw: raw[:-16], "truncated checkpoint: its arrays end at byte"),
+    "2 bytes appended": (lambda raw: raw + b"\0\0", "trailing bytes in checkpoint"),
+    "the previous format": (lambda raw: b"GEOCKPT1" + raw[8:],
+                            "not a b'GEOCKPT2' model checkpoint: it starts b'GEOCKPT1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+def test_eval_rejects_corrupt_checkpoint(corpus, trained_ckpt, tmp_path, capsys, case):
+    corrupt, message = _CORRUPTIONS[case]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt(trained_ckpt.read_bytes()))
+    err = _eval_error(corpus, bad, capsys)
+    assert err.startswith(f"error: {bad}: ") and message in err, err
 
 
 def test_diverged_training_exits_nonzero_without_checkpoint(tmp_path, capsys):

@@ -8,11 +8,13 @@ from geograph import models
 from geograph.errors import ArgumentError, NumericError, ShapeError
 from geograph.models import (
     KINDS,
+    STATE_PREFIX,
     DccaConfig,
     GcnConfig,
     MlpConfig,
     Partition,
     TrainConfig,
+    array_layout,
     gcn_forward,
     init_gcn_params,
     lp_input,
@@ -230,7 +232,7 @@ def test_mlp_input_width(rng):
     adj, a_hat, x, labels, part = _instance(rng)
     model, _ = train("mlp", a_hat, x, adj, labels, 3, part, MlpConfig(hidden=5),
                      TrainConfig(epochs=2, dropout=0.0, seed=0))
-    assert model.meta["in_dim"] == x.shape[1] + a_hat.shape[0]
+    assert (model.meta["in_dim"], model.meta["graph_dim"]) == (x.shape[1], a_hat.shape[0])
     assert model.params["hid/W"].data.shape == (x.shape[1] + 12, 5)
 
 
@@ -429,6 +431,37 @@ def test_predict_on_a_graph_of_another_size(rng, kind):
     message = f"the {kind} checkpoint was trained on 12 users, but the dataset has 9"
     with pytest.raises(ArgumentError, match=message):
         predict_classes(model, other_a_hat, other_x, other_adj)
+
+
+def test_mlp_width_error_names_the_term_width(rng):
+    # 12 users and 8 terms in training, 12 users and 11 terms here: the user
+    # count matches, so the message must blame the text width.
+    adj, a_hat, x, labels, part = _instance(rng)
+    model, _ = train("mlp", a_hat, x, adj, labels, 3, part, MlpConfig(4),
+                     TrainConfig(epochs=1, dropout=0.0, seed=0))
+    wide_x = SparseMatrix.from_dense(np.ones((12, 11)))
+    with pytest.raises(ArgumentError, match="the mlp checkpoint was trained for in_dim 8, but "
+                                            "the dataset has 12 users and 11 terms"):
+        predict_classes(model, a_hat, wide_x, adj)
+
+
+_LAYOUT_CONFIGS = {
+    **_OTHER_SIZE_CONFIGS,
+    "gcn ungated": GcnConfig(hidden=4, layers=3, highway=False),
+    "dcca with hidden": DccaConfig(proj_hidden=3, proj_out=2, reg=1e-3, stage1_epochs=1,
+                                   clf_hidden=4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CONFIGS))
+def test_array_layout_matches_trained_arrays(rng, case):
+    adj, a_hat, x, labels, part = _instance(rng)
+    kind = case.split()[0]
+    model, _ = train(kind, a_hat, x, adj, labels, 3, part, _LAYOUT_CONFIGS[case],
+                     TrainConfig(epochs=1, dropout=0.0, seed=0))
+    held = {name: t.data.shape for name, t in model.params.items()}
+    held.update((STATE_PREFIX + name, arr.shape) for name, arr in model.state.items())
+    assert array_layout(model) == held
 
 
 def test_gcn_lp_predict_uses_stored_label_block(rng, monkeypatch):
