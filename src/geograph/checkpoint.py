@@ -14,7 +14,8 @@ Layout:
 
 Identical models produce identical files. Optimizer moments are not stored;
 a loaded model predicts but does not resume training. Loading checks the
-table against the kind's meta and the file size before it reads an array.
+table against the kind's meta and the file size before it reads an array;
+each array it returns is a read-only view of the file's bytes, not a copy.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import constant
 from .errors import ArgumentError, DataFormatError
 from .models import KINDS, STATE_PREFIX, TrainedModel, array_layout, meta_errors
-from .optim import ParamSet
 
 MAGIC = b"GEOCKPT2"
 _FIXED = len(MAGIC) + 8  # magic and header_len
@@ -46,7 +47,7 @@ def save_checkpoint(path, model: TrainedModel, context: dict) -> Path:
     with open(path, "wb") as fh:
         fh.write(MAGIC + len(header_bytes).to_bytes(8, "little") + header_bytes)
         for arr in arrays.values():
-            fh.write(arr.tobytes())
+            fh.write(arr)  # its contiguous buffer, not a copy
     return path
 
 
@@ -90,7 +91,7 @@ def _decode(blob: bytes) -> tuple[TrainedModel, dict]:
         raise DataFormatError(f"{kind} checkpoint has {meta['layers']} layers, more than its "
                               f"{header_len}-byte header can list")
     toc = [(name, tuple(shape)) for name, shape in toc]
-    model = TrainedModel(kind, ParamSet(), meta)
+    model = TrainedModel(kind, {}, meta)
     try:
         error = _layout_error(toc, array_layout(model))
     except ArgumentError as exc:
@@ -102,14 +103,13 @@ def _decode(blob: bytes) -> tuple[TrainedModel, dict]:
     if end != len(blob):
         raise DataFormatError(f"{'truncated' if end > len(blob) else 'trailing bytes in'} "
                               f"checkpoint: its arrays end at byte {end} of {len(blob)}")
-    offset = _FIXED + header_len
-    for (name, shape), size in zip(toc, sizes):
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
-        offset += 8 * size
+    block = np.frombuffer(blob, dtype="<f8", offset=_FIXED + header_len)
+    for (name, shape), flat in zip(toc, np.split(block, np.cumsum(sizes)[:-1])):
+        arr = flat.reshape(shape)  # a read-only view, as bytes are
         if name.startswith(STATE_PREFIX):
-            model.state[name[len(STATE_PREFIX):]] = arr.astype(np.float64)
+            model.state[name[len(STATE_PREFIX):]] = arr
         else:
-            model.params.add(name, arr)  # copies
+            model.params[name] = constant(arr, name)
     return model, header.get("context", {})
 
 

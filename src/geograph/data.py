@@ -30,7 +30,7 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class Partition:
     """Index sets for labeled, development, and test users (disjoint), each
-    held sorted and without repeats."""
+    held sorted, without repeats and without negative indices."""
 
     train_idx: np.ndarray
     dev_idx: np.ndarray
@@ -41,6 +41,8 @@ class Partition:
             arr = np.sort(np.asarray(getattr(self, name), dtype=np.intp))
             if np.any(arr[1:] == arr[:-1]):
                 raise ArgumentError(f"partition {name} repeats an index")
+            if arr.size and arr[0] < 0:
+                raise ArgumentError(f"partition {name} holds a negative index {arr[0]}")
             object.__setattr__(self, name, arr)
         if self.train_idx.size == 0:
             raise ArgumentError("partition has no labeled users")

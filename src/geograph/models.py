@@ -132,10 +132,11 @@ DENSE_PROPAGATION = 8
 
 @dataclass
 class TrainedModel:
-    """Everything needed to reproduce predictions: weights plus wiring info."""
+    """Everything needed to reproduce predictions: weights plus wiring info.
+    ``params`` holds one constant tensor per weight, and no optimizer state."""
 
     kind: str  # "gcn" | "gcn-lp" | "mlp" | "dcca"
-    params: ParamSet
+    params: dict[str, Tensor]
     meta: dict
     state: dict = field(default_factory=dict)  # extra arrays, e.g. label block
 
@@ -166,6 +167,7 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 Layout = dict[str, tuple[int, ...]]  # array name -> shape
+Params = dict[str, Tensor]  # weight name -> tensor: a ParamSet in training, constants after
 
 
 def _draw(rng: np.random.Generator, layout: Layout, params: ParamSet,
@@ -198,7 +200,7 @@ def init_gcn_params(
 def gcn_forward(
     a_hat: SparseMatrix,
     propagated: np.ndarray | Propagated,
-    params: ParamSet,
+    params: Params,
     cfg: GcnConfig,
     dropout_masks: list[np.ndarray] | None = None,
     out_rows: SparseMatrix | None = None,
@@ -242,7 +244,7 @@ def init_mlp_params(
 
 
 def mlp_forward(
-    x: SparseMatrix | np.ndarray, params: ParamSet, dropout_mask: np.ndarray | None = None,
+    x: SparseMatrix | np.ndarray, params: Params, dropout_mask: np.ndarray | None = None,
     prefix: str = "",
 ) -> Tensor:
     h = ad.relu_affine(x, params[f"{prefix}hid/W"], params[f"{prefix}hid/b"])
@@ -264,7 +266,7 @@ def init_projection_params(
 
 
 def projection_forward(
-    x: SparseMatrix, params: ParamSet, prefix: str, cfg: DccaConfig
+    x: SparseMatrix, params: Params, prefix: str, cfg: DccaConfig
 ) -> Tensor:
     if cfg.proj_hidden > 0:
         h = ad.sigmoid(ad.sparse_affine(x, params[f"{prefix}/hid/W"], params[f"{prefix}/hid/b"]))
@@ -414,13 +416,13 @@ def _dcca_views(a_hat: SparseMatrix, x: SparseMatrix) -> dict[str, SparseMatrix]
     return {"f1": x, "f2": a_hat}
 
 
-def _projections(params: ParamSet, cfg: DccaConfig, a_hat, x) -> list[Tensor]:
+def _projections(params: Params, cfg: DccaConfig, a_hat, x) -> list[Tensor]:
     return [projection_forward(v, params, net, cfg) for net, v in _dcca_views(a_hat, x).items()]
 
 
 def _gcn_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
     params = init_gcn_params(rng, meta["in_dim"], meta["num_classes"], cfg)
-    return TrainedModel("gcn", params, meta), params, None
+    return TrainedModel("gcn", {}, meta), params, None
 
 
 def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
@@ -432,6 +434,8 @@ def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
     afterwards they hold the model's current softmax distribution,
     recomputed without dropout after every update.
     """
+    if adjacency is None:
+        raise ArgumentError("gcn-lp reads the binary adjacency, but none was given")
     n, num_classes, trigger = a_hat.shape[0], meta["num_classes"], LP_TRIGGER_ACCURACY
     params = init_gcn_params(rng, meta["in_dim"], num_classes, cfg)
     label_block = np.zeros((n, num_classes), dtype=np.float64)
@@ -447,21 +451,21 @@ def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
         if latched:
             label_block[held_out] = probs[held_out]
 
-    return TrainedModel("gcn-lp", params, meta, {"label_block": label_block}), params, after_epoch
+    return TrainedModel("gcn-lp", {}, meta, {"label_block": label_block}), params, after_epoch
 
 
 def _mlp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
     """One hidden layer over the concatenated text and normalized-graph rows."""
     params = init_mlp_params(rng, meta["in_dim"] + meta["graph_dim"], cfg.hidden,
                              meta["num_classes"])
-    return TrainedModel("mlp", params, meta), params, None
+    return TrainedModel("mlp", {}, meta), params, None
 
 
 def _dcca_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
-    """Stage 1 maximizes view correlation on all users (no labels involved).
-    The classifier is a parameter set of its own, so training it on the
-    concatenated projections leaves the projection weights frozen. A
-    ``proj_out`` too wide for ``n`` users to correlate drops to ``(n - 1) // 2``."""
+    """Stage 1 maximizes view correlation on all users (no labels involved);
+    the model keeps the projections as constants, and the classifier trains
+    on them as a parameter set of its own. A ``proj_out`` too wide for ``n``
+    users to correlate drops to ``(n - 1) // 2``."""
     n = a_hat.shape[0]
     if cfg.proj_out >= n - 1:
         capped = max(1, (n - 1) // 2)
@@ -482,7 +486,7 @@ def _dcca_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
         params.zero_grads()
         ad.backward(loss)
         params.adam_step(cfg.stage1_lr)
-    return TrainedModel("dcca", params, meta), clf, None
+    return TrainedModel("dcca", params.constants(), meta), clf, None
 
 
 def _gcn_lp_inputs(model: TrainedModel, a_hat, x, adjacency) -> Propagated:
@@ -507,11 +511,11 @@ class LabeledRows(NamedTuple):
     operand: SparseMatrix | np.ndarray
 
 
-def _gcn_logits(params: ParamSet, cfg, a_hat, inputs, masks, rows=None) -> Tensor:
+def _gcn_logits(params: Params, cfg, a_hat, inputs, masks, rows=None) -> Tensor:
     return gcn_forward(a_hat, inputs, params, cfg, masks, None if rows is None else rows.operand)
 
 
-def _mlp_logits(params: ParamSet, cfg, a_hat, inputs, masks, rows=None, prefix="") -> Tensor:
+def _mlp_logits(params: Params, cfg, a_hat, inputs, masks, rows=None, prefix="") -> Tensor:
     # Masks are drawn for every node, so the dropout stream is the same
     # whichever rows are computed.
     mask = masks[0] if masks else None
@@ -523,7 +527,7 @@ def _mlp_logits(params: ParamSet, cfg, a_hat, inputs, masks, rows=None, prefix="
 @dataclass(frozen=True)
 class ModelKind:
     config: type
-    widths: Callable  # (users, text_width, num_classes) -> the input widths the meta records
+    widths: Callable  # (a_hat columns, text width, classes) -> the input widths the meta records
     layout: Callable  # (cfg, meta) -> every array's shape, state under STATE_PREFIX
     setup: Callable
     inputs: Callable
@@ -596,9 +600,14 @@ def train(
     n = a_hat.shape[0]
     if x.shape[0] != n:
         raise ShapeError(f"features have {x.shape[0]} rows for {n} nodes")
+    if len(labels) != n:
+        raise ShapeError(f"labels have {len(labels)} entries for {n} nodes")
+    top = max(idx.max(initial=-1) for idx in vars(partition).values())
+    if top >= n:
+        raise ArgumentError(f"partition holds user index {top}, but there are {n} nodes")
     seeds = np.random.SeedSequence(train_cfg.seed).spawn(2)
     init_rng, dropout_rng = map(np.random.default_rng, seeds)
-    meta = {**entry.widths(n, x.shape[1], num_classes), "num_classes": num_classes,
+    meta = {**entry.widths(a_hat.shape[1], x.shape[1], num_classes), "num_classes": num_classes,
             **{name: getattr(cfg, name) for name in _META_FIELDS[entry.config]}}
     model, params, after_epoch = entry.setup(
         init_rng, a_hat, x, adjacency, labels, partition, cfg, meta
@@ -648,9 +657,7 @@ def train(
                 break
     if stopping:
         params.load_values(best_values)
-    for name, tensor in params.items():  # dcca's classifier joins its projections
-        if name not in model.params:
-            model.params.add(name, tensor.data)
+    model.params.update(params.constants())
     if history[-1].loss > history[0].loss:
         log.warning("%s training ended at loss %.4g, above its first-epoch loss %.4g",
                     kind, history[-1].loss, history[0].loss)
@@ -677,7 +684,7 @@ def stage1_correlation(
 def _check_widths(model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix) -> None:
     """Raise ``ArgumentError`` unless this corpus gives the input widths
     ``model``'s meta records. A width grows by one column per user or not at all."""
-    rule, n, v, k = KINDS[model.kind].widths, a_hat.shape[0], x.shape[1], model.meta["num_classes"]
+    rule, n, v, k = KINDS[model.kind].widths, a_hat.shape[1], x.shape[1], model.meta["num_classes"]
     for key, width in rule(n, v, k).items():
         got, base = model.meta[key], rule(0, v, k)[key]
         if got != width:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, parameter
+from .autodiff import Tensor, constant, parameter
 from .errors import ArgumentError, ShapeError
 
 
@@ -14,46 +14,32 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-class ParamSet:
-    """Registry of trainable tensors plus per-parameter Adam state.
-
-    Every parameter owns a gradient slot of identical shape (materialized by
-    ``zero_grads``) and first/second moment buffers; a single step counter is
-    shared by all parameters.
-    """
+class ParamSet(dict[str, Tensor]):
+    """Trainable tensors by name plus their Adam state, alive only while a
+    model trains. Every parameter owns a gradient slot of identical shape
+    (materialized by ``zero_grads``) and first/second moment buffers; one step
+    counter is shared. ``constants`` hands the trained arrays on without them."""
 
     def __init__(self) -> None:
-        self._params: dict[str, Tensor] = {}
+        super().__init__()
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self.step_count = 0
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self._params:
+        if name in self:
             raise ArgumentError(f"duplicate parameter name {name!r}")
         t = parameter(np.array(data, dtype=np.float64), name=name)
-        self._params[name] = t
+        self[name] = t
         self._m[name] = np.zeros_like(t.data)
         self._v[name] = np.zeros_like(t.data)
         return t
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
+        return list(self)
 
     def zero_grads(self) -> None:
-        for t in self._params.values():
+        for t in self.values():
             t.grad = np.zeros_like(t.data)
 
     def adam_step(
@@ -68,7 +54,7 @@ class ParamSet:
         t = self.step_count
         bc1 = 1.0 - beta1 ** t
         bc2 = 1.0 - beta2 ** t
-        for name, p in self._params.items():
+        for name, p in self.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} != parameter {p.data.shape}")
@@ -80,12 +66,16 @@ class ParamSet:
             v += (1.0 - beta2) * g * g
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
+    def constants(self) -> dict[str, Tensor]:
+        """Each parameter's current array, not copied, as a constant tensor."""
+        return {name: constant(p.data, name) for name, p in self.items()}
+
     def copy_values(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self._params.items()}
+        return {name: p.data.copy() for name, p in self.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for name, arr in values.items():
-            p = self._params[name]
+            p = self[name]
             arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != p.data.shape:
                 raise ShapeError(f"cannot load {name}: shape {arr.shape} != {p.data.shape}")

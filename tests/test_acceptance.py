@@ -487,7 +487,7 @@ def test_criterion_9_determinism_and_no_leak(tmp_path, default_bundle, ordering_
     def trained_params(bundle):
         views, a_hat = spec_views(bundle, spec)
         run = run_cell(bundle, views, a_hat, spec, "gcn", 0.01, 1, seed=0)
-        return run.model.params.copy_values()
+        return {name: t.data for name, t in run.model.params.items()}
 
     heldout = np.array([s != "train" for s in default_bundle.splits])
     zeroed = DatasetBundle(

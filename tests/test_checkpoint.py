@@ -1,6 +1,8 @@
 """Checkpoint round-trips, determinism of the encoding, and corruption handling."""
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +11,18 @@ from hypothesis import given, settings, strategies as st
 from geograph import models
 from geograph.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from geograph.errors import DataFormatError
+from geograph.data import SyntheticConfig, generate_synthetic, subsample_labels
 from geograph.models import (
+    DccaConfig,
     GcnConfig,
+    MlpConfig,
     Partition,
     TrainConfig,
     predict_logits,
     train,
 )
 from geograph.sparse import SparseMatrix
+from geograph.sweep import build_region_tree, labels_for_training, prepare_views
 from geograph.views import normalize_adjacency
 from conftest import random_symmetric_adjacency
 
@@ -47,8 +53,8 @@ def test_roundtrip_preserves_params_and_predictions(tmp_path, trained):
     assert context == {"lam": 1.0}
     assert loaded.kind == model.kind
     assert loaded.meta == model.meta
-    assert sorted(loaded.params.names()) == sorted(model.params.names())
-    for name in model.params.names():
+    assert sorted(loaded.params) == sorted(model.params)
+    for name in model.params:
         np.testing.assert_array_equal(loaded.params[name].data, model.params[name].data)
     np.testing.assert_array_equal(
         predict_logits(loaded, a_hat, x, adj), predict_logits(model, a_hat, x, adj)
@@ -73,6 +79,88 @@ def test_roundtrip_keeps_label_block_state(tmp_path, rng, monkeypatch):
     np.testing.assert_array_equal(
         predict_logits(loaded, a_hat, x, adj), predict_logits(model, a_hat, x, adj)
     )
+
+
+def _root(arr: np.ndarray):
+    """The object that owns ``arr``'s memory."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr if arr.base is None else arr.base
+
+
+_KIND_CONFIGS = {
+    "gcn": GcnConfig(hidden=4, layers=2),
+    "gcn-lp": GcnConfig(hidden=4, layers=2),
+    "mlp": MlpConfig(4),
+    "dcca": DccaConfig(proj_hidden=3, proj_out=2, reg=1e-3, stage1_epochs=2, clf_hidden=4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_CONFIGS))
+def test_loaded_arrays_are_read_only_views_of_one_block(tmp_path, rng, monkeypatch, kind):
+    adj = SparseMatrix.from_dense(random_symmetric_adjacency(rng, 10, 0.4))
+    a_hat = normalize_adjacency(adj, 1.0)
+    x = SparseMatrix.from_dense(rng.random((10, 6)))
+    labels = np.full(10, -1, dtype=np.intp)
+    labels[:6] = rng.integers(0, 3, 6)
+    part = Partition(np.arange(6), np.array([6, 7]), np.array([8, 9]))
+    monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
+    model, _ = train(kind, a_hat, x, adj, labels, 3, part, _KIND_CONFIGS[kind],
+                     TrainConfig(epochs=3, dropout=0.0, seed=0))
+    loaded, _ = load_checkpoint(save_checkpoint(tmp_path / "model.ckpt", model, context={}))
+    arrays = [t.data for t in loaded.params.values()] + list(loaded.state.values())
+    assert len(arrays) == len(model.params) + len(model.state)
+    assert not any(arr.flags.writeable for arr in arrays)
+    assert len({id(_root(arr)) for arr in arrays}) == 1
+    assert all(t.grad is None and not t.requires_grad for t in loaded.params.values())
+    np.testing.assert_array_equal(
+        predict_logits(loaded, a_hat, x, adj), predict_logits(model, a_hat, x, adj)
+    )
+
+
+def test_loading_holds_no_more_than_the_file(tmp_path):
+    # The 300-user synthetic corpus gives a 6.4 MB dcca checkpoint at the
+    # default projection widths; loading it keeps the file's bytes and views.
+    bundle = generate_synthetic(SyntheticConfig(n_users=300), seed=0)
+    views = prepare_views(bundle)
+    a_hat = normalize_adjacency(views.adjacency, 1.0)
+    part = subsample_labels(bundle, 1.0, 0)
+    tree = build_region_tree(bundle, part, 50, 1.0)
+    labels = labels_for_training(bundle, tree, part.train_idx)
+    model, _ = train("dcca", a_hat, views.text, views.adjacency, labels, tree.num_classes, part,
+                     DccaConfig(stage1_epochs=1, clf_hidden=16), TrainConfig(epochs=1, seed=0))
+    ckpt = save_checkpoint(tmp_path / "dcca.ckpt", model, context={
+        "vocabulary": views.vocabulary.to_dict(), "tree": tree.to_dict()})
+    size = ckpt.stat().st_size
+    assert size > 6_000_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(ckpt)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * size and peak <= 1.1 * size, (held, peak, size)
+    assert loaded.params["f2/out/W"].shape == model.params["f2/out/W"].shape
+
+
+@pytest.mark.parametrize("kind", ["dcca", "mlp"])
+def test_non_square_second_view_round_trips(tmp_path, rng, kind):
+    # dcca and mlp read the second view's columns as features, so it may have
+    # fewer columns than users; the checkpoint records that column count.
+    second = SparseMatrix.from_dense(rng.random((40, 5)))
+    x = SparseMatrix.from_dense(rng.random((40, 6)))
+    labels = np.full(40, -1, dtype=np.intp)
+    labels[:20] = np.arange(20) % 2
+    part = Partition(np.arange(20), np.arange(20, 30), np.arange(30, 40))
+    cfg = MlpConfig(4) if kind == "mlp" else DccaConfig(proj_hidden=0, proj_out=2, reg=1e-3,
+                                                        stage1_epochs=2, clf_hidden=4)
+    model, _ = train(kind, second, x, None, labels, 2, part, cfg,
+                     TrainConfig(epochs=2, dropout=0.0, seed=0))
+    assert model.meta["graph_dim"] == 5
+    loaded, _ = load_checkpoint(save_checkpoint(tmp_path / "model.ckpt", model, context={}))
+    np.testing.assert_array_equal(predict_logits(loaded, second, x, None),
+                                  predict_logits(model, second, x, None))
 
 
 def test_identical_models_produce_identical_bytes(tmp_path, trained):

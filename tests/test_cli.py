@@ -239,7 +239,7 @@ def test_train_gcn_nohighway_has_no_gates(corpus, tmp_path):
     assert main(_train_args(corpus, out, **{"--model": "gcn-nohighway", "--layers": "2"})) == 0
     model = load_checkpoint(out / "model.ckpt")[0]
     assert model.kind == "gcn" and model.meta["highway"] is False
-    assert not [name for name in model.params.names() if name.startswith("gate")]
+    assert not [name for name in model.params if name.startswith("gate")]
     report = json.loads((out / "report.json").read_text())
     assert report["model"] == "gcn-nohighway" and report["config"]["highway"] is False
 

@@ -1,5 +1,9 @@
 """Model wiring, gating behavior, label propagation, and training determinism."""
 
+import gc
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +33,7 @@ from geograph.models import (
     stage1_correlation,
     train,
 )
+from geograph.optim import ParamSet
 from geograph.sparse import SparseMatrix, hstack
 from geograph.views import normalize_adjacency
 from conftest import random_symmetric_adjacency
@@ -45,6 +50,19 @@ def _instance(rng, n=12, terms=8, classes=3, p=0.35):
     labels[train_idx] = rng.integers(0, classes, train_idx.size)
     part = Partition(train_idx, np.array([1]), np.array([3]))
     return adj, a_hat, x, labels, part
+
+
+def _values(model):
+    """A trained model's arrays by name."""
+    return {name: t.data for name, t in model.params.items()}
+
+
+def _trainable(model) -> ParamSet:
+    """A trained model's weights as parameters that take gradients again."""
+    params = ParamSet()
+    for name, t in model.params.items():
+        params.add(name, t.data)
+    return params
 
 
 def test_one_hot():
@@ -126,8 +144,9 @@ def test_first_layer_is_one_tape_node(rng, monkeypatch):
                          TrainConfig(epochs=1, dropout=0.0, seed=0))
         entry = KINDS[kind]
         masks = [np.ones((12, 5))] * entry.masks(cfg)[0]
-        logits = entry.forward(model.params, cfg, a_hat, entry.inputs(model, a_hat, x, adj), masks)
-        w = model.params[weights]
+        params = _trainable(model)
+        logits = entry.forward(params, cfg, a_hat, entry.inputs(model, a_hat, x, adj), masks)
+        w = params[weights]
         readers = [t for t in _reachable(logits) if any(p is w for p in t._parents)]
         assert len(readers) == 1, kind
         assert all(p.requires_grad and not p._parents for p in readers[0]._parents), kind
@@ -206,7 +225,7 @@ def test_gcn_forward_matches_dense_oracle(rng, monkeypatch):
     block = model.state["label_block"]
     assert np.all(block.sum(axis=1) > 0.0)  # latched: held-out rows carry predictions
     lp_rows = np.hstack([adj.to_dense(), block])
-    want = gcn_logits(a_hat.to_dense(), lp_rows, model.params.copy_values(), cfg)
+    want = gcn_logits(a_hat.to_dense(), lp_rows, _values(model), cfg)
     np.testing.assert_allclose(predict_logits(model, a_hat, x, adj), want, rtol=0, atol=1e-12)
 
 
@@ -251,7 +270,7 @@ def test_training_is_bit_deterministic(rng):
     for _ in range(2):
         model, _ = train("gcn", a_hat, x, adj, labels, 3, part, cfg,
                          TrainConfig(lr=0.01, epochs=10, dropout=0.5, seed=7))
-        runs.append(model.params.copy_values())
+        runs.append(_values(model))
     for name in runs[0]:
         np.testing.assert_array_equal(runs[0][name], runs[1][name])
     other, _ = train("gcn", a_hat, x, adj, labels, 3, part, cfg,
@@ -280,7 +299,7 @@ def test_gcn_fit_is_unchanged_by_a_self_transposing_a_hat(rng):
     again, again_history = train("gcn", _BuiltTranspose(a_hat.csr), x, adj, labels, 3, part, cfg,
                                  train_cfg)
     assert [h.loss for h in history] == [h.loss for h in again_history]
-    for name, value in model.params.copy_values().items():
+    for name, value in _values(model).items():
         assert value.tobytes() == again.params[name].data.tobytes(), name
 
 
@@ -462,6 +481,65 @@ def test_array_layout_matches_trained_arrays(rng, case):
     held = {name: t.data.shape for name, t in model.params.items()}
     held.update((STATE_PREFIX + name, arr.shape) for name, arr in model.state.items())
     assert array_layout(model) == held
+    # Gradients and Adam moments stay in training: the model holds one
+    # constant array per weight, each owning its memory, and its state.
+    assert all(t.grad is None and not t.requires_grad for t in model.params.values())
+    arrays = [t.data for t in model.params.values()] + list(model.state.values())
+    assert all(arr.base is None for arr in arrays)
+    layout = array_layout(model).values()
+    assert sum(arr.nbytes for arr in arrays) == 8 * sum(math.prod(shape) for shape in layout)
+
+
+_WIDE_CONFIGS = {
+    "gcn": GcnConfig(hidden=64, layers=2),
+    "gcn-lp": GcnConfig(hidden=64, layers=2),
+    "mlp": MlpConfig(64),
+    "dcca": DccaConfig(proj_hidden=64, proj_out=4, reg=1e-3, stage1_epochs=2, clf_hidden=64),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WIDE_CONFIGS))
+def test_trained_model_memory_is_its_weights(rng, kind):
+    # What a trained model keeps alive, as tracemalloc counts it, is its
+    # arrays plus a few kilobytes of Python objects.
+    adj, a_hat, x, labels, part = _instance(rng, n=40, terms=1000)
+    cfg, train_cfg = _WIDE_CONFIGS[kind], TrainConfig(epochs=3, seed=0)
+    train(kind, a_hat, x, adj, labels, 3, part, cfg, train_cfg)  # first-call allocations
+    # Fresh matrices: a matrix caches its transpose.
+    a, feats = SparseMatrix(a_hat.csr.copy()), SparseMatrix(x.csr.copy())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        model, _ = train(kind, a, feats, adj, labels, 3, part, cfg, train_cfg)
+        del a, feats
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    weights = 8 * sum(math.prod(shape) for shape in array_layout(model).values())
+    assert held - weights < 16_384, (held, weights)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("negative index", ArgumentError, "train_idx holds a negative index -3"),
+    ("index past the users", ArgumentError, "partition holds user index 12, but there are 12"),
+    ("labels of another length", ShapeError, "labels have 11 entries for 12 nodes"),
+    ("gcn-lp without adjacency", ArgumentError, "gcn-lp reads the binary adjacency"),
+])
+def test_train_rejects_bad_inputs_at_its_boundary(rng, case, error, message):
+    adj, a_hat, x, labels, part = _instance(rng)
+    kind = "gcn"
+    with pytest.raises(error, match=message):
+        if case == "negative index":  # it used to wrap around to the last users
+            part = Partition([-3, -2, -1], [], [])
+        elif case == "index past the users":
+            part = Partition([0, 2], [1], [12])
+        elif case == "labels of another length":
+            labels = labels[:11]
+        else:
+            kind, adj = "gcn-lp", None
+        train(kind, a_hat, x, adj, labels, 3, part, GcnConfig(hidden=4, layers=1),
+              TrainConfig(epochs=1, dropout=0.0, seed=0))
 
 
 def test_gcn_lp_predict_uses_stored_label_block(rng, monkeypatch):
@@ -493,7 +571,7 @@ def test_early_stopping_restores_best_epoch(rng, monkeypatch):
     assert len(hist) == 5  # best epoch + patience exhausted
     one_epoch, _ = train("gcn", a_hat, x, adj, labels, 3, part, cfg,
                          TrainConfig(lr=0.01, epochs=1, dropout=0.3, seed=5))
-    for name in stopped.params.names():
+    for name in stopped.params:
         np.testing.assert_array_equal(
             stopped.params[name].data, one_epoch.params[name].data
         )
@@ -564,13 +642,15 @@ def test_training_rows_match_full_forward(rng, monkeypatch, case):
     masks = [ad.make_dropout_mask(rng, (16, width), 0.5) for _ in range(count)]
     targets = one_hot(labels[part.train_idx], 3)
 
-    def grads(logits):
-        model.params.zero_grads()
-        ad.backward(ad.softmax_cross_entropy(logits, targets))
-        return {name: t.grad for name, t in model.params.items()}
+    params = _trainable(model)
 
-    train = kind.forward(model.params, cfg, a_hat, inputs, masks, rows)
-    full = kind.forward(model.params, cfg, a_hat, inputs, masks)
+    def grads(logits):
+        params.zero_grads()
+        ad.backward(ad.softmax_cross_entropy(logits, targets))
+        return {name: t.grad for name, t in params.items()}
+
+    train = kind.forward(params, cfg, a_hat, inputs, masks, rows)
+    full = kind.forward(params, cfg, a_hat, inputs, masks)
     np.testing.assert_array_equal(train.data, full.data[part.train_idx])
     want = grads(_take_rows(full, part.train_idx))
     got = grads(train)
