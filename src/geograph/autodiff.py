@@ -5,7 +5,13 @@ vector-Jacobian product (VJP) on the output tensor: given the gradient of the
 loss with respect to the output, the VJP returns one gradient per input, in
 input order, and writes nothing. ``backward`` replays the recorded graph from
 a scalar loss in reverse topological order and is the only place that sums
-those gradients into ``grad``. The vocabulary is deliberately small:
+those gradients into ``grad``. It consumes the graph as it goes: once a
+node's VJP has run, the node drops it, and every node but a ``requires_grad``
+leaf also drops its gradient and its inputs, so each activation is freed as
+soon as the backward pass is done with it. Afterwards only the
+``requires_grad`` leaves hold ``.grad``, every tensor keeps its ``.data``,
+and a second ``backward`` that reaches the consumed graph raises
+``StateError``. The vocabulary is deliberately small:
 
 * products: ``matmul``, ``spmm`` (constant sparse operand) and ``add_bias``;
 * elementwise: ``mul_const`` (scaling and dropout), ``relu`` and ``sigmoid``;
@@ -38,6 +44,10 @@ class Tensor:
     gradients, one per entry of ``_parents`` and in the same order. It must
     not hold this tensor: a node reachable from its own VJP is a reference
     cycle that keeps the whole tape alive until a full garbage collection.
+
+    ``backward`` consumes the nodes it walks: a recorded node keeps its
+    ``data`` but loses its VJP, its inputs and its ``grad``, so only
+    ``requires_grad`` leaves hold ``.grad`` afterwards.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp")
@@ -62,7 +72,8 @@ class Tensor:
         return self.data.shape
 
     def _needs_grad(self) -> bool:
-        return self.requires_grad or bool(self._parents)
+        # A consumed node still counts, so that a walk reaching it can refuse.
+        return self.requires_grad or self._vjp is not None
 
     def __repr__(self) -> str:
         tag = self.name or "tensor"
@@ -77,14 +88,24 @@ def constant(data, name: str = "") -> Tensor:
     return Tensor(data, requires_grad=False, name=name)
 
 
+_CONSUMED = "an earlier backward already consumed this graph; record a new forward"
+
+
+def _consumed(g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The VJP of a node an earlier ``backward`` has walked."""
+    raise StateError(_CONSUMED)
+
+
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor reachable from a scalar loss."""
+    """Populate ``grad`` on every ``requires_grad`` leaf reachable from a
+    scalar loss, consuming the recorded graph (see ``Tensor``)."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    if not loss._parents:
+    if loss._vjp is None:
         raise StateError("backward called before any forward computation was recorded")
 
-    # Iterative post-order over the recorded graph.
+    # Iterative post-order over the recorded graph. It checks every node
+    # before any gradient is written.
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -95,6 +116,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._vjp is _consumed:
+            raise StateError(_CONSUMED)
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -103,12 +126,16 @@ def backward(loss: Tensor) -> None:
 
     # A VJP may pass on the array it was given (``add_bias`` does), so one
     # array can be the gradient of several tensors: gradients are summed into
-    # new arrays, never in place.
+    # new arrays, never in place. Each node leaves the list, and lets go of
+    # what its VJP held, once that VJP has run.
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._vjp is None:
-            continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
+    while topo:
+        node = topo.pop()
+        vjp, parents, grad = node._vjp, node._parents, node.grad
+        if vjp is None:
+            continue  # a requires_grad leaf keeps its gradient
+        node._vjp, node._parents, node.grad = _consumed, (), None
+        for parent, g in zip(parents, vjp(grad)):
             if parent._needs_grad():
                 parent.grad = g if parent.grad is None else parent.grad + g
 
@@ -163,10 +190,10 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(np.maximum(x.data, 0.0), _parents=(x,), _vjp=lambda g: (g * (x.data > 0.0),))
 
 
-def _expit(z: np.ndarray) -> np.ndarray:
+def _expit(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # Imported on first use: scipy.special adds about 0.15 s to every start-up.
     from scipy.special import expit
-    return expit(z)
+    return expit(z, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -328,20 +355,31 @@ def highway(h_new: Tensor, h_in: Tensor, wg: Tensor, bg: Tensor) -> Tensor:
     """A highway gate: ``gate * h_new + (1 - gate) * h_in`` with
     ``gate = sigmoid(h_in @ wg + bg)``, per unit.
 
-    The VJP holds the gate and reads the two inputs' own arrays.
+    The VJP holds the gate and its carry ``1 - gate`` and reads the two
+    inputs' own arrays. Both passes run the unfused ops' arithmetic in their
+    order, so the bytes are theirs, but write in place into arrays they have
+    just made.
     """
     _check_same_shape(h_new, h_in, "highway")
     k = h_in.data.shape[1]
     if wg.data.shape != (k, k) or bg.data.shape != (k,):
         raise ShapeError(f"highway: gate {wg.data.shape} + {bg.data.shape} on width {k}")
     new, carried, wg_data = h_new.data, h_in.data, wg.data
-    gate = _expit(carried @ wg_data + bg.data)
-    out = new * gate + carried * (gate * -1.0 + 1.0)
+    gate = carried @ wg_data
+    gate += bg.data
+    _expit(gate, out=gate)
+    carry = np.subtract(1.0, gate)  # the bytes of gate * -1.0 + 1.0
+    out = new * gate
+    out += carried * carry
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        carry = gate * -1.0 + 1.0
-        g_pre = (g * new - g * carried) * gate * carry
-        return g * gate, g * carry + g_pre @ wg_data.T, carried.T @ g_pre, g_pre.sum(axis=0)
+        g_pre = g * new
+        g_pre -= g * carried
+        g_pre *= gate
+        g_pre *= carry
+        g_in = g * carry
+        g_in += g_pre @ wg_data.T
+        return g * gate, g_in, carried.T @ g_pre, g_pre.sum(axis=0)
 
     return Tensor(out, _parents=(h_new, h_in, wg, bg), _vjp=vjp)
 

@@ -434,8 +434,6 @@ def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
     afterwards they hold the model's current softmax distribution,
     recomputed without dropout after every update.
     """
-    if adjacency is None:
-        raise ArgumentError("gcn-lp reads the binary adjacency, but none was given")
     n, num_classes, trigger = a_hat.shape[0], meta["num_classes"], LP_TRIGGER_ACCURACY
     params = init_gcn_params(rng, meta["in_dim"], num_classes, cfg)
     label_block = np.zeros((n, num_classes), dtype=np.float64)
@@ -597,6 +595,7 @@ def train(
     entry = KINDS[kind]
     if not isinstance(cfg, entry.config):
         raise ArgumentError(f"{kind} needs a {entry.config.__name__}, got {type(cfg).__name__}")
+    _check_graph(kind, a_hat, adjacency)
     n = a_hat.shape[0]
     if x.shape[0] != n:
         raise ShapeError(f"features have {x.shape[0]} rows for {n} nodes")
@@ -681,6 +680,17 @@ def stage1_correlation(
     return float(ad.cca_correlation(*_projections(model.params, cfg, a_hat, x), cfg.reg).data)
 
 
+def _check_graph(kind: str, a_hat: SparseMatrix, adjacency: SparseMatrix | None) -> None:
+    """Raise ``ArgumentError`` unless the graph operands suit ``kind``: the
+    kinds that propagate between users need a square ``a_hat``, and gcn-lp
+    reads the binary adjacency."""
+    if not KINDS[kind].row_local and a_hat.shape[0] != a_hat.shape[1]:
+        raise ArgumentError(f"{kind} propagates through a_hat, which must be square, "
+                            f"but it is {a_hat.shape[0]} x {a_hat.shape[1]}")
+    if kind == "gcn-lp" and adjacency is None:
+        raise ArgumentError("gcn-lp reads the binary adjacency, but none was given")
+
+
 def _check_widths(model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix) -> None:
     """Raise ``ArgumentError`` unless this corpus gives the input widths
     ``model``'s meta records. A width grows by one column per user or not at all."""
@@ -694,9 +704,10 @@ def _check_widths(model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix) -> 
 
 
 def predict_logits(
-    model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix, adjacency: SparseMatrix
+    model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix, adjacency: SparseMatrix | None
 ) -> np.ndarray:
     """Eval-mode logits for every user, through the wiring training used."""
+    _check_graph(model.kind, a_hat, adjacency)
     _check_widths(model, a_hat, x)
     kind = KINDS[model.kind]
     inputs = kind.inputs(model, a_hat, x, adjacency)
@@ -704,6 +715,6 @@ def predict_logits(
 
 
 def predict_classes(
-    model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix, adjacency: SparseMatrix
+    model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix, adjacency: SparseMatrix | None
 ) -> np.ndarray:
     return predict_logits(model, a_hat, x, adjacency).argmax(axis=1)

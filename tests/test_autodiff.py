@@ -24,8 +24,9 @@ def check_op(build_loss, params, h=1e-6, tol=TOL):
         return float(build_loss(values).data)
 
     loss = build_loss(params)
+    leaves = _walk_parameters(loss)  # before backward, which consumes the graph
     ad.backward(loss)
-    analytic = {t.name: t.grad for t in _walk_parameters(loss)}
+    analytic = {t.name: t.grad for t in leaves}
     numeric = fd_gradient(as_float, params, h)
     assert set(analytic) == set(numeric)
     for name in numeric:
@@ -217,10 +218,10 @@ def test_softmax_rows_matches_manual(rng):
     np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_dropped_tape_is_freed_without_gc(rng):
-    # An op whose VJP held its own output tensor would form a reference cycle,
-    # keeping every upstream activation alive until a full collection. With
-    # the collector off, dropping the tensors must free them.
+def _tape_ops(rng):
+    """Every recorded op, each as ``op(hidden) -> Tensor`` over a (6, 3)
+    input, and the arrays the ops share with their caller (weights and
+    constant operands), which outlive any one graph."""
     s = SparseMatrix.from_dense(rng.random((4, 6)))
     w = ad.parameter(rng.standard_normal((3, 3)))
     b = ad.parameter(rng.standard_normal(3))
@@ -238,6 +239,14 @@ def test_dropped_tape_is_freed_without_gc(rng):
         "graph_conv": lambda h: ad.graph_conv(s, h, w, b, c),
         "highway": lambda h: ad.highway(ad.mul_const(h, c), h, w, b),
     }
+    return ops, (w.data, b.data, c)
+
+
+def test_dropped_tape_is_freed_without_gc(rng):
+    # An op whose VJP held its own output tensor would form a reference cycle,
+    # keeping every upstream activation alive until a full collection. With
+    # the collector off, dropping the tensors must free them.
+    ops, _ = _tape_ops(rng)
     v = ad.parameter(rng.standard_normal((4, 3)))
     gc.disable()
     try:
@@ -249,6 +258,36 @@ def test_dropped_tape_is_freed_without_gc(rng):
             ad.backward(loss)
             del hidden, out, loss
             assert probe() is None, f"{name} keeps its tape alive"
+    finally:
+        gc.enable()
+
+
+def _held_arrays(vjp):
+    """The arrays a VJP's closure holds, directly or as a tensor's data."""
+    cells = [cell.cell_contents for cell in vjp.__closure__ or ()]
+    return [v.data if isinstance(v, ad.Tensor) else v for v in cells
+            if isinstance(v, (ad.Tensor, np.ndarray))]
+
+
+def test_backward_frees_what_each_vjp_held(rng):
+    # backward consumes the graph as it walks it: with the loss still
+    # referenced and the collector off, the op's input and every array its
+    # VJP held, other than what the caller keeps, are gone once it returns.
+    ops, shared = _tape_ops(rng)
+    v = ad.parameter(rng.standard_normal((4, 3)))
+    gc.disable()
+    try:
+        for name, op in ops.items():
+            hidden = ad.matmul(ad.constant(rng.standard_normal((6, 4))), v)
+            out = op(hidden)
+            held = [a for a in _held_arrays(out._vjp) if not any(a is k for k in shared)]
+            probes = [weakref.ref(a) for a in (hidden.data, *held)]
+            loss = out if out.data.size == 1 else ad.sum_all(out)
+            del hidden, out, held
+            ad.backward(loss)
+            alive = sum(probe() is not None for probe in probes)
+            assert alive == 0, f"{name}: {alive} of {len(probes)} arrays outlive backward"
+            assert loss.grad is None and np.isfinite(loss.data)
     finally:
         gc.enable()
 
@@ -365,6 +404,24 @@ def test_one_vjp_feeds_two_parents(rng):
     ad.backward(ad.sum_all(_add(_add(a, b), _mul(a, a))))
     np.testing.assert_allclose(a.grad, 1.0 + 2.0 * a.data, atol=1e-14)
     np.testing.assert_array_equal(b.grad, 1.0)
+
+
+def test_second_backward_on_a_consumed_graph_raises(rng):
+    x = ad.parameter(rng.standard_normal((3, 3)), "x")
+    h = ad.matmul(x, x)
+    loss = ad.sum_all(h)
+    ad.backward(loss)
+    grad = x.grad
+    assert h.grad is None and loss.grad is None  # only the leaf keeps .grad
+    # Neither the same loss nor a new one over a consumed node may return
+    # with some or no gradients.
+    for again in (loss, ad.sum_all(ad.relu(h)), ad.sum_all(_mul(h, x))):
+        with pytest.raises(StateError, match="an earlier backward already consumed this graph"):
+            ad.backward(again)
+        assert x.grad is grad
+    # A graph recorded anew over the same leaf takes gradients again.
+    ad.backward(ad.sum_all(ad.matmul(x, x)))
+    np.testing.assert_allclose(x.grad, 2.0 * grad, atol=1e-14)
 
 
 def test_backward_requires_scalar_with_history(rng):

@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -540,6 +541,119 @@ def test_train_rejects_bad_inputs_at_its_boundary(rng, case, error, message):
             kind, adj = "gcn-lp", None
         train(kind, a_hat, x, adj, labels, 3, part, GcnConfig(hidden=4, layers=1),
               TrainConfig(epochs=1, dropout=0.0, seed=0))
+
+
+def test_gcn_lp_prediction_needs_the_adjacency(rng):
+    adj, a_hat, x, labels, part = _instance(rng, n=40)
+    model, _ = train("gcn-lp", a_hat, x, adj, labels, 3, part, GcnConfig(hidden=4, layers=1),
+                     TrainConfig(epochs=1, dropout=0.0, seed=0))
+    for predict in (predict_logits, predict_classes):
+        with pytest.raises(ArgumentError, match="gcn-lp reads the binary adjacency, but none"):
+            predict(model, a_hat, x, None)
+
+
+@pytest.mark.parametrize("kind", ["gcn", "gcn-lp", "mlp", "dcca"])
+def test_only_propagating_kinds_need_a_square_a_hat(rng, monkeypatch, kind):
+    # gcn and gcn-lp propagate through a_hat, so a 40 x 5 one is refused,
+    # in training before a weight is drawn and in prediction; mlp and dcca
+    # read its columns as features.
+    second = SparseMatrix.from_dense(rng.random((40, 5)))
+    x = SparseMatrix.from_dense(rng.random((40, 6)))
+    adj = SparseMatrix.from_dense(random_symmetric_adjacency(rng, 40, 0.2))
+    labels = np.full(40, -1, dtype=np.intp)
+    labels[:20] = np.arange(20) % 2
+    part = Partition(np.arange(20), np.arange(20, 30), np.arange(30, 40))
+    cfg = {"mlp": MlpConfig(4),
+           "dcca": DccaConfig(proj_hidden=0, proj_out=2, reg=1e-3, stage1_epochs=2, clf_hidden=4)
+           }.get(kind, GcnConfig(hidden=4, layers=2))
+
+    def fit(a_hat):
+        return train(kind, a_hat, x, adj, labels, 2, part, cfg,
+                     TrainConfig(epochs=2, dropout=0.0, seed=0))[0]
+
+    if kind in ("mlp", "dcca"):
+        assert predict_logits(fit(second), second, x, adj).shape == (40, 2)
+        return
+    refused = f"{kind} propagates through a_hat, which must be square, but it is 40 x 5"
+    model = fit(normalize_adjacency(adj, 1.0))
+    with pytest.raises(ArgumentError, match=refused):
+        predict_logits(model, second, x, adj)
+
+    def drawn(*args):
+        raise AssertionError("a weight was drawn before the inputs were checked")
+
+    monkeypatch.setattr(models, "glorot_uniform", drawn)
+    with pytest.raises(ArgumentError, match=refused):
+        fit(second)
+
+
+class _Epochs:
+    """Weak references to the arrays each training epoch recorded on the
+    tape; an epoch ends at its Adam step."""
+
+    def __init__(self):
+        self.current, self.ended, self.checked = [], [], 0
+
+    def end(self):
+        self.ended += self.current
+        self.current = []
+
+    def check(self):
+        alive = sum(ref() is not None for ref in self.ended)
+        assert alive == 0, f"{alive} of {len(self.ended)} arrays of an ended epoch are alive"
+        self.checked += len(self.ended)
+        self.ended = []
+
+
+def _recording(op, epochs):
+    """``op``, checking that no ended epoch's array is alive, and noting the
+    arrays it records: its output and what its VJP holds, less its operands."""
+    def wrapped(*args):
+        epochs.check()
+        out = op(*args)
+        given = {id(a.data if isinstance(a, ad.Tensor) else a) for a in args}
+        held = [out.data, *(cell.cell_contents for cell in out._vjp.__closure__)]
+        epochs.current += [weakref.ref(a) for a in held
+                           if isinstance(a, np.ndarray) and id(a) not in given]
+        return out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("case", ["gcn", "gcn-lp", "dcca"])
+def test_one_epoch_tape_is_alive_at_a_time(rng, monkeypatch, case):
+    # backward consumes the graph, so nothing an epoch recorded (activations,
+    # relu active sets, gates, carries) outlives its update: the next
+    # epoch's forward starts with none of it alive, the collector off.
+    adj, a_hat, x, labels, part = _instance(rng, n=16)
+    monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
+    epochs = _Epochs()
+    step = ParamSet.adam_step
+
+    def stepped(self, *args, **kwargs):
+        step(self, *args, **kwargs)
+        epochs.end()
+
+    monkeypatch.setattr(ParamSet, "adam_step", stepped)
+    ops = ("sigmoid", "cca_correlation") if case == "dcca" else ("graph_conv", "highway")
+    for name in ops:
+        monkeypatch.setattr(ad, name, _recording(getattr(ad, name), epochs))
+    cfg = (DccaConfig(proj_hidden=4, proj_out=3, reg=1e-3, stage1_epochs=4, clf_hidden=6)
+           if case == "dcca" else GcnConfig(hidden=5, layers=3))
+    gc.collect()
+    gc.disable()
+    try:
+        model, _ = train(case, a_hat, x, adj, labels, 3, part, cfg,
+                         TrainConfig(lr=0.02, epochs=4, dropout=0.5, seed=0))
+        epochs.check()
+    finally:
+        gc.enable()
+    if case == "gcn-lp":  # latched: held-out rows carry predictions
+        assert np.all(model.state["label_block"].sum(axis=1) > 0.0)
+    # Each of the 4 epochs records 12 arrays: two graph convolutions (output,
+    # active set, propagated input) and two gates (output, gate, carry), or
+    # dcca's two sigmoids (output, twice) and its correlation (output and 7).
+    assert epochs.checked >= 4 * 12, epochs.checked
 
 
 def test_gcn_lp_predict_uses_stored_label_block(rng, monkeypatch):
