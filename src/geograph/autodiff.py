@@ -11,25 +11,31 @@ leaf also drops its gradient and its inputs, so each activation is freed as
 soon as the backward pass is done with it. Afterwards only the
 ``requires_grad`` leaves hold ``.grad``, every tensor keeps its ``.data``,
 and a second ``backward`` that reaches the consumed graph raises
-``StateError``. The vocabulary is deliberately small:
+``StateError``. An op none of whose inputs needs a gradient records
+nothing: it returns a plain tensor, so an eval-mode forward over constant
+weights holds no tape. The vocabulary is deliberately small:
 
 * products: ``matmul``, ``spmm`` (constant sparse operand) and ``add_bias``;
-* elementwise: ``mul_const`` (scaling and dropout), ``relu`` and ``sigmoid``;
+* elementwise: ``mul_const`` (scaling), ``dropout``, ``relu`` and
+  ``sigmoid``, a numpy ``1 / (1 + exp(-z))`` that saturates to exactly 0 and
+  1 without a warning;
 * reductions and loss heads: ``sum_all``, ``softmax_cross_entropy`` and
   ``cca_correlation``;
 * fused layers: ``relu_affine``, one relu layer over a constant input (a
-  dense array or a sparse-like operand), ``graph_conv``, one relu graph
-  convolution, and ``highway``, one highway gate with its carry. Each is a
-  single node whose VJP holds only the arrays it reads, so a deep gated stack
-  keeps a short tape.
+  dense array or a sparse-like operand), ``graph_conv``, one graph
+  convolution with or without its relu, and ``highway``, one highway gate
+  with its carry. Each is a single node whose VJP holds only the arrays it
+  reads, so a deep gated stack keeps a short tape.
 
-``affine``, ``sparse_affine`` and ``dropout`` compose these. All data is
-float64.
+A dropout mask is a ``DropoutMask``: the kept entries as booleans and the
+scale ``1/(1-p)`` they take, applied as ``x * keep`` then ``* scale``, which
+gives the bytes of multiplying by the float mask ``keep / (1-p)``.
+``affine`` and ``sparse_affine`` compose the ops above. All data is float64.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -140,6 +146,15 @@ def backward(loss: Tensor) -> None:
                 parent.grad = g if parent.grad is None else parent.grad + g
 
 
+def _node(data: np.ndarray, parents: tuple[Tensor, ...],
+          vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> Tensor:
+    """The op's output, recorded with its inputs and VJP when one of them
+    needs a gradient, else a plain tensor that drops the VJP and what it held."""
+    if any(p._needs_grad() for p in parents):
+        return Tensor(data, _parents=parents, _vjp=vjp)
+    return Tensor(data)
+
+
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
@@ -152,8 +167,7 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    return Tensor(a.data @ b.data, _parents=(a, b),
-                  _vjp=lambda g: (g @ b.data.T, a.data.T @ g))
+    return _node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def spmm(s: SparseMatrix, x: Tensor) -> Tensor:
@@ -161,25 +175,24 @@ def spmm(s: SparseMatrix, x: Tensor) -> Tensor:
 
     ``s`` may be any constant operand that offers ``matmul_dense`` and
     ``transpose().matmul_dense`` as ``SparseMatrix`` does."""
-    return Tensor(s.matmul_dense(x.data), _parents=(x,),
-                  _vjp=lambda g: (s.transpose().matmul_dense(g),))
+    return _node(s.matmul_dense(x.data), (x,), lambda g: (s.transpose().matmul_dense(g),))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Broadcast a length-k row vector onto every row of (n, k) input."""
     if b.data.ndim != 1 or x.data.ndim != 2 or x.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"add_bias: {x.data.shape} + bias {b.data.shape}")
-    return Tensor(x.data + b.data[None, :], _parents=(x, b), _vjp=lambda g: (g, g.sum(axis=0)))
+    return _node(x.data + b.data[None, :], (x, b), lambda g: (g, g.sum(axis=0)))
 
 
 def mul_const(x: Tensor, c) -> Tensor:
-    """Multiply by a constant scalar or array (used for scaling and dropout masks)."""
+    """Multiply by a constant scalar or array."""
     c = np.asarray(c, dtype=np.float64)
-    return Tensor(x.data * c, _parents=(x,), _vjp=lambda g: (g * c,))
+    return _node(x.data * c, (x,), lambda g: (g * c,))
 
 
 def sum_all(x: Tensor) -> Tensor:
-    return Tensor(x.data.sum(), _parents=(x,), _vjp=lambda g: (np.full_like(x.data, float(g)),))
+    return _node(x.data.sum(), (x,), lambda g: (np.full_like(x.data, float(g)),))
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +200,24 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    return Tensor(np.maximum(x.data, 0.0), _parents=(x,), _vjp=lambda g: (g * (x.data > 0.0),))
+    return _node(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0.0),))
 
 
 def _expit(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # Imported on first use: scipy.special adds about 0.15 s to every start-up.
-    from scipy.special import expit
-    return expit(z, out=out)
+    """The logistic sigmoid ``1 / (1 + exp(-z))``, written into ``out`` when
+    given. Below z = -709, ``exp(-z)`` overflows to inf and the result is
+    exactly 0; above z = 37 it rounds to exactly 1."""
+    s = np.negative(z, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = _expit(x.data)
     # The VJP holds the output array, not the output tensor (see ``Tensor``).
-    return Tensor(s, _parents=(x,), _vjp=lambda g: (g * s * (1.0 - s),))
+    return _node(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -232,8 +250,8 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     log_norm = np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)) + zmax
     log_probs = z - log_norm
     value = -(targets * log_probs).sum() / n
-    return Tensor(value, _parents=(logits,),
-                  _vjp=lambda g: ((np.exp(log_probs) - targets) * (float(g) / n),))
+    return _node(value, (logits,),
+                 lambda g: ((np.exp(log_probs) - targets) * (float(g) / n),))
 
 
 def cca_correlation(h1: Tensor, h2: Tensor, reg: float) -> Tensor:
@@ -281,7 +299,7 @@ def cca_correlation(h1: Tensor, h2: Tensor, reg: float) -> Tensor:
         return (gs * (2.0 * c1 @ d11 + c2 @ d12.T) / denom,
                 gs * (2.0 * c2 @ d22 + c1 @ d12) / denom)
 
-    return Tensor(sing.sum(), _parents=(h1, h2), _vjp=vjp)
+    return _node(sing.sum(), (h1, h2), vjp)
 
 
 def _inv_sqrt_sym(mat: np.ndarray) -> np.ndarray:
@@ -319,46 +337,55 @@ def relu_affine(x, w: Tensor, b: Tensor) -> Tensor:
         g = g * active
         return (x.T @ g if dense else x.transpose().matmul_dense(g)), g.sum(axis=0)
 
-    return Tensor(out, _parents=(w, b), _vjp=vjp)
+    return _node(out, (w, b), vjp)
 
 
 def graph_conv(a_hat: SparseMatrix, h: Tensor, w: Tensor, b: Tensor,
-               mask: np.ndarray | None = None) -> Tensor:
-    """One graph convolution, ``relu(a_hat @ (mask * h) @ w + b)``.
+               mask: DropoutMask | None = None, relu: bool = True) -> Tensor:
+    """One graph convolution, ``relu(a_hat @ (mask * h) @ w + b)``, or the
+    same without the relu when ``relu`` is false.
 
-    ``mask`` is an inverted-dropout mask on ``h``. The VJP holds the
-    propagated input ``a_hat @ (mask * h)``, which ``w``'s gradient reads,
-    and the relu's active set as booleans.
+    ``mask`` is an inverted-dropout mask on ``h``. The VJP holds the relu's
+    active set as booleans, the mask, and ``h``'s own array, alive anyway as
+    its input; it multiplies ``a_hat.T`` by the incoming gradient once and
+    derives the gradients of ``h`` and ``w`` from that product.
     """
     if w.data.ndim != 2 or h.data.ndim != 2 or h.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"graph_conv: input {h.data.shape} @ weights {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"graph_conv: bias {b.data.shape} for weights {w.data.shape}")
-    if mask is not None and np.shape(mask) != h.data.shape:
-        raise ShapeError(f"graph_conv: mask {np.shape(mask)} vs input {h.data.shape}")
-    w_data = w.data
-    propagated = a_hat.matmul_dense(h.data if mask is None else h.data * mask)
-    out = propagated @ w_data
+    if mask is not None and mask.shape != h.data.shape:
+        raise ShapeError(f"graph_conv: mask {mask.shape} vs input {h.data.shape}")
+    w_data, h_data = w.data, h.data
+    out = a_hat.matmul_dense(h_data if mask is None else mask.apply(h_data)) @ w_data
     out += b.data
-    active = out > 0.0
-    np.maximum(out, 0.0, out=out)
+    active = None
+    if relu:
+        active = out > 0.0
+        np.maximum(out, 0.0, out=out)
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        g = g * active
-        g_h = a_hat.transpose().matmul_dense(g @ w_data.T)
-        return (g_h if mask is None else g_h * mask), propagated.T @ g, g.sum(axis=0)
+        if active is not None:
+            g = g * active
+        back = a_hat.transpose().matmul_dense(g)
+        g_h = back @ w_data.T
+        dropped = h_data
+        if mask is not None:
+            mask.apply(g_h, out=g_h)
+            dropped = mask.apply(h_data)
+        return g_h, dropped.T @ back, g.sum(axis=0)
 
-    return Tensor(out, _parents=(h, w, b), _vjp=vjp)
+    return _node(out, (h, w, b), vjp)
 
 
 def highway(h_new: Tensor, h_in: Tensor, wg: Tensor, bg: Tensor) -> Tensor:
     """A highway gate: ``gate * h_new + (1 - gate) * h_in`` with
     ``gate = sigmoid(h_in @ wg + bg)``, per unit.
 
-    The VJP holds the gate and its carry ``1 - gate`` and reads the two
-    inputs' own arrays. Both passes run the unfused ops' arithmetic in their
-    order, so the bytes are theirs, but write in place into arrays they have
-    just made.
+    The VJP holds the gate, recomputes its carry ``1 - gate`` and reads the
+    two inputs' own arrays. Both passes run the unfused ops' arithmetic in
+    their order, so the bytes are theirs, but write in place into arrays they
+    have just made.
     """
     _check_same_shape(h_new, h_in, "highway")
     k = h_in.data.shape[1]
@@ -368,20 +395,22 @@ def highway(h_new: Tensor, h_in: Tensor, wg: Tensor, bg: Tensor) -> Tensor:
     gate = carried @ wg_data
     gate += bg.data
     _expit(gate, out=gate)
-    carry = np.subtract(1.0, gate)  # the bytes of gate * -1.0 + 1.0
     out = new * gate
-    out += carried * carry
+    kept = np.subtract(1.0, gate)  # the carry, with the bytes of gate * -1.0 + 1.0
+    kept *= carried
+    out += kept
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        carry = np.subtract(1.0, gate)
         g_pre = g * new
         g_pre -= g * carried
         g_pre *= gate
         g_pre *= carry
-        g_in = g * carry
-        g_in += g_pre @ wg_data.T
-        return g * gate, g_in, carried.T @ g_pre, g_pre.sum(axis=0)
+        carry *= g  # the gradient of h_in
+        carry += g_pre @ wg_data.T
+        return g * gate, carry, carried.T @ g_pre, g_pre.sum(axis=0)
 
-    return Tensor(out, _parents=(h_new, h_in, wg, bg), _vjp=vjp)
+    return _node(out, (h_new, h_in, wg, bg), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -398,22 +427,42 @@ def sparse_affine(s: SparseMatrix, w: Tensor, b: Tensor) -> Tensor:
     return add_bias(spmm(s, w), b)
 
 
-def dropout(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Inverted-dropout scaling by a precomputed 0 / (1/keep) mask."""
-    _check_mask = np.asarray(mask)
-    if _check_mask.shape != x.data.shape:
-        raise ShapeError(f"dropout mask {_check_mask.shape} vs input {x.data.shape}")
-    return mul_const(x, _check_mask)
+class DropoutMask(NamedTuple):
+    """An inverted-dropout mask: ``keep`` marks the kept entries, and a kept
+    entry is scaled by ``scale``, 1/(1-p)."""
+
+    keep: np.ndarray
+    scale: float
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.keep.shape
+
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``x * keep * scale``, into ``out`` when given. A dropped entry is
+        ``x * 0.0``, so its sign and a NaN survive as with a float mask."""
+        out = np.multiply(x, self.keep, out=out)
+        out *= self.scale
+        return out
+
+    def take_rows(self, idx: np.ndarray) -> "DropoutMask":
+        return self._replace(keep=self.keep[idx])
 
 
-def make_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], p: float) -> np.ndarray:
-    """Sample an inverted-dropout mask: zeros with probability p, else 1/(1-p)."""
+def dropout(x: Tensor, mask: DropoutMask) -> Tensor:
+    """Inverted dropout by a precomputed mask."""
+    if mask.shape != x.data.shape:
+        raise ShapeError(f"dropout mask {mask.shape} vs input {x.data.shape}")
+    return _node(mask.apply(x.data), (x,), lambda g: (mask.apply(g),))
+
+
+def make_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], p: float) -> DropoutMask:
+    """Sample an inverted-dropout mask that drops each entry with probability p."""
     if not 0.0 <= p < 1.0:
         raise NumericError(f"dropout probability {p} outside [0, 1)")
     if p == 0.0:
-        return np.ones(shape)
-    keep = rng.random(shape) >= p
-    return keep / (1.0 - p)
+        return DropoutMask(np.ones(shape, dtype=bool), 1.0)
+    return DropoutMask(rng.random(shape) >= p, 1.0 / (1.0 - p))
 
 
 __all__ = [
@@ -435,6 +484,7 @@ __all__ = [
     "highway",
     "affine",
     "sparse_affine",
+    "DropoutMask",
     "dropout",
     "make_dropout_mask",
 ]

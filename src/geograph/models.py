@@ -7,9 +7,10 @@ for every user:
 
 * ``gcn``: graph convolutions ``H' = relu(A_hat @ (H @ W) + b)``, the first
   over the raw tf-idf rows, with highway gates on the dimension-preserving
-  layers, closed by one more graph convolution into class logits. The first
-  layer's ``A_hat @ X`` is fixed for a whole run, so training may hold it
-  dense (see ``propagate``); prediction reads it once, through ``Propagated``.
+  layers, closed by one more graph convolution, without the relu, into class
+  logits. The first layer's ``A_hat @ X`` is fixed for a whole run, so
+  training may hold it dense (see ``propagate``); prediction reads it once,
+  through ``Propagated``.
 * ``gcn-lp``: the same stack fed with ``[adjacency | label block]`` rows. The
   label block carries one-hot labels for labeled users and, once training
   accuracy first reaches a trigger threshold, the model's own softmax
@@ -202,7 +203,7 @@ def gcn_forward(
     propagated: np.ndarray | Propagated,
     params: Params,
     cfg: GcnConfig,
-    dropout_masks: list[np.ndarray] | None = None,
+    dropout_masks: list[ad.DropoutMask] | None = None,
     out_rows: SparseMatrix | None = None,
 ) -> Tensor:
     """Class logits for every node from the propagated input rows
@@ -213,23 +214,22 @@ def gcn_forward(
     operand is constant. ``dropout_masks`` holds one mask per hidden layer
     output (applied before the next convolution); gates and carry paths read
     the undropped activation so a closed gate passes the input through exactly.
-    ``out_rows``, some rows of ``a_hat``, makes the output convolution
-    compute the logits of those nodes alone.
+    The output layer is one graph convolution without the relu,
+    ``a_hat @ (mask * h) @ W + b``; ``out_rows``, some rows of ``a_hat``,
+    makes it compute the logits of those nodes alone.
     """
     if dropout_masks is not None and len(dropout_masks) != cfg.layers:
         raise ShapeError(f"expected {cfg.layers} dropout masks, got {len(dropout_masks)}")
+    masks = [None] * cfg.layers if dropout_masks is None else dropout_masks
     h = ad.relu_affine(propagated, params["conv0/W"], params["conv0/b"])
     for l in range(1, cfg.layers):
-        mask = None if dropout_masks is None else dropout_masks[l - 1]
-        h_new = ad.graph_conv(a_hat, h, params[f"conv{l}/W"], params[f"conv{l}/b"], mask)
+        h_new = ad.graph_conv(a_hat, h, params[f"conv{l}/W"], params[f"conv{l}/b"], masks[l - 1])
         if cfg.highway:
             h = ad.highway(h_new, h, params[f"gate{l}/W"], params[f"gate{l}/b"])
         else:
             h = h_new
-    if dropout_masks is not None:
-        h = ad.dropout(h, dropout_masks[cfg.layers - 1])
     a_out = a_hat if out_rows is None else out_rows
-    return ad.affine(ad.spmm(a_out, h), params["out/W"], params["out/b"])
+    return ad.graph_conv(a_out, h, params["out/W"], params["out/b"], masks[-1], relu=False)
 
 
 def mlp_layout(in_dim: int, hidden: int, num_classes: int, prefix: str = "") -> Layout:
@@ -244,7 +244,7 @@ def init_mlp_params(
 
 
 def mlp_forward(
-    x: SparseMatrix | np.ndarray, params: Params, dropout_mask: np.ndarray | None = None,
+    x: SparseMatrix | np.ndarray, params: Params, dropout_mask: ad.DropoutMask | None = None,
     prefix: str = "",
 ) -> Tensor:
     h = ad.relu_affine(x, params[f"{prefix}hid/W"], params[f"{prefix}hid/b"])
@@ -518,7 +518,7 @@ def _mlp_logits(params: Params, cfg, a_hat, inputs, masks, rows=None, prefix="")
     # whichever rows are computed.
     mask = masks[0] if masks else None
     if rows is not None:
-        inputs, mask = rows.operand, None if mask is None else mask[rows.idx]
+        inputs, mask = rows.operand, None if mask is None else mask.take_rows(rows.idx)
     return mlp_forward(inputs, params, mask, prefix)
 
 
@@ -630,8 +630,8 @@ def train(
         if train_cfg.dropout > 0.0:
             masks = [ad.make_dropout_mask(dropout_rng, (n, mask_width), train_cfg.dropout)
                      for _ in range(mask_count)]
-        logits = entry.forward(params, cfg, a_hat, inputs, masks, rows)
-        loss = ad.softmax_cross_entropy(logits, targets)
+        loss = ad.softmax_cross_entropy(entry.forward(params, cfg, a_hat, inputs, masks, rows),
+                                        targets)
         _check_finite(loss, epoch)
         params.zero_grads()
         ad.backward(loss)
@@ -639,7 +639,8 @@ def train(
 
         train_acc, score = float("nan"), None
         if after_epoch is not None or dev_score is not None:
-            probs = ad._softmax(entry.forward(params, cfg, a_hat, inputs, None).data)
+            # Over constants, so the forward records no tape.
+            probs = ad._softmax(entry.forward(params.constants(), cfg, a_hat, inputs, None).data)
             preds = probs.argmax(axis=1)
             train_acc = float(np.mean(preds[train_idx] == labels[train_idx]))
             if after_epoch is not None:

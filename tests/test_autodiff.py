@@ -1,7 +1,12 @@
 """Tape engine: op-level gradient checks against finite differences."""
 
 import gc
+import os
+import subprocess
+import sys
+import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,7 +110,7 @@ def _conv_instance(rng):
 def _relu_margin(a_hat, v, mask=None):
     """Distance of the nearest pre-activation from the relu's kink, where
     finite differences are no gradient check."""
-    h = v["h"] if mask is None else v["h"] * mask
+    h = v["h"] if mask is None else mask.apply(v["h"])
     return np.abs(a_hat.to_dense() @ h @ v["w"] + v["b"]).min()
 
 
@@ -124,14 +129,31 @@ def test_graph_conv_grad(rng, dropped):
     check_op(loss, p)
 
 
+def test_output_graph_conv_grad(rng):
+    # Without its relu, as the output layer: no kink, so no margin is needed.
+    a_hat, p = _conv_instance(rng)
+    mask = ad.make_dropout_mask(rng, (6, 4), 0.5)
+    weights = rng.standard_normal((5, 3))
+
+    def loss(v):
+        out = ad.graph_conv(a_hat, ad.parameter(v["h"], "h"), ad.parameter(v["w"], "w"),
+                            ad.parameter(v["b"], "b"), mask, relu=False)
+        return ad.sum_all(ad.mul_const(out, weights))
+
+    check_op(loss, p)
+
+
 def test_graph_conv_matches_unfused_ops(rng):
     a_hat, p = _conv_instance(rng)
     mask = ad.make_dropout_mask(rng, (6, 4), 0.5)
     h, w, b = (ad.constant(p[k]) for k in ("h", "w", "b"))
-    unfused = ad.relu(ad.affine(ad.spmm(a_hat, ad.dropout(h, mask)), w, b))
-    np.testing.assert_array_equal(ad.graph_conv(a_hat, h, w, b, mask).data, unfused.data)
+    unfused = ad.affine(ad.spmm(a_hat, ad.dropout(h, mask)), w, b)
+    np.testing.assert_array_equal(ad.graph_conv(a_hat, h, w, b, mask, relu=False).data,
+                                  unfused.data)
+    np.testing.assert_array_equal(ad.graph_conv(a_hat, h, w, b, mask).data,
+                                  ad.relu(unfused).data)
     with pytest.raises(ShapeError):
-        ad.graph_conv(a_hat, h, w, b, mask[:, :3])
+        ad.graph_conv(a_hat, h, w, b, mask.take_rows(np.arange(3)))
     with pytest.raises(ShapeError):
         ad.graph_conv(a_hat, h, ad.constant(p["w"].T), b)
 
@@ -210,6 +232,55 @@ def test_sigmoid_grad_and_stability(rng):
     np.testing.assert_allclose(big.data, [[1.0, 0.0]], atol=1e-300)
 
 
+def test_expit_saturates_without_a_warning():
+    z = np.array([800.0, -800.0, np.inf, -np.inf, np.nan, 40.0, -700.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = ad._expit(z)
+        inplace = z.copy()
+        assert ad._expit(inplace, out=inplace) is inplace
+    np.testing.assert_array_equal(s[:4], [1.0, 0.0, 1.0, 0.0])
+    assert np.isnan(s[4]) and s[5] == 1.0 and 0.0 < s[6] < 1e-300
+    np.testing.assert_array_equal(inplace, s)
+
+
+def test_expit_is_within_two_ulp_of_the_exact_sigmoid():
+    # scipy's expit is the same formula over libm's exp, and numpy's exp
+    # rounds differently: each lies within 2 ulp of the exact value, so they
+    # may lie 4 ulp apart (at z near -37).
+    from scipy.special import expit
+
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("the reference needs an extended-precision long double")
+    z = np.linspace(-40.0, 40.0, 200_001)
+    exact = (1.0 / (1.0 + np.exp(-z.astype(np.longdouble)))).astype(np.float64)
+    ulp = np.spacing(exact)
+    got = ad._expit(z)
+    assert np.all(np.abs(got - exact) <= 2 * ulp)
+    assert np.all(np.abs(expit(z) - exact) <= 2 * ulp)
+    assert np.all(np.abs(got - expit(z)) <= 4 * ulp)
+
+
+def test_gated_fit_does_not_import_scipy_special():
+    # The sigmoid is numpy's; scipy.special costs start-up time and memory.
+    code = """
+import sys
+import numpy as np
+from geograph import models
+from geograph.sparse import SparseMatrix
+ring = np.roll(np.eye(20), 1, axis=1)
+adj = SparseMatrix.from_dense(ring + ring.T)
+x = SparseMatrix.from_dense(np.random.default_rng(0).random((20, 6)))
+part = models.Partition(np.arange(0, 20, 2), np.array([1]), np.array([3]))
+models.train("gcn", adj, x, adj, np.arange(20) % 3, 3, part,
+             models.GcnConfig(hidden=4, layers=3), models.TrainConfig(epochs=2))
+assert "scipy.special" not in sys.modules, "scipy.special was imported"
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(ad.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+
+
 def test_softmax_rows_matches_manual(rng):
     x = rng.standard_normal((5, 4))
     y = ad._softmax(x)
@@ -226,20 +297,23 @@ def _tape_ops(rng):
     w = ad.parameter(rng.standard_normal((3, 3)))
     b = ad.parameter(rng.standard_normal(3))
     c = rng.standard_normal((6, 3))
+    mask = ad.make_dropout_mask(rng, (6, 3), 0.5)
     ops = {
         "matmul": lambda h: ad.matmul(h, w),
         "spmm": lambda h: ad.spmm(s, h),
         "add_bias": lambda h: ad.add_bias(h, b),
         "mul_const": lambda h: ad.mul_const(h, c),
+        "dropout": lambda h: ad.dropout(h, mask),
         "relu": ad.relu,
         "sigmoid": ad.sigmoid,
         "softmax_cross_entropy": lambda h: ad.softmax_cross_entropy(h, np.eye(3)[[0, 2, 1, 0, 2, 1]]),
         "cca_correlation": lambda h: ad.cca_correlation(h, ad.mul_const(h, c), 1e-3),
         "relu_affine": lambda h: ad.relu_affine(s, h, b),
-        "graph_conv": lambda h: ad.graph_conv(s, h, w, b, c),
+        "graph_conv": lambda h: ad.graph_conv(s, h, w, b, mask),
+        "graph_conv without relu": lambda h: ad.graph_conv(s, h, w, b, mask, relu=False),
         "highway": lambda h: ad.highway(ad.mul_const(h, c), h, w, b),
     }
-    return ops, (w.data, b.data, c)
+    return ops, (w.data, b.data, c, mask.keep)
 
 
 def test_dropped_tape_is_freed_without_gc(rng):
@@ -356,8 +430,9 @@ def test_cca_correlation_preconditions(rng):
 def test_dropout_forward_and_grad(rng):
     x = rng.standard_normal((6, 5))
     mask = ad.make_dropout_mask(rng, (6, 5), 0.4)
-    kept = mask != 0.0
-    assert set(np.unique(mask)) <= {0.0, 1.0 / 0.6}
+    kept = mask.keep
+    assert kept.dtype == bool and 0 < kept.sum() < kept.size
+    assert mask.scale == 1.0 / 0.6
 
     def loss(v):
         return ad.sum_all(ad.dropout(ad.parameter(v["x"], "x"), mask))
@@ -365,6 +440,12 @@ def test_dropout_forward_and_grad(rng):
     check_op(loss, {"x": x})
     out = ad.dropout(ad.constant(x), mask).data
     np.testing.assert_array_equal(out[~kept], 0.0)
+    # The bytes of a float mask keep / (1 - p), signed zeros, infinities and
+    # NaNs included.
+    x.flat[:4] = [-0.0, np.inf, -np.inf, np.nan]
+    assert mask.apply(x).tobytes() == (x * (kept / (1.0 - 0.4))).tobytes()
+    none = ad.make_dropout_mask(rng, (6, 5), 0.0)
+    assert none.keep.all() and none.scale == 1.0
 
 
 def test_make_dropout_mask_validates_p(rng):
