@@ -21,11 +21,14 @@ weights holds no tape. The vocabulary is deliberately small:
   1 without a warning;
 * reductions and loss heads: ``sum_all``, ``softmax_cross_entropy`` and
   ``cca_correlation``;
-* fused layers: ``relu_affine``, one relu layer over a constant input (a
-  dense array or a sparse-like operand), ``graph_conv``, one graph
-  convolution with or without its relu, and ``highway``, one highway gate
-  with its carry. Each is a single node whose VJP holds only the arrays it
-  reads, so a deep gated stack keeps a short tape.
+* fused layers: ``relu_affine``, one relu layer over a constant input,
+  ``graph_conv``, one graph convolution with or without its relu, and
+  ``highway``, one highway gate with its carry. Each is a single node whose
+  VJP holds only the arrays it reads, so a deep gated stack keeps a short
+  tape.
+
+A constant operand (a dense array, a ``SparseMatrix`` or a lazy operand over
+them) is read as numpy reads an array, through ``s @ dense`` and ``s.T @ g``.
 
 A dropout mask is a ``DropoutMask``: the kept entries as booleans and the
 scale ``1/(1-p)`` they take, applied as ``x * keep`` then ``* scale``, which
@@ -171,11 +174,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def spmm(s: SparseMatrix, x: Tensor) -> Tensor:
-    """Constant sparse matrix times a tensor: out = S @ x.
-
-    ``s`` may be any constant operand that offers ``matmul_dense`` and
-    ``transpose().matmul_dense`` as ``SparseMatrix`` does."""
-    return _node(s.matmul_dense(x.data), (x,), lambda g: (s.transpose().matmul_dense(g),))
+    """Constant sparse matrix, or any constant operand, times a tensor:
+    out = S @ x, with the gradient ``S.T @ g``."""
+    return _node(s @ x.data, (x,), lambda g: (s.T @ g,))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -318,24 +319,22 @@ def _inv_sqrt_sym(mat: np.ndarray) -> np.ndarray:
 def relu_affine(x, w: Tensor, b: Tensor) -> Tensor:
     """One relu layer over a constant input, ``relu(x @ w + b)``.
 
-    ``x`` is a dense array or, as ``spmm`` reads it, an operand with
-    ``shape``, ``matmul_dense`` and ``transpose().matmul_dense``. No gradient
-    reaches ``x``: the VJP holds the relu's active set as booleans and
-    returns ``x.T @ g_active`` and ``g_active.sum(0)``.
+    ``x`` is any constant operand with a ``shape``, as ``spmm`` reads it. No
+    gradient reaches ``x``: the VJP holds the relu's active set as booleans
+    and returns ``x.T @ g_active`` and ``g_active.sum(0)``.
     """
     if w.data.ndim != 2 or len(x.shape) != 2 or x.shape[1] != w.data.shape[0]:
         raise ShapeError(f"relu_affine: input {x.shape} @ weights {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"relu_affine: bias {b.data.shape} for weights {w.data.shape}")
-    dense = isinstance(x, np.ndarray)
-    out = x @ w.data if dense else x.matmul_dense(w.data)
+    out = x @ w.data
     out += b.data
     active = out > 0.0
     np.maximum(out, 0.0, out=out)
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g = g * active
-        return (x.T @ g if dense else x.transpose().matmul_dense(g)), g.sum(axis=0)
+        return x.T @ g, g.sum(axis=0)
 
     return _node(out, (w, b), vjp)
 
@@ -357,7 +356,7 @@ def graph_conv(a_hat: SparseMatrix, h: Tensor, w: Tensor, b: Tensor,
     if mask is not None and mask.shape != h.data.shape:
         raise ShapeError(f"graph_conv: mask {mask.shape} vs input {h.data.shape}")
     w_data, h_data = w.data, h.data
-    out = a_hat.matmul_dense(h_data if mask is None else mask.apply(h_data)) @ w_data
+    out = a_hat @ (h_data if mask is None else mask.apply(h_data)) @ w_data
     out += b.data
     active = None
     if relu:
@@ -367,7 +366,7 @@ def graph_conv(a_hat: SparseMatrix, h: Tensor, w: Tensor, b: Tensor,
     def vjp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if active is not None:
             g = g * active
-        back = a_hat.transpose().matmul_dense(g)
+        back = a_hat.T @ g
         g_h = back @ w_data.T
         dropped = h_data
         if mask is not None:

@@ -11,15 +11,21 @@ for every user:
   logits. The first layer's ``A_hat @ X`` is fixed for a whole run, so
   training may hold it dense (see ``propagate``); prediction reads it once,
   through ``Propagated``.
-* ``gcn-lp``: the same stack fed with ``[adjacency | label block]`` rows. The
-  label block carries one-hot labels for labeled users and, once training
-  accuracy first reaches a trigger threshold, the model's own softmax
-  distributions for everyone else, refreshed every epoch.
+* ``gcn-lp``: the same stack fed with ``[adjacency | label block]`` rows, a
+  ``Blocks``. The label block carries one-hot labels for labeled users and,
+  once training accuracy first reaches a trigger threshold, the model's own
+  softmax distributions for everyone else, refreshed every epoch.
 * ``mlp``: one hidden relu layer over ``[tf-idf | A_hat]`` rows, no
-  propagation between users at the hidden layer.
+  propagation between users at the hidden layer. It reads them as a
+  ``Blocks``, which is never copied into one matrix.
 * ``dcca``: two projection nets (one per view) trained to maximize the sum of
   canonical correlations between their outputs, then frozen; a small softmax
-  classifier is trained on the concatenated projections.
+  classifier is trained on the concatenated projections, each column
+  standardized over all users.
+
+Every constant input, a dense array, a ``SparseMatrix``, ``Blocks`` or
+``Propagated``, offers numpy's operand spelling, ``x @ w``, ``x.T @ g`` and
+``x[rows]``, and is read through it alone.
 
 Every model predicts one of the region-tree classes per user. Training never
 reads labels or coordinates outside the labeled index set; held-out users
@@ -45,7 +51,7 @@ from .autodiff import Tensor
 from .data import Partition
 from .errors import ArgumentError, NumericError, ShapeError
 from .optim import ParamSet, glorot_uniform
-from .sparse import SparseMatrix, hstack as sparse_hstack
+from .sparse import SparseMatrix
 
 log = logging.getLogger(__name__)
 
@@ -207,8 +213,8 @@ def gcn_forward(
     out_rows: SparseMatrix | None = None,
 ) -> Tensor:
     """Class logits for every node from the propagated input rows
-    ``a_hat @ x``, as ``propagate`` returns them (gcn-lp's ``x`` are
-    ``LabelRows``, always left lazy).
+    ``a_hat @ x``, as ``propagate`` returns them (gcn-lp's ``x`` is a
+    ``Blocks``, always left lazy).
 
     The first layer is ``relu((a_hat @ x) @ W0 + b0)``, one tape node whose
     operand is constant. ``dropout_masks`` holds one mask per hidden layer
@@ -279,68 +285,77 @@ def cca_loss(h1: Tensor, h2: Tensor, reg: float) -> Tensor:
     return ad.mul_const(ad.cca_correlation(h1, h2, reg), -1.0)
 
 
-class LabelRows(NamedTuple):
-    """gcn-lp's input rows ``[A | L]``, the binary adjacency ``A`` beside the
-    dense label block ``L``, never built as one matrix.
+class Blocks(NamedTuple):
+    """Two operands side by side, ``[left | right]``, never built as one
+    matrix: gcn-lp's ``[A | L]`` and mlp's ``[X | A_hat]``.
 
-    It offers what ``Propagated`` reads of a sparse operand: ``shape``,
-    ``matmul_dense`` and ``transpose().matmul_dense``. A product splits the
-    dense operand into its adjacency rows and its label rows.
+    A product splits the dense operand into the rows each block reads,
+    ``[L | R] @ W = L @ W[:k] + R @ W[k:]``; the transpose stacks the two
+    blocks' products, and ``[rows]`` takes the rows of both blocks.
     """
 
-    adjacency: SparseMatrix
-    label_block: np.ndarray
-    transposed: bool = False
+    left: SparseMatrix | np.ndarray
+    right: SparseMatrix | np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        n, k = self.label_block.shape
-        return (n + k, n) if self.transposed else (n, n + k)
+        return self.left.shape[0], self.left.shape[1] + self.right.shape[1]
 
-    def transpose(self) -> "LabelRows":
-        return self._replace(transposed=not self.transposed)
+    @property
+    def T(self) -> Stacked:
+        return Stacked(self.left.T, self.right.T)
 
-    def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
-        a, block = self.adjacency, self.label_block
-        if self.transposed:  # [A | L].T @ g
-            return np.vstack([a.transpose().matmul_dense(dense), block.T @ dense])
-        n = a.shape[1]  # [A | L] @ W = A @ W[:n] + L @ W[n:]
-        return a.matmul_dense(dense[:n]) + block @ dense[n:]
+    def __getitem__(self, idx: np.ndarray) -> Blocks:
+        return Blocks(self.left[idx], self.right[idx])
+
+    def __matmul__(self, dense: np.ndarray) -> np.ndarray:
+        k = self.left.shape[1]
+        return self.left @ dense[:k] + self.right @ dense[k:]
 
 
-def lp_input(adjacency: SparseMatrix, label_block: np.ndarray) -> LabelRows:
+class Stacked(NamedTuple):
+    """A ``Blocks``' transpose, ``[top; bottom]``: a product stacks the two
+    blocks' products."""
+
+    top: SparseMatrix | np.ndarray
+    bottom: SparseMatrix | np.ndarray
+
+    def __matmul__(self, dense: np.ndarray) -> np.ndarray:
+        return np.vstack([self.top @ dense, self.bottom @ dense])
+
+
+def lp_input(adjacency: SparseMatrix, label_block: np.ndarray) -> Blocks:
     """Rows ``[binary adjacency | per-class label weights]`` for gcn-lp.
 
     The rows hold ``label_block`` itself, not a copy."""
     n = adjacency.shape[0]
     if label_block.shape[0] != n:
         raise ShapeError(f"label block has {label_block.shape[0]} rows for {n} nodes")
-    return LabelRows(adjacency, label_block)
+    return Blocks(adjacency, label_block)
 
 
 class Propagated(NamedTuple):
-    """``a_hat @ rows``, never formed: a product runs ``a_hat @ (rows @ W)``
-    and its transpose ``rows.T @ (a_hat.T @ G)``, both sparse times dense.
+    """The product ``left @ right`` of two operands, never formed: a product
+    with a dense operand runs ``left @ (right @ W)``, and the transpose is
+    the reversed product ``right.T @ left.T``. gcn's first layer reads
+    ``a_hat @ x`` through it, and gcn-lp's ``a_hat @ [A | L]``."""
 
-    It offers what ``ad.relu_affine`` reads of an operand, as ``LabelRows``
-    does."""
-
-    a_hat: SparseMatrix
-    rows: SparseMatrix | LabelRows
-    transposed: bool = False
+    left: SparseMatrix | Stacked
+    right: SparseMatrix | Blocks
 
     @property
     def shape(self) -> tuple[int, int]:
-        shape = (self.a_hat.shape[0], self.rows.shape[1])
-        return shape[::-1] if self.transposed else shape
+        return self.left.shape[0], self.right.shape[1]
 
-    def transpose(self) -> "Propagated":
-        return self._replace(transposed=not self.transposed)
+    @property
+    def T(self) -> Propagated:
+        return Propagated(self.right.T, self.left.T)
 
-    def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
-        if self.transposed:
-            return self.rows.transpose().matmul_dense(self.a_hat.transpose().matmul_dense(dense))
-        return self.a_hat.matmul_dense(self.rows.matmul_dense(dense))
+    def __getitem__(self, idx: np.ndarray) -> Propagated:
+        return Propagated(self.left[idx], self.right)
+
+    def __matmul__(self, dense: np.ndarray) -> np.ndarray:
+        return self.left @ (self.right @ dense)
 
 
 def propagate(a_hat: SparseMatrix, x: SparseMatrix) -> np.ndarray | Propagated:
@@ -349,7 +364,7 @@ def propagate(a_hat: SparseMatrix, x: SparseMatrix) -> np.ndarray | Propagated:
     else ``Propagated``, which runs exactly those products."""
     n, v = x.shape
     if n * v <= DENSE_PROPAGATION * (a_hat.nnz + x.nnz):
-        return a_hat.matmul_dense(x.to_dense())
+        return a_hat @ x.to_dense()
     return Propagated(a_hat, x)
 
 
@@ -491,13 +506,21 @@ def _gcn_lp_inputs(model: TrainedModel, a_hat, x, adjacency) -> Propagated:
     return Propagated(a_hat, lp_input(adjacency, model.state["label_block"]))
 
 
-def _mlp_inputs(model: TrainedModel, a_hat, x, adjacency) -> SparseMatrix:
-    return sparse_hstack([x, a_hat])
+def _mlp_inputs(model: TrainedModel, a_hat, x, adjacency) -> Blocks:
+    return Blocks(x, a_hat)
 
 
 def _dcca_inputs(model: TrainedModel, a_hat, x, adjacency) -> np.ndarray:
-    """Both views' projections side by side: the classifier's fixed, dense input."""
-    return np.hstack([h.data for h in _projections(model.params, _model_config(model), a_hat, x)])
+    """Both views' projections side by side, the classifier's fixed, dense
+    input, each column centred and scaled to unit deviation over all users.
+    The raw projections spread little around large offsets, which kills the
+    classifier's relus together. The statistics read no label."""
+    z = np.hstack([h.data for h in _projections(model.params, _model_config(model), a_hat, x)])
+    z -= z.mean(axis=0)
+    std = z.std(axis=0)
+    std[np.ptp(z, axis=0) == 0.0] = np.inf  # a constant column stays at zero
+    z /= std
+    return z
 
 
 class LabeledRows(NamedTuple):
@@ -506,7 +529,7 @@ class LabeledRows(NamedTuple):
     the row-local ones."""
 
     idx: np.ndarray
-    operand: SparseMatrix | np.ndarray
+    operand: SparseMatrix | Blocks | np.ndarray
 
 
 def _gcn_logits(params: Params, cfg, a_hat, inputs, masks, rows=None) -> Tensor:
@@ -535,10 +558,7 @@ class ModelKind:
 
     def labeled_rows(self, a_hat: SparseMatrix, inputs, idx) -> LabeledRows:
         idx = np.asarray(idx, dtype=np.intp)
-        if not self.row_local:
-            return LabeledRows(idx, a_hat.take_rows(idx))
-        return LabeledRows(idx, inputs[idx] if isinstance(inputs, np.ndarray)
-                           else inputs.take_rows(idx))
+        return LabeledRows(idx, (inputs if self.row_local else a_hat)[idx])
 
 
 def _gcn_lp_layout(cfg: GcnConfig, meta: dict) -> Layout:
@@ -595,10 +615,8 @@ def train(
     entry = KINDS[kind]
     if not isinstance(cfg, entry.config):
         raise ArgumentError(f"{kind} needs a {entry.config.__name__}, got {type(cfg).__name__}")
-    _check_graph(kind, a_hat, adjacency)
+    _check_graph(kind, a_hat, x, adjacency)
     n = a_hat.shape[0]
-    if x.shape[0] != n:
-        raise ShapeError(f"features have {x.shape[0]} rows for {n} nodes")
     if len(labels) != n:
         raise ShapeError(f"labels have {len(labels)} entries for {n} nodes")
     top = max(idx.max(initial=-1) for idx in vars(partition).values())
@@ -613,8 +631,8 @@ def train(
     )
     inputs = entry.inputs(model, a_hat, x, adjacency)
     # Every epoch reads the operand, so fixed text rows may be held dense.
-    if isinstance(inputs, Propagated) and isinstance(inputs.rows, SparseMatrix):
-        inputs = propagate(a_hat, inputs.rows)
+    if isinstance(inputs, Propagated) and isinstance(inputs.right, SparseMatrix):
+        inputs = propagate(a_hat, inputs.right)
     rows = entry.labeled_rows(a_hat, inputs, partition.train_idx)
     train_idx = rows.idx
     targets = one_hot(labels[train_idx], num_classes)
@@ -681,15 +699,23 @@ def stage1_correlation(
     return float(ad.cca_correlation(*_projections(model.params, cfg, a_hat, x), cfg.reg).data)
 
 
-def _check_graph(kind: str, a_hat: SparseMatrix, adjacency: SparseMatrix | None) -> None:
-    """Raise ``ArgumentError`` unless the graph operands suit ``kind``: the
-    kinds that propagate between users need a square ``a_hat``, and gcn-lp
-    reads the binary adjacency."""
-    if not KINDS[kind].row_local and a_hat.shape[0] != a_hat.shape[1]:
+def _check_graph(kind: str, a_hat: SparseMatrix, x: SparseMatrix,
+                 adjacency: SparseMatrix | None) -> None:
+    """Raise unless the operands suit ``kind``, in training and prediction
+    alike: ``ArgumentError`` when a kind that propagates between users gets a
+    non-square ``a_hat`` or gcn-lp no binary adjacency, ``ShapeError`` when
+    the text or gcn-lp's adjacency covers other users than ``a_hat``."""
+    n = a_hat.shape[0]
+    if not KINDS[kind].row_local and n != a_hat.shape[1]:
         raise ArgumentError(f"{kind} propagates through a_hat, which must be square, "
-                            f"but it is {a_hat.shape[0]} x {a_hat.shape[1]}")
+                            f"but it is {n} x {a_hat.shape[1]}")
+    if x.shape[0] != n:
+        raise ShapeError(f"the text has {x.shape[0]} rows, but a_hat has {n} users")
     if kind == "gcn-lp" and adjacency is None:
         raise ArgumentError("gcn-lp reads the binary adjacency, but none was given")
+    if kind == "gcn-lp" and adjacency.shape != (n, n):
+        raise ShapeError(f"the adjacency is {adjacency.shape[0]} x {adjacency.shape[1]}, "
+                         f"but a_hat has {n} users")
 
 
 def _check_widths(model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix) -> None:
@@ -708,7 +734,7 @@ def predict_logits(
     model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix, adjacency: SparseMatrix | None
 ) -> np.ndarray:
     """Eval-mode logits for every user, through the wiring training used."""
-    _check_graph(model.kind, a_hat, adjacency)
+    _check_graph(model.kind, a_hat, x, adjacency)
     _check_widths(model, a_hat, x)
     kind = KINDS[model.kind]
     inputs = kind.inputs(model, a_hat, x, adjacency)

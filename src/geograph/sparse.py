@@ -8,6 +8,9 @@ duplicates, drops zeros, sorts each row and rejects non-finite values. The
 constructor stores its argument without copying or checking it, so
 ``take_rows``, ``transpose`` and ``hstack`` rely on scipy returning canonical
 results for canonical inputs (a test pins this).
+
+A matrix reads as a numpy array does: ``s @ dense``, ``s.T`` and ``s[rows]``
+are ``matmul_dense``, ``transpose()`` and ``take_rows``.
 """
 
 from __future__ import annotations
@@ -80,6 +83,10 @@ class SparseMatrix:
         out = self._csr @ dense
         return np.asarray(out)
 
+    def __matmul__(self, dense: np.ndarray) -> np.ndarray:
+        # Looked up at call time, so a replaced ``matmul_dense`` runs here too.
+        return self.matmul_dense(dense)
+
     def take_rows(self, idx: np.ndarray) -> "SparseMatrix":
         """The rows ``idx``, in that order, as a (len(idx), cols) matrix.
 
@@ -87,6 +94,9 @@ class SparseMatrix:
         with it sums the same terms as the full product's row.
         """
         return SparseMatrix(self._csr[np.asarray(idx, dtype=np.intp)])
+
+    def __getitem__(self, idx: np.ndarray) -> "SparseMatrix":
+        return self.take_rows(idx)
 
     def transpose(self) -> "SparseMatrix":
         """The transpose, built once; a matrix equal to its own transpose entry
@@ -102,6 +112,10 @@ class SparseMatrix:
                 return self
             self._transpose = SparseMatrix(t)
         return self._transpose
+
+    @property
+    def T(self) -> "SparseMatrix":
+        return self.transpose()
 
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()

@@ -14,6 +14,7 @@ from geograph.errors import ArgumentError, NumericError, ShapeError
 from geograph.models import (
     KINDS,
     STATE_PREFIX,
+    Blocks,
     DccaConfig,
     GcnConfig,
     MlpConfig,
@@ -35,7 +36,7 @@ from geograph.models import (
     train,
 )
 from geograph.optim import ParamSet
-from geograph.sparse import SparseMatrix, hstack
+from geograph.sparse import SparseMatrix
 from geograph.views import normalize_adjacency
 from conftest import random_symmetric_adjacency
 from oracles import gcn_logits
@@ -51,6 +52,19 @@ def _instance(rng, n=12, terms=8, classes=3, p=0.35):
     labels[train_idx] = rng.integers(0, classes, train_idx.size)
     part = Partition(train_idx, np.array([1]), np.array([3]))
     return adj, a_hat, x, labels, part
+
+
+def _count_builds(monkeypatch) -> list:
+    """A list that gains one entry per ``SparseMatrix`` built from now on."""
+    builds = []
+    init = SparseMatrix.__init__
+
+    def counting_init(self, csr):
+        builds.append(1)
+        init(self, csr)
+
+    monkeypatch.setattr(SparseMatrix, "__init__", counting_init)
+    return builds
 
 
 def _values(model):
@@ -238,14 +252,35 @@ def test_lp_input_width():
         lp_input(adj, np.zeros((3, 2)))
 
 
-def test_lp_input_products_match_dense_rows(rng):
-    adj = SparseMatrix.from_dense(random_symmetric_adjacency(rng, 6, 0.4))
-    block = rng.random((6, 3))
-    rows, dense = lp_input(adj, block), np.hstack([adj.to_dense(), block])
-    w, g = rng.standard_normal((9, 4)), rng.standard_normal((6, 4))
-    np.testing.assert_allclose(rows.matmul_dense(w), dense @ w, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(rows.transpose().matmul_dense(g), dense.T @ g, rtol=0, atol=1e-14)
-    assert rows.transpose().shape == (9, 6)
+def _operand(rng, case):
+    """A constant operand of the kind ``case`` names, and its dense matrix."""
+    a = random_symmetric_adjacency(rng, 6, 0.5) * rng.random((6, 6))  # not symmetric
+    s = rng.random((6, 4)) * (rng.random((6, 4)) < 0.5)
+    d = rng.random((6, 3))
+    sparse_a, sparse_s = SparseMatrix.from_dense(a), SparseMatrix.from_dense(s)
+    return {
+        "dense": (d, d),
+        "sparse": (sparse_s, s),
+        "blocks of sparse and dense": (Blocks(sparse_s, d), np.hstack([s, d])),
+        "blocks of two sparse": (Blocks(sparse_s, sparse_a), np.hstack([s, a])),
+        "propagated sparse": (Propagated(sparse_a, sparse_s), a @ s),
+        "propagated blocks": (Propagated(sparse_a, Blocks(sparse_s, d)), a @ np.hstack([s, d])),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse", "blocks of sparse and dense",
+                                  "blocks of two sparse", "propagated sparse",
+                                  "propagated blocks"])
+def test_operands_match_their_dense_matrix(rng, case):
+    # Every constant input reads as numpy does: x @ w, x.T @ g and x[rows].
+    op, dense = _operand(rng, case)
+    assert op.shape == dense.shape
+    w = rng.standard_normal((dense.shape[1], 4))
+    g = rng.standard_normal((dense.shape[0], 4))
+    idx = np.array([4, 0, 4, 2])
+    np.testing.assert_allclose(op @ w, dense @ w, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(op.T @ g, dense.T @ g, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(op[idx] @ w, dense[idx] @ w, rtol=0, atol=1e-14)
 
 
 def test_mlp_input_width(rng):
@@ -359,6 +394,25 @@ def test_dcca_stage1_improves_correlation(rng):
     assert after > before
 
 
+def test_dcca_classifier_reads_standardized_projections(rng):
+    # Raw projections spread little around large offsets, which kills the
+    # classifier's relus together. Its input holds each projected column
+    # centred and scaled over all users; a constant column, here a unit with
+    # zero weights, stays at zero without a 0/0.
+    adj, a_hat, x, labels, part = _instance(rng, n=40)
+    cfg = DccaConfig(proj_hidden=0, proj_out=3, reg=1e-3, stage1_epochs=2, clf_hidden=4)
+    model, _ = train("dcca", a_hat, x, adj, labels, 3, part, cfg,
+                     TrainConfig(epochs=1, dropout=0.0, seed=0))
+    w, b = model.params["f1/out/W"].data.copy(), model.params["f1/out/b"].data.copy()
+    w[:, 0], b[0] = 0.0, 5.0
+    model.params["f1/out/W"], model.params["f1/out/b"] = ad.constant(w), ad.constant(b)
+    z = KINDS["dcca"].inputs(model, a_hat, x, adj)
+    assert z.shape == (40, 6)
+    np.testing.assert_array_equal(z[:, 0], 0.0)
+    np.testing.assert_allclose(z[:, 1:].mean(axis=0), 0.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(z[:, 1:].std(axis=0), 1.0, rtol=1e-12)
+
+
 def test_dcca_caps_a_projection_too_wide_for_its_users(rng, caplog):
     # 12 users correlate at most 10 dimensions: proj_out 20 trains as 11 // 2.
     adj, a_hat, x, labels, part = _instance(rng)
@@ -389,10 +443,11 @@ def test_predict_matches_training_wiring(rng, monkeypatch):
             return gcn_forward(a_hat, Propagated(a_hat, lp_input(adj, block)), model.params,
                                gcn_cfg)
         if model.kind == "mlp":
-            return mlp_forward(hstack([x, a_hat]), model.params)
+            return mlp_forward(Blocks(x, a_hat), model.params)
         z = np.hstack([projection_forward(x, model.params, "f1", dcca_cfg).data,
                        projection_forward(a_hat, model.params, "f2", dcca_cfg).data])
-        return mlp_forward(z, model.params, prefix="clf/")
+        z -= z.mean(axis=0)
+        return mlp_forward(z / z.std(axis=0), model.params, prefix="clf/")
 
     monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
     trained = [
@@ -552,6 +607,9 @@ def test_gated_fit_peak_memory():
     ("index past the users", ArgumentError, "partition holds user index 12, but there are 12"),
     ("labels of another length", ShapeError, "labels have 11 entries for 12 nodes"),
     ("gcn-lp without adjacency", ArgumentError, "gcn-lp reads the binary adjacency"),
+    ("text of other users", ShapeError, "the text has 10 rows, but a_hat has 12 users"),
+    ("gcn-lp adjacency of other users", ShapeError,
+     "the adjacency is 10 x 10, but a_hat has 12 users"),
 ])
 def test_train_rejects_bad_inputs_at_its_boundary(rng, case, error, message):
     adj, a_hat, x, labels, part = _instance(rng)
@@ -563,10 +621,41 @@ def test_train_rejects_bad_inputs_at_its_boundary(rng, case, error, message):
             part = Partition([0, 2], [1], [12])
         elif case == "labels of another length":
             labels = labels[:11]
+        elif case == "text of other users":
+            x = x[np.arange(10)]
+        elif case == "gcn-lp adjacency of other users":
+            kind, adj = "gcn-lp", _instance(rng, n=10)[0]
         else:
             kind, adj = "gcn-lp", None
         train(kind, a_hat, x, adj, labels, 3, part, GcnConfig(hidden=4, layers=1),
               TrainConfig(epochs=1, dropout=0.0, seed=0))
+
+
+@pytest.mark.parametrize("kind", sorted(_OTHER_SIZE_CONFIGS))
+def test_prediction_rejects_inputs_of_other_users(rng, kind):
+    # Prediction checks the operands at training's boundary: text rows or a
+    # gcn-lp adjacency for other users than a_hat's are refused up front,
+    # naming both counts, not deep inside a product (or, for gcn-lp, scored).
+    adj, a_hat, x, labels, part = _instance(rng)
+    model, _ = train(kind, a_hat, x, adj, labels, 3, part, _OTHER_SIZE_CONFIGS[kind],
+                     TrainConfig(epochs=1, dropout=0.0, seed=0))
+    cases = [(x[np.arange(10)], adj, "the text has 10 rows, but a_hat has 12 users")]
+    if kind == "gcn-lp":
+        cases.append((x, _instance(rng, n=10)[0], "the adjacency is 10 x 10, but a_hat has 12"))
+    for text, adjacency, message in cases:
+        for predict in (predict_logits, predict_classes):
+            with pytest.raises(ShapeError, match=message):
+                predict(model, a_hat, text, adjacency)
+
+
+def test_mlp_prediction_builds_no_sparse_matrix(rng, monkeypatch):
+    # mlp reads [X | A_hat] as Blocks: a prediction copies neither view.
+    adj, a_hat, x, labels, part = _instance(rng)
+    model, _ = train("mlp", a_hat, x, adj, labels, 3, part, MlpConfig(4),
+                     TrainConfig(epochs=1, dropout=0.0, seed=0))
+    builds = _count_builds(monkeypatch)
+    assert predict_logits(model, a_hat, x, adj).shape == (12, 3)
+    assert builds == []
 
 
 def test_gcn_lp_prediction_needs_the_adjacency(rng):
@@ -850,14 +939,7 @@ def test_training_rows_match_full_forward(rng, monkeypatch, case):
 @pytest.mark.parametrize("kind", ["gcn", "mlp"])
 def test_row_operands_are_built_once_per_run(rng, monkeypatch, kind):
     adj, a_hat, x, labels, part = _instance(rng)
-    builds = []
-    init = SparseMatrix.__init__
-
-    def counting_init(self, csr):
-        builds.append(1)
-        init(self, csr)
-
-    monkeypatch.setattr(SparseMatrix, "__init__", counting_init)
+    builds = _count_builds(monkeypatch)
     counts = []
     for epochs in (2, 6):
         # Fresh copies: a matrix caches its transpose across runs.
