@@ -33,7 +33,10 @@ them) is read as numpy reads an array, through ``s @ dense`` and ``s.T @ g``.
 A dropout mask is a ``DropoutMask``: the kept entries as booleans and the
 scale ``1/(1-p)`` they take, applied as ``x * keep`` then ``* scale``, which
 gives the bytes of multiplying by the float mask ``keep / (1-p)``.
-``affine`` and ``sparse_affine`` compose the ops above. All data is float64.
+``affine`` and ``sparse_affine`` compose the ops above. An op computes in
+its inputs' dtype: a tensor keeps a float32 or float64 array as given and
+reads anything else as float64, and ``mul_const`` and
+``softmax_cross_entropy`` cast their constants to their input's dtype.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ class Tensor:
         _parents: tuple["Tensor", ...] = (),
         _vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None,
     ):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
@@ -187,8 +191,8 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def mul_const(x: Tensor, c) -> Tensor:
-    """Multiply by a constant scalar or array."""
-    c = np.asarray(c, dtype=np.float64)
+    """Multiply by a constant scalar or array, cast to ``x``'s dtype."""
+    c = np.asarray(c, dtype=x.data.dtype)
     return _node(x.data * c, (x,), lambda g: (g * c,))
 
 
@@ -234,10 +238,10 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross-entropy of softmax(logits) against one-hot targets, row by row.
 
-    ``targets`` has the shape of ``logits``: callers compute logits only for
-    the rows they hold labels for.
+    ``targets`` has the shape of ``logits``, whose dtype it is cast to:
+    callers compute logits only for the rows they hold labels for.
     """
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets, dtype=logits.data.dtype)
     if logits.data.ndim != 2:
         raise ShapeError("softmax_cross_entropy expects logit rows")
     if targets.shape != logits.data.shape:

@@ -2,16 +2,18 @@
 
 Layout:
 
-    magic "GEOCKPT2"
+    magic "GEOCKPT3"
     header_len                   unsigned 64-bit little-endian
     header                       UTF-8 JSON: model kind, wiring meta, the
                                  context needed to rebuild inputs (vocabulary,
                                  region tree leaves, graph knobs) and the table
-                                 of contents "arrays": [[name, shape], ...] in
-                                 name order
-    array block                  every array's row-major float64 little-endian
-                                 values, in table order, back to back
+                                 of contents "arrays": [[name, shape, dtype],
+                                 ...] in name order, dtype "<f4" or "<f8"
+    array block                  every array's row-major little-endian values
+                                 in its dtype, in table order, back to back
 
+Each array keeps the dtype the model holds it in: float32 weights for the
+kinds that train in float32, float64 for ``dcca`` and gcn-lp's label block.
 Identical models produce identical files. Optimizer moments are not stored;
 a loaded model predicts but does not resume training. Loading checks the
 table against the kind's meta and the file size before it reads an array;
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +33,9 @@ from .autodiff import constant
 from .errors import ArgumentError, DataFormatError
 from .models import KINDS, STATE_PREFIX, TrainedModel, array_layout, meta_errors
 
-MAGIC = b"GEOCKPT2"
+MAGIC = b"GEOCKPT3"
 _FIXED = len(MAGIC) + 8  # magic and header_len
+_DTYPES = ("<f4", "<f8")  # a table entry's dtype
 
 
 def save_checkpoint(path, model: TrainedModel, context: dict) -> Path:
@@ -40,15 +44,20 @@ def save_checkpoint(path, model: TrainedModel, context: dict) -> Path:
     path = Path(path)
     arrays = {name: tensor.data for name, tensor in model.params.items()}
     arrays.update((STATE_PREFIX + name, arr) for name, arr in model.state.items())
-    arrays = {name: np.ascontiguousarray(arrays[name], dtype="<f8") for name in sorted(arrays)}
+    arrays = {name: np.ascontiguousarray(arrays[name], dtype=_file_dtype(arrays[name]))
+              for name in sorted(arrays)}
     header = {"kind": model.kind, "meta": model.meta, "context": context,
-              "arrays": [[name, list(arr.shape)] for name, arr in arrays.items()]}
+              "arrays": [[name, list(arr.shape), arr.dtype.str] for name, arr in arrays.items()]}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC + len(header_bytes).to_bytes(8, "little") + header_bytes)
         for arr in arrays.values():
             fh.write(arr)  # its contiguous buffer, not a copy
     return path
+
+
+def _file_dtype(arr: np.ndarray) -> str:
+    return "<f4" if arr.dtype == np.float32 else "<f8"
 
 
 def load_checkpoint(path) -> tuple[TrainedModel, dict]:
@@ -81,16 +90,19 @@ def _decode(blob: bytes) -> tuple[TrainedModel, dict]:
     if errors:
         raise DataFormatError(f"{kind} checkpoint meta {'; '.join(errors)}")
     if not isinstance(toc, list) or not all(
-        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+        isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
         and isinstance(entry[1], list) and all(type(d) is int and d >= 0 for d in entry[1])
+        and entry[2] in _DTYPES
         for entry in toc
     ):
-        raise DataFormatError("checkpoint header needs 'arrays', a list of [name, shape] pairs")
+        raise DataFormatError("checkpoint header needs 'arrays', a list of [name, shape, dtype] "
+                              f"entries with a dtype of {' or '.join(_DTYPES)}")
     # Each layer lists two arrays, over 16 header bytes: that bounds the layout's loop.
     if type(meta.get("layers")) is int and 16 * meta["layers"] > header_len:
         raise DataFormatError(f"{kind} checkpoint has {meta['layers']} layers, more than its "
                               f"{header_len}-byte header can list")
-    toc = [(name, tuple(shape)) for name, shape in toc]
+    dtypes = [np.dtype(dtype) for _, _, dtype in toc]
+    toc = [(name, tuple(shape)) for name, shape, _ in toc]
     model = TrainedModel(kind, {}, meta)
     try:
         error = _layout_error(toc, array_layout(model))
@@ -99,13 +111,14 @@ def _decode(blob: bytes) -> tuple[TrainedModel, dict]:
     if error:
         raise DataFormatError(f"{kind} checkpoint {error}")
     sizes = [math.prod(shape) for _, shape in toc]
-    end = _FIXED + header_len + 8 * sum(sizes)
-    if end != len(blob):
-        raise DataFormatError(f"{'truncated' if end > len(blob) else 'trailing bytes in'} "
-                              f"checkpoint: its arrays end at byte {end} of {len(blob)}")
-    block = np.frombuffer(blob, dtype="<f8", offset=_FIXED + header_len)
-    for (name, shape), flat in zip(toc, np.split(block, np.cumsum(sizes)[:-1])):
-        arr = flat.reshape(shape)  # a read-only view, as bytes are
+    starts = list(accumulate((size * dtype.itemsize for size, dtype in zip(sizes, dtypes)),
+                             initial=_FIXED + header_len))
+    if starts[-1] != len(blob):
+        raise DataFormatError(f"{'truncated' if starts[-1] > len(blob) else 'trailing bytes in'} "
+                              f"checkpoint: its arrays end at byte {starts[-1]} of {len(blob)}")
+    for (name, shape), size, dtype, start in zip(toc, sizes, dtypes, starts):
+        # a read-only view, as bytes are
+        arr = np.frombuffer(blob, dtype=dtype, count=size, offset=start).reshape(shape)
         if name.startswith(STATE_PREFIX):
             model.state[name[len(STATE_PREFIX):]] = arr
         else:

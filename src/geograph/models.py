@@ -27,6 +27,12 @@ Every constant input, a dense array, a ``SparseMatrix``, ``Blocks`` or
 ``Propagated``, offers numpy's operand spelling, ``x @ w``, ``x.T @ g`` and
 ``x[rows]``, and is read through it alone.
 
+``gcn``, ``gcn-lp`` and ``mlp`` compute in float32 and ``dcca`` in float64
+(``ModelKind.dtype``). ``train`` draws weights in float64, so the random
+streams do not depend on the dtype, then casts them, the operands and the
+targets once; prediction casts the operands alike. gcn-lp's label block stays
+float64, and its operand reads a copy in the kind's dtype.
+
 Every model predicts one of the region-tree classes per user. Training never
 reads labels or coordinates outside the labeled index set; held-out users
 participate only through their features and graph edges.
@@ -129,11 +135,13 @@ PATIENCE = 10
 # ``propagate`` holds ``A_hat @ X`` dense when ``n * V <= DENSE_PROPAGATION *
 # (nnz(A_hat) + nnz(X))``: an epoch's two gemms against the n x V array then
 # cost less than its four sparse products. Both sides scale with the hidden
-# width, so the crossover is a ratio of gemm to spmm speed. Measured at hidden
-# 64 on one OpenBLAS thread (2-core x86), forward plus backward per epoch:
-# dense wins at ratio 1.5 (10,000 users: 145 -> 18 ms), 3.7 (1,000 users:
-# 3.7 -> 1.3 ms) and 6.3-6.4 (2.3 -> 1.6 ms, 40 -> 26 ms); sparse wins at
-# 16.6 (4.2 vs 8.9 ms), 32.5 (3.7 vs 19 ms) and above.
+# width, so the crossover is a ratio of gemm to spmm speed. Measured in
+# float32, as training runs, at hidden 64 on one OpenBLAS thread (2-core
+# x86), forward plus backward per epoch, on random graphs and text: dense
+# wins at ratio 1.5 (10,000 users: 37 -> 4.5 ms), 3.7 (1,000 users: 1.1 ->
+# 0.40 ms) and 6.4 (1.45 -> 0.83 ms, 55 -> 22 ms); sparse wins at 16.8 (2.2
+# vs 3.1 ms), 32.4 (2.4 vs 6.1 ms) and above. Between 9.7 and 11.2 two runs
+# disagreed on the winner, by under 30%.
 DENSE_PROPAGATION = 8
 
 
@@ -375,9 +383,10 @@ def propagate(a_hat: SparseMatrix, x: SparseMatrix) -> np.ndarray | Propagated:
 # labels, partition, cfg, meta) -> (model, trained params, after_epoch)``, an
 # input builder ``inputs(model, a_hat, x, adjacency)`` and a forward path
 # ``forward(params, cfg, a_hat, inputs, masks, rows=None)``, which computes the
-# logits of every node, or of ``rows.idx`` alone. gcn-lp's ``after_epoch``
-# gets eval-mode probabilities for every node and the training accuracy after
-# each update, and writes the label block its inputs hold in place. The wiring
+# logits of every node, or of ``rows.idx`` alone, and a dtype. gcn-lp's
+# ``after_epoch`` gets float64 eval-mode probabilities for every node, the
+# training accuracy after each update and the inputs, and writes the label
+# block and the copy its inputs read in place. The wiring
 # looks up the public forward functions by module-global name at call time, so
 # replacing a module attribute (to time it, say) reaches every call.
 
@@ -458,11 +467,13 @@ def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
     held_out = np.setdiff1d(np.arange(n), train_idx)
     latched = False
 
-    def after_epoch(probs: np.ndarray, train_acc: float) -> None:
+    def after_epoch(probs: np.ndarray, train_acc: float, inputs: Propagated) -> None:
         nonlocal latched
         latched = latched or train_acc >= trigger
         if latched:
             label_block[held_out] = probs[held_out]
+            operand_block = inputs.right.right  # the copy ``_gcn_lp_inputs`` made
+            operand_block[held_out] = label_block[held_out]
 
     return TrainedModel("gcn-lp", {}, meta, {"label_block": label_block}), params, after_epoch
 
@@ -503,7 +514,11 @@ def _dcca_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
 
 
 def _gcn_lp_inputs(model: TrainedModel, a_hat, x, adjacency) -> Propagated:
-    return Propagated(a_hat, lp_input(adjacency, model.state["label_block"]))
+    """``a_hat @ [A | L]``, with the adjacency and a copy of the label block
+    in ``a_hat``'s dtype."""
+    dtype = a_hat.dtype
+    return Propagated(a_hat, lp_input(adjacency.astype(dtype),
+                                      model.state["label_block"].astype(dtype)))
 
 
 def _mlp_inputs(model: TrainedModel, a_hat, x, adjacency) -> Blocks:
@@ -555,6 +570,11 @@ class ModelKind:
     forward: Callable
     masks: Callable  # cfg -> (count, width) of the dropout masks an epoch draws
     row_local: bool  # a node's logits read only its own input row
+    dtype: type = np.float32  # what the kind trains and predicts in
+
+    def operands(self, a_hat: SparseMatrix, x: SparseMatrix) -> tuple[SparseMatrix, SparseMatrix]:
+        """``a_hat`` and ``x`` in this kind's dtype, as given or as cached twins."""
+        return a_hat.astype(self.dtype), x.astype(self.dtype)
 
     def labeled_rows(self, a_hat: SparseMatrix, inputs, idx) -> LabeledRows:
         idx = np.asarray(idx, dtype=np.intp)
@@ -585,8 +605,10 @@ KINDS = {
                      lambda c, m: mlp_layout(m["in_dim"] + m["graph_dim"], c.hidden,
                                              m["num_classes"]),
                      _mlp_setup, _mlp_inputs, _mlp_logits, lambda c: (1, c.hidden), True),
+    # dcca stays float64: stage 1 whitens with eigh and svd.
     "dcca": ModelKind(DccaConfig, _text_and_graph, _dcca_layout, _dcca_setup, _dcca_inputs,
-                      partial(_mlp_logits, prefix="clf/"), lambda c: (1, c.clf_hidden), True),
+                      partial(_mlp_logits, prefix="clf/"), lambda c: (1, c.clf_hidden), True,
+                      np.float64),
 }
 
 
@@ -629,13 +651,15 @@ def train(
     model, params, after_epoch = entry.setup(
         init_rng, a_hat, x, adjacency, labels, partition, cfg, meta
     )
+    params.cast(entry.dtype)
+    a_hat, x = entry.operands(a_hat, x)
     inputs = entry.inputs(model, a_hat, x, adjacency)
     # Every epoch reads the operand, so fixed text rows may be held dense.
     if isinstance(inputs, Propagated) and isinstance(inputs.right, SparseMatrix):
         inputs = propagate(a_hat, inputs.right)
     rows = entry.labeled_rows(a_hat, inputs, partition.train_idx)
     train_idx = rows.idx
-    targets = one_hot(labels[train_idx], num_classes)
+    targets = one_hot(labels[train_idx], num_classes).astype(entry.dtype, copy=False)
     mask_count, mask_width = entry.masks(cfg)
     history: list[EpochLog] = []
     # Early stopping keeps the best-scoring parameter snapshot.
@@ -657,12 +681,14 @@ def train(
 
         train_acc, score = float("nan"), None
         if after_epoch is not None or dev_score is not None:
-            # Over constants, so the forward records no tape.
-            probs = ad._softmax(entry.forward(params.constants(), cfg, a_hat, inputs, None).data)
+            # Over constants, so the forward records no tape. The label block
+            # is float64, so the probabilities are too.
+            probs = ad._softmax(entry.forward(params.constants(), cfg, a_hat, inputs, None)
+                                .data.astype(np.float64, copy=False))
             preds = probs.argmax(axis=1)
             train_acc = float(np.mean(preds[train_idx] == labels[train_idx]))
             if after_epoch is not None:
-                after_epoch(probs, train_acc)
+                after_epoch(probs, train_acc, inputs)
             if stopping:
                 score = dev_score(preds)
         history.append(EpochLog(epoch, float(loss.data), train_acc, score))
@@ -737,6 +763,7 @@ def predict_logits(
     _check_graph(model.kind, a_hat, x, adjacency)
     _check_widths(model, a_hat, x)
     kind = KINDS[model.kind]
+    a_hat, x = kind.operands(a_hat, x)
     inputs = kind.inputs(model, a_hat, x, adjacency)
     return kind.forward(model.params, _model_config(model), a_hat, inputs, None).data
 

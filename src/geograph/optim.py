@@ -18,7 +18,10 @@ class ParamSet(dict[str, Tensor]):
     """Trainable tensors by name plus their Adam state, alive only while a
     model trains. Every parameter owns a gradient slot of identical shape
     (materialized by ``zero_grads``) and first/second moment buffers; one step
-    counter is shared. ``constants`` hands the trained arrays on without them."""
+    counter is shared. ``constants`` hands the trained arrays on without them.
+
+    ``add`` holds float64 values; ``cast`` changes the whole set's dtype,
+    moments included, and every update keeps the dtype it finds."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -34,6 +37,13 @@ class ParamSet(dict[str, Tensor]):
         self._m[name] = np.zeros_like(t.data)
         self._v[name] = np.zeros_like(t.data)
         return t
+
+    def cast(self, dtype) -> None:
+        """Hold every parameter and moment as ``dtype`` from now on."""
+        for name, p in self.items():
+            p.data = p.data.astype(dtype, copy=False)
+            self._m[name] = self._m[name].astype(dtype, copy=False)
+            self._v[name] = self._v[name].astype(dtype, copy=False)
 
     def names(self) -> list[str]:
         return list(self)
@@ -76,7 +86,7 @@ class ParamSet(dict[str, Tensor]):
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for name, arr in values.items():
             p = self[name]
-            arr = np.asarray(arr, dtype=np.float64)
+            arr = np.asarray(arr, dtype=p.data.dtype)
             if arr.shape != p.data.shape:
                 raise ShapeError(f"cannot load {name}: shape {arr.shape} != {p.data.shape}")
             p.data = arr.copy()

@@ -1,13 +1,16 @@
 """Compressed-row sparse matrices.
 
-Thin wrapper over scipy's CSR type. Every matrix holds float64 values, sorted
-column indices within each row, no duplicate entries, no explicitly stored
-zeros, and only finite values. ``from_triplets``, through which ``from_dense``
-also builds, is where raw values enter and establishes all of that: it sums
-duplicates, drops zeros, sorts each row and rejects non-finite values. The
-constructor stores its argument without copying or checking it, so
-``take_rows``, ``transpose`` and ``hstack`` rely on scipy returning canonical
-results for canonical inputs (a test pins this).
+Thin wrapper over scipy's CSR type. Every matrix holds sorted column indices
+within each row, no duplicate entries, no explicitly stored zeros, and only
+finite values. ``from_triplets``, through which ``from_dense`` also builds, is
+where raw values enter and establishes all of that: it sums duplicates, drops
+zeros, sorts each row and rejects non-finite values. The constructor stores
+its argument without copying or checking it, so ``take_rows``, ``transpose``
+and ``hstack`` rely on scipy returning canonical results for canonical inputs
+(a test pins this).
+
+Construction holds float64 values; ``astype(np.float32)`` gives a float32 twin,
+built once and kept. A product is in the wider of its operands' dtypes.
 
 A matrix reads as a numpy array does: ``s @ dense``, ``s.T`` and ``s[rows]``
 are ``matmul_dense``, ``transpose()`` and ``take_rows``.
@@ -26,13 +29,14 @@ from .errors import NumericError, ShapeError
 class SparseMatrix:
     """Immutable CSR matrix. Build through the classmethod constructors."""
 
-    __slots__ = ("_csr", "_transpose", "_symmetric")
+    __slots__ = ("_csr", "_transpose", "_symmetric", "_cast")
 
     def __init__(self, csr: _sp.csr_matrix):
-        """Wrap ``csr``, a float64 CSR matrix that already holds the invariants."""
+        """Wrap ``csr``, a CSR matrix that already holds the invariants."""
         self._csr = csr
         self._transpose: SparseMatrix | None = None
         self._symmetric = False
+        self._cast: SparseMatrix | None = None
 
     @classmethod
     def from_triplets(
@@ -73,9 +77,24 @@ class SparseMatrix:
     def nnz(self) -> int:
         return self._csr.nnz
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self._csr.dtype
+
+    def astype(self, dtype) -> "SparseMatrix":
+        """This matrix with ``dtype`` values: itself when it holds them, else a
+        copy of its class, built once and kept, that shares its index arrays."""
+        if self.dtype == dtype:
+            return self
+        if self._cast is None or self._cast.dtype != dtype:
+            csr = self._csr
+            self._cast = type(self)(_sp.csr_matrix(
+                (csr.data.astype(dtype), csr.indices, csr.indptr), shape=csr.shape))
+        return self._cast
+
     def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
         """Sparse @ dense product: a dense (self.shape[0], dense.shape[1]) array."""
-        dense = np.asarray(dense, dtype=np.float64)
+        dense = np.asarray(dense)
         if dense.ndim != 2:
             raise ShapeError(f"expected a 2-d dense operand, got ndim={dense.ndim}")
         if self.shape[1] != dense.shape[0]:

@@ -144,6 +144,71 @@ def test_loading_holds_no_more_than_the_file(tmp_path):
     assert loaded.params["f2/out/W"].shape == model.params["f2/out/W"].shape
 
 
+@pytest.mark.parametrize("kind", sorted(_KIND_CONFIGS))
+def test_round_trip_keeps_each_dtype_and_its_bytes(tmp_path, rng, monkeypatch, kind):
+    # A model stores what it holds: float32 weights for the kinds that train
+    # in float32, float64 for dcca and for gcn-lp's label block.
+    adj = SparseMatrix.from_dense(random_symmetric_adjacency(rng, 10, 0.4))
+    a_hat = normalize_adjacency(adj, 1.0)
+    x = SparseMatrix.from_dense(rng.random((10, 6)))
+    labels = np.full(10, -1, dtype=np.intp)
+    labels[:6] = rng.integers(0, 3, 6)
+    part = Partition(np.arange(6), np.array([6, 7]), np.array([8, 9]))
+    monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
+    model, _ = train(kind, a_hat, x, adj, labels, 3, part, _KIND_CONFIGS[kind],
+                     TrainConfig(epochs=3, dropout=0.0, seed=0))
+    ckpt = save_checkpoint(tmp_path / "model.ckpt", model, context={})
+    loaded, _ = load_checkpoint(ckpt)
+    want = {name: t.data for name, t in model.params.items()}
+    want.update(("state/" + name, arr) for name, arr in model.state.items())
+    got = {name: t.data for name, t in loaded.params.items()}
+    got.update(("state/" + name, arr) for name, arr in loaded.state.items())
+    assert got.keys() == want.keys()
+    weights = np.float64 if kind == "dcca" else np.float32
+    for name, arr in want.items():
+        assert arr.dtype == (np.float64 if name.startswith("state/") else weights), name
+        assert got[name].dtype == arr.dtype and got[name].tobytes() == arr.tobytes(), name
+    header_len = int.from_bytes(ckpt.read_bytes()[8:16], "little")
+    assert ckpt.stat().st_size == 16 + header_len + sum(arr.nbytes for arr in want.values())
+
+
+def test_rejects_the_previous_format(tmp_path, trained):
+    model, *_ = trained
+    ckpt = save_checkpoint(tmp_path / "model.ckpt", model, context={})
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(b"GEOCKPT2" + ckpt.read_bytes()[8:])
+    with pytest.raises(DataFormatError) as err:
+        load_checkpoint(old)
+    assert str(err.value) == (f"{old}: not a b'GEOCKPT3' model checkpoint: "
+                              "it starts b'GEOCKPT2'")
+
+
+def test_loading_a_float32_gcn_holds_no_more_than_the_file(tmp_path):
+    # A gcn's weights are float32: loading its checkpoint keeps the file's
+    # bytes and float32 views of them, not float64 copies.
+    bundle = generate_synthetic(SyntheticConfig(n_users=300), seed=0)
+    views = prepare_views(bundle)
+    a_hat = normalize_adjacency(views.adjacency, 1.0)
+    part = subsample_labels(bundle, 1.0, 0)
+    tree = build_region_tree(bundle, part, 50, 1.0)
+    labels = labels_for_training(bundle, tree, part.train_idx)
+    model, _ = train("gcn", a_hat, views.text, views.adjacency, labels, tree.num_classes, part,
+                     GcnConfig(hidden=1000, layers=2), TrainConfig(epochs=1, seed=0))
+    ckpt = save_checkpoint(tmp_path / "gcn.ckpt", model, context={
+        "vocabulary": views.vocabulary.to_dict(), "tree": tree.to_dict()})
+    size = ckpt.stat().st_size
+    assert size > 4_000_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(ckpt)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * size and peak <= 1.1 * size, (held, peak, size)
+    assert all(t.data.dtype == np.float32 for t in loaded.params.values())
+
+
 @pytest.mark.parametrize("kind", ["dcca", "mlp"])
 def test_non_square_second_view_round_trips(tmp_path, rng, kind):
     # dcca and mlp read the second view's columns as features, so it may have
@@ -232,13 +297,19 @@ def _with_header(blob: bytes, edit) -> bytes:
 
 def _reshape(name, shape):
     def edit(header):
-        header["arrays"] = [[n, shape if n == name else s] for n, s in header["arrays"]]
+        header["arrays"] = [[n, shape if n == name else s, d] for n, s, d in header["arrays"]]
     return edit
 
 
 def _rename(old, new):
     def edit(header):
-        header["arrays"] = sorted([new if n == old else n, s] for n, s in header["arrays"])
+        header["arrays"] = sorted([new if n == old else n, s, d] for n, s, d in header["arrays"])
+    return edit
+
+
+def _retype(name, dtype):
+    def edit(header):
+        header["arrays"] = [[n, s, dtype if n == name else d] for n, s, d in header["arrays"]]
     return edit
 
 
@@ -256,6 +327,14 @@ def _rename(old, new):
     (lambda h: h.pop("arrays"), "needs 'arrays'"),
     (lambda h: h["arrays"][0].__setitem__(1, [-1, 2]), "needs 'arrays'"),
     (lambda h: h["arrays"][0].__setitem__(1, [True]), "needs 'arrays'"),
+    (lambda h: h["arrays"][0].pop(), "a list of [name, shape, dtype] entries"),
+    (_retype("out/W", "<f2"), "with a dtype of <f4 or <f8"),
+    (_retype("out/W", ">f4"), "with a dtype of <f4 or <f8"),
+    (_retype("out/W", "<i8"), "with a dtype of <f4 or <f8"),
+    (_retype("out/W", ["<f4"]), "with a dtype of <f4 or <f8"),
+    # A valid dtype of another width moves every later array.
+    (_retype("out/W", "<f8"), "truncated checkpoint: its arrays end at byte"),
+    (_retype("state/label_block", "<f4"), "trailing bytes in checkpoint: its arrays end at byte"),
 ])
 def test_rejects_arrays_the_meta_does_not_imply(tmp_path, rng, edit, message):
     adj = SparseMatrix.from_dense(random_symmetric_adjacency(rng, 8, 0.5))

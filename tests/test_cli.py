@@ -458,9 +458,15 @@ def _bad_name_byte(raw: bytes) -> bytes:
 
 
 def _transpose_out_w(header) -> None:
-    for name, shape in header["arrays"]:
+    for name, shape, _ in header["arrays"]:
         if name == "out/W":
             shape.reverse()
+
+
+def _int64_out_w(header) -> None:
+    for entry in header["arrays"]:
+        if entry[0] == "out/W":
+            entry[2] = "<i8"
 
 
 _CORRUPTIONS = {
@@ -473,8 +479,10 @@ _CORRUPTIONS = {
                          "gcn checkpoint array 'out/W' has shape"),
     "16 bytes clipped": (lambda raw: raw[:-16], "truncated checkpoint: its arrays end at byte"),
     "2 bytes appended": (lambda raw: raw + b"\0\0", "trailing bytes in checkpoint"),
-    "the previous format": (lambda raw: b"GEOCKPT1" + raw[8:],
-                            "not a b'GEOCKPT2' model checkpoint: it starts b'GEOCKPT1'"),
+    "the previous format": (lambda raw: b"GEOCKPT2" + raw[8:],
+                            "not a b'GEOCKPT3' model checkpoint: it starts b'GEOCKPT2'"),
+    "an array of int64": (lambda raw: _with_header(raw, _int64_out_w),
+                          "a list of [name, shape, dtype] entries with a dtype of <f4 or <f8"),
 }
 
 

@@ -241,7 +241,12 @@ def test_gcn_forward_matches_dense_oracle(rng, monkeypatch):
     assert np.all(block.sum(axis=1) > 0.0)  # latched: held-out rows carry predictions
     lp_rows = np.hstack([adj.to_dense(), block])
     want = gcn_logits(a_hat.to_dense(), lp_rows, _values(model), cfg)
-    np.testing.assert_allclose(predict_logits(model, a_hat, x, adj), want, rtol=0, atol=1e-12)
+    # gcn-lp predicts in float32, against a float64 oracle of the same
+    # weights: 40 seeds of this instance deviated by at most 1.3e-7 on
+    # logits below 1.1 in size, float32 rounding (eps 1.2e-7) of short sums.
+    got = predict_logits(model, a_hat, x, adj)
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
 def test_lp_input_width():
@@ -435,15 +440,18 @@ def test_predict_matches_training_wiring(rng, monkeypatch):
     gcn_cfg = GcnConfig(hidden=5, layers=2)
     dcca_cfg = DccaConfig(proj_hidden=4, proj_out=3, reg=1e-3, stage1_epochs=2, clf_hidden=5)
 
+    # gcn, gcn-lp and mlp predict over the float32 twins of the operands.
+    a32, x32, adj32 = (m.astype(np.float32) for m in (a_hat, x, adj))
+
     def by_hand(model):
         if model.kind == "gcn":
-            return gcn_forward(a_hat, Propagated(a_hat, x), model.params, gcn_cfg)
+            return gcn_forward(a32, Propagated(a32, x32), model.params, gcn_cfg)
         if model.kind == "gcn-lp":
-            block = model.state["label_block"]
-            return gcn_forward(a_hat, Propagated(a_hat, lp_input(adj, block)), model.params,
+            block = model.state["label_block"].astype(np.float32)
+            return gcn_forward(a32, Propagated(a32, lp_input(adj32, block)), model.params,
                                gcn_cfg)
         if model.kind == "mlp":
-            return mlp_forward(Blocks(x, a_hat), model.params)
+            return mlp_forward(Blocks(x32, a32), model.params)
         z = np.hstack([projection_forward(x, model.params, "f1", dcca_cfg).data,
                        projection_forward(a_hat, model.params, "f2", dcca_cfg).data])
         z -= z.mean(axis=0)
@@ -542,8 +550,15 @@ def test_array_layout_matches_trained_arrays(rng, case):
     assert all(t.grad is None and not t.requires_grad for t in model.params.values())
     arrays = [t.data for t in model.params.values()] + list(model.state.values())
     assert all(arr.base is None for arr in arrays)
-    layout = array_layout(model).values()
-    assert sum(arr.nbytes for arr in arrays) == 8 * sum(math.prod(shape) for shape in layout)
+    assert sum(arr.nbytes for arr in arrays) == _layout_bytes(model)
+
+
+def _layout_bytes(model) -> int:
+    """The bytes ``model``'s layout implies: weights in its kind's dtype,
+    state in float64."""
+    weight_size = np.dtype(KINDS[model.kind].dtype).itemsize
+    return sum((8 if name.startswith(STATE_PREFIX) else weight_size) * math.prod(shape)
+               for name, shape in array_layout(model).items())
 
 
 _WIDE_CONFIGS = {
@@ -572,15 +587,16 @@ def test_trained_model_memory_is_its_weights(rng, kind):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    weights = 8 * sum(math.prod(shape) for shape in array_layout(model).values())
+    weights = _layout_bytes(model)
     assert held - weights < 16_384, (held, weights)
 
 
 def test_gated_fit_peak_memory():
     # A gated layer's tape holds its output, its relu active set and its
-    # gate, and dropout masks are booleans. Two epochs of a gated d6 fit,
-    # hidden 64, on 1,000 users peaked at 13.09 MB of tracemalloc'd memory;
-    # the bound is that measurement plus 10%.
+    # gate, all float32, and dropout masks are booleans. Two epochs of a
+    # gated d6 fit, hidden 64, on 1,000 users peaked at 7.07 MB of
+    # tracemalloc'd memory (13.09 MB in float64); the bound is that
+    # measurement plus 10%.
     rng = np.random.default_rng(0)
     n, terms = 1000, 200
     adj = SparseMatrix.from_dense(random_symmetric_adjacency(rng, n, 0.01))
@@ -599,7 +615,7 @@ def test_gated_fit_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.1 * 13.09e6, peak
+    assert peak < 1.1 * 7.07e6, peak
 
 
 @pytest.mark.parametrize("case, error, message", [
@@ -998,3 +1014,50 @@ def test_train_checks_kind_and_config(rng):
         train("gcn-nohighway", a_hat, x, adj, labels, 3, part, GcnConfig(hidden=4), train_cfg)
     with pytest.raises(ArgumentError, match="mlp needs a MlpConfig, got GcnConfig"):
         train("mlp", a_hat, x, adj, labels, 3, part, GcnConfig(hidden=4), train_cfg)
+
+
+_DTYPE_CASES = {
+    "gcn": ("gcn", GcnConfig(hidden=5, layers=3)),
+    "gcn-nohighway": ("gcn", GcnConfig(hidden=5, layers=3, highway=False)),
+    "gcn-lp": ("gcn-lp", GcnConfig(hidden=5, layers=2)),
+    "mlp": ("mlp", MlpConfig(6)),
+    "dcca": ("dcca", DccaConfig(proj_hidden=4, proj_out=3, reg=1e-3, stage1_epochs=2,
+                                clf_hidden=6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DTYPE_CASES))
+def test_training_keeps_its_kind_dtype(rng, monkeypatch, case):
+    # gcn, gcn-lp and mlp train in float32 end to end: a float64 constant in
+    # any product would upcast the logits, the loss or a gradient. dcca
+    # stays float64, and so does gcn-lp's label block.
+    adj, a_hat, x, labels, part = _instance(rng, n=16)
+    monkeypatch.setattr(models, "LP_TRIGGER_ACCURACY", 0.0)
+    seen = []
+    step, loss_of = ParamSet.adam_step, ad.softmax_cross_entropy
+
+    def stepped(self, *args, **kwargs):
+        seen.extend(t.grad.dtype for t in self.values())
+        step(self, *args, **kwargs)
+        seen.extend(t.data.dtype for t in self.values())
+        seen.extend(arr.dtype for arr in [*self._m.values(), *self._v.values()])
+
+    def loss(logits, targets):
+        out = loss_of(logits, targets)
+        seen.extend([logits.data.dtype, out.data.dtype])
+        return out
+
+    monkeypatch.setattr(ParamSet, "adam_step", stepped)
+    monkeypatch.setattr(ad, "softmax_cross_entropy", loss)
+    kind, cfg = _DTYPE_CASES[case]
+    model, _ = train(kind, a_hat, x, adj, labels, 3, part, cfg,
+                     TrainConfig(lr=0.01, epochs=2, dropout=0.5, seed=0))
+    seen.extend(t.data.dtype for t in model.params.values())
+    seen.append(predict_logits(model, a_hat, x, adj).dtype)
+    assert len(seen) > 4 * len(model.params)
+    assert set(seen) == {np.dtype(np.float64 if kind == "dcca" else np.float32)}
+    if kind == "gcn-lp":
+        block = model.state["label_block"]
+        held_out = np.setdiff1d(np.arange(16), part.train_idx)
+        assert block.dtype == np.float64 and np.all(block[held_out] > 0.0)
+        np.testing.assert_allclose(block[held_out].sum(axis=1), 1.0, rtol=0, atol=1e-12)

@@ -50,6 +50,22 @@ def test_matmul_dense_shape_checks(rng):
         s.matmul_dense(np.zeros(3))
 
 
+def test_float32_twin_is_built_once_and_shares_the_indices(rng):
+    dense = rng.random((5, 4)) * (rng.random((5, 4)) < 0.5)
+    s = SparseMatrix.from_dense(dense)
+    assert s.dtype == np.float64 and s.astype(np.float64) is s
+    twin = s.astype(np.float32)
+    assert twin.dtype == np.float32 and s.astype(np.float32) is twin
+    assert twin.astype(np.float32) is twin
+    assert np.shares_memory(twin.csr.indices, s.csr.indices)
+    assert np.shares_memory(twin.csr.indptr, s.csr.indptr)
+    np.testing.assert_array_equal(twin.to_dense(), dense.astype(np.float32))
+    # A product follows the wider dtype of its two operands.
+    w = rng.random((4, 3))
+    assert (twin @ w.astype(np.float32)).dtype == np.float32
+    assert (s @ w.astype(np.float32)).dtype == np.float64
+
+
 def test_transpose(rng):
     a = rng.random((4, 6)) * (rng.random((4, 6)) < 0.5)
     s = SparseMatrix.from_dense(a)
