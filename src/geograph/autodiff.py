@@ -162,11 +162,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...],
     return Tensor(data)
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
-
-
 # ---------------------------------------------------------------------------
 # linear ops
 
@@ -390,7 +385,8 @@ def highway(h_new: Tensor, h_in: Tensor, wg: Tensor, bg: Tensor) -> Tensor:
     their order, so the bytes are theirs, but write in place into arrays they
     have just made.
     """
-    _check_same_shape(h_new, h_in, "highway")
+    if h_new.data.shape != h_in.data.shape:
+        raise ShapeError(f"highway: shapes {h_new.data.shape} and {h_in.data.shape} differ")
     k = h_in.data.shape[1]
     if wg.data.shape != (k, k) or bg.data.shape != (k,):
         raise ShapeError(f"highway: gate {wg.data.shape} + {bg.data.shape} on width {k}")
@@ -448,9 +444,6 @@ class DropoutMask(NamedTuple):
         out *= self.scale
         return out
 
-    def take_rows(self, idx: np.ndarray) -> "DropoutMask":
-        return self._replace(keep=self.keep[idx])
-
 
 def dropout(x: Tensor, mask: DropoutMask) -> Tensor:
     """Inverted dropout by a precomputed mask."""
@@ -463,8 +456,6 @@ def make_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], p: float
     """Sample an inverted-dropout mask that drops each entry with probability p."""
     if not 0.0 <= p < 1.0:
         raise NumericError(f"dropout probability {p} outside [0, 1)")
-    if p == 0.0:
-        return DropoutMask(np.ones(shape, dtype=bool), 1.0)
     return DropoutMask(rng.random(shape) >= p, 1.0 / (1.0 - p))
 
 

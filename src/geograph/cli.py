@@ -117,11 +117,11 @@ def train(users_path, edges_path, model_name, hidden, layers, bucket,
 
 
 def _write_predictions(path, bundle: DatasetBundle, preds, tree) -> None:
-    reps = tree.representatives
+    reps = tree.rep_coords.tolist()
     lines = ["id,split,class_id,pred_lat,pred_lon"]
     for i, uid in enumerate(bundle.ids):
-        rep = reps[preds[i]]
-        lines.append(f"{uid},{bundle.splits[i]},{preds[i]},{rep.lat!r},{rep.lon!r}")
+        lat, lon = reps[preds[i]]
+        lines.append(f"{uid},{bundle.splits[i]},{preds[i]},{lat!r},{lon!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

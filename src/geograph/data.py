@@ -202,6 +202,9 @@ class SyntheticConfig:
     dev_frac: float = 0.2
 
     def __post_init__(self):
+        for name, low in (("n_users", 1), ("words_per_user", 0), ("jitter_deg", 0)):
+            if not getattr(self, name) >= low:
+                raise ArgumentError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.n_regions < 2:
             raise ArgumentError("need at least 2 regions")
         if not (0.0 <= self.p_out < self.p_in <= 1.0):
@@ -292,8 +295,6 @@ def subsample_labels(bundle: DatasetBundle, fraction: float, seed: int) -> Parti
     if train.size == 0:
         raise ArgumentError("dataset has no train split")
     count = math.ceil(fraction * train.size)
-    if count == 0:
-        raise ArgumentError(f"fraction {fraction} selects zero labeled users")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     labeled = np.sort(rng.choice(train, size=count, replace=False))
     return Partition(

@@ -24,14 +24,16 @@ for every user:
   standardized over all users.
 
 Every constant input, a dense array, a ``SparseMatrix``, ``Blocks`` or
-``Propagated``, offers numpy's operand spelling, ``x @ w``, ``x.T @ g`` and
-``x[rows]``, and is read through it alone.
+``Propagated``, offers numpy's operand spelling, ``x @ w`` and ``x.T @ g``,
+and is read through it alone. All but ``Propagated`` also offer ``x[rows]``:
+only the row-local kinds take rows of their inputs, and they never hold one.
 
 ``gcn``, ``gcn-lp`` and ``mlp`` compute in float32 and ``dcca`` in float64
 (``ModelKind.dtype``). ``train`` draws weights in float64, so the random
 streams do not depend on the dtype, then casts them, the operands and the
 targets once; prediction casts the operands alike. gcn-lp's label block stays
-float64, and its operand reads a copy in the kind's dtype.
+float64, and its operand, rebuilt after every epoch, reads a copy in the
+kind's dtype.
 
 Every model predicts one of the region-tree classes per user. Training never
 reads labels or coordinates outside the labeled index set; held-out users
@@ -336,9 +338,6 @@ def lp_input(adjacency: SparseMatrix, label_block: np.ndarray) -> Blocks:
     """Rows ``[binary adjacency | per-class label weights]`` for gcn-lp.
 
     The rows hold ``label_block`` itself, not a copy."""
-    n = adjacency.shape[0]
-    if label_block.shape[0] != n:
-        raise ShapeError(f"label block has {label_block.shape[0]} rows for {n} nodes")
     return Blocks(adjacency, label_block)
 
 
@@ -358,9 +357,6 @@ class Propagated(NamedTuple):
     @property
     def T(self) -> Propagated:
         return Propagated(self.right.T, self.left.T)
-
-    def __getitem__(self, idx: np.ndarray) -> Propagated:
-        return Propagated(self.left[idx], self.right)
 
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
         return self.left @ (self.right @ dense)
@@ -384,9 +380,9 @@ def propagate(a_hat: SparseMatrix, x: SparseMatrix) -> np.ndarray | Propagated:
 # input builder ``inputs(model, a_hat, x, adjacency)`` and a forward path
 # ``forward(params, cfg, a_hat, inputs, masks, rows=None)``, which computes the
 # logits of every node, or of ``rows.idx`` alone, and a dtype. gcn-lp's
-# ``after_epoch`` gets float64 eval-mode probabilities for every node, the
-# training accuracy after each update and the inputs, and writes the label
-# block and the copy its inputs read in place. The wiring
+# ``after_epoch`` gets float64 eval-mode probabilities for every node and the
+# training accuracy after each update, and writes the label block in place;
+# ``train`` then rebuilds the inputs from it. The wiring
 # looks up the public forward functions by module-global name at call time, so
 # replacing a module attribute (to time it, say) reaches every call.
 
@@ -467,13 +463,11 @@ def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
     held_out = np.setdiff1d(np.arange(n), train_idx)
     latched = False
 
-    def after_epoch(probs: np.ndarray, train_acc: float, inputs: Propagated) -> None:
+    def after_epoch(probs: np.ndarray, train_acc: float) -> None:
         nonlocal latched
         latched = latched or train_acc >= trigger
         if latched:
             label_block[held_out] = probs[held_out]
-            operand_block = inputs.right.right  # the copy ``_gcn_lp_inputs`` made
-            operand_block[held_out] = label_block[held_out]
 
     return TrainedModel("gcn-lp", {}, meta, {"label_block": label_block}), params, after_epoch
 
@@ -506,10 +500,7 @@ def _dcca_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
             loss = cca_loss(*_projections(params, cfg, a_hat, x), cfg.reg)
         except NumericError as exc:  # the projections themselves overflowed
             raise NumericError(f"dcca stage 1 diverged at epoch {epoch + 1}: {exc}") from exc
-        _check_finite(loss, epoch, "dcca stage 1")
-        params.zero_grads()
-        ad.backward(loss)
-        params.adam_step(cfg.stage1_lr)
+        _step(params, loss, cfg.stage1_lr, epoch, "dcca stage 1")
     return TrainedModel("dcca", params.constants(), meta), clf, None
 
 
@@ -556,10 +547,13 @@ def _mlp_logits(params: Params, cfg, a_hat, inputs, masks, rows=None, prefix="")
     # whichever rows are computed.
     mask = masks[0] if masks else None
     if rows is not None:
-        inputs, mask = rows.operand, None if mask is None else mask.take_rows(rows.idx)
+        inputs = rows.operand
+        mask = None if mask is None else ad.DropoutMask(mask.keep[rows.idx], mask.scale)
     return mlp_forward(inputs, params, mask, prefix)
 
 
+# Only gcn-lp's set-up returns an ``after_epoch`` hook, so only its inputs are
+# rebuilt each epoch; gcn's dense ``propagate`` operand never is.
 @dataclass(frozen=True)
 class ModelKind:
     config: type
@@ -674,10 +668,7 @@ def train(
                      for _ in range(mask_count)]
         loss = ad.softmax_cross_entropy(entry.forward(params, cfg, a_hat, inputs, masks, rows),
                                         targets)
-        _check_finite(loss, epoch)
-        params.zero_grads()
-        ad.backward(loss)
-        params.adam_step(train_cfg.lr)
+        _step(params, loss, train_cfg.lr, epoch)
 
         train_acc, score = float("nan"), None
         if after_epoch is not None or dev_score is not None:
@@ -688,7 +679,8 @@ def train(
             preds = probs.argmax(axis=1)
             train_acc = float(np.mean(preds[train_idx] == labels[train_idx]))
             if after_epoch is not None:
-                after_epoch(probs, train_acc, inputs)
+                after_epoch(probs, train_acc)
+                inputs = entry.inputs(model, a_hat, x, adjacency)
             if stopping:
                 score = dev_score(preds)
         history.append(EpochLog(epoch, float(loss.data), train_acc, score))
@@ -708,9 +700,14 @@ def train(
     return model, history
 
 
-def _check_finite(loss: Tensor, epoch: int, stage: str = "training") -> None:
+def _step(params: ParamSet, loss: Tensor, lr: float, epoch: int,
+          stage: str = "training") -> None:
+    """One Adam update of ``params`` down the gradient of a finite ``loss``."""
     if not math.isfinite(loss.data):
         raise NumericError(f"{stage} diverged: loss is {float(loss.data)} at epoch {epoch + 1}")
+    params.zero_grads()
+    ad.backward(loss)
+    params.adam_step(lr)
 
 
 # --------------------------------------------------------------------------

@@ -45,9 +45,6 @@ class ParamSet(dict[str, Tensor]):
             self._m[name] = self._m[name].astype(dtype, copy=False)
             self._v[name] = self._v[name].astype(dtype, copy=False)
 
-    def names(self) -> list[str]:
-        return list(self)
-
     def zero_grads(self) -> None:
         for t in self.values():
             t.grad = np.zeros_like(t.data)

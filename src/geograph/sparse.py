@@ -5,15 +5,15 @@ within each row, no duplicate entries, no explicitly stored zeros, and only
 finite values. ``from_triplets``, through which ``from_dense`` also builds, is
 where raw values enter and establishes all of that: it sums duplicates, drops
 zeros, sorts each row and rejects non-finite values. The constructor stores
-its argument without copying or checking it, so ``take_rows``, ``transpose``
+its argument without copying or checking it, so row selection, ``transpose``
 and ``hstack`` rely on scipy returning canonical results for canonical inputs
 (a test pins this).
 
 Construction holds float64 values; ``astype(np.float32)`` gives a float32 twin,
 built once and kept. A product is in the wider of its operands' dtypes.
 
-A matrix reads as a numpy array does: ``s @ dense``, ``s.T`` and ``s[rows]``
-are ``matmul_dense``, ``transpose()`` and ``take_rows``.
+A matrix reads as a numpy array does: ``s @ dense`` and ``s.T`` are
+``matmul_dense`` and ``transpose()``, and rows are read through ``s[rows]``.
 """
 
 from __future__ import annotations
@@ -106,16 +106,13 @@ class SparseMatrix:
         # Looked up at call time, so a replaced ``matmul_dense`` runs here too.
         return self.matmul_dense(dense)
 
-    def take_rows(self, idx: np.ndarray) -> "SparseMatrix":
+    def __getitem__(self, idx: np.ndarray) -> "SparseMatrix":
         """The rows ``idx``, in that order, as a (len(idx), cols) matrix.
 
         Each kept row holds the same entries in the same order, so a product
         with it sums the same terms as the full product's row.
         """
         return SparseMatrix(self._csr[np.asarray(idx, dtype=np.intp)])
-
-    def __getitem__(self, idx: np.ndarray) -> "SparseMatrix":
-        return self.take_rows(idx)
 
     def transpose(self) -> "SparseMatrix":
         """The transpose, built once; a matrix equal to its own transpose entry

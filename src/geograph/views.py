@@ -30,17 +30,6 @@ from .sparse import SparseMatrix
 _MENTION = re.compile(r"(?:^|[^\w@])@(\w+)")
 
 
-def _words(lowered: str) -> list[str]:
-    """The word tokens of a lowercased document: whitespace chunks that are not mentions."""
-    return [t for t in lowered.split() if not t.startswith("@")]
-
-
-def tokenize(text: str) -> tuple[list[str], list[str]]:
-    """Split one document into (word tokens, mentioned handles), lowercased."""
-    lowered = text.lower()
-    return _words(lowered), _MENTION.findall(lowered)
-
-
 @dataclass(frozen=True)
 class Vocabulary:
     """Fixed term list with document frequencies from the fitting corpus."""
@@ -78,16 +67,17 @@ class Vocabulary:
 def _document_words(texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Tokenize each document once into the ids of its distinct words.
 
+    A word is a lowercased whitespace chunk that does not start with ``@``.
     Returns the words in id order, the concatenated per-document id lists and
     their row offsets (document ``i`` holds ``ids[offsets[i]:offsets[i + 1]]``).
-    Mentions are skipped; only the current document's tokens are held as
-    strings.
+    Only the current document's tokens are held as strings.
     """
     word_ids: dict[str, int] = {}
     ids = array("q")
     offsets = array("q", [0])
     for text in texts:
-        ids.extend(word_ids.setdefault(w, len(word_ids)) for w in set(_words(text.lower())))
+        words = {t for t in text.lower().split() if not t.startswith("@")}
+        ids.extend(word_ids.setdefault(w, len(word_ids)) for w in words)
         offsets.append(len(ids))
     return list(word_ids), np.frombuffer(ids, dtype=np.int64), np.frombuffer(offsets, dtype=np.int64)
 
@@ -102,12 +92,6 @@ def _fit_vocabulary(words: list[str], ids: np.ndarray, n_docs: int, min_df: int 
     ceiling = max_df_ratio * n_docs
     kept = sorted((words[i], c) for i, c in enumerate(counts) if c >= min_df and c <= ceiling)
     return Vocabulary(terms=tuple(t for t, _ in kept), df=tuple(c for _, c in kept), n_docs=n_docs)
-
-
-def build_vocabulary(texts: list[str], min_df: int = 2, max_df_ratio: float = 0.5) -> Vocabulary:
-    """Collect terms whose document frequency lies in [min_df, max_df_ratio * N]."""
-    words, ids, _ = _document_words(texts)
-    return _fit_vocabulary(words, ids, len(texts), min_df, max_df_ratio)
 
 
 def build_text_view(texts: list[str], vocab: Vocabulary | None = None, **vocab_kwargs) -> tuple[SparseMatrix, Vocabulary]:
@@ -148,8 +132,7 @@ def extract_mention_pairs(user_ids: list[str], texts: list[str]) -> list[tuple[s
         raise ShapeError(f"{len(user_ids)} ids vs {len(texts)} documents")
     pairs = []
     for uid, text in zip(user_ids, texts):
-        _, mentions = tokenize(text)
-        for h in sorted(set(mentions)):
+        for h in sorted(set(_MENTION.findall(text.lower()))):
             pairs.append((uid, h))
     return pairs
 

@@ -84,7 +84,7 @@ def _gradient_check_variants(rng):
     targets = one_hot(rng.integers(0, classes, rows.size), classes)
     # Training computes logits for the labeled rows alone: the graph models
     # through those rows of a_hat, the row-local ones from those input rows.
-    a_rows = a_hat.take_rows(rows)
+    a_rows = a_hat[rows]
 
     def ce(logits):
         return ad.softmax_cross_entropy(logits, targets)
@@ -112,7 +112,7 @@ def _gradient_check_variants(rng):
         lambda ps: ce(gcn_forward(a_hat, lp_features, ps, lp_cfg, out_rows=a_rows)),
     ))
 
-    xcat = hstack([x, a_hat]).take_rows(rows)
+    xcat = hstack([x, a_hat])[rows]
     mlp_params = init_mlp_params(rng, terms + n, 5, classes)
     variants.append(("mlp", mlp_params, lambda ps: ce(mlp_forward(xcat, ps))))
 
@@ -158,9 +158,9 @@ def test_criterion_1_gradients_match_finite_differences():
                     ps.add(pname, arr)
                 return float(loss_of(ps).data)
 
-            values = {p: params[p].data.copy() for p in params.names()}
+            values = {p: params[p].data.copy() for p in params}
             fd = fd_gradient(loss_fn, values, h=1e-5)
-            for pname in params.names():
+            for pname in params:
                 # floor treats sub-1e-6 gradients as zero-scale so finite
                 # difference noise on exactly-zero gradients is not amplified
                 rel = max_relative_error(params[pname].grad, fd[pname], floor=1e-6)

@@ -278,6 +278,22 @@ def test_train_rejects_nonpositive_lr(corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_early_stop_end_to_end(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--n-users", "300", "--seed", "0"]) == 0
+    corpus = (data / "users.jsonl", data / "edges.tsv")
+    # The CLI's own dropout, lr and bucket, which ``_train_args`` overrides.
+    flags = {"--hidden": "16", "--epochs": "40", "--dropout": "0.5", "--lr": "0.001",
+             "--bucket": "50", "--early-stop": None}
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for out in runs:
+        assert main(_train_args(corpus, out, **flags)) == 0
+    report = json.loads((runs[0] / "report.json").read_text())
+    assert report["epochs_run"] <= 40
+    assert report["config"]["early_stop"] is True
+    assert (runs[0] / "model.ckpt").read_bytes() == (runs[1] / "model.ckpt").read_bytes()
+
+
 def test_early_stop_without_dev_users_exits_1(corpus, tmp_path, capsys):
     users, edges = corpus
     rows = [json.loads(line) for line in users.read_text().splitlines()]
@@ -325,6 +341,7 @@ def test_train_rejects_zero_width_mlp(corpus, tmp_path, capsys):
     ({"bucket": 0}, "bucket must be >= 1, got 0"),
     ({"lam": -1.0}, "lam must be >= 0, got -1.0"),
     ({"max_df_ratio": 0.0}, "max_df_ratio must be in (0, 1], got 0.0"),
+    ({"dataset": {"synthetic": {"jitter_deg": -1}}}, "jitter_deg must be >= 0, got -1"),
 ])
 def test_sweep_rejects_bad_spec_field(corpus, tmp_path, capsys, fields, message):
     users, edges = corpus
@@ -333,6 +350,32 @@ def test_sweep_rejects_bad_spec_field(corpus, tmp_path, capsys, fields, message)
     assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, out, message", [
+    ({"dataset": {"synthetic": {"n_users": 60}}}, False, "no output directory"),
+    ({}, True, "sweep spec needs a 'dataset' entry"),
+    ({"dataset": {"users": "u.jsonl"}}, True, "must give 'users'+'edges' or 'synthetic'"),
+])
+def test_sweep_needs_out_and_dataset(tmp_path, capsys, spec, out, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    args = ["sweep", "--spec", str(path)] + (["--out", str(tmp_path / "out")] if out else [])
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n-users", "-3"], "n_users must be >= 1, got -3"),
+    (["--n-users", "0"], "n_users must be >= 1, got 0"),
+    (["--words-per-user", "-1"], "words_per_user must be >= 0, got -1"),
+])
+def test_synth_rejects_bad_sizes(tmp_path, capsys, flags, message):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_every_readme_flag_exists():

@@ -226,9 +226,35 @@ def test_subsample_labels_sizes():
 
 
 def test_synthetic_config_validation():
-    with pytest.raises(ArgumentError):
-        SyntheticConfig(p_in=0.001, p_out=0.01)
-    with pytest.raises(ArgumentError):
-        SyntheticConfig(vocab_size=3, n_regions=4)
-    with pytest.raises(ArgumentError):
-        SyntheticConfig(train_frac=0.8, dev_frac=0.2)
+    for fields, message in [
+        ({"p_in": 0.001, "p_out": 0.01}, "need 0 <= p_out < p_in <= 1"),
+        ({"vocab_size": 3, "n_regions": 4}, "vocab too small"),
+        ({"train_frac": 0.8, "dev_frac": 0.2}, "must leave room for a test split"),
+        ({"n_users": 0}, "n_users must be >= 1, got 0"),
+        ({"n_users": -3}, "n_users must be >= 1, got -3"),
+        ({"words_per_user": -1}, "words_per_user must be >= 0, got -1"),
+        ({"jitter_deg": -1.0}, "jitter_deg must be >= 0, got -1.0"),
+        ({"jitter_deg": float("nan")}, "jitter_deg must be >= 0, got nan"),
+        ({"n_regions": 1}, "need at least 2 regions"),
+        ({"region_word_weight": 1.5}, "region_word_weight must be in"),
+    ]:
+        with pytest.raises(ArgumentError, match=message):
+            SyntheticConfig(**fields)
+
+
+def test_subsample_labels_needs_train_users():
+    bundle = DatasetBundle(["a", "b"], ["x", "y"], [(1.0, 2.0), (3.0, 4.0)], ["dev", "test"], [])
+    with pytest.raises(ArgumentError, match="dataset has no train split"):
+        subsample_labels(bundle, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["[1, 2]"], ":1: expected an object"),
+    ([_user("a"), '"text"'], ":2: expected an object"),
+    ([], "no users"),
+    (["", "  "], "no users"),
+])
+def test_load_rejects_non_objects_and_empty_files(tmp_path, lines, message):
+    users, edges = _write_dataset(tmp_path, lines, [])
+    with pytest.raises(DataFormatError, match=message):
+        load_dataset(users, edges)

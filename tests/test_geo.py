@@ -113,6 +113,24 @@ def test_tree_partition_matches_reference(rng, n, bucket, dup):
     assert member_sets == [sorted(leaf) for leaf in expected]
 
 
+@given(st.lists(st.tuples(st.sampled_from([-10.0, 0.0, 0.5, 20.0]),
+                          st.sampled_from([5.0, 5.25, 60.0])), min_size=1, max_size=40),
+       st.integers(1, 6))
+def test_tree_partition_matches_reference_on_repeated_points(coords, bucket):
+    # Few distinct values, so a lower median often equals the axis maximum.
+    points = np.array(coords)
+    tree = RegionTree.build(points, bucket)
+    assert _leaf_index_sets(tree, points) == [sorted(leaf) for leaf in kd_partition(coords, bucket)]
+
+
+def test_tree_cut_at_axis_maximum_moves_down():
+    # The lower median of latitudes [0, 5, 5, 5] is their maximum, so the cut
+    # drops to 0: both branches are nonempty, and the leaves partition the points.
+    points = np.array([[5.0, 1.0], [0.0, 1.0], [5.0, 1.0], [5.0, 1.0]])
+    tree = RegionTree.build(points, 1)
+    assert _leaf_index_sets(tree, points) == [[1], [0, 2, 3]]
+
+
 def _leaf_index_sets(tree, points):
     # recover which original indices landed in each leaf via assign_many()
     classes = tree.assign_many(points)

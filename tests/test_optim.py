@@ -28,7 +28,7 @@ def test_paramset_basic_accounting():
     ps.add("b", np.zeros(2))
     assert len(ps) == 2
     assert "w" in ps and "missing" not in ps
-    assert ps.names() == ["b", "w"] or ps.names() == ["w", "b"]
+    assert list(ps) == ["b", "w"] or list(ps) == ["w", "b"]
     with pytest.raises(ArgumentError):
         ps.add("w", np.zeros(1))
 

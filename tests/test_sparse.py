@@ -132,14 +132,14 @@ def _assert_canonical(s):
 
 
 def test_derived_matrices_come_out_canonical(rng):
-    """``take_rows``, ``transpose`` and ``hstack`` wrap scipy's results without
+    """Row selection, ``transpose`` and ``hstack`` wrap scipy's results without
     re-canonicalizing them; this holds only while scipy returns them
     canonical, bit for bit equal to a canonicalized copy."""
     a = _messy(rng, 30, 20)
     b = _messy(rng, 30, 9)
     _assert_canonical(a)
-    _assert_canonical(a.take_rows(np.array([3, 0, 17, 17, 29, 5])))
+    _assert_canonical(a[np.array([3, 0, 17, 17, 29, 5])])
     _assert_canonical(a.transpose())
-    _assert_canonical(a.take_rows(np.arange(0, 30, 2)).transpose())
+    _assert_canonical(a[np.arange(0, 30, 2)].transpose())
     dense = rng.standard_normal((30, 4)) * (rng.random((30, 4)) < 0.5)
     _assert_canonical(hstack([a, b, SparseMatrix.from_dense(dense)]))

@@ -12,10 +12,8 @@ from geograph.views import (
     Vocabulary,
     build_mention_graph,
     build_text_view,
-    build_vocabulary,
     extract_mention_pairs,
     normalize_adjacency,
-    tokenize,
 )
 import oracles
 from oracles import dense_normalized_adjacency
@@ -25,22 +23,23 @@ from conftest import random_symmetric_adjacency
 # --- tokenization -----------------------------------------------------------
 
 
-def test_tokenize_lowercases_and_splits():
-    words, mentions = tokenize("Hello WORLD again hello")
-    assert words == ["hello", "world", "again", "hello"]
-    assert mentions == []
+def _fitted_terms(texts: list[str]) -> tuple[str, ...]:
+    return build_text_view(texts, min_df=1, max_df_ratio=1.0)[1].terms
 
 
-def test_tokenize_extracts_leading_at_mentions():
-    words, mentions = tokenize("ping @Alice and (@Bob) but not en@ron")
-    assert mentions == ["alice", "bob"]
-    assert "en@ron" in words
-    assert all(not w.startswith("@") for w in words if w != "en@ron")
+def test_words_are_lowercased_whitespace_chunks():
+    assert _fitted_terms(["Hello WORLD again hello"]) == ("again", "hello", "world")
 
 
-def test_tokenize_mention_punctuation_boundary():
-    _, mentions = tokenize("@carol! talked to @dave, right?")
-    assert mentions == ["carol", "dave"]
+def test_leading_at_mentions_are_handles_not_words():
+    text = "ping @Alice and (@Bob) but not en@ron"
+    assert extract_mention_pairs(["u"], [text]) == [("u", "alice"), ("u", "bob")]
+    assert _fitted_terms([text]) == ("(@bob)", "and", "but", "en@ron", "not", "ping")
+
+
+def test_mention_punctuation_boundary():
+    pairs = extract_mention_pairs(["u"], ["@carol! talked to @dave, right?"])
+    assert pairs == [("u", "carol"), ("u", "dave")]
 
 
 # --- vocabulary and tf-idf --------------------------------------------------
@@ -48,12 +47,21 @@ def test_tokenize_mention_punctuation_boundary():
 
 def test_vocabulary_df_window():
     texts = ["common rare1 a", "common rare2 a", "common a", "common a"]
-    vocab = build_vocabulary(texts, min_df=2, max_df_ratio=0.5)
+    vocab = build_text_view(texts, min_df=2, max_df_ratio=0.5)[1]
     # "common" and "a" appear in all 4 docs (df > 0.5*4); rare terms only once
     assert vocab.terms == ()
-    vocab2 = build_vocabulary(texts, min_df=1, max_df_ratio=1.0)
+    vocab2 = build_text_view(texts, min_df=1, max_df_ratio=1.0)[1]
     assert set(vocab2.terms) == {"common", "a", "rare1", "rare2"}
     assert list(vocab2.terms) == sorted(vocab2.terms)
+
+
+@pytest.mark.parametrize("texts, options, message", [
+    ([], {}, "empty corpus"),
+    (["a b"], {"max_df_ratio": 0.0}, r"max_df_ratio must be in \(0, 1\], got 0.0"),
+])
+def test_text_view_rejects_bad_fits(texts, options, message):
+    with pytest.raises(ArgumentError, match=message):
+        build_text_view(texts, **options)
 
 
 def test_vocabulary_idf_formula():
@@ -111,7 +119,7 @@ def test_text_view_with_prefitted_vocab():
 
 def test_mentions_do_not_enter_vocabulary():
     texts = ["@alice hello", "@alice hello", "@alice there"]
-    vocab = build_vocabulary(texts, min_df=1, max_df_ratio=1.0)
+    vocab = build_text_view(texts, min_df=1, max_df_ratio=1.0)[1]
     assert "@alice" not in vocab.terms
     assert "alice" not in vocab.terms  # the handle is graph signal, not text
 
@@ -232,7 +240,6 @@ def test_text_view_matches_two_pass_oracle(texts, unseen, min_df, max_df_ratio):
     x, vocab = build_text_view(texts, min_df=min_df, max_df_ratio=max_df_ratio)
     terms, df, n_docs = oracles.vocabulary(texts, min_df, max_df_ratio)
     assert vocab == Vocabulary(terms=terms, df=df, n_docs=n_docs)
-    assert build_vocabulary(texts, min_df, max_df_ratio) == vocab
     _assert_same_csr(x, oracles.text_view(texts, terms, df, n_docs))
     y, same = build_text_view(unseen, vocab=vocab)
     assert same is vocab

@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Check that the working tree writes the same output bytes as a git ref.
+
+    python3 tools/same_outputs.py [--ref REF]
+
+Checks ``REF`` (default ``HEAD``) out with ``git worktree add --detach`` into a
+temporary directory and removes that worktree afterwards. In the worktree and
+in the working tree it runs the same fixed-seed runs: ``synth`` corpora of 300
+and 1,000 users; short ``train`` runs of every model kind, each followed by an
+``eval`` of its checkpoint; and a sweep of all five models over two labeled
+fractions, two depths and two seeds. Each run uses ``PYTHONPATH=<tree>/src``
+and ``OPENBLAS_NUM_THREADS=1``, so that BLAS sums in one order.
+
+Every file the runs write is compared byte for byte, except that ``seconds``,
+a wall-clock time, is dropped from each ``report.json`` first. Each file that
+differs or exists on one side only is printed, and the exit status is 1 if
+any does. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+_SHORT = ["--hidden", "16", "--epochs", "40"]
+_SMALL_DCCA = ["--proj-hidden", "8", "--proj-out", "4", "--stage1-epochs", "20"]
+# Run name -> (corpus, extra train arguments).
+TRAIN_RUNS = {
+    "gcn-d1": ("c300", ["--model", "gcn", "--layers", "1"]),
+    "gcn-d3": ("c300", ["--model", "gcn", "--layers", "3"]),
+    "gcn-nohighway-d3": ("c300", ["--model", "gcn-nohighway", "--layers", "3"]),
+    "gcn-lp-d2": ("c300", ["--model", "gcn-lp", "--layers", "2"]),
+    "mlp": ("c300", ["--model", "mlp", "--labeled-fraction", "0.5", "--tree-from", "all-train"]),
+    "gcn-early-stop": ("c300", ["--model", "gcn", "--early-stop"]),
+    "gcn-lp-early-stop": ("c300", ["--model", "gcn-lp", "--early-stop"]),
+    "dcca": ("c300", ["--model", "dcca", *_SMALL_DCCA]),
+    "gcn-d2-1000": ("c1000", ["--model", "gcn", "--layers", "2"]),
+}
+SWEEP = {
+    "models": ["gcn", "gcn-nohighway", "gcn-lp", "mlp", "dcca"],
+    "fractions": [0.5, 1.0],
+    "depths": [1, 2],
+    "seeds": [0, 1],
+    "hidden": 16,
+    "epochs": 40,
+    "dcca": {"proj_hidden": 8, "proj_out": 4, "stage1_epochs": 20},
+    "dataset": {"users": "c300/users.jsonl", "edges": "c300/edges.tsv"},
+}
+
+
+def run_all(tree: Path, out: Path) -> None:
+    """Write every run's outputs under ``out``, with the package of ``tree``."""
+    out.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+
+    def geograph(*args: str) -> str:
+        done = subprocess.run([sys.executable, "-m", "geograph", *args], cwd=out, env=env,
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            raise SystemExit(f"{tree}: geograph {' '.join(args)} exited {done.returncode}:\n"
+                             f"{done.stderr}")
+        return done.stdout
+
+    for corpus, users in (("c300", "300"), ("c1000", "1000")):
+        geograph("synth", "--out", corpus, "--n-users", users, "--seed", "0")
+    for name, (corpus, extra) in TRAIN_RUNS.items():
+        data = ["--users", f"{corpus}/users.jsonl", "--edges", f"{corpus}/edges.tsv"]
+        geograph("train", *data, *_SHORT, *extra, "--out", name)
+        (out / name / "eval.json").write_text(
+            geograph("eval", "--model", f"{name}/model.ckpt", *data), encoding="utf-8")
+    (out / "sweep.json").write_text(json.dumps(SWEEP), encoding="utf-8")
+    geograph("sweep", "--spec", "sweep.json", "--out", "sweep")
+
+
+def _without_seconds(value):
+    if isinstance(value, dict):
+        return {k: _without_seconds(v) for k, v in value.items() if k != "seconds"}
+    if isinstance(value, list):
+        return [_without_seconds(v) for v in value]
+    return value
+
+
+def _content(path: Path) -> bytes:
+    if path.name == "report.json":
+        return json.dumps(_without_seconds(json.loads(path.read_bytes())), sort_keys=True).encode()
+    return path.read_bytes()
+
+
+def differing_files(ref_out: Path, work_out: Path) -> tuple[list[str], int]:
+    """The relative paths whose contents differ, or that one side lacks, and
+    the number of paths compared."""
+    ref = {p.relative_to(ref_out) for p in ref_out.rglob("*") if p.is_file()}
+    work = {p.relative_to(work_out) for p in work_out.rglob("*") if p.is_file()}
+    differ = sorted(str(p) for p in ref ^ work) + sorted(
+        str(p) for p in ref & work if _content(ref_out / p) != _content(work_out / p))
+    return differ, len(ref | work)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--ref", default="HEAD", help="git ref to compare against (default HEAD)")
+    ref = parser.parse_args().ref
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        tmp = Path(tmp)
+        checkout = tmp / "ref"
+        subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
+                        str(checkout), ref], check=True)
+        try:
+            run_all(checkout, tmp / "ref-out")
+        finally:
+            subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force",
+                            str(checkout)], check=True)
+        run_all(REPO, tmp / "work-out")
+        differ, compared = differing_files(tmp / "ref-out", tmp / "work-out")
+    for path in differ:
+        print(f"differs: {path}")
+    print(f"{len(differ)} of {compared} files differ from {ref}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
