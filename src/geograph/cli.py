@@ -20,13 +20,15 @@ from . import checkpoint as ckpt
 from .data import DatasetBundle, SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from .errors import ArgumentError, DataFormatError, GeographError
 from .geo import RegionTree, evaluate, export_per_class_csv
-from .models import PATIENCE, DccaConfig, predict_classes
+from .models import PATIENCE, DccaConfig, GcnConfig, TrainConfig, predict_classes
 from .sweep import (MODEL_NAMES, SweepSpec, emit_report, load_sweep_file, run_cell, run_sweep,
                     spec_views)
 from .views import Vocabulary, build_mention_graph, build_text_view, normalize_adjacency
 
 
-_DCCA_DEFAULTS = DccaConfig()
+# The dataclasses each command's flags feed, read for the flags' defaults.
+_GCN_DEFAULTS, _SPEC_DEFAULTS, _TRAIN_DEFAULTS = GcnConfig(), SweepSpec(), TrainConfig()
+_DCCA_DEFAULTS, _SYNTH_DEFAULTS = DccaConfig(), SyntheticConfig()
 
 
 @click.group()
@@ -39,24 +41,24 @@ def cli():
 @click.option("--edges", "edges_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_name", type=click.Choice(MODEL_NAMES), default="gcn",
               show_default=True, help="Sweep model name; gcn-nohighway is gcn without gates.")
-@click.option("--hidden", default=300, show_default=True, help="Hidden layer width.")
-@click.option("--layers", default=1, show_default=True,
+@click.option("--hidden", default=_GCN_DEFAULTS.hidden, show_default=True,
+              help="Hidden layer width.")
+@click.option("--layers", default=_GCN_DEFAULTS.layers, show_default=True,
               help="Hidden graph-conv layers; the softmax layer adds one more hop.")
-@click.option("--bucket", default=50, show_default=True, help="Region tree leaf size target.")
-@click.option("--no-bucket-scale", is_flag=True,
-              help="Keep --bucket fixed instead of scaling it by the labeled fraction.")
-@click.option("--tree-from", type=click.Choice(["labeled", "all-train"]), default="labeled",
-              show_default=True,
+@click.option("--bucket", default=_SPEC_DEFAULTS.bucket, show_default=True,
+              help="Region tree leaf size target.")
+@click.option("--tree-from", type=click.Choice(["labeled", "all-train"]),
+              default=_SPEC_DEFAULTS.tree_from, show_default=True,
               help="Coordinates the region tree is built from; 'all-train' uses the whole "
                    "train split even when only a fraction of it is labeled.")
 @click.option("--labeled-fraction", default=1.0, show_default=True,
               help="Fraction of the train split whose labels are visible.")
-@click.option("--lambda", "lam", default=1.0, show_default=True,
+@click.option("--lambda", "lam", default=_SPEC_DEFAULTS.lam, show_default=True,
               help="Self-loop weight added before adjacency normalization.")
-@click.option("--dropout", default=0.5, show_default=True)
-@click.option("--lr", default=1e-3, show_default=True)
-@click.option("--epochs", default=200, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--dropout", default=_TRAIN_DEFAULTS.dropout, show_default=True)
+@click.option("--lr", default=_TRAIN_DEFAULTS.lr, show_default=True)
+@click.option("--epochs", default=_TRAIN_DEFAULTS.epochs, show_default=True)
+@click.option("--seed", default=_TRAIN_DEFAULTS.seed, show_default=True)
 @click.option("--early-stop", is_flag=True,
               help=f"Keep the epoch with the best dev median error (patience {PATIENCE}). "
                    "Needs dev users; trained weights then depend on their coordinates.")
@@ -67,14 +69,14 @@ def cli():
 @click.option("--stage1-epochs", default=_DCCA_DEFAULTS.stage1_epochs, show_default=True,
               help="dcca: correlation-training epochs.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def train(users_path, edges_path, model_name, hidden, layers, bucket,
-          no_bucket_scale, tree_from, labeled_fraction, lam, dropout, lr, epochs,
-          seed, early_stop, proj_hidden, proj_out, stage1_epochs, out_dir):
+def train(users_path, edges_path, model_name, hidden, layers, bucket, tree_from,
+          labeled_fraction, lam, dropout, lr, epochs, seed, early_stop, proj_hidden,
+          proj_out, stage1_epochs, out_dir):
     """Train one model and write checkpoint, report, and predictions."""
     start = time.perf_counter()
     dcca = {"proj_hidden": proj_hidden, "proj_out": proj_out, "stage1_epochs": stage1_epochs}
     spec = SweepSpec(hidden=hidden, epochs=epochs, lr=lr, dropout=dropout, bucket=bucket,
-                     bucket_scale=not no_bucket_scale, tree_from=tree_from, lam=lam, dcca=dcca)
+                     tree_from=tree_from, lam=lam, dcca=dcca)
     bundle = load_dataset(users_path, edges_path)
     views, a_hat = spec_views(bundle, spec)
     run = run_cell(bundle, views, a_hat, spec, model_name, labeled_fraction, layers, seed,
@@ -134,17 +136,13 @@ def sweep(spec_path, out_override):
     spec, dataset_cfg, out_dir = load_sweep_file(spec_path)
     out_dir = out_override or out_dir
     if out_dir is None:
-        raise ArgumentError("no output directory: pass --out or set 'out' in the spec")
-    if dataset_cfg is None:
-        raise ArgumentError("sweep spec needs a 'dataset' entry")
+        raise ArgumentError(f"{spec_path}: no output directory: pass --out or set 'out'")
     if "synthetic" in dataset_cfg:
         synth = dict(dataset_cfg["synthetic"])
         seed = synth.pop("seed", 0)
         bundle = generate_synthetic(SyntheticConfig(**synth), seed=seed)
-    elif "users" in dataset_cfg and "edges" in dataset_cfg:
-        bundle = load_dataset(dataset_cfg["users"], dataset_cfg["edges"])
     else:
-        raise ArgumentError("dataset entry must give 'users'+'edges' or 'synthetic'")
+        bundle = load_dataset(dataset_cfg["users"], dataset_cfg["edges"])
     report = run_sweep(bundle, spec)
     json_path, csv_path = emit_report(report, out_dir)
     failed = [c for c in report.cells if c.failed]
@@ -155,9 +153,6 @@ def sweep(spec_path, out_override):
             f"seed={cell.seed}: {cell.reason}",
             err=True,
         )
-
-
-_SYNTH_DEFAULTS = SyntheticConfig()
 
 
 @cli.command()
@@ -223,14 +218,15 @@ def _read_context(model_path, model, context: dict):
     """The vocabulary, region tree, lambda and co-mention cap a checkpoint
     holds, checked, since the file comes from outside."""
     try:
-        missing = [key for key in ("vocabulary", "tree") if key not in context]
+        missing = [key for key in ("vocabulary", "tree", "lam", "max_comention_degree")
+                   if key not in context]
         if missing:
             raise DataFormatError(f"context lacks {missing}")
         tree = RegionTree.from_dict(context["tree"])
         if model.meta.get("num_classes") != tree.num_classes:
             raise DataFormatError(f"model predicts {model.meta.get('num_classes')!r} classes "
                                   f"but its region tree has {tree.num_classes}")
-        lam, cap = context.get("lam", 1.0), context.get("max_comention_degree", 1000)
+        lam, cap = context["lam"], context["max_comention_degree"]
         if type(lam) not in (int, float) or not 0 <= lam < float("inf"):
             raise DataFormatError(f"context lam {lam!r} is no finite number >= 0")
         if type(cap) is not int or cap < 0:

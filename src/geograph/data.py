@@ -71,8 +71,8 @@ class DatasetBundle:
         bad = coordinate_error(self.coords)
         if bad:
             raise ArgumentError(f"user {self.ids[bad[0]]!r}: {bad[1]}")
-        if len(set(self.ids)) != n:
-            raise ArgumentError("duplicate user id")
+        if len({uid.lower() for uid in self.ids}) != n:
+            raise ArgumentError("duplicate user id (ids match case-insensitively)")
         bad = sorted(set(self.splits) - set(SPLITS))
         if bad:
             raise ArgumentError(f"unknown split tags {bad}")
@@ -90,7 +90,7 @@ def load_dataset(users_path, edges_path) -> DatasetBundle:
     """Parse the two-file dataset format, reporting bad lines by number."""
     users_path, edges_path = Path(users_path), Path(edges_path)
     ids, texts, latlon, splits, linenos = [], [], [], [], []
-    seen: set[str] = set()
+    seen: dict[str, int] = {}  # lower-cased id -> its index in ids
     with open(users_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -106,8 +106,10 @@ def load_dataset(users_path, edges_path) -> DatasetBundle:
             if missing:
                 raise DataFormatError(f"{users_path}:{lineno}: missing fields {missing}")
             uid = str(row["id"])
-            if uid in seen:
-                raise DataFormatError(f"{users_path}:{lineno}: duplicate id {uid!r}")
+            j = seen.get(uid.lower())
+            if j is not None:
+                raise DataFormatError(f"{users_path}:{lineno}: duplicate id {uid!r} (ids match "
+                                      f"case-insensitively: {ids[j]!r} on line {linenos[j]})")
             if row["split"] not in SPLITS:
                 raise DataFormatError(
                     f"{users_path}:{lineno}: split must be one of {SPLITS}, got {row['split']!r}"
@@ -121,7 +123,7 @@ def load_dataset(users_path, edges_path) -> DatasetBundle:
             except OverflowError:
                 raise DataFormatError(f"{users_path}:{lineno}: bad coordinates (an integer "
                                       "too large for a float)") from None
-            seen.add(uid)
+            seen[uid.lower()] = len(ids)
             ids.append(uid)
             texts.append(str(row["text"]))
             splits.append(row["split"])
@@ -183,6 +185,14 @@ def save_dataset(bundle: DatasetBundle, out_dir) -> tuple[Path, Path]:
     return users_path, edges_path
 
 
+# Fixed by the generator: the jitter around region centers (degrees), the
+# celebrity handles per region and each one's mention chance, the split shares.
+JITTER_DEG = 0.5
+CELEBRITIES_PER_REGION = 2
+CELEBRITY_MENTION_PROB = 0.05
+TRAIN_FRAC, DEV_FRAC = 0.6, 0.2
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     n_users: int = 1000
@@ -195,14 +205,9 @@ class SyntheticConfig:
     # where propagating information over edges visibly helps.
     words_per_user: int = 15
     region_word_weight: float = 0.3  # chance each token is region-flavored
-    jitter_deg: float = 0.5
-    celebrities_per_region: int = 2
-    celebrity_mention_prob: float = 0.05
-    train_frac: float = 0.6
-    dev_frac: float = 0.2
 
     def __post_init__(self):
-        for name, low in (("n_users", 1), ("words_per_user", 0), ("jitter_deg", 0)):
+        for name, low in (("n_users", 1), ("words_per_user", 0)):
             if not getattr(self, name) >= low:
                 raise ArgumentError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.n_regions < 2:
@@ -213,9 +218,6 @@ class SyntheticConfig:
             raise ArgumentError("region_word_weight must be in [0, 1]")
         if self.vocab_size < 2 * self.n_regions:
             raise ArgumentError("vocab too small to give every region its own terms")
-        if not (0.0 < self.train_frac and 0.0 <= self.dev_frac
-                and self.train_frac + self.dev_frac < 1.0):
-            raise ArgumentError("train/dev fractions must leave room for a test split")
 
 
 def generate_synthetic(config: SyntheticConfig = SyntheticConfig(), seed: int = 0) -> DatasetBundle:
@@ -240,7 +242,7 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig(), seed: int = 
         for r in range(regions)
     ]
     region_of = np.arange(n) % regions
-    coords = np.array(centers)[region_of] + rng.normal(0.0, cfg.jitter_deg, size=(n, 2))
+    coords = np.array(centers)[region_of] + rng.normal(0.0, JITTER_DEG, size=(n, 2))
     ids = [f"user{i:05d}" for i in range(n)]
 
     half = cfg.vocab_size // 2
@@ -269,13 +271,13 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig(), seed: int = 
 
     for r in range(regions):
         members = np.nonzero(region_of == r)[0]
-        for k in range(cfg.celebrities_per_region):
-            fans = members[rng.random(members.size) < cfg.celebrity_mention_prob]
+        for k in range(CELEBRITIES_PER_REGION):
+            fans = members[rng.random(members.size) < CELEBRITY_MENTION_PROB]
             pairs.extend((ids[i], f"celeb_r{r}_{k}") for i in fans)
 
     order = rng.permutation(n)
-    n_train = int(round(cfg.train_frac * n))
-    n_dev = int(round(cfg.dev_frac * n))
+    n_train = int(round(TRAIN_FRAC * n))
+    n_dev = int(round(DEV_FRAC * n))
     splits = [""] * n
     for pos, i in enumerate(order):
         splits[i] = "train" if pos < n_train else ("dev" if pos < n_train + n_dev else "test")

@@ -7,6 +7,9 @@ import numpy as np
 from .autodiff import Tensor, constant, parameter
 from .errors import ArgumentError, ShapeError
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Uniform init on +-sqrt(6 / (fan_in + fan_out))."""
@@ -49,29 +52,23 @@ class ParamSet(dict[str, Tensor]):
         for t in self.values():
             t.grad = np.zeros_like(t.data)
 
-    def adam_step(
-        self,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def adam_step(self, lr: float) -> None:
         """Bias-corrected first/second moment update; missing grads act as zero."""
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - beta1 ** t
-        bc2 = 1.0 - beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} != parameter {p.data.shape}")
             m = self._m[name]
             v = self._v[name]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     def constants(self) -> dict[str, Tensor]:
         """Each parameter's current array, not copied, as a constant tensor."""

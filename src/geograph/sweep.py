@@ -68,7 +68,6 @@ class SweepSpec:
     lr: float = 1e-2
     dropout: float = 0.5
     bucket: int = 50
-    bucket_scale: bool = True
     tree_from: str = "labeled"  # or "all-train": reuse the full train split
     lam: float = 1.0
     min_df: int = 2
@@ -90,7 +89,7 @@ class SweepSpec:
             raise ArgumentError(f"unknown models {unknown}; valid: {list(MODEL_NAMES)}")
         if any(d < 1 for d in self.depths):
             raise ArgumentError("depths must be >= 1")
-        tree_bucket(self.bucket, 1.0, self.bucket_scale, self.tree_from)  # checks both
+        tree_bucket(self.bucket, 1.0, self.tree_from)  # checks both
         if self.min_df < 0 or self.max_comention_degree < 0:
             raise ArgumentError("min_df and max_comention_degree must be >= 0")
         if not self.lam >= 0.0:
@@ -122,10 +121,10 @@ def _field_errors(values: dict, defaults: dict, where: str = "") -> list[str]:
     return errors
 
 
-def load_sweep_file(path) -> tuple[SweepSpec, dict | None, str | None]:
-    """Parse and check a sweep file: SweepSpec fields plus optional
-    ``dataset`` source ({"users": ..., "edges": ...} or {"synthetic":
-    {...generator config...}}) and optional ``out`` directory."""
+def load_sweep_file(path) -> tuple[SweepSpec, dict, str | None]:
+    """Parse and check a sweep file: SweepSpec fields plus a ``dataset``
+    source, exactly one of {"users": ..., "edges": ...} and {"synthetic":
+    {...generator config...}}, and an optional ``out`` directory."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -138,6 +137,13 @@ def load_sweep_file(path) -> tuple[SweepSpec, dict | None, str | None]:
     dataset, out = raw.pop("dataset", None), raw.pop("out", None)
     try:
         spec = SweepSpec(**raw)
+        if dataset is None:
+            raise ArgumentError("sweep spec needs a 'dataset' entry")
+        files = {"users", "edges"} & dataset.keys()
+        if files and "synthetic" in dataset:
+            raise ArgumentError("dataset names both 'users'+'edges' and 'synthetic'; give one")
+        if len(files) != 2 and "synthetic" not in dataset:
+            raise ArgumentError("dataset entry must give 'users'+'edges' or 'synthetic'")
     except ArgumentError as exc:
         raise ArgumentError(f"{path}: {exc}") from exc
     return spec, dataset, out
@@ -185,18 +191,18 @@ def spec_views(bundle: DatasetBundle, spec: SweepSpec) -> tuple[ViewMatrices, Sp
     return views, normalize_adjacency(views.adjacency, spec.lam)
 
 
-def tree_bucket(bucket: int, fraction: float, bucket_scale: bool, tree_from: str) -> int:
+def tree_bucket(bucket: int, fraction: float, tree_from: str) -> int:
     """The leaf-size target a region tree is built with.
 
     With few labeled points a full-size bucket collapses the tree to a single
-    class, so by default a tree of the labeled users scales the bucket as
+    class, so a tree of the labeled users scales the bucket as
     round(bucket * fraction), floored at 1. An all-train tree never scales it.
     """
     if tree_from not in ("labeled", "all-train"):
         raise ArgumentError("tree_from must be 'labeled' or 'all-train'")
     if bucket < 1:
         raise ArgumentError(f"bucket must be >= 1, got {bucket}")
-    if tree_from == "labeled" and bucket_scale:
+    if tree_from == "labeled":
         return max(1, int(round(bucket * fraction)))
     return bucket
 
@@ -206,7 +212,6 @@ def build_region_tree(
     partition: Partition,
     bucket: int,
     fraction: float,
-    bucket_scale: bool = True,
     tree_from: str = "labeled",
 ) -> RegionTree:
     """Discretize coordinates into classes, from the labeled users by default.
@@ -215,7 +220,7 @@ def build_region_tree(
     tree then ignores the labeled fraction, and the bucket is never scaled).
     Dev and test coordinates are excluded either way.
     """
-    size = tree_bucket(bucket, fraction, bucket_scale, tree_from)
+    size = tree_bucket(bucket, fraction, tree_from)
     idx = partition.train_idx if tree_from == "labeled" else bundle.split_indices("train")
     return RegionTree.build(bundle.coords[idx], size)
 
@@ -284,7 +289,7 @@ def run_config(spec: SweepSpec, model_name: str, fraction: float, depth: int, se
     config = {
         "epochs": spec.epochs, "lr": spec.lr, "dropout": spec.dropout, "seed": seed,
         "fraction": fraction,
-        "bucket": tree_bucket(spec.bucket, fraction, spec.bucket_scale, spec.tree_from),
+        "bucket": tree_bucket(spec.bucket, fraction, spec.tree_from),
         "tree_from": spec.tree_from, "lam": spec.lam, "early_stop": early_stop,
     }
     _, build = MODELS[model_name]
@@ -325,9 +330,7 @@ def run_cell(
     needs dev users and makes the trained weights depend on their coordinates.
     """
     partition = subsample_labels(bundle, fraction, seed)
-    tree = build_region_tree(
-        bundle, partition, spec.bucket, fraction, spec.bucket_scale, spec.tree_from
-    )
+    tree = build_region_tree(bundle, partition, spec.bucket, fraction, spec.tree_from)
     labels = labels_for_training(bundle, tree, partition.train_idx)
     dev_score = None
     if early_stop:

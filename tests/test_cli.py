@@ -341,7 +341,7 @@ def test_train_rejects_zero_width_mlp(corpus, tmp_path, capsys):
     ({"bucket": 0}, "bucket must be >= 1, got 0"),
     ({"lam": -1.0}, "lam must be >= 0, got -1.0"),
     ({"max_df_ratio": 0.0}, "max_df_ratio must be in (0, 1], got 0.0"),
-    ({"dataset": {"synthetic": {"jitter_deg": -1}}}, "jitter_deg must be >= 0, got -1"),
+    ({"dataset": {"synthetic": {"words_per_user": -1}}}, "words_per_user must be >= 0, got -1"),
 ])
 def test_sweep_rejects_bad_spec_field(corpus, tmp_path, capsys, fields, message):
     users, edges = corpus
@@ -356,13 +356,21 @@ def test_sweep_rejects_bad_spec_field(corpus, tmp_path, capsys, fields, message)
     ({"dataset": {"synthetic": {"n_users": 60}}}, False, "no output directory"),
     ({}, True, "sweep spec needs a 'dataset' entry"),
     ({"dataset": {"users": "u.jsonl"}}, True, "must give 'users'+'edges' or 'synthetic'"),
+    ({"dataset": {"users": "u.jsonl", "edges": "e.tsv", "synthetic": {"n_users": 60}}}, True,
+     "dataset names both 'users'+'edges' and 'synthetic'"),
 ])
-def test_sweep_needs_out_and_dataset(tmp_path, capsys, spec, out, message):
+def test_sweep_needs_out_and_dataset(tmp_path, capsys, monkeypatch, spec, out, message):
+    def no_load(*args, **kwargs):
+        raise AssertionError("a dataset was loaded before the sweep file was checked")
+
+    monkeypatch.setattr("geograph.cli.load_dataset", no_load)
+    monkeypatch.setattr("geograph.cli.generate_synthetic", no_load)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     args = ["sweep", "--spec", str(path)] + (["--out", str(tmp_path / "out")] if out else [])
     assert main(args) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err, err
     assert not (tmp_path / "out").exists()
 
 
@@ -386,6 +394,7 @@ def test_every_readme_flag_exists():
                for param in command.params for opt in param.opts}
     assert documented
     assert sorted(documented - options) == []
+    assert sorted(options - documented) == []
 
 
 def test_exit_code_bad_flag(capsys):
@@ -446,6 +455,10 @@ def _set(mapping, key, value):
 _CONTEXT_EDITS = {
     "no tree": (lambda h: h["context"].pop("tree"), "lacks ['tree']"),
     "no vocabulary": (lambda h: h["context"].pop("vocabulary"), "lacks ['vocabulary']"),
+    # The graph settings come from the checkpoint alone, never from a default.
+    "no lam": (lambda h: h["context"].pop("lam"), "lacks ['lam']"),
+    "no cap": (lambda h: h["context"].pop("max_comention_degree"),
+               "lacks ['max_comention_degree']"),
     "rep of a string": (lambda h: _set(h["context"]["tree"]["leaves"][0], "rep", ["x", 1]),
                         "leaf 0 needs"),
     "rep off the globe": (lambda h: _set(h["context"]["tree"]["leaves"][1], "rep", [95.0, 0.0]),

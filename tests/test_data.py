@@ -92,9 +92,13 @@ def test_load_rejects_bad_coordinates(tmp_path, field, value):
 
 
 def test_load_rejects_duplicate_ids(tmp_path):
-    users, edges = _write_dataset(tmp_path, [_user("a"), _user("a")], [])
-    with pytest.raises(DataFormatError):
-        load_dataset(users, edges)
+    # The mention graph matches ids case-insensitively, so loading does too.
+    for first, second in (("a", "a"), ("Al", "al")):
+        users, edges = _write_dataset(tmp_path, [_user(first), _user(second)], [])
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(users, edges)
+        assert str(err.value) == (f"{users}:2: duplicate id {second!r} (ids match "
+                                  f"case-insensitively: {first!r} on line 1)")
 
 
 def test_load_rejects_bad_edge_rows(tmp_path):
@@ -124,14 +128,15 @@ def test_empty_edges_file_is_valid(tmp_path):
 
 
 def test_bundle_validation():
-    with pytest.raises(ArgumentError):
-        DatasetBundle(
-            ids=["a", "a"],
-            texts=["t", "t"],
-            coords=np.zeros((2, 2)),
-            splits=["train", "dev"],
-            mention_pairs=[],
-        )
+    for ids in (["a", "a"], ["Al", "al"]):
+        with pytest.raises(ArgumentError, match="duplicate user id"):
+            DatasetBundle(
+                ids=ids,
+                texts=["t", "t"],
+                coords=np.zeros((2, 2)),
+                splits=["train", "dev"],
+                mention_pairs=[],
+            )
     with pytest.raises(ArgumentError):
         DatasetBundle(
             ids=["a"],
@@ -176,7 +181,7 @@ def test_synthetic_determinism():
 
 
 def test_synthetic_regions_are_spatially_tight():
-    cfg = SyntheticConfig(n_users=400, n_regions=4, jitter_deg=0.5)
+    cfg = SyntheticConfig(n_users=400, n_regions=4)
     bundle = generate_synthetic(cfg, seed=1)
     lats, lons = bundle.coords[:, 0], bundle.coords[:, 1]
     regions = np.arange(400) % 4
@@ -229,12 +234,9 @@ def test_synthetic_config_validation():
     for fields, message in [
         ({"p_in": 0.001, "p_out": 0.01}, "need 0 <= p_out < p_in <= 1"),
         ({"vocab_size": 3, "n_regions": 4}, "vocab too small"),
-        ({"train_frac": 0.8, "dev_frac": 0.2}, "must leave room for a test split"),
         ({"n_users": 0}, "n_users must be >= 1, got 0"),
         ({"n_users": -3}, "n_users must be >= 1, got -3"),
         ({"words_per_user": -1}, "words_per_user must be >= 0, got -1"),
-        ({"jitter_deg": -1.0}, "jitter_deg must be >= 0, got -1.0"),
-        ({"jitter_deg": float("nan")}, "jitter_deg must be >= 0, got nan"),
         ({"n_regions": 1}, "need at least 2 regions"),
         ({"region_word_weight": 1.5}, "region_word_weight must be in"),
     ]:

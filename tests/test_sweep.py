@@ -107,7 +107,7 @@ def test_load_sweep_file(tmp_path):
     ({"dataset": {"users": 1, "edges": "e.tsv"}}, "dataset.users is 1, not str"),
     ({"hidden": "16"}, "hidden is '16', not int"),
     ({"lr": "x"}, "lr is 'x', not float"),
-    ({"bucket_scale": 1}, "bucket_scale is 1, not bool"),
+    ({"bucket_scale": True}, "unknown key bucket_scale"),
     ({"fractions": 0.5}, "fractions is 0.5, not a list of float"),
     ({"seeds": [0, 1.5]}, "seeds is [0, 1.5], not a list of int"),
     ({"dcca": {"proj_out": 2.5}}, "dcca.proj_out is 2.5, not int"),
@@ -125,21 +125,25 @@ def test_load_sweep_file(tmp_path):
     ({"lam": float("nan")}, "lam must be >= 0, got nan"),
     ({"max_df_ratio": 0.0}, "max_df_ratio must be in (0, 1], got 0.0"),
     ({"max_df_ratio": 1.5}, "max_df_ratio must be in (0, 1], got 1.5"),
+    ({"dataset": {"synthetic": {"jitter_deg": 0.5}}}, "unknown key dataset.synthetic.jitter_deg"),
+    ({"dataset": {"synthetic": {"train_frac": 0.5}}}, "unknown key dataset.synthetic.train_frac"),
+    ({"dataset": {"edges": "e.tsv"}}, "dataset entry must give 'users'+'edges' or 'synthetic'"),
+    ({"dataset": {"users": "u.jsonl", "synthetic": {}}},
+     "dataset names both 'users'+'edges' and 'synthetic'"),
 ])
 def test_load_sweep_file_names_the_bad_field(tmp_path, fields, message):
     path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(fields))
+    path.write_text(json.dumps({"dataset": {"synthetic": {}}, **fields}))
     with pytest.raises(ArgumentError, match=re.escape(message)) as info:
         load_sweep_file(path)
     assert str(info.value).startswith(f"{path}: ")
 
 
 def test_tree_bucket():
-    assert tree_bucket(50, 1.0, True, "labeled") == 50
-    assert tree_bucket(50, 0.1, True, "labeled") == 5
-    assert tree_bucket(50, 0.001, True, "labeled") == 1  # floored
-    assert tree_bucket(50, 0.1, False, "labeled") == 50
-    assert tree_bucket(50, 0.1, True, "all-train") == 50  # never scaled
+    assert tree_bucket(50, 1.0, "labeled") == 50
+    assert tree_bucket(50, 0.1, "labeled") == 5
+    assert tree_bucket(50, 0.001, "labeled") == 1  # floored
+    assert tree_bucket(50, 0.1, "all-train") == 50  # never scaled
 
 
 def test_tree_source_policy(small_bundle):
@@ -152,7 +156,7 @@ def test_tree_source_policy(small_bundle):
     # all-train mode covers the whole train split at the unscaled bucket
     assert sum(labeled_tree.leaf_counts()) == part.train_idx.size
     assert sum(full_tree.leaf_counts()) == small_bundle.split_indices("train").size
-    assert max(labeled_tree.leaf_counts()) <= tree_bucket(10, 0.2, True, "labeled")
+    assert max(labeled_tree.leaf_counts()) <= tree_bucket(10, 0.2, "labeled")
     assert max(full_tree.leaf_counts()) <= 10
     with pytest.raises(ArgumentError):
         build_region_tree(small_bundle, part, 10, 0.2, tree_from="everything")
