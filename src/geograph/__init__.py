@@ -8,7 +8,7 @@ share one autodiff core, a k-d tree discretizer, and a sweep harness.
 """
 
 from .autodiff import Tensor, backward
-from .data import DatasetBundle, Partition, SyntheticConfig, generate_synthetic, load_dataset, save_dataset, subsample_labels
+from .data import DatasetBundle, MentionPairs, Partition, SyntheticConfig, generate_synthetic, load_dataset, save_dataset, subsample_labels
 from .errors import (
     ArgumentError,
     DataFormatError,
@@ -43,6 +43,7 @@ __all__ = [
     "GcnConfig",
     "GeoPoint",
     "GeographError",
+    "MentionPairs",
     "MlpConfig",
     "NumericError",
     "ParamSet",

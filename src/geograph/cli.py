@@ -138,9 +138,8 @@ def sweep(spec_path, out_override):
     if out_dir is None:
         raise ArgumentError(f"{spec_path}: no output directory: pass --out or set 'out'")
     if "synthetic" in dataset_cfg:
-        synth = dict(dataset_cfg["synthetic"])
-        seed = synth.pop("seed", 0)
-        bundle = generate_synthetic(SyntheticConfig(**synth), seed=seed)
+        config, seed = dataset_cfg["synthetic"]
+        bundle = generate_synthetic(config, seed=seed)
     else:
         bundle = load_dataset(dataset_cfg["users"], dataset_cfg["edges"])
     report = run_sweep(bundle, spec)

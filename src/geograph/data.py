@@ -3,7 +3,10 @@
 On disk a dataset is two files: a JSON-lines users file (one object per user
 with ``id``, ``lat``, ``lon``, ``text``, ``split``) and a 2-column TSV of
 (mentioner, mentioned handle) pairs. In memory the coordinates are one (n, 2)
-float64 lat/lon array, checked when the bundle is built. The synthetic
+float64 lat/lon array, checked when the bundle is built, and the pairs are one
+``MentionPairs`` record: each distinct name once, as written, and two int32
+index arrays in file order, so a pair costs 8 bytes plus its share of the
+names (a list of string tuples cost about 176 bytes a pair). The synthetic
 generator produces the same structure: a handful of well-separated lat/lon
 region centers, users jittered around them, region-flavored vocabulary, and
 mention pairs that are denser within regions than across them.
@@ -14,8 +17,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -51,6 +56,36 @@ class Partition:
             raise ArgumentError("partition index sets overlap")
 
 
+@dataclass(frozen=True, eq=False)
+class MentionPairs:
+    """(mentioner, handle) pairs, held compactly: ``names`` holds each distinct
+    string once, exactly as written, and pair ``k`` is ``(names[mentioners[k]],
+    names[handles[k]])``. Iterating yields the pairs as ``(str, str)`` tuples in
+    order. ``DatasetBundle`` checks the index arrays."""
+
+    names: tuple[str, ...]
+    mentioners: np.ndarray
+    handles: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "MentionPairs":
+        index: dict[str, int] = {}
+        mentioners, handles = array("i"), array("i")
+        for mentioner, handle in pairs:
+            mentioners.append(index.setdefault(mentioner, len(index)))
+            handles.append(index.setdefault(handle, len(index)))
+        return cls(tuple(index), np.frombuffer(mentioners, dtype=np.intc),
+                   np.frombuffer(handles, dtype=np.intc))
+
+    def __len__(self) -> int:
+        return len(self.mentioners)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        names = self.names
+        for m, h in zip(self.mentioners.tolist(), self.handles.tolist()):
+            yield names[m], names[h]
+
+
 @dataclass
 class DatasetBundle:
     """One corpus: aligned per-user lists, an (n, 2) lat/lon array, and the
@@ -60,7 +95,7 @@ class DatasetBundle:
     texts: list[str]
     coords: np.ndarray
     splits: list[str]
-    mention_pairs: list[tuple[str, str]]
+    mention_pairs: MentionPairs
     provenance: str = "custom"
 
     def __post_init__(self):
@@ -76,6 +111,12 @@ class DatasetBundle:
         bad = sorted(set(self.splits) - set(SPLITS))
         if bad:
             raise ArgumentError(f"unknown split tags {bad}")
+        pairs = self.mention_pairs
+        ends = (pairs.mentioners, pairs.handles)
+        if any(e.ndim != 1 for e in ends) or ends[0].size != ends[1].size:
+            raise ArgumentError("mention pairs need two 1-d index arrays of equal length")
+        if ends[0].size and not all(0 <= e.min() and e.max() < len(pairs.names) for e in ends):
+            raise ArgumentError(f"a mention pair indexes outside its {len(pairs.names)} names")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -135,23 +176,27 @@ def load_dataset(users_path, edges_path) -> DatasetBundle:
     if bad:
         raise DataFormatError(f"{users_path}:{linenos[bad[0]]}: bad coordinates ({bad[1]})")
 
-    pairs: list[tuple[str, str]] = []
     dropped = 0
     known = {u.lower() for u in ids}
-    with open(edges_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataFormatError(
-                    f"{edges_path}:{lineno}: expected two tab-separated fields"
-                )
-            if parts[0].lower() in known:
-                pairs.append((parts[0], parts[1]))
-            else:
-                dropped += 1
+
+    def rows():
+        nonlocal dropped
+        with open(edges_path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2 or not parts[0] or not parts[1]:
+                    raise DataFormatError(
+                        f"{edges_path}:{lineno}: expected two tab-separated fields"
+                    )
+                if parts[0].lower() in known:
+                    yield parts[0], parts[1]
+                else:
+                    dropped += 1
+
+    pairs = MentionPairs.from_pairs(rows())
     bundle = DatasetBundle(ids, texts, coords, splits, pairs)
     counts = {s: splits.count(s) for s in SPLITS}
     log.info(
@@ -267,13 +312,20 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig(), seed: int = 
     prob = np.where(same, cfg.p_in, cfg.p_out)
     draws = rng.random((n, n))
     upper = np.triu(draws < prob, k=1)
-    pairs = [(ids[i], ids[j]) for i, j in zip(*np.nonzero(upper))]
+    rows, cols = np.nonzero(upper)
+    mentioners, handles = [rows], [cols]
 
+    celebrities = []
     for r in range(regions):
         members = np.nonzero(region_of == r)[0]
         for k in range(CELEBRITIES_PER_REGION):
             fans = members[rng.random(members.size) < CELEBRITY_MENTION_PROB]
-            pairs.extend((ids[i], f"celeb_r{r}_{k}") for i in fans)
+            mentioners.append(fans)
+            handles.append(np.full(fans.size, n + len(celebrities)))
+            celebrities.append(f"celeb_r{r}_{k}")
+    pairs = MentionPairs(tuple(ids + celebrities),
+                         np.concatenate(mentioners, dtype=np.int32),
+                         np.concatenate(handles, dtype=np.int32))
 
     order = rng.permutation(n)
     n_train = int(round(TRAIN_FRAC * n))

@@ -6,8 +6,9 @@ finite values. ``from_triplets``, through which ``from_dense`` also builds, is
 where raw values enter and establishes all of that: it sums duplicates, drops
 zeros, sorts each row and rejects non-finite values. The constructor stores
 its argument without copying or checking it, so row selection, ``transpose``
-and ``hstack`` rely on scipy returning canonical results for canonical inputs
-(a test pins this).
+and ``hstack`` rely on scipy returning canonical results for canonical inputs,
+and ``views`` builds the mention graph and its normalization straight into
+canonical CSR (tests pin both).
 
 Construction holds float64 values; ``astype(np.float32)`` gives a float32 twin,
 built once and kept. A product is in the wider of its operands' dtypes.

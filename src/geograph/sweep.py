@@ -124,7 +124,9 @@ def _field_errors(values: dict, defaults: dict, where: str = "") -> list[str]:
 def load_sweep_file(path) -> tuple[SweepSpec, dict, str | None]:
     """Parse and check a sweep file: SweepSpec fields plus a ``dataset``
     source, exactly one of {"users": ..., "edges": ...} and {"synthetic":
-    {...generator config...}}, and an optional ``out`` directory."""
+    {...generator config...}}, and an optional ``out`` directory. The
+    returned ``dataset`` holds a synthetic source as ``(SyntheticConfig,
+    seed)``."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -144,6 +146,10 @@ def load_sweep_file(path) -> tuple[SweepSpec, dict, str | None]:
             raise ArgumentError("dataset names both 'users'+'edges' and 'synthetic'; give one")
         if len(files) != 2 and "synthetic" not in dataset:
             raise ArgumentError("dataset entry must give 'users'+'edges' or 'synthetic'")
+        if "synthetic" in dataset:
+            synth = dict(dataset["synthetic"])
+            seed = synth.pop("seed", 0)
+            dataset["synthetic"] = (SyntheticConfig(**synth), seed)
     except ArgumentError as exc:
         raise ArgumentError(f"{path}: {exc}") from exc
     return spec, dataset, out

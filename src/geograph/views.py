@@ -12,7 +12,10 @@ undirected adjacency with sparse products. With B the binary user x handle
 incidence matrix, two users are joined when they mention a common handle (an
 entry of B Bᵀ over the handles under the co-mention cap) or when either
 mentions the other's id (an entry of D or Dᵀ, where D maps each mentioner to
-the user its handle names).
+the user its handle names). The pairs arrive as one ``data.MentionPairs``
+record, 8 bytes of int32 indices per pair plus each distinct name once, so
+case is folded once per name and no Python loop runs per pair; the graph and
+its normalization are built straight into canonical CSR.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .data import MentionPairs
 from .errors import ArgumentError, DataFormatError, NumericError, ShapeError
 from .sparse import SparseMatrix
 
@@ -139,7 +143,7 @@ def extract_mention_pairs(user_ids: list[str], texts: list[str]) -> list[tuple[s
 
 def build_mention_graph(
     user_ids: list[str],
-    mention_pairs: list[tuple[str, str]],
+    mention_pairs: MentionPairs,
     max_comention_degree: int = 1000,
 ) -> SparseMatrix:
     """Binary undirected user graph collapsed from (mentioner, handle) pairs.
@@ -161,15 +165,16 @@ def build_mention_graph(
     if len(id_index) != n:
         raise ArgumentError("user ids must be unique (case-insensitive)")
 
+    # Case is folded once per distinct name: name k is handle folded[k], and
+    # handle h names user named[h], or -1.
     handle_index: dict[str, int] = {}
-    users, handles = array("q"), array("q")
-    for mentioner, handle in mention_pairs:
-        i = id_index.get(mentioner.lower())
-        if i is not None:
-            users.append(i)
-            handles.append(handle_index.setdefault(handle.lower(), len(handle_index)))
-    users = np.frombuffer(users, dtype=np.int64)
-    handles = np.frombuffer(handles, dtype=np.int64)
+    folded = np.array([handle_index.setdefault(name.lower(), len(handle_index))
+                       for name in mention_pairs.names], dtype=np.intp)
+    named = np.array([id_index.get(h, -1) for h in handle_index], dtype=np.intp)
+    users = named[folded][mention_pairs.mentioners]
+    known = users >= 0
+    users = users[known]
+    handles = folded[mention_pairs.handles[known]]
 
     # Boolean sparse arithmetic sums with logical or, so every stored entry
     # of B, D and their products is True: the graph is binary throughout.
@@ -180,13 +185,21 @@ def build_mention_graph(
     incidence.data[mentioners[incidence.indices] > max_comention_degree] = False
     incidence.eliminate_zeros()
 
-    named = np.array([id_index.get(h, -1) for h in handle_index], dtype=np.int64)[handles]
-    is_user = named >= 0
+    targets = named[handles]
+    is_user = targets >= 0
     direct = sp.csr_matrix((np.ones(is_user.sum(), dtype=bool),
-                            (users[is_user], named[is_user])), shape=(n, n))
-    graph = (incidence @ incidence.T + direct + direct.T).tocoo()
-    off = graph.row != graph.col
-    return SparseMatrix.from_triplets(n, n, graph.row[off], graph.col[off], np.ones(off.sum()))
+                            (users[is_user], targets[is_user])), shape=(n, n))
+    graph = (incidence @ incidence.T + direct + direct.T).tocsr()
+    # Drop the diagonal in place: each row ends where its kept entries end.
+    off = graph.indices != np.repeat(np.arange(n, dtype=graph.indices.dtype),
+                                     np.diff(graph.indptr))
+    kept = np.zeros(off.size + 1, dtype=graph.indptr.dtype)
+    np.cumsum(off, out=kept[1:])
+    graph.indptr = kept[graph.indptr]
+    graph.indices = graph.indices[off]
+    graph.data = np.ones(graph.indices.size)
+    graph.sort_indices()
+    return SparseMatrix(graph)
 
 
 def normalize_adjacency(adjacency: SparseMatrix, lam: float = 1.0) -> SparseMatrix:
@@ -204,18 +217,23 @@ def normalize_adjacency(adjacency: SparseMatrix, lam: float = 1.0) -> SparseMatr
         raise ShapeError(f"adjacency must be square, got {adjacency.shape}")
     if not lam >= 0.0:
         raise ArgumentError(f"lam must be >= 0, got {lam}")
+    # A sum of canonical CSR matrices is a new canonical one, scaled in place.
     m = (adjacency.csr + lam * sp.identity(rows, format="csr", dtype=np.float64)).tocsr()
     degrees = np.asarray(m.sum(axis=1)).ravel()
     if np.any(degrees <= 0.0):
         raise NumericError(
             "zero-degree node: add self loops (lam > 0) or drop isolated nodes"
         )
-    coo = m.tocoo()
     # Entrywise m_ij / sqrt(d_i * d_j): one rounding per entry, so small cases
     # like a single self-loop come out exact, and m_ij = m_ji gives equal
     # entries on both sides of the diagonal.
-    values = coo.data / np.sqrt(degrees[coo.row] * degrees[coo.col])
-    return SparseMatrix.from_triplets(rows, cols, coo.row, coo.col, values)
+    scale = degrees[np.repeat(np.arange(rows, dtype=m.indices.dtype), np.diff(m.indptr))]
+    scale *= degrees[m.indices]
+    m.data /= np.sqrt(scale, out=scale)
+    m.eliminate_zeros()
+    if m.nnz and not np.isfinite(m.data).all():
+        raise NumericError("sparse matrix holds non-finite values")
+    return SparseMatrix(m)
 
 
 @dataclass

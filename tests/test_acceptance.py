@@ -495,7 +495,7 @@ def test_criterion_9_determinism_and_no_leak(tmp_path, default_bundle, ordering_
         texts=list(default_bundle.texts),
         coords=np.where(heldout[:, None], 0.0, default_bundle.coords),
         splits=list(default_bundle.splits),
-        mention_pairs=list(default_bundle.mention_pairs),
+        mention_pairs=default_bundle.mention_pairs,
         provenance=default_bundle.provenance,
     )
     original = trained_params(default_bundle)

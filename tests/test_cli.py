@@ -348,7 +348,8 @@ def test_sweep_rejects_bad_spec_field(corpus, tmp_path, capsys, fields, message)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"dataset": {"users": str(users), "edges": str(edges)}, **fields}))
     assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: ") and message in err
     assert not (tmp_path / "out").exists()
 
 

@@ -2,12 +2,15 @@
 
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from geograph.data import (
     DatasetBundle,
+    MentionPairs,
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
@@ -32,23 +35,51 @@ def _user(uid, lat=10.0, lon=20.0, text="hello world", split="train"):
 
 
 def test_load_roundtrip(tmp_path):
+    # Names keep their case, and repeated rows and file order are kept.
+    rows = ["a\tb", "c\tsomeone_else", "A\tB", "a\tb", "C\tSomeone_Else", "b\tA", "a\tb"]
     users, edges = _write_dataset(
         tmp_path,
         [_user("a"), _user("b", split="dev"), _user("c", split="test")],
-        ["a\tb", "c\tsomeone_else"],
+        rows,
     )
     bundle = load_dataset(users, edges)
     assert bundle.ids == ["a", "b", "c"]
     assert bundle.splits == ["train", "dev", "test"]
     assert bundle.coords.dtype == np.float64
     np.testing.assert_array_equal(bundle.coords, [[10.0, 20.0]] * 3)
-    assert ("a", "b") in bundle.mention_pairs
-    assert ("c", "someone_else") in bundle.mention_pairs
+    assert list(bundle.mention_pairs) == [tuple(row.split("\t")) for row in rows]
     out_users, out_edges = save_dataset(bundle, tmp_path / "copy")
+    assert out_edges.read_bytes() == edges.read_bytes()
     again = load_dataset(out_users, out_edges)
     assert again.ids == bundle.ids
     np.testing.assert_array_equal(again.coords, bundle.coords)
-    assert again.mention_pairs == bundle.mention_pairs
+    assert list(again.mention_pairs) == list(bundle.mention_pairs)
+
+
+def _held_by_load(users, edges) -> int:
+    """Bytes still allocated once ``load_dataset`` has returned its bundle."""
+    tracemalloc.start()
+    try:
+        bundle = load_dataset(users, edges)  # alive while the traced size is read
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loaded_pairs_are_held_compactly(tmp_path):
+    n_users, per_user = 2000, 20
+    user_lines = [_user(f"user{i:04d}") for i in range(n_users)]
+    edge_lines = [f"user{i:04d}\t" + (f"user{(i * 7 + k * 13) % n_users:04d}" if k % 4
+                                      else f"Handle{(i + k) % 300}")
+                  for i in range(n_users) for k in range(per_user)]
+    users, edges = _write_dataset(tmp_path, user_lines, edge_lines)
+    no_edges = tmp_path / "none.tsv"
+    no_edges.write_text("")
+    pairs = load_dataset(users, edges).mention_pairs
+    names = {name for pair in pairs for name in pair}
+    budget = 32 * len(edge_lines) + sum(sys.getsizeof(name) for name in names)
+    held = _held_by_load(users, edges) - _held_by_load(users, no_edges)
+    assert held < budget, f"{held} bytes for {len(edge_lines)} pairs and {len(names)} names"
 
 
 def test_load_reports_line_numbers(tmp_path):
@@ -116,13 +147,13 @@ def test_unknown_mentioner_rows_are_dropped(tmp_path):
         tmp_path, [_user("a"), _user("b", split="dev")], ["ghost\ta", "a\tb"]
     )
     bundle = load_dataset(users, edges)
-    assert bundle.mention_pairs == [("a", "b")]
+    assert list(bundle.mention_pairs) == [("a", "b")]
 
 
 def test_empty_edges_file_is_valid(tmp_path):
     users, edges = _write_dataset(tmp_path, [_user("a"), _user("b", split="test")], [])
     bundle = load_dataset(users, edges)
-    assert bundle.mention_pairs == []
+    assert len(bundle.mention_pairs) == 0
     graph = build_mention_graph(bundle.ids, bundle.mention_pairs)
     assert graph.nnz == 0
 
@@ -135,7 +166,7 @@ def test_bundle_validation():
                 texts=["t", "t"],
                 coords=np.zeros((2, 2)),
                 splits=["train", "dev"],
-                mention_pairs=[],
+                mention_pairs=MentionPairs.from_pairs([]),
             )
     with pytest.raises(ArgumentError):
         DatasetBundle(
@@ -143,11 +174,12 @@ def test_bundle_validation():
             texts=["t"],
             coords=np.zeros((1, 2)),
             splits=["holdout"],
-            mention_pairs=[],
+            mention_pairs=MentionPairs.from_pairs([]),
         )
 
     def bundle(coords):
-        return DatasetBundle(["a", "b"], ["t", "t"], coords, ["train", "dev"], [])
+        return DatasetBundle(["a", "b"], ["t", "t"], coords, ["train", "dev"],
+                             MentionPairs.from_pairs([]))
 
     assert bundle([[1, 2], [3, 4]]).coords.dtype == np.float64
     with pytest.raises(ArgumentError, match=r"'b': \(-91.0, 0.0\) is not"):
@@ -156,6 +188,18 @@ def test_bundle_validation():
         bundle(np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(ArgumentError, match="lat/lon coords"):
         bundle(np.zeros((2, 3)))
+
+    def paired(mentioners, handles):
+        pairs = MentionPairs(("a", "b"), np.array(mentioners, dtype=np.int32),
+                             np.array(handles, dtype=np.int32))
+        return DatasetBundle(["a", "b"], ["t", "t"], np.zeros((2, 2)), ["train", "dev"], pairs)
+
+    assert list(paired([0, 1], [1, 1]).mention_pairs) == [("a", "b"), ("b", "b")]
+    with pytest.raises(ArgumentError, match="two 1-d index arrays of equal length"):
+        paired([0, 1], [1])
+    for mentioners, handles in (([0, 2], [1, 1]), ([0], [-1])):
+        with pytest.raises(ArgumentError, match="indexes outside its 2 names"):
+            paired(mentioners, handles)
 
 
 def test_split_indices_cover_everything():
@@ -175,9 +219,9 @@ def test_synthetic_determinism():
     a = generate_synthetic(cfg, seed=9)
     b = generate_synthetic(cfg, seed=9)
     assert a.ids == b.ids and a.texts == b.texts
-    assert np.array_equal(a.coords, b.coords) and a.mention_pairs == b.mention_pairs
+    assert np.array_equal(a.coords, b.coords) and list(a.mention_pairs) == list(b.mention_pairs)
     c = generate_synthetic(cfg, seed=10)
-    assert c.mention_pairs != a.mention_pairs
+    assert list(c.mention_pairs) != list(a.mention_pairs)
 
 
 def test_synthetic_regions_are_spatially_tight():
@@ -245,7 +289,8 @@ def test_synthetic_config_validation():
 
 
 def test_subsample_labels_needs_train_users():
-    bundle = DatasetBundle(["a", "b"], ["x", "y"], [(1.0, 2.0), (3.0, 4.0)], ["dev", "test"], [])
+    bundle = DatasetBundle(["a", "b"], ["x", "y"], [(1.0, 2.0), (3.0, 4.0)], ["dev", "test"],
+                           MentionPairs.from_pairs([]))
     with pytest.raises(ArgumentError, match="dataset has no train split"):
         subsample_labels(bundle, 1.0, seed=0)
 

@@ -92,7 +92,7 @@ def test_load_sweep_file(tmp_path):
     }))
     spec, dataset, out = load_sweep_file(path)
     assert spec.models == ("gcn", "mlp") and spec.seeds == (0, 1)
-    assert dataset == {"synthetic": {"n_users": 50}}
+    assert dataset == {"synthetic": (SyntheticConfig(n_users=50), 0)}
     assert out == "results"
     path.write_text(json.dumps({"modles": ["gcn"]}))
     with pytest.raises(ArgumentError):
@@ -130,6 +130,7 @@ def test_load_sweep_file(tmp_path):
     ({"dataset": {"edges": "e.tsv"}}, "dataset entry must give 'users'+'edges' or 'synthetic'"),
     ({"dataset": {"users": "u.jsonl", "synthetic": {}}},
      "dataset names both 'users'+'edges' and 'synthetic'"),
+    ({"dataset": {"synthetic": {"words_per_user": -1}}}, "words_per_user must be >= 0, got -1"),
 ])
 def test_load_sweep_file_names_the_bad_field(tmp_path, fields, message):
     path = tmp_path / "sweep.json"

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from geograph.data import MentionPairs
 from geograph.errors import ArgumentError, NumericError, ShapeError
 from geograph.sparse import SparseMatrix
 from geograph.views import (
@@ -128,7 +130,7 @@ def test_mentions_do_not_enter_vocabulary():
 
 
 def _dense(user_ids, pairs, cap=1000):
-    return build_mention_graph(user_ids, pairs, cap).to_dense()
+    return build_mention_graph(user_ids, MentionPairs.from_pairs(pairs), cap).to_dense()
 
 
 def test_direct_mention_creates_edge_either_direction():
@@ -176,12 +178,13 @@ def test_unknown_mentioner_ignored_and_case_insensitive():
 
 def test_duplicate_user_ids_rejected():
     with pytest.raises(ArgumentError):
-        build_mention_graph(["u", "U"], [])
+        build_mention_graph(["u", "U"], MentionPairs.from_pairs([]))
 
 
 def _assert_same_csr(got: SparseMatrix, want) -> None:
     got = got.csr
     assert got.shape == want.shape
+    assert got.has_canonical_format and got.dtype == np.float64
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
@@ -212,15 +215,16 @@ def mention_corpora(draw):
 def test_mention_graph_matches_set_oracle(corpus):
     """Every cap from 0 to above the largest handle degree (9 users)."""
     ids, pairs = corpus
+    record = MentionPairs.from_pairs(pairs)
     for cap in range(len(ids) + 2):
-        _assert_same_csr(build_mention_graph(ids, pairs, cap),
+        _assert_same_csr(build_mention_graph(ids, record, cap),
                          oracles.mention_graph(ids, pairs, cap))
 
 
 def test_mention_graph_without_pairs():
-    _assert_same_csr(build_mention_graph(["a", "B"], [], 0),
+    _assert_same_csr(build_mention_graph(["a", "B"], MentionPairs.from_pairs([]), 0),
                      oracles.mention_graph(["a", "B"], [], 0))
-    assert build_mention_graph([], [("a", "b")]).shape == (0, 0)
+    assert build_mention_graph([], MentionPairs.from_pairs([("a", "b")])).shape == (0, 0)
 
 
 # Rows of more than 8 terms take numpy's pairwise summation path.
@@ -286,6 +290,16 @@ def test_normalize_rejects_zero_degree_without_self_loops():
     np.testing.assert_array_equal(out, np.eye(3))
 
 
+def test_normalize_keeps_the_sparse_invariants():
+    # 5e-324 / 2 rounds to zero, which is not stored; 1e-200 / sqrt(1e-400)
+    # divides by an underflowed zero.
+    tiny = np.array([[0.0, 5e-324], [5e-324, 0.0]])
+    np.testing.assert_array_equal(normalize_adjacency(SparseMatrix.from_dense(tiny), 2.0).csr.indices,
+                                  [0, 1])
+    with np.errstate(divide="ignore"), pytest.raises(NumericError, match="non-finite"):
+        normalize_adjacency(SparseMatrix.from_dense(np.array([[0.0, 1e-200], [1e-200, 0.0]])), 0.0)
+
+
 def test_normalize_validation():
     with pytest.raises(ShapeError):
         normalize_adjacency(SparseMatrix.from_dense(np.zeros((2, 3))), 1.0)
@@ -319,3 +333,18 @@ def test_normalized_symmetric_adjacency_is_its_own_transpose(n, seed, lam):
     if not np.array_equal(directed, directed.T):
         assert out.transpose() is not out
     np.testing.assert_array_equal(out.transpose().to_dense(), out.to_dense().T)
+
+
+@given(st.integers(1, 12), st.integers(0, 10_000), st.sampled_from([0.5, 1.0, 2.0]),
+       st.booleans())
+def test_normalize_rounds_each_entry_once(n, seed, lam, directed):
+    """Each stored value is m_ij / sqrt(d_i * d_j) to the bit, for symmetric
+    and directed graphs; binary A and these lam keep the degrees exact."""
+    a = random_symmetric_adjacency(np.random.default_rng(seed), n, 0.5)
+    if directed:
+        a = np.triu(a)
+    m = a + lam * np.eye(n)
+    d = m.sum(axis=1)
+    rows, cols = np.nonzero(m)
+    want = sp.csr_matrix((m[rows, cols] / np.sqrt(d[rows] * d[cols]), (rows, cols)), shape=(n, n))
+    _assert_same_csr(normalize_adjacency(SparseMatrix.from_dense(a), lam), want)

@@ -8,8 +8,12 @@ temporary directory and removes that worktree afterwards. In the worktree and
 in the working tree it runs the same fixed-seed runs: ``synth`` corpora of 300
 and 1,000 users; short ``train`` runs of every model kind, each followed by an
 ``eval`` of its checkpoint; and a sweep of all five models over two labeled
-fractions, two depths and two seeds. Each run uses ``PYTHONPATH=<tree>/src``
-and ``OPENBLAS_NUM_THREADS=1``, so that BLAS sums in one order.
+fractions, two depths and two seeds. A small hand-written corpus, whose
+``edges.tsv`` mixes the case of names and holds repeated rows, unknown
+mentioners, handles that name no user and a hub, gets one ``train`` run with
+its ``eval`` and a sweep that caps co-mentions below the hub's degree. Each run
+uses ``PYTHONPATH=<tree>/src`` and ``OPENBLAS_NUM_THREADS=1``, so that BLAS sums
+in one order.
 
 Every file the runs write is compared byte for byte, except that ``seconds``,
 a wall-clock time, is dropped from each ``report.json`` first. Each file that
@@ -42,6 +46,7 @@ TRAIN_RUNS = {
     "gcn-lp-early-stop": ("c300", ["--model", "gcn-lp", "--early-stop"]),
     "dcca": ("c300", ["--model", "dcca", *_SMALL_DCCA]),
     "gcn-d2-1000": ("c1000", ["--model", "gcn", "--layers", "2"]),
+    "hand-gcn-d2": ("hand", ["--model", "gcn", "--layers", "2", "--bucket", "4"]),
 }
 SWEEP = {
     "models": ["gcn", "gcn-nohighway", "gcn-lp", "mlp", "dcca"],
@@ -53,6 +58,43 @@ SWEEP = {
     "dcca": {"proj_hidden": 8, "proj_out": 4, "stage1_epochs": 20},
     "dataset": {"users": "c300/users.jsonl", "edges": "c300/edges.tsv"},
 }
+HAND_SWEEP = {
+    "models": ["gcn", "gcn-lp", "mlp"],
+    "depths": [1, 2],
+    "hidden": 16,
+    "epochs": 40,
+    "bucket": 4,
+    "max_comention_degree": 2,
+    "dataset": {"users": "hand/users.jsonl", "edges": "hand/edges.tsv"},
+}
+
+
+def write_hand_corpus(out: Path) -> None:
+    """24 users in two regions, and mention rows that reach every branch of the
+    graph build: each user names a neighbour in another case and ``Hub``,
+    which all of them mention; some share a ``Local`` handle, repeat a row or
+    are named by ``ghost``, which is no user."""
+    out.mkdir(parents=True)
+    ids = [f"User{i:02d}" if i % 3 else f"user{i:02d}" for i in range(24)]
+    splits = ["train", "train", "train", "dev", "test"]
+    with open(out / "users.jsonl", "w", encoding="utf-8") as fh:
+        for i, uid in enumerate(ids):
+            region = i % 2
+            text = " ".join(f"{word}{region}" for word in ("coast", "river", "hill")[: 1 + i % 3])
+            row = {"id": uid, "lat": 30.0 + 10.0 * region + 0.1 * (i % 5),
+                   "lon": -100.0 + 0.1 * (i % 7), "text": f"{text} shared word{i % 4}",
+                   "split": splits[i % 5]}
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    rows = []
+    for i, uid in enumerate(ids):
+        rows.append((uid.upper() if i % 2 else uid, ids[(i + 2) % 24].swapcase()))
+        rows.append((uid, "HUB" if i % 4 else "Hub"))
+        if i % 6 < 2:
+            rows.append((uid.lower(), f"Local{i // 6}"))
+        if i % 5 == 0:
+            rows.extend([("ghost", uid), (uid, ids[(i + 2) % 24].swapcase())])
+    rows.append(("Stranger", "hub"))
+    (out / "edges.tsv").write_text("".join(f"{a}\t{b}\n" for a, b in rows), encoding="utf-8")
 
 
 def run_all(tree: Path, out: Path) -> None:
@@ -70,13 +112,15 @@ def run_all(tree: Path, out: Path) -> None:
 
     for corpus, users in (("c300", "300"), ("c1000", "1000")):
         geograph("synth", "--out", corpus, "--n-users", users, "--seed", "0")
+    write_hand_corpus(out / "hand")
     for name, (corpus, extra) in TRAIN_RUNS.items():
         data = ["--users", f"{corpus}/users.jsonl", "--edges", f"{corpus}/edges.tsv"]
         geograph("train", *data, *_SHORT, *extra, "--out", name)
         (out / name / "eval.json").write_text(
             geograph("eval", "--model", f"{name}/model.ckpt", *data), encoding="utf-8")
-    (out / "sweep.json").write_text(json.dumps(SWEEP), encoding="utf-8")
-    geograph("sweep", "--spec", "sweep.json", "--out", "sweep")
+    for name, spec in (("sweep", SWEEP), ("hand-sweep", HAND_SWEEP)):
+        (out / f"{name}.json").write_text(json.dumps(spec), encoding="utf-8")
+        geograph("sweep", "--spec", f"{name}.json", "--out", name)
 
 
 def _without_seconds(value):
