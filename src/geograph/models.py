@@ -35,6 +35,11 @@ targets once; prediction casts the operands alike. gcn-lp's label block stays
 float64, and its operand, rebuilt after every epoch, reads a copy in the
 kind's dtype.
 
+``train`` and ``predict_logits`` hold every loaded OpenBLAS at one thread and
+give the caller's count back afterwards (``_one_blas_thread``), so a seed
+gives the same bytes at any BLAS thread count, and no idle BLAS worker spins
+on another core meanwhile.
+
 Every model predicts one of the region-tree classes per user. Training never
 reads labels or coordinates outside the labeled index set; held-out users
 participate only through their features and graph edges.
@@ -45,10 +50,12 @@ model of a given meta holds, which a checkpoint is checked against.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -607,9 +614,69 @@ KINDS = {
 
 
 # --------------------------------------------------------------------------
+# one BLAS thread
+
+
+@cache
+def _openblas_threads() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """The thread-count getter and setter of every OpenBLAS this process has
+    loaded, looked up once: each library mapped from a path that names
+    openblas, through the first pair of symbols it exports. Empty where there
+    is no ``/proc/self/maps`` or no OpenBLAS."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].rstrip() for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapped file that is no loadable library
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every loaded OpenBLAS at one thread, then give each library back
+    the count it had, also when the body raises.
+
+    ``train`` and ``predict_logits`` run inside it. OpenBLAS splits a long
+    inner dimension, such as every weight gradient's ``x.T @ g``, across its
+    threads and sums the parts in an order that depends on their number, so
+    on one thread a seed gives the same bytes at any ``OPENBLAS_NUM_THREADS``,
+    and no idle worker spins on a second core. It does nothing without
+    OpenBLAS, where the bytes may still depend on the BLAS's thread count.
+
+    The count is process-wide while it is held, so this is not safe against
+    two host threads that train at once: the first to finish gives the count
+    back while the other still runs."""
+    controls = _openblas_threads()
+    counts = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, counts):
+            set_(count)
+
+
+# --------------------------------------------------------------------------
 # training
 
 
+@_one_blas_thread()
 def train(
     kind: str, a_hat: SparseMatrix, x: SparseMatrix, adjacency: SparseMatrix | None,
     labels: np.ndarray, num_classes: int, partition: Partition,
@@ -753,6 +820,7 @@ def _check_widths(model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix) -> 
                                 f"dataset has {n} users and {v} terms")
 
 
+@_one_blas_thread()
 def predict_logits(
     model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix, adjacency: SparseMatrix | None
 ) -> np.ndarray:

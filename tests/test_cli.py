@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import geograph
+from geograph import models
 from geograph.checkpoint import MAGIC, load_checkpoint
 from geograph.cli import cli, main
 from geograph.sweep import CSV_HEADER, MODEL_NAMES
@@ -87,6 +88,30 @@ def test_train_rerun_is_deterministic(corpus, tmp_path):
     assert main(_train_args(corpus, out_b)) == 0
     assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
     assert (out_a / "predictions.csv").read_bytes() == (out_b / "predictions.csv").read_bytes()
+
+
+@pytest.mark.parametrize("model", ["gcn", "gcn-lp"])
+def test_trained_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, model):
+    """Training and prediction hold OpenBLAS at one thread, so a run writes
+    the same bytes at one and at two threads, though OpenBLAS would otherwise
+    split each weight gradient's reduction across them."""
+    if not models._openblas_threads():
+        pytest.skip("no OpenBLAS is loaded, so nothing pins the thread count")
+    src = Path(geograph.__file__).resolve().parent.parent
+
+    def geograph_run(threads: str, *args: str) -> None:
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "geograph", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    geograph_run("1", "synth", "--out", "c", "--n-users", "1000", "--seed", "0")
+    for threads in ("1", "2"):
+        geograph_run(threads, "train", "--users", "c/users.jsonl", "--edges", "c/edges.tsv",
+                     "--model", model, "--layers", "2", "--hidden", "64", "--epochs", "20",
+                     "--out", threads)
+    for name in ("model.ckpt", "predictions.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_checkpoint_does_not_depend_on_where_the_corpus_lives(corpus, tmp_path):

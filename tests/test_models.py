@@ -982,6 +982,52 @@ def test_diverged_training_names_the_epoch(rng):
         train("dcca", a_hat, x, adj, labels, 3, part, cfg, TrainConfig(epochs=1, dropout=0.0))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_training_and_prediction_hold_one_blas_thread(rng, monkeypatch):
+    """Every loaded OpenBLAS runs on one thread inside ``train`` and
+    ``predict_logits``, and gets the caller's count back when they return or
+    raise."""
+    controls = models._openblas_threads()
+    if not controls:
+        pytest.skip("no OpenBLAS is loaded")
+
+    def counts():
+        return [get() for get, _ in controls]
+
+    inside = []
+    forward = models.gcn_forward
+
+    def counting_forward(*args, **kwargs):
+        inside.append(counts())
+        return forward(*args, **kwargs)
+
+    def dev_score(preds) -> float:
+        inside.append(counts())
+        return 0.0
+
+    monkeypatch.setattr(models, "gcn_forward", counting_forward)
+    adj, a_hat, x, labels, part = _instance(rng, n=20)
+    caller = counts()
+    try:
+        for _, set_ in controls:
+            set_(2)
+        model, _ = train("gcn", a_hat, x, adj, labels, 3, part, GcnConfig(hidden=4),
+                         TrainConfig(epochs=3), dev_score=dev_score)
+        assert inside and all(c == [1] * len(controls) for c in inside)
+        assert counts() == [2] * len(controls)
+        with pytest.raises(NumericError):
+            train("mlp", a_hat, x, adj, labels, 3, part, MlpConfig(4),
+                  TrainConfig(lr=1e200, epochs=5, dropout=0.0))
+        assert counts() == [2] * len(controls)
+        inside.clear()
+        predict_logits(model, a_hat, x, adj)
+        assert inside == [[1] * len(controls)]
+        assert counts() == [2] * len(controls)
+    finally:
+        for (_, set_), count in zip(controls, caller):
+            set_(count)
+
+
 _BLOWUP_CONFIGS = {
     "gcn": GcnConfig(hidden=8, layers=2),
     "gcn-lp": GcnConfig(hidden=8),

@@ -12,8 +12,9 @@ fractions, two depths and two seeds. A small hand-written corpus, whose
 ``edges.tsv`` mixes the case of names and holds repeated rows, unknown
 mentioners, handles that name no user and a hub, gets one ``train`` run with
 its ``eval`` and a sweep that caps co-mentions below the hub's degree. Each run
-uses ``PYTHONPATH=<tree>/src`` and ``OPENBLAS_NUM_THREADS=1``, so that BLAS sums
-in one order.
+uses ``PYTHONPATH=<tree>/src``. The ref runs at ``OPENBLAS_NUM_THREADS=1`` and
+the working tree at the thread count it inherits, so no differing file shows
+both that the bytes are unchanged and that they do not depend on the count.
 
 Every file the runs write is compared byte for byte, except that ``seconds``,
 a wall-clock time, is dropped from each ``report.json`` first. Each file that
@@ -97,10 +98,11 @@ def write_hand_corpus(out: Path) -> None:
     (out / "edges.tsv").write_text("".join(f"{a}\t{b}\n" for a, b in rows), encoding="utf-8")
 
 
-def run_all(tree: Path, out: Path) -> None:
-    """Write every run's outputs under ``out``, with the package of ``tree``."""
+def run_all(tree: Path, out: Path, env: dict[str, str]) -> None:
+    """Write every run's outputs under ``out``, with the package of ``tree``
+    and the environment ``env``."""
     out.mkdir(parents=True)
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    env = {**env, "PYTHONPATH": str(tree / "src")}
 
     def geograph(*args: str) -> str:
         done = subprocess.run([sys.executable, "-m", "geograph", *args], cwd=out, env=env,
@@ -157,11 +159,11 @@ def main() -> int:
         subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
                         str(checkout), ref], check=True)
         try:
-            run_all(checkout, tmp / "ref-out")
+            run_all(checkout, tmp / "ref-out", {**os.environ, "OPENBLAS_NUM_THREADS": "1"})
         finally:
             subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force",
                             str(checkout)], check=True)
-        run_all(REPO, tmp / "work-out")
+        run_all(REPO, tmp / "work-out", dict(os.environ))
         differ, compared = differing_files(tmp / "ref-out", tmp / "work-out")
     for path in differ:
         print(f"differs: {path}")
