@@ -9,7 +9,8 @@ for every user:
   over the raw tf-idf rows, with highway gates on the dimension-preserving
   layers, closed by one more graph convolution, without the relu, into class
   logits. The first layer's ``A_hat @ X`` is fixed for a whole run, so
-  training may hold it dense (see ``propagate``); prediction reads it once,
+  training may hold it dense (see ``propagate``), built once per graph and
+  text and kept on ``A_hat`` for later fits; prediction reads it once,
   through ``Propagated``.
 * ``gcn-lp``: the same stack fed with ``[adjacency | label block]`` rows, a
   ``Blocks``. The label block carries one-hot labels for labeled users and,
@@ -38,7 +39,8 @@ kind's dtype.
 ``train`` and ``predict_logits`` hold every loaded OpenBLAS at one thread and
 give the caller's count back afterwards (``_one_blas_thread``), so a seed
 gives the same bytes at any BLAS thread count, and no idle BLAS worker spins
-on another core meanwhile.
+on another core meanwhile. Their first call also keeps glibc's heap in place
+between epochs (``_keep_heap``), a process-wide setting that stays.
 
 Every model predicts one of the region-tree classes per user. Training never
 reads labels or coordinates outside the labeled index set; held-out users
@@ -372,10 +374,14 @@ class Propagated(NamedTuple):
 def propagate(a_hat: SparseMatrix, x: SparseMatrix) -> np.ndarray | Propagated:
     """gcn's first-layer operand ``a_hat @ x`` as training holds it: dense when
     its size says a gemm beats the two sparse products (``DENSE_PROPAGATION``),
-    else ``Propagated``, which runs exactly those products."""
+    else ``Propagated``, which runs exactly those products.
+
+    The dense operand is ``a_hat.dense_product(x)``: read-only, and kept on
+    ``a_hat`` for the same ``x``, so a later fit on the same graph and text
+    reuses it, and nothing outlives the caller's ``a_hat``."""
     n, v = x.shape
     if n * v <= DENSE_PROPAGATION * (a_hat.nnz + x.nnz):
-        return a_hat @ x.to_dense()
+        return a_hat.dense_product(x)
     return Propagated(a_hat, x)
 
 
@@ -672,6 +678,30 @@ def _one_blas_thread():
             set_(count)
 
 
+@cache
+def _keep_heap() -> bool:
+    """Keep freed memory in glibc's heap, so an epoch reuses the pages of the
+    last one instead of faulting them in again; true when glibc took both
+    settings. ``train`` and ``predict_logits`` call it on entry; it runs once.
+
+    A fit's n x h arrays are megabytes, above glibc's mmap threshold (128 KiB,
+    raised as mapped blocks are freed), so each epoch maps and unmaps them, or
+    trims the heap top and faults it in again. This sets the mmap threshold
+    to 256 MiB and the trim threshold to 512 MiB. As mallopt(3) says, setting
+    either one turns off glibc's dynamic mmap threshold. Both settings are
+    process-wide and, unlike the BLAS thread count, cannot be given back: the
+    process keeps up to 512 MiB of free heap instead of returning it to the
+    system. It does nothing where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    # M_MMAP_THRESHOLD (-3) first: M_TRIM_THRESHOLD (-1) alone would freeze the
+    # mmap threshold where it stands. mallopt returns 0 for a value it refuses.
+    return mallopt(-3, 256 << 20) == 1 and mallopt(-1, 512 << 20) == 1
+
+
 # --------------------------------------------------------------------------
 # training
 
@@ -693,6 +723,7 @@ def train(
     better score, and the best-scoring weights are kept. Without it, training
     is a pure function of features, edges and labeled rows.
     """
+    _keep_heap()
     if kind not in KINDS:
         raise ArgumentError(f"unknown model kind {kind!r}; valid: {sorted(KINDS)}")
     entry = KINDS[kind]
@@ -825,6 +856,7 @@ def predict_logits(
     model: TrainedModel, a_hat: SparseMatrix, x: SparseMatrix, adjacency: SparseMatrix | None
 ) -> np.ndarray:
     """Eval-mode logits for every user, through the wiring training used."""
+    _keep_heap()
     _check_graph(model.kind, a_hat, x, adjacency)
     _check_widths(model, a_hat, x)
     kind = KINDS[model.kind]

@@ -19,9 +19,10 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 
 class ParamSet(dict[str, Tensor]):
     """Trainable tensors by name plus their Adam state, alive only while a
-    model trains. Every parameter owns a gradient slot of identical shape
-    (materialized by ``zero_grads``) and first/second moment buffers; one step
-    counter is shared. ``constants`` hands the trained arrays on without them.
+    model trains. Every parameter owns a gradient slot of identical shape,
+    which ``zero_grads`` empties for ``backward`` to fill, and first/second
+    moment buffers; one step counter is shared. ``constants`` hands the
+    trained arrays on without them.
 
     ``add`` holds float64 values; ``cast`` changes the whole set's dtype,
     moments included, and every update keeps the dtype it finds."""
@@ -49,11 +50,17 @@ class ParamSet(dict[str, Tensor]):
             self._v[name] = self._v[name].astype(dtype, copy=False)
 
     def zero_grads(self) -> None:
+        """Empty every gradient slot: ``backward`` then stores each first
+        gradient as it is, and ``adam_step`` reads an empty slot as zero."""
         for t in self.values():
-            t.grad = np.zeros_like(t.data)
+            t.grad = None
 
     def adam_step(self, lr: float) -> None:
-        """Bias-corrected first/second moment update; missing grads act as zero."""
+        """Bias-corrected first/second moment update; missing grads act as zero.
+
+        Each parameter's update runs in two scratch arrays, in the order of
+        ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+        ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1 ** t
@@ -65,10 +72,19 @@ class ParamSet(dict[str, Tensor]):
             m = self._m[name]
             v = self._v[name]
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            step = np.multiply(g, 1.0 - BETA1)
+            m += step
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            np.multiply(g, 1.0 - BETA2, out=step)
+            step *= g
+            v += step
+            np.divide(m, bc1, out=step)
+            step *= lr
+            root = np.divide(v, bc2)
+            np.sqrt(root, out=root)
+            root += EPS
+            step /= root
+            p.data -= step
 
     def constants(self) -> dict[str, Tensor]:
         """Each parameter's current array, not copied, as a constant tensor."""

@@ -12,6 +12,8 @@ canonical CSR (tests pin both).
 
 Construction holds float64 values; ``astype(np.float32)`` gives a float32 twin,
 built once and kept. A product is in the wider of its operands' dtypes.
+``dense_product(x)`` keeps its result too: one read-only ``self @ x`` per
+matrix, for the last ``x`` it was given, alive as long as the matrix is.
 
 A matrix reads as a numpy array does: ``s @ dense`` and ``s.T`` are
 ``matmul_dense`` and ``transpose()``, and rows are read through ``s[rows]``.
@@ -30,7 +32,7 @@ from .errors import NumericError, ShapeError
 class SparseMatrix:
     """Immutable CSR matrix. Build through the classmethod constructors."""
 
-    __slots__ = ("_csr", "_transpose", "_symmetric", "_cast")
+    __slots__ = ("_csr", "_transpose", "_symmetric", "_cast", "_product")
 
     def __init__(self, csr: _sp.csr_matrix):
         """Wrap ``csr``, a CSR matrix that already holds the invariants."""
@@ -38,6 +40,7 @@ class SparseMatrix:
         self._transpose: SparseMatrix | None = None
         self._symmetric = False
         self._cast: SparseMatrix | None = None
+        self._product: tuple[SparseMatrix, np.ndarray] | None = None
 
     @classmethod
     def from_triplets(
@@ -102,6 +105,19 @@ class SparseMatrix:
             raise ShapeError(f"sparse {self.shape} @ dense {dense.shape}: inner dims differ")
         out = self._csr @ dense
         return np.asarray(out)
+
+    def dense_product(self, other: "SparseMatrix") -> np.ndarray:
+        """``self @ other.to_dense()``, built once and kept with ``other``.
+
+        The product is read-only. This matrix keeps one entry, for the last
+        ``other`` given (compared by identity), so a second call with the same
+        operand returns the same array, and the entry holds ``other`` and the
+        product only as long as this matrix lives."""
+        if self._product is None or self._product[0] is not other:
+            product = self @ other.to_dense()
+            product.flags.writeable = False
+            self._product = (other, product)
+        return self._product[1]
 
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
         # Looked up at call time, so a replaced ``matmul_dense`` runs here too.

@@ -1,9 +1,15 @@
 """Model wiring, gating behavior, label propagation, and training determinism."""
 
 import gc
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -940,15 +946,17 @@ def test_training_rows_match_full_forward(rng, monkeypatch, case):
     params = _trainable(model)
 
     def grads(logits):
+        # dcca's frozen projections get no gradient, and keep an empty slot.
         params.zero_grads()
         ad.backward(ad.softmax_cross_entropy(logits, targets))
-        return {name: t.grad for name, t in params.items()}
+        return {name: t.grad for name, t in params.items() if t.grad is not None}
 
     train = kind.forward(params, cfg, a_hat, inputs, masks, rows)
     full = kind.forward(params, cfg, a_hat, inputs, masks)
     np.testing.assert_array_equal(train.data, full.data[part.train_idx])
     want = grads(_take_rows(full, part.train_idx))
     got = grads(train)
+    assert got.keys() == want.keys()
     assert any(np.any(g) for g in want.values())
     for name in want:
         np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
@@ -1026,6 +1034,90 @@ def test_training_and_prediction_hold_one_blas_thread(rng, monkeypatch):
     finally:
         for (_, set_), count in zip(controls, caller):
             set_(count)
+
+
+def test_a_second_gcn_fit_on_one_graph_reuses_its_dense_operand(rng, monkeypatch):
+    adj, a_hat, x, labels, part = _instance(rng)
+    densified = []
+    to_dense = SparseMatrix.to_dense
+
+    def counting_to_dense(self):
+        densified.append(self)
+        return to_dense(self)
+
+    monkeypatch.setattr(SparseMatrix, "to_dense", counting_to_dense)
+    cfg, train_cfg = GcnConfig(hidden=4, layers=2), TrainConfig(epochs=3)
+    first, _ = train("gcn", a_hat, x, adj, labels, 3, part, cfg, train_cfg)
+    assert len(densified) == 1  # 12 x 8 takes the dense branch
+    operand = propagate(*KINDS["gcn"].operands(a_hat, x))
+    assert not operand.flags.writeable
+    second, _ = train("gcn", a_hat, x, adj, labels, 3, part, cfg, train_cfg)
+    assert len(densified) == 1
+    for name, t in first.params.items():
+        assert t.data.tobytes() == second.params[name].data.tobytes(), name
+    # Other text on the same graph gets its own product.
+    train("gcn", a_hat, SparseMatrix(x.csr.copy()), adj, labels, 3, part, cfg, train_cfg)
+    assert len(densified) == 2
+
+
+# Minor page faults per warm fit in a fresh process that builds a random
+# 3,000-user graph (about 20 neighbours per user) over 200 terms, then fits
+# gcn d2 and mlp at hidden 64 for 5 epochs, three times each. With glibc's
+# dynamic thresholds, gcn's warm fits took 3,522-3,660 faults; with
+# ``_keep_heap`` every warm fit of either kind took 0. The bound is 100.
+_FAULT_SCRIPT = """
+import json, resource
+import numpy as np
+from scipy import sparse as sp
+from geograph import models
+from geograph.sparse import SparseMatrix
+from geograph.views import normalize_adjacency
+
+rng = np.random.default_rng(0)
+n, terms = 3000, 200
+upper = sp.triu(sp.random(n, n, density=20 / n, random_state=rng, format="coo"), k=1)
+rows, cols = np.concatenate([upper.row, upper.col]), np.concatenate([upper.col, upper.row])
+adj = SparseMatrix.from_triplets(n, n, rows, cols, np.ones(rows.size))
+a_hat = normalize_adjacency(adj, 1.0)
+text = sp.random(n, terms, density=0.05, random_state=rng, format="coo")
+x = SparseMatrix.from_triplets(n, terms, text.row, text.col, text.data)
+labels = rng.integers(0, 8, n)
+part = models.Partition(np.arange(0, n, 4), np.arange(1, n, 4), np.arange(2, n, 4))
+faults = {}
+for kind, cfg in (("gcn", models.GcnConfig(hidden=64, layers=2)), ("mlp", models.MlpConfig(64))):
+    faults[kind] = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        models.train(kind, a_hat, x, adj, labels, 8, part, cfg, models.TrainConfig(epochs=5))
+        faults[kind].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting needs glibc")
+def test_warm_fits_do_not_fault():
+    # A subprocess, because the setting cannot be undone in this one.
+    env = {**os.environ, "PYTHONPATH": str(Path(models.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    faults = json.loads(done.stdout)
+    assert all(count <= 100 for counts in faults.values() for count in counts[1:]), faults
+
+
+def test_training_runs_where_the_c_library_has_no_mallopt(rng, monkeypatch):
+    models._openblas_threads()  # looked up before ctypes.CDLL is replaced
+    models._keep_heap.cache_clear()
+    monkeypatch.setattr(models.ctypes, "CDLL", lambda name: object())
+    try:
+        adj, a_hat, x, labels, part = _instance(rng)
+        model, _ = train("gcn", a_hat, x, adj, labels, 3, part, GcnConfig(hidden=4),
+                         TrainConfig(epochs=2))
+        assert models._keep_heap() is False
+        assert predict_logits(model, a_hat, x, adj).shape == (12, 3)
+    finally:
+        monkeypatch.undo()
+        models._keep_heap.cache_clear()
 
 
 _BLOWUP_CONFIGS = {

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import geograph.autodiff as ad
 from geograph.errors import ArgumentError
 from geograph.optim import ParamSet, glorot_uniform
 
@@ -92,11 +93,14 @@ def test_missing_grad_treated_as_zero():
 
 
 def test_zero_grads_resets():
+    # An emptied slot takes the next gradient as it is, not summed onto the last.
     ps = ParamSet()
-    ps.add("w", np.array([1.0]))
-    ps["w"].grad = np.array([3.0])
+    w = ps.add("w", np.array([1.0]))
+    w.grad = np.array([3.0])
     ps.zero_grads()
-    np.testing.assert_array_equal(ps["w"].grad, [0.0])
+    assert w.grad is None
+    ad.backward(ad.sum_all(ad.mul_const(w, 2.0)))
+    np.testing.assert_array_equal(w.grad, [2.0])
 
 
 def test_copy_and_load_roundtrip():

@@ -66,6 +66,23 @@ def test_float32_twin_is_built_once_and_shares_the_indices(rng):
     assert (s @ w.astype(np.float32)).dtype == np.float64
 
 
+def test_dense_product_is_kept_read_only_per_operand(rng):
+    a = SparseMatrix.from_dense(rng.random((6, 6)) * (rng.random((6, 6)) < 0.5))
+    x = SparseMatrix.from_dense(rng.random((6, 4)) * (rng.random((6, 4)) < 0.5))
+    product = a.dense_product(x)
+    assert not product.flags.writeable
+    with pytest.raises(ValueError):
+        product[0, 0] = 1.0
+    assert product.tobytes() == (a @ x.to_dense()).tobytes()
+    assert a.dense_product(x) is product
+    # Another operand, equal or not, gets its own product, which replaces the kept one.
+    other = SparseMatrix(x.csr.copy())
+    second = a.dense_product(other)
+    assert second is not product and second.tobytes() == product.tobytes()
+    assert a.dense_product(other) is second
+    assert a.dense_product(x) is not product
+
+
 def test_transpose(rng):
     a = rng.random((4, 6)) * (rng.random((4, 6)) < 0.5)
     s = SparseMatrix.from_dense(a)
