@@ -75,8 +75,8 @@ def train(users_path, edges_path, model_name, hidden, layers, bucket, tree_from,
     """Train one model and write checkpoint, report, and predictions."""
     start = time.perf_counter()
     dcca = {"proj_hidden": proj_hidden, "proj_out": proj_out, "stage1_epochs": stage1_epochs}
-    spec = SweepSpec(hidden=hidden, epochs=epochs, lr=lr, dropout=dropout, bucket=bucket,
-                     tree_from=tree_from, lam=lam, dcca=dcca)
+    spec = SweepSpec(seeds=(seed,), hidden=hidden, epochs=epochs, lr=lr, dropout=dropout,
+                     bucket=bucket, tree_from=tree_from, lam=lam, dcca=dcca)
     bundle = load_dataset(users_path, edges_path)
     views, a_hat = spec_views(bundle, spec)
     run = run_cell(bundle, views, a_hat, spec, model_name, labeled_fraction, layers, seed,
@@ -139,7 +139,10 @@ def sweep(spec_path, out_override):
         raise ArgumentError(f"{spec_path}: no output directory: pass --out or set 'out'")
     if "synthetic" in dataset_cfg:
         config, seed = dataset_cfg["synthetic"]
-        bundle = generate_synthetic(config, seed=seed)
+        try:
+            bundle = generate_synthetic(config, seed=seed)
+        except ArgumentError as exc:  # the corpus seed, which only generation checks
+            raise ArgumentError(f"{spec_path}: {exc}") from exc
     else:
         bundle = load_dataset(dataset_cfg["users"], dataset_cfg["edges"])
     report = run_sweep(bundle, spec)

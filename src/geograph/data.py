@@ -277,6 +277,8 @@ def generate_synthetic(config: SyntheticConfig = SyntheticConfig(), seed: int = 
     other's id. Region-local celebrity handles add common-mention structure
     without being users themselves.
     """
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     cfg = config
     n, regions = cfg.n_users, cfg.n_regions

@@ -8,10 +8,9 @@ for every user:
 * ``gcn``: graph convolutions ``H' = relu(A_hat @ (H @ W) + b)``, the first
   over the raw tf-idf rows, with highway gates on the dimension-preserving
   layers, closed by one more graph convolution, without the relu, into class
-  logits. The first layer's ``A_hat @ X`` is fixed for a whole run, so
-  training may hold it dense (see ``propagate``), built once per graph and
-  text and kept on ``A_hat`` for later fits; prediction reads it once,
-  through ``Propagated``.
+  logits. The first layer's ``A_hat @ X`` is fixed, so ``propagate`` alone
+  decides how training and prediction read it: dense, built once per graph
+  and text and kept on ``A_hat``, or through ``Propagated``.
 * ``gcn-lp``: the same stack fed with ``[adjacency | label block]`` rows, a
   ``Blocks``. The label block carries one-hot labels for labeled users and,
   once training accuracy first reaches a trigger threshold, the model's own
@@ -136,6 +135,8 @@ class TrainConfig:
             raise ArgumentError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.epochs < 1:
             raise ArgumentError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
 LP_TRIGGER_ACCURACY = 0.2
@@ -146,7 +147,9 @@ PATIENCE = 10
 # ``propagate`` holds ``A_hat @ X`` dense when ``n * V <= DENSE_PROPAGATION *
 # (nnz(A_hat) + nnz(X))``: an epoch's two gemms against the n x V array then
 # cost less than its four sparse products. Both sides scale with the hidden
-# width, so the crossover is a ratio of gemm to spmm speed. Measured in
+# width, so the crossover is a ratio of gemm to spmm speed. Prediction reads
+# the same operand: a cold one, on a graph and text no fit has kept it for,
+# builds it once, which costs more than one lazy forward. Measured in
 # float32, as training runs, at hidden 64 on one OpenBLAS thread (2-core
 # x86), forward plus backward per epoch, on random graphs and text: dense
 # wins at ratio 1.5 (10,000 users: 37 -> 4.5 ms), 3.7 (1,000 users: 1.1 ->
@@ -372,13 +375,13 @@ class Propagated(NamedTuple):
 
 
 def propagate(a_hat: SparseMatrix, x: SparseMatrix) -> np.ndarray | Propagated:
-    """gcn's first-layer operand ``a_hat @ x`` as training holds it: dense when
-    its size says a gemm beats the two sparse products (``DENSE_PROPAGATION``),
-    else ``Propagated``, which runs exactly those products.
+    """gcn's first-layer operand ``a_hat @ x``, which training and prediction
+    read alike: dense when its size says a gemm beats the two sparse products
+    (``DENSE_PROPAGATION``), else ``Propagated``, which runs exactly those.
 
     The dense operand is ``a_hat.dense_product(x)``: read-only, and kept on
-    ``a_hat`` for the same ``x``, so a later fit on the same graph and text
-    reuses it, and nothing outlives the caller's ``a_hat``."""
+    ``a_hat`` for the same ``x``, so a later fit or prediction on the same
+    graph and text reuses it, and nothing outlives the caller's ``a_hat``."""
     n, v = x.shape
     if n * v <= DENSE_PROPAGATION * (a_hat.nnz + x.nnz):
         return a_hat.dense_product(x)
@@ -566,7 +569,7 @@ def _mlp_logits(params: Params, cfg, a_hat, inputs, masks, rows=None, prefix="")
 
 
 # Only gcn-lp's set-up returns an ``after_epoch`` hook, so only its inputs are
-# rebuilt each epoch; gcn's dense ``propagate`` operand never is.
+# rebuilt each epoch; gcn's ``propagate`` operand never is.
 @dataclass(frozen=True)
 class ModelKind:
     config: type
@@ -604,7 +607,7 @@ _text_and_graph = lambda n, v, k: {"in_dim": v, "graph_dim": n}  # noqa: E731
 KINDS = {
     "gcn": ModelKind(GcnConfig, lambda n, v, k: {"in_dim": v},
                      lambda c, m: gcn_layout(m["in_dim"], m["num_classes"], c), _gcn_setup,
-                     lambda model, a_hat, x, adjacency: Propagated(a_hat, x), _gcn_logits,
+                     lambda model, a_hat, x, adjacency: propagate(a_hat, x), _gcn_logits,
                      _gcn_masks, False),
     "gcn-lp": ModelKind(GcnConfig, lambda n, v, k: {"in_dim": n + k}, _gcn_lp_layout,
                         _gcn_lp_setup, _gcn_lp_inputs, _gcn_logits, _gcn_masks, False),
@@ -746,9 +749,6 @@ def train(
     params.cast(entry.dtype)
     a_hat, x = entry.operands(a_hat, x)
     inputs = entry.inputs(model, a_hat, x, adjacency)
-    # Every epoch reads the operand, so fixed text rows may be held dense.
-    if isinstance(inputs, Propagated) and isinstance(inputs.right, SparseMatrix):
-        inputs = propagate(a_hat, inputs.right)
     rows = entry.labeled_rows(a_hat, inputs, partition.train_idx)
     train_idx = rows.idx
     targets = one_hot(labels[train_idx], num_classes).astype(entry.dtype, copy=False)

@@ -59,14 +59,19 @@ CSV_HEADER = "model,fraction,depth,seed,acc161,mean_km,median_km"
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A grid of (model, fraction, depth, seed) cells, each axis listing
+    distinct values, and the settings every cell shares. ``hidden``, ``epochs``,
+    ``lr`` and ``dropout`` default to the config classes' defaults, as
+    ``geograph train``'s flags do."""
+
     fractions: tuple[float, ...] = (1.0,)
     models: tuple[str, ...] = ("gcn",)
     seeds: tuple[int, ...] = (0,)
     depths: tuple[int, ...] = (1,)
-    hidden: int = 100
-    epochs: int = 150
-    lr: float = 1e-2
-    dropout: float = 0.5
+    hidden: int = GcnConfig.hidden
+    epochs: int = TrainConfig.epochs
+    lr: float = TrainConfig.lr
+    dropout: float = TrainConfig.dropout
     bucket: int = 50
     tree_from: str = "labeled"  # or "all-train": reuse the full train split
     lam: float = 1.0
@@ -82,6 +87,11 @@ class SweepSpec:
         object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
         if not (self.models and self.fractions and self.depths and self.seeds):
             raise ArgumentError("need at least one model, fraction, depth and seed")
+        for axis in ("models", "fractions", "depths", "seeds"):
+            values = getattr(self, axis)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ArgumentError(f"{axis} repeats {repeated[0]!r}")
         if any(not 0.0 < f <= 1.0 for f in self.fractions):
             raise ArgumentError("fractions must lie in (0, 1]")
         unknown = sorted(set(self.models) - set(MODEL_NAMES))
@@ -97,7 +107,8 @@ class SweepSpec:
         if not 0.0 < self.max_df_ratio <= 1.0:
             raise ArgumentError(f"max_df_ratio must be in (0, 1], got {self.max_df_ratio}")
         # The configs a cell builds check the ranges of the training knobs.
-        TrainConfig(lr=self.lr, epochs=self.epochs, dropout=self.dropout)
+        for seed in self.seeds:
+            TrainConfig(lr=self.lr, epochs=self.epochs, dropout=self.dropout, seed=seed)
         for _, build in MODELS.values():
             build(self.hidden, self.depths[0], self.dcca)
 
@@ -335,6 +346,7 @@ def run_cell(
     ``early_stop`` keeps the epoch with the best dev median error, which
     needs dev users and makes the trained weights depend on their coordinates.
     """
+    train_cfg = TrainConfig(lr=spec.lr, epochs=spec.epochs, dropout=spec.dropout, seed=seed)
     partition = subsample_labels(bundle, fraction, seed)
     tree = build_region_tree(bundle, partition, spec.bucket, fraction, spec.tree_from)
     labels = labels_for_training(bundle, tree, partition.train_idx)
@@ -347,7 +359,6 @@ def run_cell(
         def dev_score(preds: np.ndarray) -> float:
             return evaluate(preds[partition.dev_idx], dev_coords, tree).median_km
 
-    train_cfg = TrainConfig(lr=spec.lr, epochs=spec.epochs, dropout=spec.dropout, seed=seed)
     model, history = fit_model(
         model_name, depth, views, a_hat, labels, tree.num_classes, partition, spec.hidden,
         train_cfg, spec.dcca, dev_score,

@@ -259,6 +259,19 @@ def test_train_matches_one_cell_sweep(corpus, tmp_path, model):
     assert cell["test"] == trained
 
 
+def test_train_defaults_match_a_sweep_file_that_leaves_them_out(corpus, tmp_path):
+    users, edges = corpus
+    out = tmp_path / "train"
+    assert main(["train", "--users", str(users), "--edges", str(edges), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dataset": {"users": str(users), "edges": str(edges)}}))
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")]) == 0
+    cell, = json.loads((tmp_path / "sweep" / "report.json").read_text())["cells"]
+    assert cell["config"] == report["config"]
+    assert cell["test"] == report["metrics"]["test"]
+
+
 def test_train_gcn_nohighway_has_no_gates(corpus, tmp_path):
     out = tmp_path / "run"
     assert main(_train_args(corpus, out, **{"--model": "gcn-nohighway", "--layers": "2"})) == 0
@@ -336,6 +349,7 @@ def test_early_stop_without_dev_users_exits_1(corpus, tmp_path, capsys):
     ({"--bucket": "0"}, "bucket must be >= 1, got 0"),
     ({"--bucket": "-5"}, "bucket must be >= 1, got -5"),
     ({"--lambda": "-1"}, "lam must be >= 0, got -1.0"),
+    ({"--seed": "-1"}, "seed must be >= 0, got -1"),
 ])
 def test_train_rejects_out_of_range_knobs(corpus, tmp_path, capsys, monkeypatch, flags, message):
     def no_load(*args):
@@ -367,6 +381,10 @@ def test_train_rejects_zero_width_mlp(corpus, tmp_path, capsys):
     ({"lam": -1.0}, "lam must be >= 0, got -1.0"),
     ({"max_df_ratio": 0.0}, "max_df_ratio must be in (0, 1], got 0.0"),
     ({"dataset": {"synthetic": {"words_per_user": -1}}}, "words_per_user must be >= 0, got -1"),
+    ({"seeds": [-1]}, "seed must be >= 0, got -1"),
+    ({"dataset": {"synthetic": {"seed": -3}}}, "seed must be >= 0, got -3"),
+    ({"seeds": [0, 0, 1]}, "seeds repeats 0"),
+    ({"models": ["gcn", "mlp"], "depths": [1, 1]}, "depths repeats 1"),
 ])
 def test_sweep_rejects_bad_spec_field(corpus, tmp_path, capsys, fields, message):
     users, edges = corpus
@@ -404,6 +422,7 @@ def test_sweep_needs_out_and_dataset(tmp_path, capsys, monkeypatch, spec, out, m
     (["--n-users", "-3"], "n_users must be >= 1, got -3"),
     (["--n-users", "0"], "n_users must be >= 1, got 0"),
     (["--words-per-user", "-1"], "words_per_user must be >= 0, got -1"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_synth_rejects_bad_sizes(tmp_path, capsys, flags, message):
     out = tmp_path / "data"

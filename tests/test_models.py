@@ -439,8 +439,8 @@ def test_dcca_caps_a_projection_too_wide_for_its_users(rng, caplog):
 
 def test_predict_matches_training_wiring(rng, monkeypatch):
     # predict_logits must equal logits assembled by hand from the public
-    # forward functions, with the inputs each model was trained on. A
-    # prediction reads gcn's A_hat X once, so it never holds it dense.
+    # forward functions, with the inputs each model was trained on. gcn's
+    # A_hat X is the operand ``propagate`` chooses, in training and prediction.
     adj, a_hat, x, labels, part = _instance(rng)
     train_cfg = TrainConfig(epochs=3, dropout=0.0, seed=0)
     gcn_cfg = GcnConfig(hidden=5, layers=2)
@@ -451,7 +451,7 @@ def test_predict_matches_training_wiring(rng, monkeypatch):
 
     def by_hand(model):
         if model.kind == "gcn":
-            return gcn_forward(a32, Propagated(a32, x32), model.params, gcn_cfg)
+            return gcn_forward(a32, propagate(a32, x32), model.params, gcn_cfg)
         if model.kind == "gcn-lp":
             block = model.state["label_block"].astype(np.float32)
             return gcn_forward(a32, Propagated(a32, lp_input(adj32, block)), model.params,
@@ -888,6 +888,7 @@ def test_train_config_validation():
     for config, fields, message in [
         (TrainConfig, {"dropout": 1.0}, "dropout must be in"),
         (TrainConfig, {"epochs": 0}, "epochs must be >= 1"),
+        (TrainConfig, {"seed": -1}, "seed must be >= 0, got -1"),
         (GcnConfig, {"layers": 0}, "layers must be >= 1"),
         (DccaConfig, {"reg": 0.0}, "reg must be > 0"),
         (DccaConfig, {"proj_hidden": -1}, "proj_hidden must be >= 0"),
@@ -1058,6 +1059,30 @@ def test_a_second_gcn_fit_on_one_graph_reuses_its_dense_operand(rng, monkeypatch
     # Other text on the same graph gets its own product.
     train("gcn", a_hat, SparseMatrix(x.csr.copy()), adj, labels, 3, part, cfg, train_cfg)
     assert len(densified) == 2
+
+
+def test_a_cold_gcn_prediction_builds_its_dense_operand_once(rng, monkeypatch):
+    adj, a_hat, x, labels, part = _instance(rng)
+    cfg, train_cfg = GcnConfig(hidden=4, layers=2), TrainConfig(epochs=3)
+    model, _ = train("gcn", a_hat, x, adj, labels, 3, part, cfg, train_cfg)
+    densified = []
+    to_dense = SparseMatrix.to_dense
+
+    def counting_to_dense(self):
+        densified.append(self)
+        return to_dense(self)
+
+    monkeypatch.setattr(SparseMatrix, "to_dense", counting_to_dense)
+    # Fresh matrices, as ``eval`` builds them: no fit has kept their product.
+    a_new, x_new = SparseMatrix(a_hat.csr.copy()), SparseMatrix(x.csr.copy())
+    logits = predict_logits(model, a_new, x_new, adj)
+    assert len(densified) == 1  # 12 x 8 takes the dense branch
+    np.testing.assert_array_equal(predict_logits(model, a_new, x_new, adj), logits)
+    np.testing.assert_array_equal(predict_logits(model, a_hat, x, adj), logits)
+    refit, _ = train("gcn", a_new, x_new, adj, labels, 3, part, cfg, train_cfg)
+    assert len(densified) == 1
+    for name, t in model.params.items():
+        assert t.data.tobytes() == refit.params[name].data.tobytes(), name
 
 
 # Minor page faults per warm fit in a fresh process that builds a random

@@ -10,7 +10,7 @@ import pytest
 from geograph.data import SyntheticConfig, generate_synthetic, subsample_labels
 from geograph import sweep
 from geograph.errors import ArgumentError, NumericError
-from geograph.models import DccaConfig, trained_config
+from geograph.models import DccaConfig, GcnConfig, MlpConfig, TrainConfig, trained_config
 from geograph.sweep import (
     CSV_HEADER,
     MODEL_NAMES,
@@ -75,11 +75,24 @@ def test_spec_validation():
                          ({"dcca": {"stage1_lr": float("nan")}}, "stage1_lr must be > 0"),
                          ({"bucket": 0}, "bucket must be >= 1"),
                          ({"lam": float("nan")}, "lam must be >= 0"),
-                         ({"max_df_ratio": 0.0}, "max_df_ratio must be in")]:
+                         ({"max_df_ratio": 0.0}, "max_df_ratio must be in"),
+                         ({"seeds": (1, -1)}, "^seed must be >= 0, got -1$"),
+                         # a repeated grid value would run a cell twice and count it twice
+                         ({"models": ("gcn", "mlp", "gcn")}, "^models repeats 'gcn'$"),
+                         ({"fractions": (0.5, 1.0, 0.5)}, r"^fractions repeats 0\.5$"),
+                         ({"depths": (1, 1)}, "^depths repeats 1$"),
+                         ({"seeds": (0, 0, 1)}, "^seeds repeats 0$")]:
         with pytest.raises(ArgumentError, match=message):
             SweepSpec(**bad)
     with pytest.raises(TypeError, match="proj_width"):  # a sweep file gets ArgumentError
         SweepSpec(dcca={"proj_width": 4})
+
+
+def test_spec_training_defaults_are_the_configs_defaults():
+    spec, train_cfg = SweepSpec(), TrainConfig()
+    assert spec.hidden == GcnConfig().hidden == MlpConfig().hidden == DccaConfig().clf_hidden
+    assert (spec.epochs, spec.lr, spec.dropout) == (
+        train_cfg.epochs, train_cfg.lr, train_cfg.dropout)
 
 
 def test_load_sweep_file(tmp_path):

@@ -49,6 +49,8 @@ TRAIN_RUNS = {
     "gcn-d2-1000": ("c1000", ["--model", "gcn", "--layers", "2"]),
     "hand-gcn-d2": ("hand", ["--model", "gcn", "--layers", "2", "--bucket", "4"]),
 }
+# The sweeps set ``hidden``, ``epochs`` and ``lr`` themselves, so the runs
+# they compare stay the same when SweepSpec's defaults for them change.
 SWEEP = {
     "models": ["gcn", "gcn-nohighway", "gcn-lp", "mlp", "dcca"],
     "fractions": [0.5, 1.0],
@@ -56,6 +58,7 @@ SWEEP = {
     "seeds": [0, 1],
     "hidden": 16,
     "epochs": 40,
+    "lr": 0.01,
     "dcca": {"proj_hidden": 8, "proj_out": 4, "stage1_epochs": 20},
     "dataset": {"users": "c300/users.jsonl", "edges": "c300/edges.tsv"},
 }
@@ -64,6 +67,7 @@ HAND_SWEEP = {
     "depths": [1, 2],
     "hidden": 16,
     "epochs": 40,
+    "lr": 0.01,
     "bucket": 4,
     "max_comention_degree": 2,
     "dataset": {"users": "hand/users.jsonl", "edges": "hand/edges.tsv"},
