@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from geograph import data
 from geograph.data import (
     DatasetBundle,
     MentionPairs,
@@ -18,6 +19,7 @@ from geograph.data import (
     subsample_labels,
 )
 from geograph.errors import ArgumentError, DataFormatError
+from geograph.geo import coordinate_error
 from geograph.views import build_mention_graph
 from oracles import newman_modularity
 
@@ -100,6 +102,10 @@ def test_load_reports_line_numbers(tmp_path):
         json.dumps({"id": "x", "lat": "north", "lon": 2.0, "text": "t", "split": "dev"}),
         pytest.param('{"id": "x", "lat": 1' + "0" * 5000 + ', "lon": 2.0, "text": "t", '
                      '"split": "dev"}', id="integer-beyond-int-conversion-limit"),
+        pytest.param(_user(None), id="id-null"),
+        pytest.param(_user(7), id="id-number"),
+        pytest.param(_user("x", text=None), id="text-null"),
+        pytest.param(_user("x", text=["x", "y"]), id="text-list"),
     ],
 )
 def test_load_rejects_bad_records(tmp_path, bad):
@@ -107,6 +113,49 @@ def test_load_rejects_bad_records(tmp_path, bad):
     with pytest.raises(DataFormatError) as err:
         load_dataset(users, edges)
     assert ":2:" in str(err.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", None), ("id", 7), ("id", ["a"]), ("text", None), ("text", ["x", "y"]), ("text", 1.5),
+])
+def test_load_names_a_field_that_is_not_a_string(tmp_path, field, value):
+    row = json.loads(_user("x"))
+    row[field] = value
+    users, edges = _write_dataset(tmp_path, [_user("a"), json.dumps(row)], ["7\tNone"])
+    with pytest.raises(DataFormatError, match=f":2: {field} must be a JSON string"):
+        load_dataset(users, edges)
+
+
+@pytest.mark.parametrize("lines, where", [
+    # Each file holds two faults; the earlier line is reported, with the
+    # first check that fails on it.
+    ([_user("a"), _user("A"), "{not json"], ":2: duplicate id"),
+    ([_user("a"), "{not json", _user("A")], ":2: invalid JSON"),
+    ([_user("a", split="x"), _user("b", lat=95.0)], ":1: split must be"),
+    ([_user("a", lat=95.0), _user("b", text=None)], ":2: text must be"),
+    ([_user("a"), _user("b", lat=None, split="x"), _user("a")], ":2: split must be"),
+    ([_user("a"), "[1]", json.dumps({"id": "c"})], ":2: expected an object"),
+    ([_user("a", lat=True), _user("b", lon=1e400)], ":1: bad coordinates"),
+    # A coordinate out of range is found once every line has passed the rest.
+    ([_user("a"), _user("b", lon=1e400), _user("c", lat=None)], ":3: bad coordinates"),
+])
+def test_load_reports_the_first_bad_line(tmp_path, lines, where):
+    users, edges = _write_dataset(tmp_path, lines, [])
+    with pytest.raises(DataFormatError, match=where):
+        load_dataset(users, edges)
+
+
+def test_load_checks_coordinates_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(coords):
+        calls.append(len(coords))
+        return coordinate_error(coords)
+
+    monkeypatch.setattr(data, "coordinate_error", counted)
+    users, edges = _write_dataset(tmp_path, [_user("a"), _user("b")], ["a\tb"])
+    load_dataset(users, edges)
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("field,value", [

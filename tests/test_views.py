@@ -1,17 +1,24 @@
 """Text view, mention graph collapse, and adjacency normalization."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
+from geograph import views
 from geograph.data import MentionPairs
 from geograph.errors import ArgumentError, NumericError, ShapeError
 from geograph.sparse import SparseMatrix
 from geograph.views import (
     Vocabulary,
+    _row_sums,
     build_mention_graph,
     build_text_view,
     extract_mention_pairs,
@@ -184,7 +191,9 @@ def test_duplicate_user_ids_rejected():
 def _assert_same_csr(got: SparseMatrix, want) -> None:
     got = got.csr
     assert got.shape == want.shape
-    assert got.has_canonical_format and got.dtype == np.float64
+    # A copy of the arrays carries no cached flag, so the format is checked.
+    fresh = sp.csr_matrix((got.data, got.indices, got.indptr), shape=got.shape)
+    assert fresh.has_canonical_format and got.dtype == np.float64
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
@@ -221,6 +230,19 @@ def test_mention_graph_matches_set_oracle(corpus):
                          oracles.mention_graph(ids, pairs, cap))
 
 
+def test_large_mention_graph_is_canonical_and_matches_the_oracle():
+    """Enough users and shared handles that scipy's B Bᵀ comes back with
+    unsorted rows, and hubs on both sides of the cap."""
+    rng = np.random.default_rng(5)
+    ids = [f"User{i}" for i in range(400)]
+    handles = [f"h{k}" for k in range(60)] + [u.upper() for u in ids[:100]]
+    pairs = [(ids[i], handles[k]) for i, k in zip(rng.integers(0, 400, 3000),
+                                                   rng.integers(0, len(handles), 3000))]
+    got = build_mention_graph(ids, MentionPairs.from_pairs(pairs), 40)
+    assert got.csr.indices.dtype == np.int32 and got.csr.indptr.dtype == np.int32
+    _assert_same_csr(got, oracles.mention_graph(ids, pairs, 40))
+
+
 def test_mention_graph_without_pairs():
     _assert_same_csr(build_mention_graph(["a", "B"], MentionPairs.from_pairs([]), 0),
                      oracles.mention_graph(["a", "B"], [], 0))
@@ -248,6 +270,95 @@ def test_text_view_matches_two_pass_oracle(texts, unseen, min_df, max_df_ratio):
     y, same = build_text_view(unseen, vocab=vocab)
     assert same is vocab
     _assert_same_csr(y, oracles.text_view(unseen, terms, df, n_docs))
+
+
+# Separators that str.split() splits on, and tokens that are mentions, repeat
+# in other cases, or change length under lower() ("İ" lowers to two code
+# points; a final "Σ" lowers by context).
+_SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\u3000", "\x85"]
+_TOKENS = ["Apple", "APPLE", "apple", "@pear", "@", "@@", "@İ", "İ", "İstanbul", "istanbul",
+           "ΟΔΟΣ", "οδος", "Straße", "x@y", *(f"w{i}" for i in range(6))]
+
+
+@st.composite
+def documents(draw):
+    tokens = draw(st.lists(st.sampled_from(_TOKENS), max_size=25))
+    seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(tokens) + 1,
+                         max_size=len(tokens) + 1))
+    return seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))
+
+
+@given(st.lists(documents(), min_size=1, max_size=14), st.integers(0, 3), st.integers(1, 5))
+def test_text_view_matches_two_pass_oracle_on_awkward_documents(texts, min_df, chunk):
+    """Documents that are empty, hold only mentions, repeat tokens or mix
+    whitespace, tokenized in chunks of 1 to 5 documents so that words and
+    mentions are first seen in later chunks."""
+    with mock.patch.object(views, "_CHUNK", chunk):
+        x, vocab = build_text_view(texts, min_df=min_df, max_df_ratio=1.0)
+        terms, df, n_docs = oracles.vocabulary(texts, min_df, 1.0)
+        assert vocab == Vocabulary(terms=terms, df=df, n_docs=n_docs)
+        _assert_same_csr(x, oracles.text_view(texts, terms, df, n_docs))
+        y, _ = build_text_view(texts[::-1], vocab=vocab)
+        _assert_same_csr(y, oracles.text_view(texts[::-1], terms, df, n_docs))
+
+
+def test_row_sums_match_per_row_np_sum():
+    """Lengths 0 to 300 cross the pairwise sum's block edges at 8 and 128, and
+    one row is longer than numpy's 8,192-element buffer."""
+    rng = np.random.default_rng(0)
+    lengths = np.concatenate([np.repeat(np.arange(301), 3), [9000, 8193]])
+    rng.shuffle(lengths)
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    values = rng.random(bounds[-1]) * rng.choice([1e-6, 1.0, 1e6], bounds[-1])
+    want = [np.sum(values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    np.testing.assert_array_equal(_row_sums(values, bounds), want)
+
+
+def test_text_view_with_long_rows_matches_the_oracle():
+    """Rows of every length up to 300 in-vocabulary words, and one of 9,000."""
+    texts = [" ".join(f"w{j}" for j in range(i, 2 * i)) for i in range(301)]
+    texts.append(" ".join(f"w{j}" for j in range(9000)))
+    x, vocab = build_text_view(texts, min_df=1, max_df_ratio=1.0)
+    _assert_same_csr(x, oracles.text_view(texts, vocab.terms, vocab.df, vocab.n_docs))
+
+
+def test_text_view_stores_no_zero_entries():
+    """A vocabulary read from outside may hold a df above its n_docs; these
+    give "a" an idf of exactly 0, which is not stored."""
+    vocab = Vocabulary(terms=("a", "b"), df=(410105311, 1), n_docs=150869312)
+    assert vocab.idf()[0] == 0.0
+    x, _ = build_text_view(["a b", ""], vocab=vocab)
+    np.testing.assert_array_equal(x.csr.indices, [1])
+    np.testing.assert_array_equal(x.csr.indptr, [0, 1, 1])
+
+
+_VIEW_HASH = """
+import hashlib, sys
+from geograph import data, views
+bundle = data.generate_synthetic(data.SyntheticConfig(n_users=300, vocab_size=400), seed=3)
+texts = [t + (" @Hub @user00001 Ünïcode İ" if i % 3 else "") for i, t in enumerate(bundle.texts)]
+x, vocab = views.build_text_view(texts, min_df=1)
+a = views.build_mention_graph(bundle.ids, bundle.mention_pairs, 10)
+digest = hashlib.sha256(repr(vocab.to_dict()).encode())
+for m in (x.csr, a.csr):
+    for array in (m.indptr, m.indices, m.data):
+        digest.update(array.dtype.str.encode() + array.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_views_do_not_depend_on_the_hash_seed():
+    """Word ids follow set iteration order, which string hashing sets; the
+    views must not."""
+    src = str(Path(views.__file__).resolve().parents[1])
+    digests = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-c", _VIEW_HASH], capture_output=True,
+                              text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout)
+    assert len(digests) == 1
 
 
 def test_extract_mention_pairs():

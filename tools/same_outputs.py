@@ -10,8 +10,11 @@ and 1,000 users; short ``train`` runs of every model kind, each followed by an
 ``eval`` of its checkpoint; and a sweep of all five models over two labeled
 fractions, two depths and two seeds. A small hand-written corpus, whose
 ``edges.tsv`` mixes the case of names and holds repeated rows, unknown
-mentioners, handles that name no user and a hub, gets one ``train`` run with
-its ``eval`` and a sweep that caps co-mentions below the hub's degree. Each run
+mentioners, handles that name no user, a hub, a blank line, a line of only
+spaces and a tab, a CRLF line and no final newline, and whose users include
+one with empty text and one whose text is only mentions, gets one ``train``
+run with its ``eval`` and a sweep that caps co-mentions below the hub's
+degree. Each run
 uses ``PYTHONPATH=<tree>/src``. The ref runs at ``OPENBLAS_NUM_THREADS=1`` and
 the working tree at the thread count it inherits, so no differing file shows
 both that the bytes are unchanged and that they do not depend on the count.
@@ -78,7 +81,9 @@ def write_hand_corpus(out: Path) -> None:
     """24 users in two regions, and mention rows that reach every branch of the
     graph build: each user names a neighbour in another case and ``Hub``,
     which all of them mention; some share a ``Local`` handle, repeat a row or
-    are named by ``ghost``, which is no user."""
+    are named by ``ghost``, which is no user. ``user12``'s text is empty and
+    ``User13``'s holds only mentions. Lines that hold no pair, a CRLF ending
+    and a missing final newline exercise the edges file's line handling."""
     out.mkdir(parents=True)
     ids = [f"User{i:02d}" if i % 3 else f"user{i:02d}" for i in range(24)]
     splits = ["train", "train", "train", "dev", "test"]
@@ -86,9 +91,9 @@ def write_hand_corpus(out: Path) -> None:
         for i, uid in enumerate(ids):
             region = i % 2
             text = " ".join(f"{word}{region}" for word in ("coast", "river", "hill")[: 1 + i % 3])
+            text = {12: "", 13: "@Hub @user12 @hub"}.get(i, f"{text} shared word{i % 4}")
             row = {"id": uid, "lat": 30.0 + 10.0 * region + 0.1 * (i % 5),
-                   "lon": -100.0 + 0.1 * (i % 7), "text": f"{text} shared word{i % 4}",
-                   "split": splits[i % 5]}
+                   "lon": -100.0 + 0.1 * (i % 7), "text": text, "split": splits[i % 5]}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     rows = []
     for i, uid in enumerate(ids):
@@ -99,7 +104,11 @@ def write_hand_corpus(out: Path) -> None:
         if i % 5 == 0:
             rows.extend([("ghost", uid), (uid, ids[(i + 2) % 24].swapcase())])
     rows.append(("Stranger", "hub"))
-    (out / "edges.tsv").write_text("".join(f"{a}\t{b}\n" for a, b in rows), encoding="utf-8")
+    lines = [f"{a}\t{b}\n" for a, b in rows]
+    lines[3] += "\n"
+    lines[7] += " \t \n"
+    lines[10] = lines[10].replace("\n", "\r\n")
+    (out / "edges.tsv").write_text("".join(lines).rstrip("\n"), encoding="utf-8", newline="")
 
 
 def run_all(tree: Path, out: Path, env: dict[str, str]) -> None:
