@@ -19,7 +19,6 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -29,8 +28,6 @@ from .errors import ArgumentError, DataFormatError
 from .geo import coordinate_error
 
 SPLITS = ("train", "dev", "test")
-# The fields of a users row, in the order a row missing some names them.
-_FIELDS = ("id", "lat", "lon", "text", "split")
 
 log = logging.getLogger(__name__)
 
@@ -133,30 +130,69 @@ class DatasetBundle:
 def load_dataset(users_path, edges_path) -> DatasetBundle:
     """Parse the two-file dataset format, reporting bad lines by number.
 
-    Each users line is decoded on its own, and the rows are then checked a
-    field at a time; the bundle checks the coordinates' range, the split tags
-    and that ids are unique case-insensitively. Only when one of these fails
-    are the lines walked in order, to report the first bad one.
+    Each users line is checked as it is read. The coordinates' range is left
+    to the bundle, which checks it for every bundle; when that fails, the
+    offending user is traced back to its line.
     """
     users_path, edges_path = Path(users_path), Path(edges_path)
+    ids, texts, latlon, splits, linenos = [], [], [], [], []
+    seen: dict[str, int] = {}  # lower-cased id -> its index in ids
+    decode = json.JSONDecoder().decode
+    with open(users_path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = decode(line)
+            except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+                raise DataFormatError(f"{users_path}:{lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(row, dict):
+                raise DataFormatError(f"{users_path}:{lineno}: expected an object")
+            missing = [k for k in ("id", "lat", "lon", "text", "split") if k not in row]
+            if missing:
+                raise DataFormatError(f"{users_path}:{lineno}: missing fields {missing}")
+            uid, text, split = row["id"], row["text"], row["split"]
+            if type(uid) is not str or type(text) is not str:
+                field, value = ("id", uid) if type(uid) is not str else ("text", text)
+                raise DataFormatError(f"{users_path}:{lineno}: {field} must be a JSON string, "
+                                      f"got {value!r}")
+            key = uid.lower()
+            j = seen.get(key)
+            if j is not None:
+                raise DataFormatError(f"{users_path}:{lineno}: duplicate id {uid!r} (ids match "
+                                      f"case-insensitively: {ids[j]!r} on line {linenos[j]})")
+            if split not in SPLITS:
+                raise DataFormatError(
+                    f"{users_path}:{lineno}: split must be one of {SPLITS}, got {split!r}"
+                )
+            lat, lon = row["lat"], row["lon"]
+            if type(lat) not in (int, float) or type(lon) not in (int, float):
+                raise DataFormatError(f"{users_path}:{lineno}: bad coordinates (lat and lon "
+                                      f"must be JSON numbers, got {(lat, lon)})")
+            try:
+                latlon.append((float(lat), float(lon)))
+            except OverflowError:
+                raise DataFormatError(f"{users_path}:{lineno}: bad coordinates (an integer "
+                                      "too large for a float)") from None
+            seen[key] = len(ids)
+            ids.append(uid)
+            texts.append(text)
+            splits.append(split)
+            linenos.append(lineno)
+    if not ids:
+        raise DataFormatError(f"{users_path}: no users")
+    coords = np.array(latlon, dtype=np.float64)
     try:
-        with open(users_path, encoding="utf-8") as fh:
-            decoded = map(json.JSONDecoder().decode, filter(None, map(str.strip, fh)))
-            records = list(map(itemgetter(*_FIELDS), decoded))
-        # Column by column: zip(*records) would hold an iterator per record.
-        ids, lats, lons, texts, splits = (list(map(itemgetter(i), records)) for i in range(5))
-        del records
-        if ({*map(type, ids), *map(type, texts)} != {str}
-                or not {*map(type, lats), *map(type, lons)} <= {int, float}):
-            raise TypeError("a field of the wrong type")
-        coords = np.array((lats, lons), dtype=np.float64).T.copy()
         bundle = DatasetBundle(ids, texts, coords, splits, MentionPairs.from_pairs(()))
-    except (ValueError, TypeError, KeyError, OverflowError, ArgumentError):
-        _raise_first_bad_line(users_path)
-        raise
+    except ArgumentError:  # the loop above has made every other check
+        bad = coordinate_error(coords)
+        if not bad:
+            raise
+        raise DataFormatError(
+            f"{users_path}:{linenos[bad[0]]}: bad coordinates ({bad[1]})") from None
 
     dropped = 0
-    known = set(map(str.lower, ids))
 
     def rows():
         nonlocal dropped
@@ -170,65 +206,20 @@ def load_dataset(users_path, edges_path) -> DatasetBundle:
                     raise DataFormatError(
                         f"{edges_path}:{lineno}: expected two tab-separated fields"
                     )
-                if parts[0].lower() in known:
+                if parts[0].lower() in seen:
                     yield parts[0], parts[1]
                 else:
                     dropped += 1
 
     pairs = MentionPairs.from_pairs(rows())
     bundle.mention_pairs = pairs  # indexes only its own names, so it needs no check
-    counts = {s: bundle.splits.count(s) for s in SPLITS}
+    counts = {s: splits.count(s) for s in SPLITS}
     log.info(
         "loaded %d users (%d train / %d dev / %d test), %d mention pairs, "
         "%d pairs with unknown mentioner dropped",
         len(ids), counts["train"], counts["dev"], counts["test"], len(pairs), dropped,
     )
     return bundle
-
-
-def _raise_first_bad_line(users_path: Path) -> None:
-    """Raise for the first line of a users file that fails a check, with that
-    line's first failing check; return when every line passes."""
-    seen: dict[str, tuple[str, int]] = {}  # lower-cased id -> the id and its line
-    latlon = []
-    with open(users_path, encoding="utf-8") as fh:
-        lines = [(lineno, line) for lineno, line in enumerate(map(str.strip, fh), start=1) if line]
-    for lineno, line in lines:
-        where = f"{users_path}:{lineno}:"
-        try:
-            row = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
-            raise DataFormatError(f"{where} invalid JSON ({exc})") from exc
-        if not isinstance(row, dict):
-            raise DataFormatError(f"{where} expected an object")
-        missing = [k for k in _FIELDS if k not in row]
-        if missing:
-            raise DataFormatError(f"{where} missing fields {missing}")
-        for field in ("id", "text"):
-            if type(row[field]) is not str:
-                raise DataFormatError(f"{where} {field} must be a JSON string, got {row[field]!r}")
-        uid = row["id"]
-        first = seen.get(uid.lower())
-        if first:
-            raise DataFormatError(f"{where} duplicate id {uid!r} (ids match case-insensitively: "
-                                  f"{first[0]!r} on line {first[1]})")
-        if row["split"] not in SPLITS:
-            raise DataFormatError(f"{where} split must be one of {SPLITS}, got {row['split']!r}")
-        pair = (row["lat"], row["lon"])
-        if any(type(v) not in (int, float) for v in pair):
-            raise DataFormatError(f"{where} bad coordinates (lat and lon must be JSON numbers, "
-                                  f"got {pair})")
-        try:
-            latlon.append((float(pair[0]), float(pair[1])))
-        except OverflowError:
-            raise DataFormatError(f"{where} bad coordinates (an integer too large for a "
-                                  "float)") from None
-        seen[uid.lower()] = (uid, lineno)
-    if not lines:
-        raise DataFormatError(f"{users_path}: no users")
-    bad = coordinate_error(np.array(latlon, dtype=np.float64))
-    if bad:
-        raise DataFormatError(f"{users_path}:{lines[bad[0]][0]}: bad coordinates ({bad[1]})")
 
 
 def save_dataset(bundle: DatasetBundle, out_dir) -> tuple[Path, Path]:

@@ -80,10 +80,10 @@ def _document_words(texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray
     Returns the words in id order, the concatenated per-document id lists and
     their row offsets (document ``i`` holds ``ids[offsets[i]:offsets[i + 1]]``).
     Each document becomes one set of its tokens, and ``_CHUNK`` documents' sets
-    at a time are looked up into ids together; a token seen for the first time
-    gets its id there, or -1 when it is a mention, and the -1 ids are masked
-    out. So the strings held are one chunk's token sets and one copy of each
-    distinct token, in the id table.
+    at a time are looked up into ids together. A chunk's mentions are found
+    among the tokens not yet given an id, and taken out of its sets before the
+    lookup. So the strings held are one chunk's token sets and one copy of
+    each distinct word; no mention outlives its chunk.
     """
     word_ids: dict[str, int] = {}
     words: list[str] = []
@@ -92,19 +92,16 @@ def _document_words(texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray
         docs = [set(text.lower().split()) for text in texts[start:start + _CHUNK]]
         new = set().union(*docs).difference(word_ids)
         handles = {w for w in new if w.startswith("@")}
-        word_ids.update(dict.fromkeys(handles, -1))
-        new = list(new - handles)
+        if handles:
+            docs = [doc - handles for doc in docs]
+            new -= handles
+        new = list(new)
         word_ids.update(zip(new, range(len(words), len(words) + len(new))))
         words.extend(new)
         sizes = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
-        chunk = np.fromiter(map(word_ids.__getitem__, chain.from_iterable(docs)),
-                            dtype=np.int64, count=int(sizes.sum()))
-        is_word = chunk >= 0
-        # Each document ends where the running count of its kept ids does.
-        kept = np.zeros(chunk.size + 1, dtype=np.int64)
-        np.cumsum(is_word, out=kept[1:])
-        offsets.append(offsets[-1][-1] + kept[np.cumsum(sizes)])
-        ids.append(chunk[is_word])
+        ids.append(np.fromiter(map(word_ids.__getitem__, chain.from_iterable(docs)),
+                               dtype=np.int64, count=int(sizes.sum())))
+        offsets.append(offsets[-1][-1] + np.cumsum(sizes))
     return words, np.concatenate(ids), np.concatenate(offsets)
 
 
@@ -127,13 +124,19 @@ def _row_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     its contiguous last axis. numpy reduces each such row with the same
     pairwise summation that np.sum applies to the row alone, so the bits
     agree; a segmented reduction (``np.add.reduceat``, or differences of one
-    cumulative sum) would round differently.
+    cumulative sum) would round differently. One sort of (length, row) keys
+    groups the rows, so each row is read once however many lengths there are;
+    it is np.sort, which the text view already runs, because np.argsort and
+    np.unique's index sort bring in about 0.4 MB more of numpy's code.
     """
     lengths = np.diff(bounds)
-    sums = np.zeros(lengths.size)
-    for length in np.unique(lengths[lengths > 0]).tolist():
-        same = np.flatnonzero(lengths == length)
-        sums[same] = values[bounds[same, None] + np.arange(length)].sum(axis=1)
+    n = lengths.size
+    by_length, rows = np.divmod(np.sort(lengths * n + np.arange(n)), max(n, 1))
+    first = np.flatnonzero(np.diff(by_length, prepend=-1))
+    sums = np.zeros(n)
+    for length, same in zip(by_length[first].tolist(), np.split(rows, first[1:])):
+        if length:
+            sums[same] = values[bounds[same, None] + np.arange(length)].sum(axis=1)
     return sums
 
 

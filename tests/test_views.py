@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -302,6 +304,22 @@ def test_text_view_matches_two_pass_oracle_on_awkward_documents(texts, min_df, c
         _assert_same_csr(y, oracles.text_view(texts[::-1], terms, df, n_docs))
 
 
+def test_word_pass_holds_mentions_one_chunk_at_a_time():
+    """100,000 distinct mentions over 2,000 documents: the word pass keeps no
+    mention past its chunk, so its peak stays far below the 9 MB or more that
+    holding each one once would take."""
+    texts = [" ".join(f"w{(i + k) % 40}" for k in range(20)) + " "
+             + " ".join(f"@h{i}x{k}" for k in range(50)) for i in range(2000)]
+    tracemalloc.start()
+    try:
+        words, _, _ = views._document_words(texts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(words) == sorted(f"w{j}" for j in range(40))
+    assert peak < 4e6, peak
+
+
 def test_row_sums_match_per_row_np_sum():
     """Lengths 0 to 300 cross the pairwise sum's block edges at 8 and 128, and
     one row is longer than numpy's 8,192-element buffer."""
@@ -312,6 +330,31 @@ def test_row_sums_match_per_row_np_sum():
     values = rng.random(bounds[-1]) * rng.choice([1e-6, 1.0, 1e6], bounds[-1])
     want = [np.sum(values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     np.testing.assert_array_equal(_row_sums(values, bounds), want)
+
+
+def test_row_sums_cost_does_not_grow_with_the_number_of_lengths():
+    """100,000 short rows and 2,000 rows of distinct lengths: grouping the rows
+    by one sort stays well under one np.sum per row, where one scan of every
+    row per distinct length would not."""
+    rng = np.random.default_rng(1)
+    lengths = np.concatenate([rng.integers(0, 21, 100_000), np.arange(21, 2021)])
+    rng.shuffle(lengths)
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    values = rng.random(bounds[-1])
+    starts, ends = bounds[:-1].tolist(), bounds[1:].tolist()
+
+    def fastest(run):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            out = run()
+            times.append(time.perf_counter() - start)
+        return min(times), out
+
+    grouped, sums = fastest(lambda: _row_sums(values, bounds))
+    per_row, want = fastest(lambda: [np.sum(values[a:b]) for a, b in zip(starts, ends)])
+    np.testing.assert_array_equal(sums, want)
+    assert grouped * 4 < per_row, (grouped, per_row)
 
 
 def test_text_view_with_long_rows_matches_the_oracle():
