@@ -5,15 +5,16 @@ vector-Jacobian product (VJP) on the output tensor: given the gradient of the
 loss with respect to the output, the VJP returns one gradient per input, in
 input order, and writes nothing. ``backward`` replays the recorded graph from
 a scalar loss in reverse topological order and is the only place that sums
-those gradients into ``grad``. It consumes the graph as it goes: once a
-node's VJP has run, the node drops it, and every node but a ``requires_grad``
-leaf also drops its gradient and its inputs, so each activation is freed as
-soon as the backward pass is done with it. Afterwards only the
-``requires_grad`` leaves hold ``.grad``, every tensor keeps its ``.data``,
-and a second ``backward`` that reaches the consumed graph raises
-``StateError``. An op none of whose inputs needs a gradient records
-nothing: it returns a plain tensor, so an eval-mode forward over constant
-weights holds no tape. The vocabulary is deliberately small:
+those gradients into ``grad``. It consumes the graph as it goes: before a
+node's VJP runs, the node drops it, every node but a ``requires_grad`` leaf
+also drops its gradient and its inputs, and ``backward`` releases the node
+itself. So a node's output, unless the caller holds it, is freed while its
+VJP runs, and each activation as soon as the backward pass is done with it.
+Afterwards only the ``requires_grad`` leaves hold ``.grad``, every tensor
+keeps its ``.data``, and a second ``backward`` that reaches the consumed
+graph raises ``StateError``. An op none of whose inputs needs a gradient
+records nothing: it returns a plain tensor, so an eval-mode forward over
+constant weights holds no tape. The vocabulary is deliberately small:
 
 * products: ``matmul``, ``spmm`` (constant sparse operand) and ``add_bias``;
 * elementwise: ``mul_const`` (scaling), ``dropout``, ``relu`` and
@@ -23,9 +24,10 @@ weights holds no tape. The vocabulary is deliberately small:
   ``cca_correlation``;
 * fused layers: ``relu_affine``, one relu layer over a constant input,
   ``graph_conv``, one graph convolution with or without its relu, and
-  ``highway``, one highway gate with its carry. Each is a single node whose
-  VJP holds only the arrays it reads, so a deep gated stack keeps a short
-  tape.
+  ``gated_conv``, one graph convolution behind a highway gate, whose VJP
+  recomputes the gate. Each is a single node whose VJP holds only the arrays
+  it reads and frees each temporary before it allocates the next, so a deep
+  gated stack keeps a short tape.
 
 A constant operand (a dense array, a ``SparseMatrix`` or a lazy operand over
 them) is read as numpy reads an array, through ``s @ dense`` and ``s.T @ g``.
@@ -148,9 +150,14 @@ def backward(loss: Tensor) -> None:
         if vjp is None:
             continue  # a requires_grad leaf keeps its gradient
         node._vjp, node._parents, node.grad = _consumed, (), None
+        # Unless the caller holds it, the node's output dies here, before
+        # its VJP allocates; so the loop below keeps no parent, the next
+        # node to run, and no spent gradient.
+        del node
         for parent, g in zip(parents, vjp(grad)):
             if parent._needs_grad():
                 parent.grad = g if parent.grad is None else parent.grad + g
+        parent = g = None
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...],
@@ -366,50 +373,86 @@ def graph_conv(a_hat: SparseMatrix, h: Tensor, w: Tensor, b: Tensor,
         if active is not None:
             g = g * active
         back = a_hat.T @ g
+        g_b = g.sum(axis=0)
+        del g
+        dropped = h_data if mask is None else mask.apply(h_data)
+        g_w = dropped.T @ back
+        del dropped
         g_h = back @ w_data.T
-        dropped = h_data
+        del back
         if mask is not None:
             mask.apply(g_h, out=g_h)
-            dropped = mask.apply(h_data)
-        return g_h, dropped.T @ back, g.sum(axis=0)
+        return g_h, g_w, g_b
 
     return _node(out, (h, w, b), vjp)
 
 
-def highway(h_new: Tensor, h_in: Tensor, wg: Tensor, bg: Tensor) -> Tensor:
-    """A highway gate: ``gate * h_new + (1 - gate) * h_in`` with
-    ``gate = sigmoid(h_in @ wg + bg)``, per unit.
+def gated_conv(a_hat: SparseMatrix, h: Tensor, w: Tensor, b: Tensor, wg: Tensor, bg: Tensor,
+               mask: DropoutMask | None = None) -> Tensor:
+    """One gated hidden layer: the graph convolution
+    ``new = relu(a_hat @ (mask * h) @ w + b)`` behind a highway gate,
+    ``gate * new + (1 - gate) * h`` with ``gate = sigmoid(h @ wg + bg)``, per
+    unit. The gate and the carry read the undropped ``h``, so a closed gate
+    passes it through exactly.
 
-    The VJP holds the gate, recomputes its carry ``1 - gate`` and reads the
-    two inputs' own arrays. Both passes run the unfused ops' arithmetic in
-    their order, so the bytes are theirs, but write in place into arrays they
-    have just made.
+    The node holds ``h``'s own array, alive anyway as its input, the mask and
+    ``new``; its VJP recomputes the gate, one n x k x k product, and reads the
+    relu's active set as ``new > 0``. Both passes run the arithmetic of
+    ``graph_conv`` followed by the highway gate, in their order, so the bytes
+    are theirs, and the VJP frees each temporary before it allocates the next.
     """
-    if h_new.data.shape != h_in.data.shape:
-        raise ShapeError(f"highway: shapes {h_new.data.shape} and {h_in.data.shape} differ")
-    k = h_in.data.shape[1]
+    n, k = h.data.shape if h.data.ndim == 2 else (-1, -1)
+    if w.data.shape != (k, k) or b.data.shape != (k,):
+        raise ShapeError(f"gated_conv: input {h.data.shape} @ weights {w.data.shape} "
+                         f"+ bias {b.data.shape} does not keep the width")
     if wg.data.shape != (k, k) or bg.data.shape != (k,):
-        raise ShapeError(f"highway: gate {wg.data.shape} + {bg.data.shape} on width {k}")
-    new, carried, wg_data = h_new.data, h_in.data, wg.data
-    gate = carried @ wg_data
-    gate += bg.data
+        raise ShapeError(f"gated_conv: gate {wg.data.shape} + {bg.data.shape} on width {k}")
+    if a_hat.shape != (n, n):
+        raise ShapeError(f"gated_conv: propagation matrix {a_hat.shape} for {n} rows")
+    if mask is not None and mask.shape != h.data.shape:
+        raise ShapeError(f"gated_conv: mask {mask.shape} vs input {h.data.shape}")
+    h_data, w_data, wg_data, bg_data = h.data, w.data, wg.data, bg.data
+    new = a_hat @ (h_data if mask is None else mask.apply(h_data)) @ w_data
+    new += b.data
+    np.maximum(new, 0.0, out=new)
+    gate = h_data @ wg_data
+    gate += bg_data
     _expit(gate, out=gate)
     out = new * gate
-    kept = np.subtract(1.0, gate)  # the carry, with the bytes of gate * -1.0 + 1.0
-    kept *= carried
-    out += kept
+    np.subtract(1.0, gate, out=gate)  # the carry, with the bytes of gate * -1.0 + 1.0
+    gate *= h_data
+    out += gate
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        gate = h_data @ wg_data
+        gate += bg_data
+        _expit(gate, out=gate)
         carry = np.subtract(1.0, gate)
         g_pre = g * new
-        g_pre -= g * carried
+        g_pre -= g * h_data
         g_pre *= gate
         g_pre *= carry
-        carry *= g  # the gradient of h_in
+        carry *= g  # becomes the gradient of h
+        g_wg = h_data.T @ g_pre
+        g_bg = g_pre.sum(axis=0)
         carry += g_pre @ wg_data.T
-        return g * gate, carry, carried.T @ g_pre, g_pre.sum(axis=0)
+        del g_pre
+        np.multiply(g, gate, out=gate)  # the gradient of new
+        gate *= new > 0.0  # and of its pre-activation
+        back = a_hat.T @ gate
+        g_b = gate.sum(axis=0)
+        del gate
+        dropped = h_data if mask is None else mask.apply(h_data)
+        g_w = dropped.T @ back
+        del dropped
+        g_h = back @ w_data.T
+        del back
+        if mask is not None:
+            mask.apply(g_h, out=g_h)
+        carry += g_h
+        return carry, g_w, g_b, g_wg, g_bg
 
-    return _node(out, (h_new, h_in, wg, bg), vjp)
+    return _node(out, (h, w, b, wg, bg), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +518,7 @@ __all__ = [
     "cca_correlation",
     "relu_affine",
     "graph_conv",
-    "highway",
+    "gated_conv",
     "affine",
     "sparse_affine",
     "DropoutMask",

@@ -239,10 +239,12 @@ def gcn_forward(
     ``Blocks``, always left lazy).
 
     The first layer is ``relu((a_hat @ x) @ W0 + b0)``, one tape node whose
-    operand is constant. ``dropout_masks`` holds one mask per hidden layer
-    output (applied before the next convolution); gates and carry paths read
-    the undropped activation so a closed gate passes the input through exactly.
-    The output layer is one graph convolution without the relu,
+    operand is constant. Each later hidden layer is one tape node too: a
+    ``gated_conv`` with ``cfg.highway``, which recomputes its gate in the
+    backward pass, else a ``graph_conv``. ``dropout_masks`` holds one mask per
+    hidden layer output (applied before the next convolution); gates and carry
+    paths read the undropped activation so a closed gate passes the input
+    through exactly. The output layer is one graph convolution without the relu,
     ``a_hat @ (mask * h) @ W + b``; ``out_rows``, some rows of ``a_hat``,
     makes it compute the logits of those nodes alone.
     """
@@ -251,11 +253,12 @@ def gcn_forward(
     masks = [None] * cfg.layers if dropout_masks is None else dropout_masks
     h = ad.relu_affine(propagated, params["conv0/W"], params["conv0/b"])
     for l in range(1, cfg.layers):
-        h_new = ad.graph_conv(a_hat, h, params[f"conv{l}/W"], params[f"conv{l}/b"], masks[l - 1])
+        w, b = params[f"conv{l}/W"], params[f"conv{l}/b"]
         if cfg.highway:
-            h = ad.highway(h_new, h, params[f"gate{l}/W"], params[f"gate{l}/b"])
+            h = ad.gated_conv(a_hat, h, w, b, params[f"gate{l}/W"], params[f"gate{l}/b"],
+                              masks[l - 1])
         else:
-            h = h_new
+            h = ad.graph_conv(a_hat, h, w, b, masks[l - 1])
     a_out = a_hat if out_rows is None else out_rows
     return ad.graph_conv(a_out, h, params["out/W"], params["out/b"], masks[-1], relu=False)
 

@@ -70,7 +70,13 @@ class Vocabulary:
                 and all(type(c) is int for c in d["df"]) and type(d.get("n_docs")) is int):
             raise DataFormatError("vocabulary needs string 'terms', integer 'df' of the same "
                                   "length and an integer 'n_docs'")
-        return cls(terms=tuple(d["terms"]), df=tuple(d["df"]), n_docs=d["n_docs"])
+        n_docs = d["n_docs"]
+        if n_docs < 0:
+            raise DataFormatError(f"vocabulary 'n_docs' {n_docs} is negative")
+        bad = next((c for c in d["df"] if not 0 <= c <= n_docs), None)
+        if bad is not None:
+            raise DataFormatError(f"vocabulary 'df' {bad} is outside [0, n_docs={n_docs}]")
+        return cls(terms=tuple(d["terms"]), df=tuple(d["df"]), n_docs=n_docs)
 
 
 def _document_words(texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:

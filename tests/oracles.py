@@ -134,6 +134,38 @@ def gcn_logits(a_hat: np.ndarray, x: np.ndarray, params: dict[str, np.ndarray], 
     return a_hat @ h @ params["out/W"] + params["out/b"]
 
 
+def highway(new: np.ndarray, carried: np.ndarray, wg: np.ndarray, bg: np.ndarray):
+    """A highway gate as its own op: ``gate * new + (1 - gate) * carried``
+    with ``gate = 1 / (1 + exp(-(carried @ wg + bg)))``, and its VJP.
+
+    Returns the output and ``vjp(g)``, which gives the gradients of ``new``,
+    ``carried``, ``wg`` and ``bg``. It is the reference whose bytes the
+    package's gated layer must match after a ``graph_conv``, so every product
+    and elementwise step runs in that layer's order.
+    """
+    gate = -(carried @ wg + bg)
+    with np.errstate(over="ignore"):
+        np.exp(gate, out=gate)
+    gate += 1.0
+    np.divide(1.0, gate, out=gate)
+    out = new * gate
+    kept = np.subtract(1.0, gate)
+    kept *= carried
+    out += kept
+
+    def vjp(g):
+        carry = np.subtract(1.0, gate)
+        g_pre = g * new
+        g_pre -= g * carried
+        g_pre *= gate
+        g_pre *= carry
+        carry *= g
+        carry += g_pre @ wg.T
+        return g * gate, carry, carried.T @ g_pre, g_pre.sum(axis=0)
+
+    return out, vjp
+
+
 def newman_modularity(a: np.ndarray, communities: np.ndarray) -> float:
     """Q = (1/2m) sum_ij (A_ij - k_i k_j / 2m) [c_i == c_j]."""
     a = np.asarray(a, dtype=np.float64)

@@ -14,7 +14,7 @@ import pytest
 import geograph.autodiff as ad
 from geograph.errors import NumericError, ShapeError, StateError
 from geograph.sparse import SparseMatrix
-from oracles import exact_linear_cca, fd_gradient, max_relative_error
+from oracles import exact_linear_cca, fd_gradient, highway, max_relative_error
 
 TOL = 1e-6
 
@@ -194,20 +194,91 @@ def test_relu_affine_matches_unfused_ops(rng):
         ad.relu_affine(s, ad.constant(p["w"]), ad.constant(p["b"][:2]))
 
 
+def _gated_instance(rng, dtype=np.float64):
+    """A square propagation matrix and gated_conv parameters of width 3 over
+    5 users, in ``dtype``. User 2 reads no neighbour, so its pre-activation
+    is the bias alone, and no user reads user 4."""
+    dense = rng.random((5, 5)) * (rng.random((5, 5)) < 0.6)
+    dense[2] = dense[:, 4] = 0.0
+    p = _params(rng, h=(5, 3), w=(3, 3), b=(3,), wg=(3, 3), bg=(3,))
+    return SparseMatrix.from_dense(dense).astype(dtype), {k: v.astype(dtype) for k, v in p.items()}
+
+
+_GATED = ("h", "w", "b", "wg", "bg")
+
+
 @pytest.mark.parametrize("gate_bias", [4.0, -4.0])  # gates near open, near closed
 def test_highway_grad(rng, gate_bias):
-    p = _params(rng, h_new=(5, 3), h_in=(5, 3), wg=(3, 3), bg=(3,))
+    # The gated layer's finite-difference check: its VJP recomputes the gate.
+    a_hat, p = _gated_instance(rng)
     p["wg"] *= 0.3
     p["bg"] = 0.1 * p["bg"] + gate_bias
-    gate = 1.0 / (1.0 + np.exp(-(p["h_in"] @ p["wg"] + p["bg"])))
+    p["b"][:] = [0.5, -0.5, 0.25]  # keeps the empty row's pre-activation off the kink
+    gate = 1.0 / (1.0 + np.exp(-(p["h"] @ p["wg"] + p["bg"])))
     assert (gate > 0.8).all() if gate_bias > 0 else (gate < 0.2).all()
+    mask = ad.make_dropout_mask(rng, (5, 3), 0.5)
+    assert _relu_margin(a_hat, p, mask) > 1e-4
     weights = rng.standard_normal((5, 3))
 
     def loss(v):
-        out = ad.highway(*(ad.parameter(v[k], k) for k in ("h_new", "h_in", "wg", "bg")))
+        out = ad.gated_conv(a_hat, *(ad.parameter(v[k], k) for k in _GATED), mask)
         return ad.sum_all(ad.mul_const(out, weights))
 
     check_op(loss, p)
+
+
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gated_conv_matches_graph_conv_then_highway(rng, dtype, masked, nan):
+    # The fused layer's output and all five gradients have the bytes of a
+    # graph_conv node followed by the unfused highway op, with -0.0 among the
+    # inputs and, in a second case, a NaN. The NaN sits on the user no one
+    # reads, so part of every gradient stays finite.
+    a_hat, p = _gated_instance(rng, dtype)
+    p["h"][0, 1] = p["b"][2] = -0.0
+    if nan:
+        p["h"][4, 0] = np.nan
+    mask = ad.make_dropout_mask(rng, (5, 3), 0.5) if masked else None
+    g = rng.standard_normal((5, 3)).astype(dtype)
+    g[1, 1] = -0.0
+    outs, grads = [], []
+    for fused in (True, False):
+        t = {k: ad.parameter(p[k].copy(), k) for k in _GATED}
+        if fused:
+            out = ad.gated_conv(a_hat, *(t[k] for k in _GATED), mask)
+        else:
+            new = ad.graph_conv(a_hat, t["h"], t["w"], t["b"], mask)
+            value, vjp = highway(new.data, t["h"].data, t["wg"].data, t["bg"].data)
+            out = ad.Tensor(value, _parents=(new, t["h"], t["wg"], t["bg"]), _vjp=vjp)
+        ad.backward(ad.sum_all(ad.mul_const(out, g)))
+        outs.append(out.data)
+        grads.append([t[k].grad for k in _GATED])
+    assert np.isnan(outs[0]).any() == nan and np.isnan(grads[0][0]).any() == nan
+    assert outs[0].dtype == dtype and outs[0].tobytes() == outs[1].tobytes()
+    for name, fused_grad, unfused_grad in zip(_GATED, *grads):
+        assert fused_grad.dtype == dtype, name
+        assert fused_grad.tobytes() == unfused_grad.tobytes(), name
+
+
+@pytest.mark.parametrize("case", ["widening weights", "gate weights", "gate bias", "mask",
+                                  "propagation matrix"])
+def test_gated_conv_rejects_bad_shapes(rng, case):
+    a_hat, p = _gated_instance(rng)
+    args = {k: ad.constant(v) for k, v in p.items()}
+    mask = None
+    if case == "widening weights":
+        args["w"], args["b"] = ad.constant(np.ones((3, 4))), ad.constant(np.zeros(4))
+    elif case == "gate weights":
+        args["wg"] = ad.constant(np.ones((3, 4)))
+    elif case == "gate bias":
+        args["bg"] = ad.constant(np.zeros(4))
+    elif case == "mask":
+        mask = ad.make_dropout_mask(rng, (4, 3), 0.5)
+    else:
+        a_hat = SparseMatrix.from_dense(np.ones((4, 5)))
+    with pytest.raises(ShapeError, match="gated_conv"):
+        ad.gated_conv(a_hat, *(args[k] for k in _GATED), mask)
 
 
 def test_relu_grad_away_from_kink(rng):
@@ -294,6 +365,7 @@ def _tape_ops(rng):
     input, and the arrays the ops share with their caller (weights and
     constant operands), which outlive any one graph."""
     s = SparseMatrix.from_dense(rng.random((4, 6)))
+    square = SparseMatrix.from_dense(rng.random((6, 6)))
     w = ad.parameter(rng.standard_normal((3, 3)))
     b = ad.parameter(rng.standard_normal(3))
     c = rng.standard_normal((6, 3))
@@ -311,7 +383,7 @@ def _tape_ops(rng):
         "relu_affine": lambda h: ad.relu_affine(s, h, b),
         "graph_conv": lambda h: ad.graph_conv(s, h, w, b, mask),
         "graph_conv without relu": lambda h: ad.graph_conv(s, h, w, b, mask, relu=False),
-        "highway": lambda h: ad.highway(ad.mul_const(h, c), h, w, b),
+        "gated_conv": lambda h: ad.gated_conv(square, h, w, b, w, b, mask),
     }
     return ops, (w.data, b.data, c, mask.keep)
 
@@ -364,6 +436,29 @@ def test_backward_frees_what_each_vjp_held(rng):
             assert loss.grad is None and np.isfinite(loss.data)
     finally:
         gc.enable()
+
+
+def test_backward_releases_each_node_before_its_vjp(rng):
+    # A node's output that only the graph holds is freed before its VJP
+    # runs, so the VJP's temporaries never sit beside it.
+    x = ad.parameter(rng.standard_normal((4, 3)))
+    seen = []
+
+    def vjp(g):
+        seen.append(probe())
+        return (g,)
+
+    node = ad.Tensor(x.data * 2.0, _parents=(x,), _vjp=vjp)
+    probe = weakref.ref(node.data)
+    loss = ad.sum_all(node)
+    del node
+    gc.disable()
+    try:
+        ad.backward(loss)
+    finally:
+        gc.enable()
+    assert seen == [None]
+    np.testing.assert_array_equal(x.grad, np.ones((4, 3)))
 
 
 def test_softmax_cross_entropy_value_and_grad(rng):

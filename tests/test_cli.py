@@ -514,6 +514,12 @@ _CONTEXT_EDITS = {
     "df of strings": (lambda h: _set(h["context"]["vocabulary"], "df",
                                      [str(c) for c in h["context"]["vocabulary"]["df"]]),
                       "vocabulary needs"),
+    "df above n_docs": (lambda h: _set(h["context"]["vocabulary"], "df",
+                                       [h["context"]["vocabulary"]["n_docs"] + 1]
+                                       * len(h["context"]["vocabulary"]["df"])),
+                        "vocabulary 'df'"),
+    "negative n_docs": (lambda h: _set(h["context"]["vocabulary"], "n_docs", -1),
+                        "vocabulary 'n_docs' -1 is negative"),
     "lam of a string": (lambda h: _set(h["context"], "lam", "1.0"), "lam '1.0'"),
     "lam of NaN": (lambda h: _set(h["context"], "lam", float("nan")), "lam nan is no finite"),
     "lam of Infinity": (lambda h: _set(h["context"], "lam", float("inf")), "lam inf is no finite"),

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from geograph import views
 from geograph.data import MentionPairs
-from geograph.errors import ArgumentError, NumericError, ShapeError
+from geograph.errors import ArgumentError, DataFormatError, NumericError, ShapeError
 from geograph.sparse import SparseMatrix
 from geograph.views import (
     Vocabulary,
@@ -85,6 +85,17 @@ def test_vocabulary_idf_formula():
 def test_vocabulary_roundtrip():
     vocab = Vocabulary(terms=("x", "y"), df=(1, 3), n_docs=4)
     assert Vocabulary.from_dict(vocab.to_dict()) == vocab
+
+
+@pytest.mark.parametrize("df, n_docs, message", [
+    ([-1, 1], 2, "'df' -1 is outside"),  # an idf of inf
+    ([1, 9], 2, "'df' 9 is outside"),  # a negative idf, so negative features
+    ([0, 0], -1, "'n_docs' -1 is negative"),
+], ids=["negative df", "df above n_docs", "negative n_docs"])
+def test_vocabulary_from_dict_rejects_impossible_counts(df, n_docs, message):
+    with pytest.raises(DataFormatError, match=message):
+        Vocabulary.from_dict({"terms": ["a", "b"], "df": df, "n_docs": n_docs})
+    assert Vocabulary.from_dict({"terms": ["a", "b"], "df": [0, 2], "n_docs": 2}).df == (0, 2)
 
 
 def test_text_view_rows_unit_norm_or_zero():

@@ -44,6 +44,9 @@ TRAIN_RUNS = {
     "gcn-d1": ("c300", ["--model", "gcn", "--layers", "1"]),
     "gcn-d3": ("c300", ["--model", "gcn", "--layers", "3"]),
     "gcn-nohighway-d3": ("c300", ["--model", "gcn-nohighway", "--layers", "3"]),
+    # Five stacked gates, and the ungated VJP order, six layers deep.
+    "gcn-d6": ("c300", ["--model", "gcn", "--layers", "6"]),
+    "gcn-nohighway-d6": ("c300", ["--model", "gcn-nohighway", "--layers", "6"]),
     "gcn-lp-d2": ("c300", ["--model", "gcn-lp", "--layers", "2"]),
     "mlp": ("c300", ["--model", "mlp", "--labeled-fraction", "0.5", "--tree-from", "all-train"]),
     "gcn-early-stop": ("c300", ["--model", "gcn", "--early-stop"]),
