@@ -16,8 +16,9 @@ Each array keeps the dtype the model holds it in: float32 weights for the
 kinds that train in float32, float64 for ``dcca`` and gcn-lp's label block.
 Identical models produce identical files. Optimizer moments are not stored;
 a loaded model predicts but does not resume training. Loading checks the
-table against the kind's meta and the file size before it reads an array;
-each array it returns is a read-only view of the file's bytes, not a copy.
+table against the kind's meta and the file size before it reads an array,
+and each array's dtype against its kind before it returns it; each array it
+returns is a read-only view of the file's bytes, not a copy.
 """
 
 from __future__ import annotations
@@ -116,7 +117,11 @@ def _decode(blob: bytes) -> tuple[TrainedModel, dict]:
     if starts[-1] != len(blob):
         raise DataFormatError(f"{'truncated' if starts[-1] > len(blob) else 'trailing bytes in'} "
                               f"checkpoint: its arrays end at byte {starts[-1]} of {len(blob)}")
+    weights = np.dtype(KINDS[kind].dtype).str
     for (name, shape), size, dtype, start in zip(toc, sizes, dtypes, starts):
+        want = "<f8" if name.startswith(STATE_PREFIX) else weights
+        if dtype.str != want:
+            raise DataFormatError(f"{kind} checkpoint array {name!r} is {dtype.str}, not {want}")
         # a read-only view, as bytes are
         arr = np.frombuffer(blob, dtype=dtype, count=size, offset=start).reshape(shape)
         if name.startswith(STATE_PREFIX):

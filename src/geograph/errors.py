@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that a setting is finite."""
+
+import math
 
 
 class GeographError(Exception):
@@ -23,3 +25,11 @@ class ArgumentError(GeographError):
 
 class DataFormatError(GeographError):
     """An input data file is malformed. Messages carry the offending line number."""
+
+
+def finite(name: str, value: float) -> float:
+    """``value``, unless it is infinite: that raises ``ArgumentError`` naming
+    ``name``. NaN passes, for the range check that reads the result."""
+    if math.isinf(value):
+        raise ArgumentError(f"{name} must be finite, got {value}")
+    return value

@@ -29,8 +29,8 @@ and is read through it alone. All but ``Propagated`` also offer ``x[rows]``:
 only the row-local kinds take rows of their inputs, and they never hold one.
 
 ``gcn``, ``gcn-lp`` and ``mlp`` compute in float32 and ``dcca`` in float64
-(``ModelKind.dtype``). ``train`` draws weights in float64, so the random
-streams do not depend on the dtype, then casts them, the operands and the
+(``ModelKind.dtype``). A set-up draws weights in float64, so the random
+streams do not depend on the dtype; ``train`` casts them, the operands and the
 targets once; prediction casts the operands alike. gcn-lp's label block stays
 float64, and its operand, rebuilt after every epoch, reads a copy in the
 kind's dtype.
@@ -45,8 +45,8 @@ Every model predicts one of the region-tree classes per user. Training never
 reads labels or coordinates outside the labeled index set; held-out users
 participate only through their features and graph edges.
 ``KINDS`` holds every per-kind rule, among them the input widths a corpus
-implies, which the meta records and prediction checks, and the arrays a
-model of a given meta holds, which a checkpoint is checked against.
+implies, which the meta records and prediction checks, and the arrays a model
+of a given meta holds, which its set-up draws and a checkpoint is checked against.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Partition
-from .errors import ArgumentError, NumericError, ShapeError
+from .errors import ArgumentError, NumericError, ShapeError, finite
 from .optim import ParamSet, glorot_uniform
 from .sparse import SparseMatrix
 
@@ -113,9 +113,9 @@ class DccaConfig:
             raise ArgumentError("proj_hidden must be >= 0")
         if self.proj_out < 1 or self.clf_hidden < 1:
             raise ArgumentError("proj_out and clf_hidden must be >= 1")
-        if self.reg <= 0.0:
-            raise ArgumentError("reg must be > 0")
-        if not self.stage1_lr > 0.0:
+        if not finite("reg", self.reg) > 0.0:
+            raise ArgumentError(f"reg must be > 0, got {self.reg}")
+        if not finite("stage1_lr", self.stage1_lr) > 0.0:
             raise ArgumentError(f"stage1_lr must be > 0, got {self.stage1_lr}")
         if self.stage1_epochs < 0:
             raise ArgumentError("stage1_epochs must be >= 0")
@@ -129,7 +129,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr > 0.0:
+        if not finite("lr", self.lr) > 0.0:
             raise ArgumentError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.dropout < 1.0:
             raise ArgumentError(f"dropout must be in [0, 1), got {self.dropout}")
@@ -190,40 +190,38 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 # parameter layouts and forward passes
 #
-# Each network states its parameter names and shapes once, in draw order.
-# Initialization draws through the layout (a matrix by Glorot, a vector as a
-# constant), and ``array_layout`` checks a checkpoint against it.
+# Each network states its parameter names and shapes once, in draw order, and
+# each kind's layout (``ModelKind.layout``, of its config and meta) joins its
+# networks'. A set-up draws its weights from that layout through
+# ``init_params``, and ``array_layout`` checks a checkpoint against the same one.
 
 
 Layout = dict[str, tuple[int, ...]]  # array name -> shape
 Params = dict[str, Tensor]  # weight name -> tensor: a ParamSet in training, constants after
 
 
-def _draw(rng: np.random.Generator, layout: Layout, params: ParamSet,
-          fill: Callable[[str], float] = lambda name: 0.0) -> ParamSet:
+def init_params(rng: np.random.Generator, layout: Layout, gate_bias: float = 0.0) -> ParamSet:
+    """Every weight of ``layout``, drawn in layout order: a matrix by Glorot,
+    a ``gate*`` vector filled with ``gate_bias`` and any other vector with 0.
+    A ``STATE_PREFIX`` entry is no weight and is skipped."""
+    params = ParamSet()
     for name, shape in layout.items():
-        params.add(name, glorot_uniform(rng, *shape) if len(shape) == 2
-                   else np.full(shape, float(fill(name))))
+        if not name.startswith(STATE_PREFIX):
+            params.add(name, glorot_uniform(rng, *shape) if len(shape) == 2
+                       else np.full(shape, gate_bias if name.startswith("gate") else 0.0))
     return params
 
 
-def gcn_layout(in_dim: int, num_classes: int, cfg: GcnConfig) -> Layout:
-    layout, width = {}, in_dim
+def gcn_layout(cfg: GcnConfig, meta: dict) -> Layout:
+    layout, width = {}, meta["in_dim"]
     for l in range(cfg.layers):
         layout[f"conv{l}/W"], layout[f"conv{l}/b"] = (width, cfg.hidden), (cfg.hidden,)
         # The first layer changes width, so only later layers carry a gate.
         if cfg.highway and l > 0:
             layout[f"gate{l}/W"], layout[f"gate{l}/b"] = (cfg.hidden, cfg.hidden), (cfg.hidden,)
         width = cfg.hidden
-    layout["out/W"], layout["out/b"] = (cfg.hidden, num_classes), (num_classes,)
+    layout["out/W"], layout["out/b"] = (cfg.hidden, meta["num_classes"]), (meta["num_classes"],)
     return layout
-
-
-def init_gcn_params(
-    rng: np.random.Generator, in_dim: int, num_classes: int, cfg: GcnConfig
-) -> ParamSet:
-    return _draw(rng, gcn_layout(in_dim, num_classes, cfg), ParamSet(),
-                 lambda name: cfg.gate_bias if name.startswith("gate") else 0.0)
 
 
 def gcn_forward(
@@ -268,12 +266,6 @@ def mlp_layout(in_dim: int, hidden: int, num_classes: int, prefix: str = "") -> 
             f"{prefix}out/W": (hidden, num_classes), f"{prefix}out/b": (num_classes,)}
 
 
-def init_mlp_params(
-    rng: np.random.Generator, in_dim: int, hidden: int, num_classes: int, prefix: str = ""
-) -> ParamSet:
-    return _draw(rng, mlp_layout(in_dim, hidden, num_classes, prefix), ParamSet())
-
-
 def mlp_forward(
     x: SparseMatrix | np.ndarray, params: Params, dropout_mask: ad.DropoutMask | None = None,
     prefix: str = "",
@@ -288,12 +280,6 @@ def projection_layout(prefix: str, in_dim: int, cfg: DccaConfig) -> Layout:
     if cfg.proj_hidden > 0:
         return mlp_layout(in_dim, cfg.proj_hidden, cfg.proj_out, f"{prefix}/")
     return {f"{prefix}/out/W": (in_dim, cfg.proj_out), f"{prefix}/out/b": (cfg.proj_out,)}
-
-
-def init_projection_params(
-    rng: np.random.Generator, prefix: str, in_dim: int, cfg: DccaConfig, params: ParamSet
-) -> None:
-    _draw(rng, projection_layout(prefix, in_dim, cfg), params)
 
 
 def projection_forward(
@@ -394,16 +380,17 @@ def propagate(a_hat: SparseMatrix, x: SparseMatrix) -> np.ndarray | Propagated:
 # --------------------------------------------------------------------------
 # one wiring per model kind, shared by training and prediction
 #
-# Each kind has a width rule, an array layout, a set-up ``setup(rng, a_hat, x, adjacency,
-# labels, partition, cfg, meta) -> (model, trained params, after_epoch)``, an
+# Each kind has a width rule, an array layout ``layout(cfg, meta)``, a set-up
+# ``setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta) -> (model,
+# trained params, after_epoch)`` that draws its weights through that layout, an
 # input builder ``inputs(model, a_hat, x, adjacency)`` and a forward path
 # ``forward(params, cfg, a_hat, inputs, masks, rows=None)``, which computes the
 # logits of every node, or of ``rows.idx`` alone, and a dtype. gcn-lp's
 # ``after_epoch`` gets float64 eval-mode probabilities for every node and the
 # training accuracy after each update, and writes the label block in place;
-# ``train`` then rebuilds the inputs from it. The wiring
-# looks up the public forward functions by module-global name at call time, so
-# replacing a module attribute (to time it, say) reaches every call.
+# ``train`` then rebuilds the inputs from it. The wiring looks up the public
+# forward functions by module-global name at call time, so replacing a module
+# attribute (to time it, say) reaches every call.
 
 # The config fields a model's meta records, with their JSON types, per config
 # class; the rest of the meta is input and output widths. Prediction rebuilds
@@ -450,17 +437,13 @@ def meta_errors(kind: str, meta: dict) -> list[str]:
     ]
 
 
-def _dcca_views(a_hat: SparseMatrix, x: SparseMatrix) -> dict[str, SparseMatrix]:
-    """dcca's net ``f1`` projects the text rows, ``f2`` the normalized graph rows."""
-    return {"f1": x, "f2": a_hat}
-
-
 def _projections(params: Params, cfg: DccaConfig, a_hat, x) -> list[Tensor]:
-    return [projection_forward(v, params, net, cfg) for net, v in _dcca_views(a_hat, x).items()]
+    """dcca's net ``f1`` projects the text rows, ``f2`` the normalized graph rows."""
+    return [projection_forward(x, params, "f1", cfg), projection_forward(a_hat, params, "f2", cfg)]
 
 
 def _gcn_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
-    params = init_gcn_params(rng, meta["in_dim"], meta["num_classes"], cfg)
+    params = init_params(rng, gcn_layout(cfg, meta), cfg.gate_bias)
     return TrainedModel("gcn", {}, meta), params, None
 
 
@@ -474,7 +457,7 @@ def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
     recomputed without dropout after every update.
     """
     n, num_classes, trigger = a_hat.shape[0], meta["num_classes"], LP_TRIGGER_ACCURACY
-    params = init_gcn_params(rng, meta["in_dim"], num_classes, cfg)
+    params = init_params(rng, _gcn_lp_layout(cfg, meta), cfg.gate_bias)
     label_block = np.zeros((n, num_classes), dtype=np.float64)
     train_idx = partition.train_idx
     label_block[train_idx] = one_hot(labels[train_idx], num_classes)
@@ -493,9 +476,7 @@ def _gcn_lp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
 
 def _mlp_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
     """One hidden layer over the concatenated text and normalized-graph rows."""
-    params = init_mlp_params(rng, meta["in_dim"] + meta["graph_dim"], cfg.hidden,
-                             meta["num_classes"])
-    return TrainedModel("mlp", {}, meta), params, None
+    return TrainedModel("mlp", {}, meta), init_params(rng, _mlp_layout(cfg, meta)), None
 
 
 def _dcca_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
@@ -509,10 +490,9 @@ def _dcca_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
         log.warning("dcca: proj_out %d needs more than %d users, not %d; training with %d",
                     cfg.proj_out, cfg.proj_out + 1, n, capped)
         cfg, meta["proj_out"] = replace(cfg, proj_out=capped), capped
-    params = ParamSet()
-    for net, view in _dcca_views(a_hat, x).items():
-        init_projection_params(rng, net, view.shape[1], cfg, params)
-    clf = init_mlp_params(rng, 2 * cfg.proj_out, cfg.clf_hidden, meta["num_classes"], "clf/")
+    layout = _dcca_layout(cfg, meta)  # both projections, then the classifier
+    params = init_params(rng, {k: s for k, s in layout.items() if not k.startswith("clf/")})
+    clf = init_params(rng, {k: s for k, s in layout.items() if k.startswith("clf/")})
 
     for epoch in range(cfg.stage1_epochs):
         try:
@@ -596,7 +576,11 @@ class ModelKind:
 
 def _gcn_lp_layout(cfg: GcnConfig, meta: dict) -> Layout:
     in_dim, k = meta["in_dim"], meta["num_classes"]
-    return {**gcn_layout(in_dim, k, cfg), STATE_PREFIX + "label_block": (in_dim - k, k)}
+    return {**gcn_layout(cfg, meta), STATE_PREFIX + "label_block": (in_dim - k, k)}
+
+
+def _mlp_layout(cfg: MlpConfig, meta: dict) -> Layout:
+    return mlp_layout(meta["in_dim"] + meta["graph_dim"], cfg.hidden, meta["num_classes"])
 
 
 def _dcca_layout(cfg: DccaConfig, meta: dict) -> Layout:
@@ -608,16 +592,13 @@ def _dcca_layout(cfg: DccaConfig, meta: dict) -> Layout:
 _gcn_masks = attrgetter("layers", "hidden")
 _text_and_graph = lambda n, v, k: {"in_dim": v, "graph_dim": n}  # noqa: E731
 KINDS = {
-    "gcn": ModelKind(GcnConfig, lambda n, v, k: {"in_dim": v},
-                     lambda c, m: gcn_layout(m["in_dim"], m["num_classes"], c), _gcn_setup,
+    "gcn": ModelKind(GcnConfig, lambda n, v, k: {"in_dim": v}, gcn_layout, _gcn_setup,
                      lambda model, a_hat, x, adjacency: propagate(a_hat, x), _gcn_logits,
                      _gcn_masks, False),
     "gcn-lp": ModelKind(GcnConfig, lambda n, v, k: {"in_dim": n + k}, _gcn_lp_layout,
                         _gcn_lp_setup, _gcn_lp_inputs, _gcn_logits, _gcn_masks, False),
-    "mlp": ModelKind(MlpConfig, _text_and_graph,
-                     lambda c, m: mlp_layout(m["in_dim"] + m["graph_dim"], c.hidden,
-                                             m["num_classes"]),
-                     _mlp_setup, _mlp_inputs, _mlp_logits, lambda c: (1, c.hidden), True),
+    "mlp": ModelKind(MlpConfig, _text_and_graph, _mlp_layout, _mlp_setup, _mlp_inputs,
+                     _mlp_logits, lambda c: (1, c.hidden), True),
     # dcca stays float64: stage 1 whitens with eigh and svd.
     "dcca": ModelKind(DccaConfig, _text_and_graph, _dcca_layout, _dcca_setup, _dcca_inputs,
                       partial(_mlp_logits, prefix="clf/"), lambda c: (1, c.clf_hidden), True,

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DatasetBundle, Partition, SyntheticConfig, subsample_labels
-from .errors import ArgumentError
+from .errors import ArgumentError, finite
 from .geo import EvalReport, RegionTree, evaluate
 from .models import (
     KINDS,
@@ -102,7 +102,7 @@ class SweepSpec:
         tree_bucket(self.bucket, 1.0, self.tree_from)  # checks both
         if self.min_df < 0 or self.max_comention_degree < 0:
             raise ArgumentError("min_df and max_comention_degree must be >= 0")
-        if not self.lam >= 0.0:
+        if not finite("lam", self.lam) >= 0.0:
             raise ArgumentError(f"lam must be >= 0, got {self.lam}")
         if not 0.0 < self.max_df_ratio <= 1.0:
             raise ArgumentError(f"max_df_ratio must be in (0, 1], got {self.max_df_ratio}")

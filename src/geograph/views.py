@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import MentionPairs
-from .errors import ArgumentError, DataFormatError, NumericError, ShapeError
+from .errors import ArgumentError, DataFormatError, NumericError, ShapeError, finite
 from .sparse import SparseMatrix
 
 _MENTION = re.compile(r"(?:^|[^\w@])@(\w+)")
@@ -271,7 +271,7 @@ def normalize_adjacency(adjacency: SparseMatrix, lam: float = 1.0) -> SparseMatr
     rows, cols = adjacency.shape
     if rows != cols:
         raise ShapeError(f"adjacency must be square, got {adjacency.shape}")
-    if not lam >= 0.0:
+    if not finite("lam", lam) >= 0.0:
         raise ArgumentError(f"lam must be >= 0, got {lam}")
     # A sum of canonical CSR matrices is a new canonical one, scaled in place.
     m = (adjacency.csr + lam * sp.identity(rows, format="csr", dtype=np.float64)).tocsr()

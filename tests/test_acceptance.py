@@ -29,14 +29,15 @@ from geograph.models import (
     TrainConfig,
     cca_loss,
     gcn_forward,
-    init_gcn_params,
-    init_mlp_params,
-    init_projection_params,
+    gcn_layout,
+    init_params,
     lp_input,
     mlp_forward,
+    mlp_layout,
     one_hot,
     Propagated,
     projection_forward,
+    projection_layout,
     propagate,
     train,
 )
@@ -93,7 +94,8 @@ def _gradient_check_variants(rng):
 
     for highway in (True, False):
         cfg = GcnConfig(hidden=5, layers=2, highway=highway)
-        params = init_gcn_params(rng, terms, classes, cfg)
+        params = init_params(rng, gcn_layout(cfg, {"in_dim": terms, "num_classes": classes}),
+                             cfg.gate_bias)
         variants.append((
             f"gcn(highway={highway})",
             params,
@@ -105,7 +107,8 @@ def _gradient_check_variants(rng):
     block[rows] = targets
     lp_features = Propagated(a_hat, lp_input(adj, block))
     lp_cfg = GcnConfig(hidden=5, layers=2, highway=True)
-    lp_params = init_gcn_params(rng, n + classes, classes, lp_cfg)
+    lp_meta = {"in_dim": n + classes, "num_classes": classes}
+    lp_params = init_params(rng, gcn_layout(lp_cfg, lp_meta), lp_cfg.gate_bias)
     variants.append((
         "gcn-lp",
         lp_params,
@@ -113,13 +116,12 @@ def _gradient_check_variants(rng):
     ))
 
     xcat = hstack([x, a_hat])[rows]
-    mlp_params = init_mlp_params(rng, terms + n, 5, classes)
+    mlp_params = init_params(rng, mlp_layout(terms + n, 5, classes))
     variants.append(("mlp", mlp_params, lambda ps: ce(mlp_forward(xcat, ps))))
 
     dcfg = DccaConfig(proj_hidden=4, proj_out=2, reg=1e-2, clf_hidden=4)
-    stage1 = ParamSet()
-    init_projection_params(rng, "f1", terms, dcfg, stage1)
-    init_projection_params(rng, "f2", n, dcfg, stage1)
+    stage1 = init_params(rng, {**projection_layout("f1", terms, dcfg),
+                               **projection_layout("f2", n, dcfg)})
     variants.append((
         "dcca-stage1",
         stage1,
@@ -134,7 +136,7 @@ def _gradient_check_variants(rng):
         projection_forward(x, stage1, "f1", dcfg).data,
         projection_forward(a_hat, stage1, "f2", dcfg).data,
     ])
-    stage2 = init_mlp_params(rng, z.shape[1], 4, classes)
+    stage2 = init_params(rng, mlp_layout(z.shape[1], 4, classes))
     variants.append(("dcca-stage2", stage2, lambda ps: ce(mlp_forward(z[rows], ps))))
 
     return variants
@@ -273,7 +275,8 @@ def test_criterion_4_closed_gates_reproduce_shallow_model():
         x = SparseMatrix.from_dense(rng.random((n, terms)))
 
         deep_cfg = GcnConfig(hidden=hidden, layers=4, highway=True, gate_bias=-50.0)
-        deep = init_gcn_params(rng, terms, classes, deep_cfg)
+        deep = init_params(rng, gcn_layout(deep_cfg, {"in_dim": terms, "num_classes": classes}),
+                           deep_cfg.gate_bias)
         shallow_cfg = GcnConfig(hidden=hidden, layers=1, highway=True)
         shallow = ParamSet()
         for name in ("conv0/W", "conv0/b", "out/W", "out/b"):

@@ -172,6 +172,35 @@ def test_round_trip_keeps_each_dtype_and_its_bytes(tmp_path, rng, monkeypatch, k
     assert ckpt.stat().st_size == 16 + header_len + sum(arr.nbytes for arr in want.values())
 
 
+@pytest.mark.parametrize("kind, name, dtype", [
+    ("gcn", "conv0/W", np.float64),
+    ("dcca", "clf/hid/W", np.float32),
+    ("gcn-lp", "state/label_block", np.float32),
+])
+def test_rejects_a_dtype_its_kind_does_not_hold(tmp_path, rng, kind, name, dtype):
+    # Every weight (or the state) is written in ``dtype``, so the table and
+    # the size agree; the first array in name order of another dtype than
+    # its kind holds is named.
+    adj = SparseMatrix.from_dense(random_symmetric_adjacency(rng, 10, 0.4))
+    labels = np.full(10, -1, dtype=np.intp)
+    labels[:6] = rng.integers(0, 3, 6)
+    part = Partition(np.arange(6), np.array([6, 7]), np.array([8, 9]))
+    x = SparseMatrix.from_dense(rng.random((10, 6)))
+    model, _ = train(kind, normalize_adjacency(adj, 1.0), x, adj, labels, 3, part,
+                     _KIND_CONFIGS[kind], TrainConfig(epochs=1, dropout=0.0, seed=0))
+    if name.startswith("state/"):
+        model.state = {key: arr.astype(dtype) for key, arr in model.state.items()}
+    else:
+        for tensor in model.params.values():
+            tensor.data = tensor.data.astype(dtype)
+    ckpt = save_checkpoint(tmp_path / "model.ckpt", model, context={})
+    want = "<f8" if dtype == np.float32 else "<f4"  # the dtype the kind holds there
+    with pytest.raises(DataFormatError) as err:
+        load_checkpoint(ckpt)
+    assert str(err.value) == (f"{ckpt}: {kind} checkpoint array '{name}' is "
+                              f"{np.dtype(dtype).str}, not {want}")
+
+
 def test_rejects_the_previous_format(tmp_path, trained):
     model, *_ = trained
     ckpt = save_checkpoint(tmp_path / "model.ckpt", model, context={})

@@ -12,7 +12,7 @@ import pytest
 
 import geograph
 from geograph import models
-from geograph.checkpoint import MAGIC, load_checkpoint
+from geograph.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from geograph.cli import cli, main
 from geograph.sweep import CSV_HEADER, MODEL_NAMES
 
@@ -350,6 +350,7 @@ def test_early_stop_without_dev_users_exits_1(corpus, tmp_path, capsys):
     ({"--bucket": "-5"}, "bucket must be >= 1, got -5"),
     ({"--lambda": "-1"}, "lam must be >= 0, got -1.0"),
     ({"--seed": "-1"}, "seed must be >= 0, got -1"),
+    ({"--lambda": "inf"}, "lam must be finite, got inf"),
 ])
 def test_train_rejects_out_of_range_knobs(corpus, tmp_path, capsys, monkeypatch, flags, message):
     def no_load(*args):
@@ -385,6 +386,9 @@ def test_train_rejects_zero_width_mlp(corpus, tmp_path, capsys):
     ({"dataset": {"synthetic": {"seed": -3}}}, "seed must be >= 0, got -3"),
     ({"seeds": [0, 0, 1]}, "seeds repeats 0"),
     ({"models": ["gcn", "mlp"], "depths": [1, 1]}, "depths repeats 1"),
+    # JSON's Infinity, which json.dumps writes for inf
+    ({"lam": float("inf")}, "lam must be finite, got inf"),
+    ({"lr": float("inf")}, "lr must be finite, got inf"),
 ])
 def test_sweep_rejects_bad_spec_field(corpus, tmp_path, capsys, fields, message):
     users, edges = corpus
@@ -557,6 +561,17 @@ def test_eval_rejects_bad_checkpoint_context(corpus, trained_ckpt, tmp_path, cap
     bad.write_bytes(_with_header(trained_ckpt.read_bytes(), edit))
     err = _eval_error(corpus, bad, capsys)
     assert message in err and str(bad) in err, err
+
+
+def test_eval_rejects_weights_of_another_dtype(corpus, trained_ckpt, tmp_path, capsys):
+    # A gcn holds float32 weights: the same weights written as float64 make
+    # a whole file, which loading refuses instead of predicting in float64.
+    model, context = load_checkpoint(trained_ckpt)
+    for tensor in model.params.values():
+        tensor.data = tensor.data.astype(np.float64)
+    bad = save_checkpoint(tmp_path / "bad.ckpt", model, context)
+    err = _eval_error(corpus, bad, capsys)
+    assert f"{bad}: gcn checkpoint array 'conv0/W' is <f8, not <f4" in err, err
 
 
 def _bad_name_byte(raw: bytes) -> bytes:

@@ -28,10 +28,10 @@ from geograph.models import (
     TrainConfig,
     array_layout,
     gcn_forward,
-    init_gcn_params,
+    gcn_layout,
+    init_params,
     lp_input,
     mlp_forward,
-    init_mlp_params,
     one_hot,
     predict_classes,
     predict_logits,
@@ -138,6 +138,11 @@ def _reachable(out):
     return found
 
 
+def _gcn_params(rng, in_dim, num_classes, cfg):
+    return init_params(rng, gcn_layout(cfg, {"in_dim": in_dim, "num_classes": num_classes}),
+                       cfg.gate_bias)
+
+
 def _tape_nodes(out):
     """The number of recorded (non-leaf) tensors reachable from ``out``."""
     return sum(t._vjp is not None for t in _reachable(out))
@@ -151,7 +156,7 @@ def test_gcn_hidden_layer_tape_nodes(rng, highway):
     counts = {}
     for layers in (1, 4):
         cfg = GcnConfig(hidden=6, layers=layers, highway=highway)
-        params = init_gcn_params(rng, x.shape[1], 3, cfg)
+        params = _gcn_params(rng, x.shape[1], 3, cfg)
         masks = [ad.make_dropout_mask(rng, (12, 6), 0.5) for _ in range(layers)]
         counts[layers] = _tape_nodes(gcn_forward(a_hat, propagate(a_hat, x), params, cfg, masks))
     assert counts[4] - counts[1] == 3
@@ -181,7 +186,7 @@ def test_dense_and_lazy_propagation_agree(rng):
     adj, a_hat, x, *_ = _instance(rng)
     assert isinstance(propagate(a_hat, x), np.ndarray)  # 12 x 8 is small enough
     cfg = GcnConfig(hidden=5, layers=2)
-    params = init_gcn_params(rng, x.shape[1], 3, cfg)
+    params = _gcn_params(rng, x.shape[1], 3, cfg)
     weights = rng.standard_normal((12, 3))
     results = []
     for operand in (propagate(a_hat, x), Propagated(a_hat, x)):
@@ -214,22 +219,29 @@ def test_propagate_chooses_dense_by_size(rng):
 
 def test_gcn_param_layout_and_gate_bias(rng):
     cfg = GcnConfig(hidden=7, layers=3, highway=True, gate_bias=-1.5)
-    params = init_gcn_params(rng, in_dim=5, num_classes=4, cfg=cfg)
+    params = _gcn_params(rng, 5, 4, cfg)
     names = set(params)
     assert {"conv0/W", "conv1/W", "conv2/W", "out/W"} <= names
     assert "gate0/W" not in names  # first layer changes width: no gate
     assert {"gate1/W", "gate2/W"} <= names
     assert np.all(params["gate1/b"].data == -1.5)
-    ungated = init_gcn_params(rng, 5, 4, GcnConfig(hidden=7, layers=3, highway=False))
+    ungated = _gcn_params(rng, 5, 4, GcnConfig(hidden=7, layers=3, highway=False))
     assert not any(n.startswith("gate") for n in ungated)
-    single = init_gcn_params(rng, 5, 4, GcnConfig(hidden=7, layers=1, highway=True))
+    single = _gcn_params(rng, 5, 4, GcnConfig(hidden=7, layers=1, highway=True))
     assert not any(n.startswith("gate") for n in single)
+    # gcn-lp draws from its own layout: its label block is state, not a
+    # weight, so the same seed draws the same weights as gcn's layout.
+    meta = {"in_dim": 5, "num_classes": 4}
+    lp = init_params(np.random.default_rng(3), KINDS["gcn-lp"].layout(cfg, meta), cfg.gate_bias)
+    plain = init_params(np.random.default_rng(3), gcn_layout(cfg, meta), cfg.gate_bias)
+    assert list(lp) == list(plain)
+    assert all(np.array_equal(lp[name].data, plain[name].data) for name in plain)
 
 
 def test_gcn_forward_shapes_and_mask_count(rng):
     adj, a_hat, x, *_ = _instance(rng)
     cfg = GcnConfig(hidden=6, layers=2)
-    params = init_gcn_params(rng, x.shape[1], 3, cfg)
+    params = _gcn_params(rng, x.shape[1], 3, cfg)
     logits = gcn_forward(a_hat, propagate(a_hat, x), params, cfg)
     assert logits.data.shape == (12, 3)
     with pytest.raises(ShapeError):
@@ -239,7 +251,7 @@ def test_gcn_forward_shapes_and_mask_count(rng):
 def test_gcn_forward_matches_dense_oracle(rng, monkeypatch):
     adj, a_hat, x, labels, part = _instance(rng)
     cfg = GcnConfig(hidden=5, layers=2, highway=True, gate_bias=0.0)
-    params = init_gcn_params(rng, x.shape[1], 3, cfg)
+    params = _gcn_params(rng, x.shape[1], 3, cfg)
     want = gcn_logits(a_hat.to_dense(), x.to_dense(), params.copy_values(), cfg)
     got = gcn_forward(a_hat, propagate(a_hat, x), params, cfg).data
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -543,6 +555,9 @@ _LAYOUT_CONFIGS = {
     "gcn ungated": GcnConfig(hidden=4, layers=3, highway=False),
     "dcca with hidden": DccaConfig(proj_hidden=3, proj_out=2, reg=1e-3, stage1_epochs=1,
                                    clf_hidden=4),
+    # 12 users correlate at most 10 columns: trained with proj_out 5.
+    "dcca capped": DccaConfig(proj_hidden=3, proj_out=11, reg=1e-3, stage1_epochs=1,
+                              clf_hidden=4),
 }
 
 
@@ -911,7 +926,11 @@ def test_train_config_validation():
         (TrainConfig, {"epochs": 0}, "epochs must be >= 1"),
         (TrainConfig, {"seed": -1}, "seed must be >= 0, got -1"),
         (GcnConfig, {"layers": 0}, "layers must be >= 1"),
+        (TrainConfig, {"lr": float("inf")}, "^lr must be finite, got inf$"),
         (DccaConfig, {"reg": 0.0}, "reg must be > 0"),
+        (DccaConfig, {"reg": float("nan")}, "^reg must be > 0, got nan$"),
+        (DccaConfig, {"reg": float("inf")}, "^reg must be finite, got inf$"),
+        (DccaConfig, {"stage1_lr": float("inf")}, "^stage1_lr must be finite, got inf$"),
         (DccaConfig, {"proj_hidden": -1}, "proj_hidden must be >= 0"),
         (DccaConfig, {"proj_out": 0}, "proj_out and clf_hidden must be >= 1"),
         (DccaConfig, {"stage1_epochs": -1}, "stage1_epochs must be >= 0"),

@@ -144,6 +144,11 @@ def test_load_sweep_file(tmp_path):
     ({"dataset": {"users": "u.jsonl", "synthetic": {}}},
      "dataset names both 'users'+'edges' and 'synthetic'"),
     ({"dataset": {"synthetic": {"words_per_user": -1}}}, "words_per_user must be >= 0, got -1"),
+    ({"lam": float("inf")}, "lam must be finite, got inf"),
+    ({"lr": float("inf")}, "lr must be finite, got inf"),
+    ({"dcca": {"reg": float("inf")}}, "reg must be finite, got inf"),
+    ({"dcca": {"reg": float("nan")}}, "reg must be > 0, got nan"),
+    ({"dcca": {"stage1_lr": float("inf")}}, "stage1_lr must be finite, got inf"),
 ])
 def test_load_sweep_file_names_the_bad_field(tmp_path, fields, message):
     path = tmp_path / "sweep.json"

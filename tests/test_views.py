@@ -470,6 +470,9 @@ def test_normalize_validation():
         normalize_adjacency(SparseMatrix.from_dense(np.zeros((2, 3))), 1.0)
     with pytest.raises(ArgumentError):
         normalize_adjacency(SparseMatrix.from_dense(np.eye(2)), -1.0)
+    # An infinite self-loop weight would make every entry inf / inf.
+    with pytest.raises(ArgumentError, match="^lam must be finite, got inf$"):
+        normalize_adjacency(SparseMatrix.from_dense(np.eye(2)), np.inf)
 
 
 @given(st.integers(1, 12), st.integers(0, 10_000))

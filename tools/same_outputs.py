@@ -6,8 +6,9 @@
 Checks ``REF`` (default ``HEAD``) out with ``git worktree add --detach`` into a
 temporary directory and removes that worktree afterwards. In the worktree and
 in the working tree it runs the same fixed-seed runs: ``synth`` corpora of 300
-and 1,000 users; short ``train`` runs of every model kind, each followed by an
-``eval`` of its checkpoint; and a sweep of all five models over two labeled
+and 1,000 users; short ``train`` runs of every model kind, dcca also with linear
+projections and with a capped ``proj_out``, each followed by an ``eval`` of its
+checkpoint; and a sweep of all five models over two labeled
 fractions, two depths and two seeds. A small hand-written corpus, whose
 ``edges.tsv`` mixes the case of names and holds repeated rows, unknown
 mentioners, handles that name no user, a hub, a blank line, a line of only
@@ -52,6 +53,12 @@ TRAIN_RUNS = {
     "gcn-early-stop": ("c300", ["--model", "gcn", "--early-stop"]),
     "gcn-lp-early-stop": ("c300", ["--model", "gcn-lp", "--early-stop"]),
     "dcca": ("c300", ["--model", "dcca", *_SMALL_DCCA]),
+    # dcca's other drawing branches: linear projections, and a proj_out
+    # that 300 users cannot correlate, which trains at 149.
+    "dcca-linear": ("c300", ["--model", "dcca", "--proj-hidden", "0", "--proj-out", "4",
+                             "--stage1-epochs", "20"]),
+    "dcca-capped": ("c300", ["--model", "dcca", "--proj-hidden", "8", "--proj-out", "300",
+                             "--stage1-epochs", "20"]),
     "gcn-d2-1000": ("c1000", ["--model", "gcn", "--layers", "2"]),
     "hand-gcn-d2": ("hand", ["--model", "gcn", "--layers", "2", "--bucket", "4"]),
 }
