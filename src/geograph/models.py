@@ -23,10 +23,12 @@ for every user:
   classifier is trained on the concatenated projections, each column
   standardized over all users.
 
-Every constant input, a dense array, a ``SparseMatrix``, ``Blocks`` or
-``Propagated``, offers numpy's operand spelling, ``x @ w`` and ``x.T @ g``,
-and is read through it alone. All but ``Propagated`` also offer ``x[rows]``:
-only the row-local kinds take rows of their inputs, and they never hold one.
+Each layer records one tape node, an ``autodiff.layer`` or a gated layer's
+``gated_conv``, and dcca's stage-1 loss one ``cca_loss`` node. Every constant
+input, a dense array, a ``SparseMatrix``, ``Blocks`` or ``Propagated``, offers
+numpy's operand spelling, ``x @ w`` and ``x.T @ g``, and is read through it
+alone. All but ``Propagated`` also offer ``x[rows]``: only the row-local kinds
+take rows of their inputs, and they never hold one.
 
 ``gcn``, ``gcn-lp`` and ``mlp`` compute in float32 and ``dcca`` in float64
 (``ModelKind.dtype``). A set-up draws weights in float64, so the random
@@ -236,29 +238,29 @@ def gcn_forward(
     ``a_hat @ x``, as ``propagate`` returns them (gcn-lp's ``x`` is a
     ``Blocks``, always left lazy).
 
-    The first layer is ``relu((a_hat @ x) @ W0 + b0)``, one tape node whose
-    operand is constant. Each later hidden layer is one tape node too: a
+    Each layer is one tape node: first the relu ``layer`` over that constant
+    operand, ``relu((a_hat @ x) @ W0 + b0)``; then, per later layer, a
     ``gated_conv`` with ``cfg.highway``, which recomputes its gate in the
-    backward pass, else a ``graph_conv``. ``dropout_masks`` holds one mask per
-    hidden layer output (applied before the next convolution); gates and carry
-    paths read the undropped activation so a closed gate passes the input
-    through exactly. The output layer is one graph convolution without the relu,
-    ``a_hat @ (mask * h) @ W + b``; ``out_rows``, some rows of ``a_hat``,
-    makes it compute the logits of those nodes alone.
+    backward pass, else a graph-convolution ``layer``. ``dropout_masks`` holds
+    one mask per hidden layer output (applied before the next convolution);
+    gates and carry paths read the undropped activation so a closed gate passes
+    the input through exactly. The output layer is a graph convolution without
+    the relu, ``a_hat @ (mask * h) @ W + b``; ``out_rows``, some rows of
+    ``a_hat``, makes it compute the logits of those nodes alone.
     """
     if dropout_masks is not None and len(dropout_masks) != cfg.layers:
         raise ShapeError(f"expected {cfg.layers} dropout masks, got {len(dropout_masks)}")
     masks = [None] * cfg.layers if dropout_masks is None else dropout_masks
-    h = ad.relu_affine(propagated, params["conv0/W"], params["conv0/b"])
+    h = ad.layer(propagated, params["conv0/W"], params["conv0/b"])
     for l in range(1, cfg.layers):
         w, b = params[f"conv{l}/W"], params[f"conv{l}/b"]
         if cfg.highway:
             h = ad.gated_conv(a_hat, h, w, b, params[f"gate{l}/W"], params[f"gate{l}/b"],
                               masks[l - 1])
         else:
-            h = ad.graph_conv(a_hat, h, w, b, masks[l - 1])
+            h = ad.layer(h, w, b, masks[l - 1], a_hat)
     a_out = a_hat if out_rows is None else out_rows
-    return ad.graph_conv(a_out, h, params["out/W"], params["out/b"], masks[-1], relu=False)
+    return ad.layer(h, params["out/W"], params["out/b"], masks[-1], a_out, act=None)
 
 
 def mlp_layout(in_dim: int, hidden: int, num_classes: int, prefix: str = "") -> Layout:
@@ -270,10 +272,8 @@ def mlp_forward(
     x: SparseMatrix | np.ndarray, params: Params, dropout_mask: ad.DropoutMask | None = None,
     prefix: str = "",
 ) -> Tensor:
-    h = ad.relu_affine(x, params[f"{prefix}hid/W"], params[f"{prefix}hid/b"])
-    if dropout_mask is not None:
-        h = ad.dropout(h, dropout_mask)
-    return ad.affine(h, params[f"{prefix}out/W"], params[f"{prefix}out/b"])
+    h = ad.layer(x, params[f"{prefix}hid/W"], params[f"{prefix}hid/b"])
+    return ad.layer(h, params[f"{prefix}out/W"], params[f"{prefix}out/b"], dropout_mask, act=None)
 
 
 def projection_layout(prefix: str, in_dim: int, cfg: DccaConfig) -> Layout:
@@ -286,14 +286,8 @@ def projection_forward(
     x: SparseMatrix, params: Params, prefix: str, cfg: DccaConfig
 ) -> Tensor:
     if cfg.proj_hidden > 0:
-        h = ad.sigmoid(ad.sparse_affine(x, params[f"{prefix}/hid/W"], params[f"{prefix}/hid/b"]))
-        return ad.affine(h, params[f"{prefix}/out/W"], params[f"{prefix}/out/b"])
-    return ad.sparse_affine(x, params[f"{prefix}/out/W"], params[f"{prefix}/out/b"])
-
-
-def cca_loss(h1: Tensor, h2: Tensor, reg: float) -> Tensor:
-    """Negative sum of canonical correlations (minimization objective)."""
-    return ad.mul_const(ad.cca_correlation(h1, h2, reg), -1.0)
+        x = ad.layer(x, params[f"{prefix}/hid/W"], params[f"{prefix}/hid/b"], act="sigmoid")
+    return ad.layer(x, params[f"{prefix}/out/W"], params[f"{prefix}/out/b"], act=None)
 
 
 class Blocks(NamedTuple):
@@ -496,7 +490,7 @@ def _dcca_setup(rng, a_hat, x, adjacency, labels, partition, cfg, meta):
 
     for epoch in range(cfg.stage1_epochs):
         try:
-            loss = cca_loss(*_projections(params, cfg, a_hat, x), cfg.reg)
+            loss = ad.cca_loss(*_projections(params, cfg, a_hat, x), cfg.reg)
         except NumericError as exc:  # the projections themselves overflowed
             raise NumericError(f"dcca stage 1 diverged at epoch {epoch + 1}: {exc}") from exc
         _step(params, loss, cfg.stage1_lr, epoch, "dcca stage 1")
@@ -801,7 +795,7 @@ def stage1_correlation(
 ) -> float:
     """Current sum of canonical correlations between the two projections."""
     cfg = _model_config(model)
-    return float(ad.cca_correlation(*_projections(model.params, cfg, a_hat, x), cfg.reg).data)
+    return -float(ad.cca_loss(*_projections(model.params, cfg, a_hat, x), cfg.reg).data)
 
 
 def _check_graph(kind: str, a_hat: SparseMatrix, x: SparseMatrix,

@@ -27,7 +27,6 @@ from geograph.models import (
     GcnConfig,
     Partition,
     TrainConfig,
-    cca_loss,
     gcn_forward,
     gcn_layout,
     init_params,
@@ -125,7 +124,7 @@ def _gradient_check_variants(rng):
     variants.append((
         "dcca-stage1",
         stage1,
-        lambda ps: cca_loss(
+        lambda ps: ad.cca_loss(
             projection_forward(x, ps, "f1", dcfg),
             projection_forward(a_hat, ps, "f2", dcfg),
             dcfg.reg,

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import geograph.autodiff as ad
-from geograph.errors import NumericError, ShapeError, StateError
+from geograph.errors import ArgumentError, NumericError, ShapeError, StateError
 from geograph.sparse import SparseMatrix
 from oracles import exact_linear_cca, fd_gradient, highway, max_relative_error
+import unfused as uf
 
 TOL = 1e-6
 
@@ -57,12 +58,14 @@ def _params(rng, **shapes):
 
 
 def test_matmul_grad(rng):
+    # The unfused ops that fused layers are checked against, and that tests
+    # build losses from, are themselves checked against finite differences.
     p = _params(rng, a=(4, 3), b=(3, 2))
 
     def loss(v):
         a = ad.parameter(v["a"], "a")
         b = ad.parameter(v["b"], "b")
-        return ad.sum_all(ad.matmul(a, b))
+        return uf.sum_all(uf.matmul(a, b))
 
     check_op(loss, p)
 
@@ -71,9 +74,9 @@ def test_affine_and_bias_grad(rng):
     p = _params(rng, x=(5, 3), w=(3, 4), b=(4,))
 
     def loss(v):
-        return ad.sum_all(
-            ad.affine(ad.parameter(v["x"], "x"), ad.parameter(v["w"], "w"),
-                      ad.parameter(v["b"], "b"))
+        return uf.sum_all(
+            ad.layer(ad.parameter(v["x"], "x"), ad.parameter(v["w"], "w"),
+                     ad.parameter(v["b"], "b"), act=None)
         )
 
     check_op(loss, p)
@@ -84,7 +87,7 @@ def test_spmm_grad(rng):
     p = _params(rng, x=(4, 3))
 
     def loss(v):
-        return ad.sum_all(ad.spmm(s, ad.parameter(v["x"], "x")))
+        return uf.sum_all(uf.spmm(s, ad.parameter(v["x"], "x")))
 
     check_op(loss, p)
 
@@ -94,14 +97,14 @@ def test_elementwise_grads(rng):
     c = rng.standard_normal((3, 4))
 
     def loss(v):
-        z = ad.sigmoid(ad.mul_const(ad.parameter(v["a"], "a"), c))
-        return ad.sum_all(ad.mul_const(z, 1.7))
+        z = uf.sigmoid(uf.mul_const(ad.parameter(v["a"], "a"), c))
+        return uf.sum_all(uf.mul_const(z, 1.7))
 
     check_op(loss, p)
 
 
 def _conv_instance(rng):
-    """A sparse propagation matrix and graph_conv parameters."""
+    """A sparse propagation matrix and graph convolution parameters."""
     a_hat = SparseMatrix.from_dense(rng.random((5, 6)) * (rng.random((5, 6)) < 0.6))
     p = _params(rng, h=(6, 4), w=(4, 3), b=(3,))
     return a_hat, p
@@ -110,7 +113,7 @@ def _conv_instance(rng):
 def _relu_margin(a_hat, v, mask=None):
     """Distance of the nearest pre-activation from the relu's kink, where
     finite differences are no gradient check."""
-    h = v["h"] if mask is None else mask.apply(v["h"])
+    h = v["h"] if mask is None else ad.dropout(v["h"], mask)
     return np.abs(a_hat.to_dense() @ h @ v["w"] + v["b"]).min()
 
 
@@ -122,9 +125,9 @@ def test_graph_conv_grad(rng, dropped):
     assert _relu_margin(a_hat, p, mask) > 1e-4
 
     def loss(v):
-        out = ad.graph_conv(a_hat, ad.parameter(v["h"], "h"), ad.parameter(v["w"], "w"),
-                            ad.parameter(v["b"], "b"), mask)
-        return ad.sum_all(ad.mul_const(out, weights))
+        out = ad.layer(ad.parameter(v["h"], "h"), ad.parameter(v["w"], "w"),
+                       ad.parameter(v["b"], "b"), mask, a_hat)
+        return uf.sum_all(uf.mul_const(out, weights))
 
     check_op(loss, p)
 
@@ -136,9 +139,9 @@ def test_output_graph_conv_grad(rng):
     weights = rng.standard_normal((5, 3))
 
     def loss(v):
-        out = ad.graph_conv(a_hat, ad.parameter(v["h"], "h"), ad.parameter(v["w"], "w"),
-                            ad.parameter(v["b"], "b"), mask, relu=False)
-        return ad.sum_all(ad.mul_const(out, weights))
+        out = ad.layer(ad.parameter(v["h"], "h"), ad.parameter(v["w"], "w"),
+                       ad.parameter(v["b"], "b"), mask, a_hat, act=None)
+        return uf.sum_all(uf.mul_const(out, weights))
 
     check_op(loss, p)
 
@@ -147,15 +150,15 @@ def test_graph_conv_matches_unfused_ops(rng):
     a_hat, p = _conv_instance(rng)
     mask = ad.make_dropout_mask(rng, (6, 4), 0.5)
     h, w, b = (ad.constant(p[k]) for k in ("h", "w", "b"))
-    unfused = ad.affine(ad.spmm(a_hat, ad.dropout(h, mask)), w, b)
-    np.testing.assert_array_equal(ad.graph_conv(a_hat, h, w, b, mask, relu=False).data,
-                                  unfused.data)
-    np.testing.assert_array_equal(ad.graph_conv(a_hat, h, w, b, mask).data,
-                                  ad.relu(unfused).data)
+    unfused = uf.add_bias(uf.matmul(uf.spmm(a_hat, uf.dropout(h, mask)), w), b)
+    np.testing.assert_array_equal(ad.layer(h, w, b, mask, a_hat, act=None).data, unfused.data)
+    np.testing.assert_array_equal(ad.layer(h, w, b, mask, a_hat).data, uf.relu(unfused).data)
     with pytest.raises(ShapeError):
-        ad.graph_conv(a_hat, h, w, b, ad.DropoutMask(mask.keep[:3], mask.scale))
+        ad.layer(h, w, b, ad.DropoutMask(mask.keep[:3], mask.scale), a_hat)
     with pytest.raises(ShapeError):
-        ad.graph_conv(a_hat, h, ad.constant(p["w"].T), b)
+        ad.layer(h, ad.constant(p["w"].T), b, a_hat=a_hat)
+    with pytest.raises(ArgumentError, match="unknown activation 'tanh'"):
+        ad.layer(h, w, b, a_hat=a_hat, act="tanh")
 
 
 @pytest.mark.parametrize("dense", [False, True])
@@ -167,31 +170,32 @@ def test_relu_affine_grad(rng, dense):
     assert np.abs(x @ p["w"] + p["b"]).min() > 1e-4  # no pre-activation at the kink
 
     def loss(v):
-        out = ad.relu_affine(operand, ad.parameter(v["w"], "w"), ad.parameter(v["b"], "b"))
-        return ad.sum_all(ad.mul_const(out, weights))
+        out = ad.layer(operand, ad.parameter(v["w"], "w"), ad.parameter(v["b"], "b"))
+        return uf.sum_all(uf.mul_const(out, weights))
 
     check_op(loss, p)
 
 
 def test_relu_affine_matches_unfused_ops(rng):
-    # Value and weight gradients keep the bytes of relu(sparse_affine(...)).
+    # Over a constant sparse input, value and weight gradients keep the
+    # bytes of the unfused relu(spmm(...) + b).
     s = SparseMatrix.from_dense(rng.random((5, 6)) * (rng.random((5, 6)) < 0.6))
     p = _params(rng, w=(6, 3), b=(3,))
     g = rng.standard_normal((5, 3))
     outs, grads = [], []
     for fused in (True, False):
         w, b = ad.parameter(p["w"]), ad.parameter(p["b"])
-        out = ad.relu_affine(s, w, b) if fused else ad.relu(ad.sparse_affine(s, w, b))
-        ad.backward(ad.sum_all(ad.mul_const(out, g)))
+        out = ad.layer(s, w, b) if fused else uf.relu(uf.add_bias(uf.spmm(s, w), b))
+        ad.backward(uf.sum_all(uf.mul_const(out, g)))
         outs.append(out.data)
         grads.append((w.grad, b.grad))
     np.testing.assert_array_equal(outs[0], outs[1])
     for fused_grad, unfused_grad in zip(*grads):
         np.testing.assert_array_equal(fused_grad, unfused_grad)
     with pytest.raises(ShapeError):
-        ad.relu_affine(s, ad.constant(p["w"].T), ad.constant(p["b"]))
+        ad.layer(s, ad.constant(p["w"].T), ad.constant(p["b"]))
     with pytest.raises(ShapeError):
-        ad.relu_affine(s, ad.constant(p["w"]), ad.constant(p["b"][:2]))
+        ad.layer(s, ad.constant(p["w"]), ad.constant(p["b"][:2]))
 
 
 def _gated_instance(rng, dtype=np.float64):
@@ -222,7 +226,7 @@ def test_highway_grad(rng, gate_bias):
 
     def loss(v):
         out = ad.gated_conv(a_hat, *(ad.parameter(v[k], k) for k in _GATED), mask)
-        return ad.sum_all(ad.mul_const(out, weights))
+        return uf.sum_all(uf.mul_const(out, weights))
 
     check_op(loss, p)
 
@@ -232,8 +236,8 @@ def test_highway_grad(rng, gate_bias):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gated_conv_matches_graph_conv_then_highway(rng, dtype, masked, nan):
     # The fused layer's output and all five gradients have the bytes of a
-    # graph_conv node followed by the unfused highway op, with -0.0 among the
-    # inputs and, in a second case, a NaN. The NaN sits on the user no one
+    # relu graph-convolution layer followed by the unfused highway op, with
+    # -0.0 among the inputs and, in a second case, a NaN. The NaN sits on the user no one
     # reads, so part of every gradient stays finite.
     a_hat, p = _gated_instance(rng, dtype)
     p["h"][0, 1] = p["b"][2] = -0.0
@@ -248,15 +252,51 @@ def test_gated_conv_matches_graph_conv_then_highway(rng, dtype, masked, nan):
         if fused:
             out = ad.gated_conv(a_hat, *(t[k] for k in _GATED), mask)
         else:
-            new = ad.graph_conv(a_hat, t["h"], t["w"], t["b"], mask)
+            new = ad.layer(t["h"], t["w"], t["b"], mask, a_hat)
             value, vjp = highway(new.data, t["h"].data, t["wg"].data, t["bg"].data)
             out = ad.Tensor(value, _parents=(new, t["h"], t["wg"], t["bg"]), _vjp=vjp)
-        ad.backward(ad.sum_all(ad.mul_const(out, g)))
+        ad.backward(uf.sum_all(uf.mul_const(out, g)))
         outs.append(out.data)
         grads.append([t[k].grad for k in _GATED])
     assert np.isnan(outs[0]).any() == nan and np.isnan(grads[0][0]).any() == nan
     assert outs[0].dtype == dtype and outs[0].tobytes() == outs[1].tobytes()
     for name, fused_grad, unfused_grad in zip(_GATED, *grads):
+        assert fused_grad.dtype == dtype, name
+        assert fused_grad.tobytes() == unfused_grad.tobytes(), name
+
+
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tensor_x", [True, False])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("propagated", [False, True])
+@pytest.mark.parametrize("act", ["relu", "sigmoid", None])
+def test_layer_matches_unfused_chain(rng, act, propagated, masked, tensor_x, dtype, nan):
+    # One layer node has the bytes and dtype of the unfused chain's output and
+    # gradients, over a tensor or a constant input, with -0.0 among the inputs
+    # and, in a second case, a NaN, which the weights' gradient always reads.
+    a_hat, p = _gated_instance(rng, dtype)
+    p["h"][0, 1] = p["b"][2] = -0.0
+    if nan:
+        p["h"][4, 0] = np.nan
+    mask = ad.make_dropout_mask(rng, (5, 3), 0.5) if masked else None
+    a_hat = a_hat if propagated else None
+    g = rng.standard_normal((5, 3)).astype(dtype)
+    g[1, 1] = -0.0
+    names = ("x", "w", "b") if tensor_x else ("w", "b")
+    outs, grads = [], []
+    for op in (ad.layer, uf.layer):
+        t = {"x": p["h"].copy(), "w": p["w"].copy(), "b": p["b"].copy()}
+        t.update({k: ad.parameter(t[k], k) for k in names})
+        out = op(t["x"], t["w"], t["b"], mask, a_hat, act)
+        if op is ad.layer:  # one node, straight over its inputs
+            assert [q.name for q in out._parents] == list(names)
+        ad.backward(uf.sum_all(uf.mul_const(out, g)))
+        outs.append(out.data)
+        grads.append([t[k].grad for k in names])
+    assert outs[0].dtype == dtype and outs[0].tobytes() == outs[1].tobytes()
+    assert np.isnan(grads[0][-2]).any() == nan
+    for name, fused_grad, unfused_grad in zip(names, *grads):
         assert fused_grad.dtype == dtype, name
         assert fused_grad.tobytes() == unfused_grad.tobytes(), name
 
@@ -282,34 +322,36 @@ def test_gated_conv_rejects_bad_shapes(rng, case):
 
 
 def test_relu_grad_away_from_kink(rng):
+    # A relu layer over a tensor input, with identity weights: relu(x).
     x = rng.standard_normal((4, 4))
     x[np.abs(x) < 1e-2] = 0.1  # keep the probe away from the nondifferentiable point
+    w, b = ad.constant(np.eye(4)), ad.constant(np.zeros(4))
 
     def loss(v):
-        return ad.sum_all(ad.relu(ad.parameter(v["x"], "x")))
+        return uf.sum_all(ad.layer(ad.parameter(v["x"], "x"), w, b))
 
     check_op(loss, {"x": x})
 
 
 def test_sigmoid_grad_and_stability(rng):
-    p = _params(rng, x=(3, 3))
+    p = _params(rng, x=(3, 3), w=(3, 2), b=(2,))
 
     def loss(v):
-        return ad.sum_all(ad.sigmoid(ad.parameter(v["x"], "x")))
+        return uf.sum_all(ad.layer(*(ad.parameter(v[k], k) for k in "xwb"), act="sigmoid"))
 
     check_op(loss, p)
-    big = ad.sigmoid(ad.constant(np.array([[800.0, -800.0]])))
-    assert np.all(np.isfinite(big.data))
-    np.testing.assert_allclose(big.data, [[1.0, 0.0]], atol=1e-300)
+    big = ad.sigmoid(np.array([[800.0, -800.0]]))
+    assert np.all(np.isfinite(big))
+    np.testing.assert_allclose(big, [[1.0, 0.0]], atol=1e-300)
 
 
 def test_expit_saturates_without_a_warning():
     z = np.array([800.0, -800.0, np.inf, -np.inf, np.nan, 40.0, -700.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = ad._expit(z)
+        s = ad.sigmoid(z)
         inplace = z.copy()
-        assert ad._expit(inplace, out=inplace) is inplace
+        assert ad.sigmoid(inplace, out=inplace) is inplace
     np.testing.assert_array_equal(s[:4], [1.0, 0.0, 1.0, 0.0])
     assert np.isnan(s[4]) and s[5] == 1.0 and 0.0 < s[6] < 1e-300
     np.testing.assert_array_equal(inplace, s)
@@ -326,7 +368,7 @@ def test_expit_is_within_two_ulp_of_the_exact_sigmoid():
     z = np.linspace(-40.0, 40.0, 200_001)
     exact = (1.0 / (1.0 + np.exp(-z.astype(np.longdouble)))).astype(np.float64)
     ulp = np.spacing(exact)
-    got = ad._expit(z)
+    got = ad.sigmoid(z)
     assert np.all(np.abs(got - exact) <= 2 * ulp)
     assert np.all(np.abs(expit(z) - exact) <= 2 * ulp)
     assert np.all(np.abs(got - expit(z)) <= 4 * ulp)
@@ -368,24 +410,18 @@ def _tape_ops(rng):
     square = SparseMatrix.from_dense(rng.random((6, 6)))
     w = ad.parameter(rng.standard_normal((3, 3)))
     b = ad.parameter(rng.standard_normal(3))
-    c = rng.standard_normal((6, 3))
     mask = ad.make_dropout_mask(rng, (6, 3), 0.5)
     ops = {
-        "matmul": lambda h: ad.matmul(h, w),
-        "spmm": lambda h: ad.spmm(s, h),
-        "add_bias": lambda h: ad.add_bias(h, b),
-        "mul_const": lambda h: ad.mul_const(h, c),
-        "dropout": lambda h: ad.dropout(h, mask),
-        "relu": ad.relu,
-        "sigmoid": ad.sigmoid,
-        "softmax_cross_entropy": lambda h: ad.softmax_cross_entropy(h, np.eye(3)[[0, 2, 1, 0, 2, 1]]),
-        "cca_correlation": lambda h: ad.cca_correlation(h, ad.mul_const(h, c), 1e-3),
-        "relu_affine": lambda h: ad.relu_affine(s, h, b),
-        "graph_conv": lambda h: ad.graph_conv(s, h, w, b, mask),
-        "graph_conv without relu": lambda h: ad.graph_conv(s, h, w, b, mask, relu=False),
+        "relu layer": lambda h: ad.layer(h, w, b, mask),
+        "sigmoid layer": lambda h: ad.layer(h, w, b, act="sigmoid"),
+        "layer over a constant input": lambda h: ad.layer(s, h, b),
+        "graph convolution": lambda h: ad.layer(h, w, b, mask, square),
+        "output graph convolution": lambda h: ad.layer(h, w, b, mask, s, act=None),
         "gated_conv": lambda h: ad.gated_conv(square, h, w, b, w, b, mask),
+        "softmax_cross_entropy": lambda h: ad.softmax_cross_entropy(h, np.eye(3)[[0, 2, 1, 0, 2, 1]]),
+        "cca_loss": lambda h: ad.cca_loss(h, ad.layer(h, w, b), 1e-3),
     }
-    return ops, (w.data, b.data, c, mask.keep)
+    return ops, (w.data, b.data, mask.keep)
 
 
 def test_dropped_tape_is_freed_without_gc(rng):
@@ -397,10 +433,10 @@ def test_dropped_tape_is_freed_without_gc(rng):
     gc.disable()
     try:
         for name, op in ops.items():
-            hidden = ad.matmul(ad.constant(rng.standard_normal((6, 4))), v)
+            hidden = uf.matmul(ad.constant(rng.standard_normal((6, 4))), v)
             probe = weakref.ref(hidden.data)
             out = op(hidden)
-            loss = out if out.data.size == 1 else ad.sum_all(out)
+            loss = out if out.data.size == 1 else uf.sum_all(out)
             ad.backward(loss)
             del hidden, out, loss
             assert probe() is None, f"{name} keeps its tape alive"
@@ -424,11 +460,11 @@ def test_backward_frees_what_each_vjp_held(rng):
     gc.disable()
     try:
         for name, op in ops.items():
-            hidden = ad.matmul(ad.constant(rng.standard_normal((6, 4))), v)
+            hidden = uf.matmul(ad.constant(rng.standard_normal((6, 4))), v)
             out = op(hidden)
             held = [a for a in _held_arrays(out._vjp) if not any(a is k for k in shared)]
             probes = [weakref.ref(a) for a in (hidden.data, *held)]
-            loss = out if out.data.size == 1 else ad.sum_all(out)
+            loss = out if out.data.size == 1 else uf.sum_all(out)
             del hidden, out, held
             ad.backward(loss)
             alive = sum(probe() is not None for probe in probes)
@@ -450,7 +486,7 @@ def test_backward_releases_each_node_before_its_vjp(rng):
 
     node = ad.Tensor(x.data * 2.0, _parents=(x,), _vjp=vjp)
     probe = weakref.ref(node.data)
-    loss = ad.sum_all(node)
+    loss = uf.sum_all(node)
     del node
     gc.disable()
     try:
@@ -489,7 +525,7 @@ def test_cca_correlation_matches_closed_form(rng):
     h1 = rng.standard_normal((40, 3))
     h2 = h1 @ rng.standard_normal((3, 3)) + 0.1 * rng.standard_normal((40, 3))
     reg = 1e-3
-    value = float(ad.cca_correlation(ad.constant(h1), ad.constant(h2), reg).data)
+    value = -float(ad.cca_loss(ad.constant(h1), ad.constant(h2), reg).data)
     expected = exact_linear_cca(h1, h2, k=3, reg=reg).sum()
     assert abs(value - expected) < 1e-10
 
@@ -498,9 +534,7 @@ def test_cca_correlation_grad(rng):
     p = _params(rng, h1=(25, 3), h2=(25, 2))
 
     def loss(v):
-        return ad.cca_correlation(
-            ad.parameter(v["h1"], "h1"), ad.parameter(v["h2"], "h2"), 1e-2
-        )
+        return ad.cca_loss(ad.parameter(v["h1"], "h1"), ad.parameter(v["h2"], "h2"), 1e-2)
 
     check_op(loss, p, h=1e-6, tol=1e-5)
 
@@ -508,18 +542,18 @@ def test_cca_correlation_grad(rng):
 def test_cca_correlation_column_permutation_invariant(rng):
     h1 = rng.standard_normal((30, 2))
     h2 = h1[:, ::-1].copy()
-    a = float(ad.cca_correlation(ad.constant(h1), ad.constant(h1), 1e-3).data)
-    b = float(ad.cca_correlation(ad.constant(h1), ad.constant(h2), 1e-3).data)
+    a = float(ad.cca_loss(ad.constant(h1), ad.constant(h1), 1e-3).data)
+    b = float(ad.cca_loss(ad.constant(h1), ad.constant(h2), 1e-3).data)
     assert abs(a - b) < 1e-10
 
 
 def test_cca_correlation_preconditions(rng):
     h = ad.constant(rng.standard_normal((3, 4)))  # n <= k
     with pytest.raises(NumericError):
-        ad.cca_correlation(h, h, 1e-3)
+        ad.cca_loss(h, h, 1e-3)
     ok = ad.constant(rng.standard_normal((10, 2)))
     with pytest.raises(NumericError):
-        ad.cca_correlation(ok, ok, 0.0)
+        ad.cca_loss(ok, ok, 0.0)
 
 
 def test_dropout_forward_and_grad(rng):
@@ -529,16 +563,20 @@ def test_dropout_forward_and_grad(rng):
     assert kept.dtype == bool and 0 < kept.sum() < kept.size
     assert mask.scale == 1.0 / 0.6
 
-    def loss(v):
-        return ad.sum_all(ad.dropout(ad.parameter(v["x"], "x"), mask))
+    w, b = ad.constant(np.eye(5)), ad.constant(np.zeros(5))
+
+    def loss(v):  # a layer with identity weights drops its input alone
+        return uf.sum_all(ad.layer(ad.parameter(v["x"], "x"), w, b, mask, act=None))
 
     check_op(loss, {"x": x})
-    out = ad.dropout(ad.constant(x), mask).data
+    out = ad.dropout(x, mask)
     np.testing.assert_array_equal(out[~kept], 0.0)
     # The bytes of a float mask keep / (1 - p), signed zeros, infinities and
-    # NaNs included.
+    # NaNs included, also when written in place.
     x.flat[:4] = [-0.0, np.inf, -np.inf, np.nan]
-    assert mask.apply(x).tobytes() == (x * (kept / (1.0 - 0.4))).tobytes()
+    want = (x * (kept / (1.0 - 0.4))).tobytes()
+    assert ad.dropout(x, mask).tobytes() == want
+    assert ad.dropout(x, mask, out=x) is x and x.tobytes() == want
     none = ad.make_dropout_mask(rng, (6, 5), 0.0)
     assert none.keep.all() and none.scale == 1.0
 
@@ -552,7 +590,7 @@ def test_make_dropout_mask_validates_p(rng):
 
 def test_gradient_accumulates_over_reuse(rng):
     x = ad.parameter(rng.standard_normal((3, 3)), "x")
-    loss = ad.sum_all(ad.matmul(x, x))
+    loss = uf.sum_all(uf.matmul(x, x))
     ad.backward(loss)
     ones = np.ones((3, 3))
     np.testing.assert_allclose(x.grad, ones @ x.data.T + x.data.T @ ones, atol=1e-14)
@@ -570,33 +608,33 @@ def _mul(a, b):
 def test_one_vjp_feeds_two_parents(rng):
     a = ad.parameter(rng.standard_normal((3, 2)), "a")
     b = ad.parameter(rng.standard_normal((3, 2)), "b")
-    ad.backward(ad.sum_all(_mul(_add(a, b), a)))
+    ad.backward(uf.sum_all(_mul(_add(a, b), a)))
     np.testing.assert_allclose(a.grad, 2.0 * a.data + b.data, atol=1e-14)
     np.testing.assert_allclose(b.grad, a.data, atol=1e-14)
     # Here the outer ``_add`` hands one array to two branches and the inner one
     # hands it on to a and b before a's second gradient arrives: summing that
     # gradient into a.grad in place would also change b.grad.
     a.grad = b.grad = None
-    ad.backward(ad.sum_all(_add(_add(a, b), _mul(a, a))))
+    ad.backward(uf.sum_all(_add(_add(a, b), _mul(a, a))))
     np.testing.assert_allclose(a.grad, 1.0 + 2.0 * a.data, atol=1e-14)
     np.testing.assert_array_equal(b.grad, 1.0)
 
 
 def test_second_backward_on_a_consumed_graph_raises(rng):
     x = ad.parameter(rng.standard_normal((3, 3)), "x")
-    h = ad.matmul(x, x)
-    loss = ad.sum_all(h)
+    h = uf.matmul(x, x)
+    loss = uf.sum_all(h)
     ad.backward(loss)
     grad = x.grad
     assert h.grad is None and loss.grad is None  # only the leaf keeps .grad
     # Neither the same loss nor a new one over a consumed node may return
     # with some or no gradients.
-    for again in (loss, ad.sum_all(ad.relu(h)), ad.sum_all(_mul(h, x))):
+    for again in (loss, uf.sum_all(uf.relu(h)), uf.sum_all(_mul(h, x))):
         with pytest.raises(StateError, match="an earlier backward already consumed this graph"):
             ad.backward(again)
         assert x.grad is grad
     # A graph recorded anew over the same leaf takes gradients again.
-    ad.backward(ad.sum_all(ad.matmul(x, x)))
+    ad.backward(uf.sum_all(uf.matmul(x, x)))
     np.testing.assert_allclose(x.grad, 2.0 * grad, atol=1e-14)
 
 

@@ -6,19 +6,19 @@
 Checks ``REF`` (default ``HEAD``) out with ``git worktree add --detach`` into a
 temporary directory and removes that worktree afterwards. In the worktree and
 in the working tree it runs the same fixed-seed runs: ``synth`` corpora of 300
-and 1,000 users; short ``train`` runs of every model kind, dcca also with linear
-projections and with a capped ``proj_out``, each followed by an ``eval`` of its
-checkpoint; and a sweep of all five models over two labeled
-fractions, two depths and two seeds. A small hand-written corpus, whose
-``edges.tsv`` mixes the case of names and holds repeated rows, unknown
-mentioners, handles that name no user, a hub, a blank line, a line of only
-spaces and a tab, a CRLF line and no final newline, and whose users include
-one with empty text and one whose text is only mentions, gets one ``train``
-run with its ``eval`` and a sweep that caps co-mentions below the hub's
-degree. Each run
-uses ``PYTHONPATH=<tree>/src``. The ref runs at ``OPENBLAS_NUM_THREADS=1`` and
-the working tree at the thread count it inherits, so no differing file shows
-both that the bytes are unchanged and that they do not depend on the count.
+and 1,000 users; short ``train`` runs of every model kind, dcca also with
+linear projections and with a capped ``proj_out``, mlp and a three-layer gcn
+also without dropout, each followed by an ``eval`` of its checkpoint; and a
+sweep of all five models over two labeled fractions, two depths and two seeds.
+A small hand-written corpus, whose ``edges.tsv`` mixes the case of names and
+holds repeated rows, unknown mentioners, handles that name no user, a hub, a
+blank line, a line of only spaces and a tab, a CRLF line and no final newline,
+and whose users include one with empty text and one whose text is only
+mentions, gets one ``train`` run with its ``eval`` and a sweep that caps
+co-mentions below the hub's degree. Each run uses ``PYTHONPATH=<tree>/src``.
+The ref runs at ``OPENBLAS_NUM_THREADS=1`` and the working tree at the thread
+count it inherits, so no differing file shows both that the bytes are unchanged
+and that they do not depend on the count.
 
 Every file the runs write is compared byte for byte, except that ``seconds``,
 a wall-clock time, is dropped from each ``report.json`` first. Each file that
@@ -50,6 +50,10 @@ TRAIN_RUNS = {
     "gcn-nohighway-d6": ("c300", ["--model", "gcn-nohighway", "--layers", "6"]),
     "gcn-lp-d2": ("c300", ["--model", "gcn-lp", "--layers", "2"]),
     "mlp": ("c300", ["--model", "mlp", "--labeled-fraction", "0.5", "--tree-from", "all-train"]),
+    # Without dropout, every layer takes its mask-less training branch.
+    "mlp-dropout0": ("c300", ["--model", "mlp", "--dropout", "0", "--labeled-fraction", "0.5",
+                              "--tree-from", "all-train"]),
+    "gcn-d3-dropout0": ("c300", ["--model", "gcn", "--layers", "3", "--dropout", "0"]),
     "gcn-early-stop": ("c300", ["--model", "gcn", "--early-stop"]),
     "gcn-lp-early-stop": ("c300", ["--model", "gcn-lp", "--early-stop"]),
     "dcca": ("c300", ["--model", "dcca", *_SMALL_DCCA]),
